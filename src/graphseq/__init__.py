@@ -9,7 +9,6 @@ from .graph import (
     adjacency,
     connected_components,
     load_graph,
-    save_graph,
 )
 from .euler import (
     EulerPath,

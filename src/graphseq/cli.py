@@ -4,8 +4,12 @@ pretrain, taskfmt, and verify.
 A single JSON config document may supply any flag value; explicit flags
 override it. All randomness flows through ``--seed`` with per-item seeds
 derived from the item index, so outputs are byte-stable. Errors exit
-non-zero with one machine-readable JSON object on stderr. The only
-environment knob is ``GRAPHSEQ_LOG`` (log verbosity).
+non-zero with one machine-readable JSON object on stderr; a malformed
+input record is reported with its file line under ``"line"``. Output is
+written item by item, so a failed run leaves the complete lines before the
+failing item; ``pretrain --pack-context`` writes only at the end, once
+every example is packed. The only environment knob is ``GRAPHSEQ_LOG``
+(log verbosity).
 """
 from __future__ import annotations
 
@@ -25,6 +29,8 @@ from .graph import (
     adjacency,
     iter_graphs_jsonl,
     load_graph,
+    read_jsonl,
+    write_jsonl,
 )
 from .identity import (
     build_codebook,
@@ -33,17 +39,10 @@ from .identity import (
     with_identity_attrs,
 )
 from .pipeline import derive_seed, roundtrip_report, serialize_graph
-from .pretrain import (
-    build_ntp,
-    build_smtp,
-    draw_mask_fraction,
-    pack,
-    write_batches_jsonl,
-    write_examples_jsonl,
-)
+from .pretrain import build_ntp, build_smtp, draw_mask_fraction, pack
 from .sampler import SamplerConfig, draw_roots, sample
-from .taskfmt import format_edge_task, format_graph_task, format_node_task, write_task_jsonl
-from .tokenizer import ReindexConfig, iter_grids_jsonl, write_grids_jsonl
+from .taskfmt import format_edge_task, format_graph_task, format_node_task
+from .tokenizer import ReindexConfig, TokenGrid
 from .vocab import Vocabulary, build_vocab, semantic_token
 
 log = logging.getLogger("graphseq")
@@ -107,8 +106,7 @@ def cmd_ingest(args) -> int:
         edge_scale=args.edge_scale,
         edge_offset=args.edge_offset,
     )
-    with open(args.output, "w") as fh:
-        fh.write(json.dumps(g.to_json()) + "\n")
+    write_jsonl(args.output, [g.to_json()])
     log.info("ingested %s: %d nodes, %d edges", args.input, g.num_nodes, g.num_edges)
     return 0
 
@@ -129,30 +127,19 @@ def cmd_vocab(args) -> int:
 def cmd_tokenize(args) -> int:
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args)
-    grids = [
-        serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
+    write_jsonl(args.output, (
+        serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i)).to_json()
         for i, g in enumerate(iter_graphs_jsonl(args.graphs))
-    ]
-    write_grids_jsonl(grids, args.output)
+    ))
     return 0
 
 
 def cmd_detokenize(args) -> int:
     vocab = _load_vocab(args)
-    with open(args.output, "w") as fh:
-        for grid in iter_grids_jsonl(args.grids):
-            report = detokenize(grid, vocab)
-            fh.write(
-                json.dumps(
-                    {
-                        "graph": report.graph.to_json(),
-                        "dropped_jump_edges": report.dropped_jump_edges,
-                        "deduplicated_edges": report.deduplicated_edges,
-                        "warnings": list(report.warnings),
-                    }
-                )
-                + "\n"
-            )
+    write_jsonl(args.output, (
+        detokenize(grid, vocab).to_json()
+        for grid in read_jsonl(args.grids, TokenGrid.from_json)
+    ))
     return 0
 
 
@@ -179,7 +166,8 @@ def cmd_sample(args) -> int:
     roots = draw_roots(
         g, args.mode, args.count, derive_seed(args.seed, "roots"), negatives=args.negatives
     )
-    with open(args.output, "w") as fh:
+
+    def docs():
         for i, r in enumerate(roots):
             cfg = SamplerConfig(
                 mode=args.mode,
@@ -194,68 +182,65 @@ def cmd_sample(args) -> int:
             doc = sub.to_json()
             if args.negatives:
                 doc["label"] = 1 if i < args.count else 0
-            fh.write(json.dumps(doc) + "\n")
+            yield doc
+
+    write_jsonl(args.output, docs())
     return 0
 
 
 def cmd_pretrain(args) -> int:
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args)
-    examples = []
-    for i, g in enumerate(iter_graphs_jsonl(args.graphs)):
-        grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
-        if args.task == "ntp":
-            examples.append(build_ntp(grid, vocab))
-        else:
-            rng = random.Random(derive_seed(args.seed, "rate", i))
-            rate = draw_mask_fraction(rng)
-            examples.append(build_smtp(grid, rate, derive_seed(args.seed, "mask", i), vocab))
-    if args.pack_context:
-        write_batches_jsonl(pack(examples, args.pack_context, vocab), args.output)
-    else:
-        write_examples_jsonl(examples, args.output)
+
+    def examples():
+        for i, g in enumerate(iter_graphs_jsonl(args.graphs)):
+            grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
+            if args.task == "ntp":
+                yield build_ntp(grid, vocab)
+            else:
+                rng = random.Random(derive_seed(args.seed, "rate", i))
+                rate = draw_mask_fraction(rng)
+                yield build_smtp(grid, rate, derive_seed(args.seed, "mask", i), vocab)
+
+    # First-fit packing needs every bin, so packed output is written at the end.
+    records = pack(examples(), args.pack_context, vocab) if args.pack_context else examples()
+    write_jsonl(args.output, (r.to_json() for r in records))
     return 0
-
-
-def _sample_stream(path):
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 
 
 def cmd_taskfmt(args) -> int:
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args)
-    out = []
-    if args.task == "graph":
-        for i, g in enumerate(iter_graphs_jsonl(args.graphs)):
-            grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
-            out.append(format_graph_task(grid, vocab))
-    else:
-        for i, doc in enumerate(_sample_stream(args.samples)):
-            sub = SubgraphSample.from_json(doc)
-            grid = serialize_graph(sub.graph, vocab, args.layout, cfg, derive_seed(args.seed, i))
-            # Node identity blocks double as the appended task tokens.
+
+    def grid_of(g, i):
+        return serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
+
+    def node_tokens(g, local):
+        # Node identity blocks double as the appended task tokens.
+        return [
+            semantic_token(vocab.dataset_tag, "node", dim, value)
+            for dim, value in enumerate(g.node_attrs[local])
+            if value != g.node_defaults[dim]
+        ]
+
+    def sequences():
+        if args.task == "graph":
+            for i, g in enumerate(iter_graphs_jsonl(args.graphs)):
+                yield format_graph_task(grid_of(g, i), vocab)
+            return
+        samples = read_jsonl(args.samples, lambda d: (SubgraphSample.from_json(d), d.get("label")))
+        for i, (sub, label) in enumerate(samples):
             g = sub.graph
-
-            def node_tokens(local):
-                return [
-                    semantic_token(vocab.dataset_tag, "node", dim, value)
-                    for dim, value in enumerate(g.node_attrs[local])
-                    if value != g.node_defaults[dim]
-                ]
-
-            label = doc.get("label")
+            grid = grid_of(g, i)
             if args.task == "edge":
                 src, dst = sub.root_nodes
-                out.append(
-                    format_edge_task(grid, vocab, node_tokens(src), node_tokens(dst), label=label)
+                yield format_edge_task(
+                    grid, vocab, node_tokens(g, src), node_tokens(g, dst), label=label
                 )
             else:
-                out.append(format_node_task(grid, vocab, node_tokens(sub.root_nodes[0]), label=label))
-    write_task_jsonl(out, args.output)
+                yield format_node_task(grid, vocab, node_tokens(g, sub.root_nodes[0]), label=label)
+
+    write_jsonl(args.output, (ts.to_json() for ts in sequences()))
     return 0
 
 
@@ -422,10 +407,10 @@ def main(argv=None) -> int:
         args = _merge_config(args)
         return args.func(args)
     except Exception as exc:  # contract: machine-readable error, nonzero exit
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
+        err = {"error": type(exc).__name__, "message": str(exc)}
+        if getattr(exc, "line", None) is not None:
+            err["line"] = exc.line
+        print(json.dumps(err), file=sys.stderr)
         return 1
 
 

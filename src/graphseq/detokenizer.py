@@ -38,6 +38,14 @@ class ReconstructionReport:
     deduplicated_edges: int
     warnings: tuple[str, ...] = ()
 
+    def to_json(self) -> dict:
+        return {
+            "graph": self.graph.to_json(),
+            "dropped_jump_edges": self.dropped_jump_edges,
+            "deduplicated_edges": self.deduplicated_edges,
+            "warnings": list(self.warnings),
+        }
+
 
 def grid_from_prolonged_tokens(tokens: list[str], vocab: Vocabulary) -> TokenGrid:
     """Lift a raw prolonged token list into a role-tagged grid.

@@ -51,9 +51,6 @@ class EulerizedMultigraph:
             return self.base.edges[edge_id]
         return self.jump_edges[edge_id - self.num_base_edges]
 
-    def multiplicity(self, edge_id: int) -> int:
-        return 1 + self._dup_counts.get(edge_id, 0)
-
     @property
     def _dup_counts(self) -> Counter:
         return Counter(self.duplications)

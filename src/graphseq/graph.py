@@ -5,7 +5,9 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 class GraphFormatError(ValueError):
@@ -16,6 +18,35 @@ class GraphFormatError(ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
+    """Yield ``parse(doc)`` for each non-blank line of a JSONL file.
+
+    Bad JSON, a missing key, or a record ``parse`` rejects raises
+    ``GraphFormatError`` naming the file line.
+    """
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            try:
+                item = parse(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise GraphFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
+            except KeyError as exc:
+                raise GraphFormatError(f"missing required key {exc}", line=lineno) from exc
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise GraphFormatError(str(exc), line=lineno) from exc
+            yield item
+
+
+def write_jsonl(path: str | Path, docs: Iterable[dict]) -> None:
+    """Write one JSON line per doc as ``docs`` yields it; a failure part
+    way leaves the complete lines written before it."""
+    with open(path, "w") as fh:
+        for doc in docs:
+            fh.write(json.dumps(doc) + "\n")
 
 
 def _as_attr_rows(rows) -> tuple[tuple[int, ...], ...]:
@@ -269,27 +300,6 @@ def load_graph(
     raise ValueError(f"unknown graph format: {format!r}")
 
 
-def save_graph(g: AttributedGraph, path: str | Path):
-    Path(path).write_text(json.dumps(g.to_json()) + "\n")
-
-
 def iter_graphs_jsonl(path: str | Path) -> Iterator[AttributedGraph]:
     """Yield graphs from a JSONL file; lines may be bare graphs or samples."""
-    with Path(path).open() as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            if "graph" in doc:
-                doc = doc["graph"]
-            yield AttributedGraph.from_json(doc)
-
-
-def write_graphs_jsonl(graphs: Iterable[AttributedGraph], path: str | Path):
-    with Path(path).open("w") as fh:
-        for g in graphs:
-            fh.write(json.dumps(g.to_json()) + "\n")
+    return read_jsonl(path, lambda doc: AttributedGraph.from_json(doc.get("graph", doc)))

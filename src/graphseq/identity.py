@@ -68,13 +68,6 @@ class NodeIdentityCodebook:
                 values[slot].add(val)
         return tuple(len(s) for s in values)
 
-    def slot_tokens(self) -> tuple[set[str], ...]:
-        out = [set() for _ in range(self.k)]
-        for v in range(self.num_nodes):
-            for slot, val in enumerate(self.code(v)):
-                out[slot].add(semantic_token(self.dataset_tag, "node", slot, val))
-        return tuple(out)
-
     def save(self, path: str | Path):
         lines = []
         for v in range(self.num_nodes):

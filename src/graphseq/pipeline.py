@@ -92,8 +92,9 @@ def fit_sample(
 
     Oversized serializations are rejected and the draw retried with the
     fanout decremented (never truncated); exhausting fanout 1 is an error.
+    Without ``reindex_cfg`` the vocabulary's index space is used.
     """
-    reindex_cfg = reindex_cfg or ReindexConfig()
+    reindex_cfg = reindex_cfg or ReindexConfig(num_indices=vocab.num_indices)
     if adj is None:
         adj = adjacency(g)
     for attempt, fanout in enumerate(range(cfg.neighbors, 0, -1)):
@@ -118,12 +119,13 @@ def calibrate_fanout(
     """Largest fanout <= cfg.neighbors whose trial serializations all fit.
 
     Mirrors the preconfiguration step that keeps generated sequences
-    inside the context window.
+    inside the context window. Trials use the vocabulary's index space.
     """
     from .sampler import draw_roots
 
     if adj is None:
         adj = adjacency(g)
+    reindex_cfg = ReindexConfig(num_indices=vocab.num_indices)
     for fanout in range(cfg.neighbors, 0, -1):
         candidate = replace(cfg, neighbors=fanout)
         roots = draw_roots(g, cfg.mode, trials, derive_seed(seed, "roots", fanout))
@@ -131,7 +133,7 @@ def calibrate_fanout(
         for i, r in enumerate(roots):
             trial_cfg = replace(candidate, seed=derive_seed(seed, "trial", fanout, i))
             sub = sample(g, r, trial_cfg, adj=adj)
-            grid = serialize_graph(sub.graph, vocab, "prolonged", None, derive_seed(seed, i))
+            grid = serialize_graph(sub.graph, vocab, "prolonged", reindex_cfg, derive_seed(seed, i))
             if grid.num_rows > cfg.max_seq_len:
                 ok = False
                 break

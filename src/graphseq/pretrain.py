@@ -9,12 +9,10 @@ with the token it hid.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
 from .vocab import Vocabulary
@@ -55,22 +53,6 @@ class PretrainExample:
             "roles": [list(r) for r in self.inputs.roles],
         }
         return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PretrainExample":
-        grid = TokenGrid(
-            layout=doc["layout"],
-            m=doc["m"],
-            l=doc["l"],
-            tokens=tuple(tuple(r) for r in doc["inputs"]),
-            roles=tuple(tuple(r) for r in doc["roles"]),
-        )
-        return cls(
-            inputs=grid,
-            targets=tuple((int(p), int(t)) for p, t in doc["targets"]),
-            task=doc["task"],
-            mask_rate_drawn=doc["r"],
-        )
 
 
 def build_ntp(grid: TokenGrid, vocab: Vocabulary) -> PretrainExample:
@@ -233,22 +215,3 @@ def pack(
         )
     return batches
 
-
-def write_examples_jsonl(examples: Iterable[PretrainExample], path: str | Path):
-    with Path(path).open("w") as fh:
-        for ex in examples:
-            fh.write(json.dumps(ex.to_json()) + "\n")
-
-
-def iter_examples_jsonl(path: str | Path) -> Iterator[PretrainExample]:
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield PretrainExample.from_json(json.loads(line))
-
-
-def write_batches_jsonl(batches: Iterable[PackedBatch], path: str | Path):
-    with Path(path).open("w") as fh:
-        for batch in batches:
-            fh.write(json.dumps(batch.to_json()) + "\n")

@@ -9,10 +9,8 @@ sequence exactly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .tokenizer import TokenGrid
 from .vocab import GSUM, Vocabulary
@@ -100,8 +98,3 @@ def format_node_task(
     ids = _resolve(grid, vocab, target_tokens, "target")
     return _with_suffix(grid, ids, "node", label, vocab)
 
-
-def write_task_jsonl(sequences: Iterable[TaskSequence], path: str | Path):
-    with Path(path).open("w") as fh:
-        for ts in sequences:
-            fh.write(json.dumps(ts.to_json()) + "\n")

@@ -21,11 +21,8 @@ alongside tokens so grids deserialize without re-deriving structure.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Iterable, Iterator
 
 from .euler import EulerPath, EulerizedMultigraph
 from .vocab import (
@@ -89,9 +86,6 @@ class TokenGrid:
     def flat(self) -> list[int]:
         return [tok for row in self.tokens for tok in row]
 
-    def flat_roles(self) -> list[str]:
-        return [role for row in self.roles for role in row]
-
     def to_json(self) -> dict:
         return {
             "layout": self.layout,
@@ -110,20 +104,6 @@ class TokenGrid:
             tokens=tuple(tuple(r) for r in doc["tokens"]),
             roles=tuple(tuple(r) for r in doc["roles"]),
         )
-
-
-def write_grids_jsonl(grids: Iterable[TokenGrid], path: str | Path):
-    with Path(path).open("w") as fh:
-        for grid in grids:
-            fh.write(json.dumps(grid.to_json()) + "\n")
-
-
-def iter_grids_jsonl(path: str | Path) -> Iterator[TokenGrid]:
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield TokenGrid.from_json(json.loads(line))
 
 
 def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:

@@ -129,10 +129,6 @@ class Vocabulary:
         return self._token_to_id[EDGE_JUMP]
 
     @property
-    def gsum_id(self) -> int:
-        return self._token_to_id[GSUM]
-
-    @property
     def eos_id(self) -> int:
         return self._token_to_id[EOS]
 

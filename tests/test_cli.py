@@ -225,6 +225,87 @@ def test_errors_are_machine_readable(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+@pytest.fixture
+def jsonl_inputs(tmp_path, corpus):
+    """A graphs, a grids and an edge-sample file of at least three lines,
+    with the vocabularies the commands reading them need."""
+    vocab = _vocab(tmp_path, corpus)
+    grids = tmp_path / "grids.jsonl"
+    assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab),
+                 "--dataset-tag", "t", "--output", str(grids)]) == 0
+    parent = tmp_path / "parent.jsonl"
+    n = 24
+    parent.write_text(json.dumps({
+        "num_nodes": n, "edges": [[i, (i + 1) % n] for i in range(n)]
+    }) + "\n")
+    samples = tmp_path / "samples.jsonl"
+    assert main(["sample", "--graph", str(parent), "--mode", "edge-ego",
+                 "--depth", "1", "--neighbors", "4", "--count", "2", "--negatives",
+                 "--identity-k", "2", "--max-cluster", "6", "--dataset-tag", "t",
+                 "--seed", "5", "--output", str(samples)]) == 0
+    svocab = tmp_path / "sv.tsv"
+    assert main(["vocab", "--graphs", str(samples), "--dataset-tag", "t",
+                 "--node-attr-style", "inline", "--output", str(svocab)]) == 0
+    return {"graphs": corpus, "grids": grids, "samples": samples,
+            "vocab": vocab, "svocab": svocab}
+
+
+_BAD_RECORD = {  # key to delete, then fields that make the record invalid
+    "graphs": ("num_nodes", {"edges": [[1, 1]]}),
+    "grids": ("roles", {"layout": "diagonal"}),
+    "samples": ("root_nodes", {"root_nodes": [0, 999]}),
+}
+
+_COMMANDS = {  # command -> (input kind, argv with placeholders, writes per item)
+    "vocab": ("graphs", ["vocab", "--graphs", "IN"], False),
+    "tokenize": ("graphs", ["tokenize", "--graphs", "IN", "--vocab", "VOCAB"], True),
+    "pretrain": ("graphs", ["pretrain", "--graphs", "IN", "--vocab", "VOCAB",
+                            "--task", "smtp"], True),
+    "detokenize": ("grids", ["detokenize", "--grids", "IN", "--vocab", "VOCAB"], True),
+    "taskfmt": ("samples", ["taskfmt", "--task", "edge", "--samples", "IN",
+                            "--vocab", "SVOCAB", "--node-attr-style", "inline"], True),
+}
+
+
+@pytest.mark.parametrize("defect", ["json", "key", "invalid"])
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_bad_record_fails_with_its_line(tmp_path, jsonl_inputs, capsys, command, defect):
+    kind, argv, per_item = _COMMANDS[command]
+    good = jsonl_inputs[kind].read_text().splitlines(keepends=True)
+    if defect == "json":
+        bad = "{oops"
+    else:
+        missing, invalid = _BAD_RECORD[kind]
+        doc = json.loads(good[0])
+        if defect == "key":
+            del doc[missing]
+        else:
+            doc.update(invalid)
+        bad = json.dumps(doc)
+    prefix, broken = tmp_path / "prefix.jsonl", tmp_path / "broken.jsonl"
+    prefix.write_text("".join(good[:2]))
+    broken.write_text("".join(good[:2]) + bad + "\n" + good[2])
+
+    def run(path, out):
+        paths = {"IN": path, "VOCAB": jsonl_inputs["vocab"], "SVOCAB": jsonl_inputs["svocab"]}
+        args = [str(paths.get(a, a)) for a in argv]
+        return main(args + ["--dataset-tag", "t", "--output", str(out)])
+
+    expected, out = tmp_path / "expected.jsonl", tmp_path / "out.jsonl"
+    assert run(prefix, expected) == 0
+    capsys.readouterr()
+    assert run(broken, out) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "GraphFormatError"
+    assert err["line"] == 3
+    assert err["message"].startswith("line 3: ")
+    if per_item:
+        assert len(expected.read_text().splitlines()) == 2
+        assert out.read_text() == expected.read_text()
+    else:
+        assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, corpus):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset_tag": "fromcfg", "num_indices": 32, "seed": 9}))

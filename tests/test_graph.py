@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphseq import AttributedGraph, GraphFormatError, connected_components, load_graph
-from graphseq.graph import quantize_attrs
+from graphseq.graph import iter_graphs_jsonl, quantize_attrs, read_jsonl, write_jsonl
 
 from conftest import random_graph
 
@@ -112,6 +112,17 @@ def test_json_roundtrip_through_file(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps(g.to_json()))
     assert load_graph(path) == g
+
+
+def test_jsonl_roundtrip_counts_blank_lines(tmp_path):
+    rng = random.Random(8)
+    graphs = [random_graph(rng) for _ in range(3)]
+    path = tmp_path / "g.jsonl"
+    write_jsonl(path, (g.to_json() for g in graphs))
+    assert list(iter_graphs_jsonl(path)) == graphs
+    path.write_text(path.read_text().replace("\n", "\n\n", 1) + '{"edges": []}\n')
+    with pytest.raises(GraphFormatError, match="line 5: missing required key 'num_nodes'"):
+        list(read_jsonl(path, AttributedGraph.from_json))
 
 
 def test_ingest_quantization():

@@ -13,6 +13,7 @@ from graphseq import (
     fit_sample,
     sample,
 )
+from graphseq.pipeline import calibrate_fanout
 
 from conftest import random_connected_graph
 
@@ -228,3 +229,14 @@ def test_fit_sample_gives_up_when_even_fanout_one_overflows():
     cfg = SamplerConfig(mode="node-ego", depth=30, neighbors=2, max_seq_len=3, seed=0)
     with pytest.raises(ValueError, match="max_seq_len"):
         fit_sample(g, (0,), cfg, vocab)
+
+
+def test_budget_fit_uses_the_vocabulary_index_space():
+    # A depth-2 ego sample of a 401-node star holds up to 302 nodes, more
+    # than the default 256 indices but within the vocabulary's 512.
+    star = AttributedGraph(num_nodes=401, edges=tuple((0, i) for i in range(1, 401)))
+    vocab = build_vocab([star], "star", ReindexConfig(num_indices=512))
+    cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=300, max_seq_len=4096, seed=0)
+    assert calibrate_fanout(star, cfg, vocab, trials=3).neighbors == 300
+    sub, _ = fit_sample(star, (5,), cfg, vocab)
+    assert sub.graph.num_nodes == 302
