@@ -25,8 +25,10 @@ from . import __version__
 from .detokenizer import detokenize
 from .graph import (
     AttributedGraph,
+    GraphFormatError,
     SubgraphSample,
     adjacency,
+    graph_record,
     iter_graphs_jsonl,
     load_graph,
     read_jsonl,
@@ -97,6 +99,17 @@ def _load_vocab(args) -> Vocabulary:
     return vocab
 
 
+def _per_record(records, step):
+    """Yield ``step(i, item)`` for the i-th ``(line, item)`` record. A
+    ValueError from the step names the record's line, as a parse error does."""
+    for i, (line, item) in enumerate(records):
+        try:
+            out = step(i, item)
+        except ValueError as exc:
+            raise GraphFormatError(str(exc), line=line) from exc
+        yield out
+
+
 def cmd_ingest(args) -> int:
     g = load_graph(
         args.input,
@@ -127,18 +140,18 @@ def cmd_vocab(args) -> int:
 def cmd_tokenize(args) -> int:
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args)
-    write_jsonl(args.output, (
-        serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i)).to_json()
-        for i, g in enumerate(iter_graphs_jsonl(args.graphs))
+    write_jsonl(args.output, _per_record(
+        read_jsonl(args.graphs, graph_record),
+        lambda i, g: serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i)).to_json(),
     ))
     return 0
 
 
 def cmd_detokenize(args) -> int:
     vocab = _load_vocab(args)
-    write_jsonl(args.output, (
-        detokenize(grid, vocab).to_json()
-        for grid in read_jsonl(args.grids, TokenGrid.from_json)
+    write_jsonl(args.output, _per_record(
+        read_jsonl(args.grids, TokenGrid.from_json),
+        lambda _, grid: detokenize(grid, vocab).to_json(),
     ))
     return 0
 
@@ -192,18 +205,17 @@ def cmd_pretrain(args) -> int:
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args)
 
-    def examples():
-        for i, g in enumerate(iter_graphs_jsonl(args.graphs)):
-            grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
-            if args.task == "ntp":
-                yield build_ntp(grid, vocab)
-            else:
-                rng = random.Random(derive_seed(args.seed, "rate", i))
-                rate = draw_mask_fraction(rng)
-                yield build_smtp(grid, rate, derive_seed(args.seed, "mask", i), vocab)
+    def example(i, g):
+        grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
+        if args.task == "ntp":
+            return build_ntp(grid, vocab)
+        rng = random.Random(derive_seed(args.seed, "rate", i))
+        rate = draw_mask_fraction(rng)
+        return build_smtp(grid, rate, derive_seed(args.seed, "mask", i), vocab)
 
+    examples = _per_record(read_jsonl(args.graphs, graph_record), example)
     # First-fit packing needs every bin, so packed output is written at the end.
-    records = pack(examples(), args.pack_context, vocab) if args.pack_context else examples()
+    records = pack(examples, args.pack_context, vocab) if args.pack_context else examples
     write_jsonl(args.output, (r.to_json() for r in records))
     return 0
 
@@ -217,30 +229,34 @@ def cmd_taskfmt(args) -> int:
 
     def node_tokens(g, local):
         # Node identity blocks double as the appended task tokens.
+        if not g.node_attrs:
+            raise ValueError(
+                "samples carry no node identity tokens; draw them with `graphseq sample --identity-k`"
+            )
         return [
             semantic_token(vocab.dataset_tag, "node", dim, value)
             for dim, value in enumerate(g.node_attrs[local])
             if value != g.node_defaults[dim]
         ]
 
-    def sequences():
-        if args.task == "graph":
-            for i, g in enumerate(iter_graphs_jsonl(args.graphs)):
-                yield format_graph_task(grid_of(g, i), vocab)
-            return
-        samples = read_jsonl(args.samples, lambda d: (SubgraphSample.from_json(d), d.get("label")))
-        for i, (sub, label) in enumerate(samples):
-            g = sub.graph
-            grid = grid_of(g, i)
-            if args.task == "edge":
-                src, dst = sub.root_nodes
-                yield format_edge_task(
-                    grid, vocab, node_tokens(g, src), node_tokens(g, dst), label=label
-                )
-            else:
-                yield format_node_task(grid, vocab, node_tokens(g, sub.root_nodes[0]), label=label)
+    def sample_task(i, record):
+        sub, label = record
+        g = sub.graph
+        grid = grid_of(g, i)
+        if args.task == "edge":
+            src, dst = sub.root_nodes
+            return format_edge_task(grid, vocab, node_tokens(g, src), node_tokens(g, dst), label=label)
+        return format_node_task(grid, vocab, node_tokens(g, sub.root_nodes[0]), label=label)
 
-    write_jsonl(args.output, (ts.to_json() for ts in sequences()))
+    if args.task == "graph":
+        sequences = _per_record(
+            read_jsonl(args.graphs, graph_record),
+            lambda i, g: format_graph_task(grid_of(g, i), vocab),
+        )
+    else:
+        samples = read_jsonl(args.samples, lambda d: (SubgraphSample.from_json(d), d.get("label")))
+        sequences = _per_record(samples, sample_task)
+    write_jsonl(args.output, (ts.to_json() for ts in sequences))
     return 0
 
 

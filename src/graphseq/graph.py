@@ -20,8 +20,9 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
-    """Yield ``parse(doc)`` for each non-blank line of a JSONL file.
+def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
+    """Yield ``(line number, parse(doc))`` for each non-blank line of a
+    JSONL file; the number lets later per-item errors name the line too.
 
     Bad JSON, a missing key, or a record ``parse`` rejects raises
     ``GraphFormatError`` naming the file line.
@@ -38,7 +39,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
                 raise GraphFormatError(f"missing required key {exc}", line=lineno) from exc
             except (AttributeError, TypeError, ValueError) as exc:
                 raise GraphFormatError(str(exc), line=lineno) from exc
-            yield item
+            yield lineno, item
 
 
 def write_jsonl(path: str | Path, docs: Iterable[dict]) -> None:
@@ -300,6 +301,11 @@ def load_graph(
     raise ValueError(f"unknown graph format: {format!r}")
 
 
+def graph_record(doc: dict) -> AttributedGraph:
+    """The graph of a JSONL record, which may be a bare graph or a sample."""
+    return AttributedGraph.from_json(doc.get("graph", doc))
+
+
 def iter_graphs_jsonl(path: str | Path) -> Iterator[AttributedGraph]:
     """Yield graphs from a JSONL file; lines may be bare graphs or samples."""
-    return read_jsonl(path, lambda doc: AttributedGraph.from_json(doc.get("graph", doc)))
+    return (g for _, g in read_jsonl(path, graph_record))

@@ -256,6 +256,16 @@ _BAD_RECORD = {  # key to delete, then fields that make the record invalid
     "samples": ("root_nodes", {"root_nodes": [0, 999]}),
 }
 
+_FAILS_IN_STEP = {  # a record that parses but fails the per-item step, and its error text
+    "graphs": (lambda doc: {"num_nodes": 300, "edges": [[i, i + 1] for i in range(299)]},
+               "300 nodes exceed the index space of 256"),
+    "grids": (lambda doc: dict(doc, roles=[["pad"] * len(r) for r in doc["roles"]]),
+              "grid contains no node tokens"),
+    "samples": (lambda doc: dict(doc, graph={k: v for k, v in doc["graph"].items()
+                                             if k not in ("node_attrs", "attr_defaults")}),
+                "samples carry no node identity tokens"),
+}
+
 _COMMANDS = {  # command -> (input kind, argv with placeholders, writes per item)
     "vocab": ("graphs", ["vocab", "--graphs", "IN"], False),
     "tokenize": ("graphs", ["tokenize", "--graphs", "IN", "--vocab", "VOCAB"], True),
@@ -267,13 +277,17 @@ _COMMANDS = {  # command -> (input kind, argv with placeholders, writes per item
 }
 
 
-@pytest.mark.parametrize("defect", ["json", "key", "invalid"])
-@pytest.mark.parametrize("command", list(_COMMANDS))
+@pytest.mark.parametrize(("command", "defect"), [
+    (command, defect) for command in _COMMANDS for defect in ("json", "key", "invalid")
+] + [(command, "step") for command in _COMMANDS if command != "vocab"])
 def test_bad_record_fails_with_its_line(tmp_path, jsonl_inputs, capsys, command, defect):
     kind, argv, per_item = _COMMANDS[command]
     good = jsonl_inputs[kind].read_text().splitlines(keepends=True)
     if defect == "json":
         bad = "{oops"
+    elif defect == "step":
+        make, text = _FAILS_IN_STEP[kind]
+        bad = json.dumps(make(json.loads(good[0])))
     else:
         missing, invalid = _BAD_RECORD[kind]
         doc = json.loads(good[0])
@@ -299,11 +313,35 @@ def test_bad_record_fails_with_its_line(tmp_path, jsonl_inputs, capsys, command,
     assert err["error"] == "GraphFormatError"
     assert err["line"] == 3
     assert err["message"].startswith("line 3: ")
+    if defect == "step":
+        assert err["message"].startswith("line 3: " + text)
     if per_item:
         assert len(expected.read_text().splitlines()) == 2
         assert out.read_text() == expected.read_text()
     else:
         assert not out.exists()
+
+
+def test_taskfmt_names_the_missing_identity_flag(tmp_path, capsys):
+    parent = tmp_path / "parent.jsonl"
+    n = 24
+    parent.write_text(json.dumps({
+        "num_nodes": n, "edges": [[i, (i + 1) % n] for i in range(n)]
+    }) + "\n")
+    samples = tmp_path / "samples.jsonl"
+    assert main(["sample", "--graph", str(parent), "--mode", "edge-ego",
+                 "--depth", "1", "--neighbors", "4", "--count", "2", "--negatives",
+                 "--seed", "5", "--output", str(samples)]) == 0
+    vocab = tmp_path / "v.tsv"
+    assert main(["vocab", "--graphs", str(samples), "--dataset-tag", "t",
+                 "--output", str(vocab)]) == 0
+    capsys.readouterr()
+    assert main(["taskfmt", "--task", "edge", "--samples", str(samples),
+                 "--vocab", str(vocab), "--output", str(tmp_path / "out.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["line"] == 1
+    assert "no node identity tokens" in err["message"]
+    assert "--identity-k" in err["message"]
 
 
 def test_config_file_with_flag_override(tmp_path, corpus):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import combinations
 
@@ -5,15 +7,25 @@ import pytest
 
 from graphseq import (
     AttributedGraph,
+    ReindexConfig,
     add_jump_edges,
     build_multigraph,
+    build_vocab,
     classify,
     connected_components,
     eulerize,
     extract_path,
+    serialize_graph,
     validate_path,
 )
-from graphseq.euler import EulerizedMultigraph
+from graphseq.euler import (
+    EXACT_ODD_LIMIT,
+    EulerizedMultigraph,
+    _exact_matching,
+    _greedy_matching,
+    _odd_rings,
+    _ring_table,
+)
 
 from conftest import random_connected_graph, random_graph
 
@@ -36,6 +48,87 @@ def min_duplications_bruteforce(mg: EulerizedMultigraph, max_size: int = 12) -> 
             if sum(d % 2 for d in deg) <= 2:
                 return size
     raise AssertionError("no repair found within the size bound")
+
+
+def _pairings(items: tuple[int, ...]):
+    if not items:
+        yield ()
+        return
+    first = items[0]
+    for j in range(1, len(items)):
+        rest = items[1:j] + items[j + 1 :]
+        for sub in _pairings(rest):
+            yield ((first, items[j]),) + sub
+
+
+def exact_matching_bruteforce(odd, dist):
+    """Reference: the first pairing, in ``_pairings`` order, minimizing
+    its total distance minus its largest distance, by trying all of them
+    (10,395 at 12 odd nodes)."""
+    best = None
+    best_cost = None
+    for pairing in _pairings(odd):
+        weights = [dist[a][b] for a, b in pairing]
+        cost = sum(weights) - max(weights)
+        if best_cost is None or cost < best_cost:
+            best_cost = cost
+            best = pairing
+    return best
+
+
+def greedy_matching_rescan(odd, dist):
+    """Reference: rescan all remaining pairs for the nearest one, O(k^3)."""
+    remaining = list(odd)
+    pairing = []
+    while remaining:
+        best = None
+        for i in range(len(remaining)):
+            for j in range(i + 1, len(remaining)):
+                a, b = remaining[i], remaining[j]
+                if best is None or dist[a][b] < dist[best[0]][best[1]]:
+                    best = (a, b)
+        pairing.append(best)
+        remaining.remove(best[0])
+        remaining.remove(best[1])
+    return tuple(pairing)
+
+
+def tie_heavy_table(rng: random.Random, k: int, top: int) -> list[list[int]]:
+    """Symmetric k x k table of weights in 1..top with a zero diagonal."""
+    w = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            w[i][j] = w[j][i] = rng.randint(1, top)
+    return w
+
+
+def rings_of(w: list[list[int]]) -> list[list[int]]:
+    """Per distance 1..max, each row's bitset of columns at that distance."""
+    k = len(w)
+    return [
+        [sum(1 << j for j in range(k) if w[i][j] == d) for i in range(k)]
+        for d in range(1, max(map(max, w)) + 1)
+    ]
+
+
+def pairs_of(matching):
+    return tuple((i, j) for _, i, j in matching)
+
+
+def bfs_distances(mg: EulerizedMultigraph, start: int) -> list[int]:
+    adj = mg.simple_adjacency()
+    dist = [-1] * mg.base.num_nodes
+    dist[start] = 0
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v, _ in adj[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
 
 
 # --- jump edges ---------------------------------------------------------
@@ -127,6 +220,78 @@ def test_greedy_fallback_above_exact_limit():
     repaired = eulerize(add_jump_edges(g, 0))
     assert not repaired.minimality_guaranteed
     assert len(repaired.odd_nodes()) == 2
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 10, 12])
+def test_exact_matching_returns_the_bruteforce_pairing(k):
+    # Few distinct weights make many pairings tie at the optimum, so this
+    # checks the tie-breaking, not only the cost.
+    rng = random.Random(k)
+    for top in (2, 3, 6):
+        for _ in range(30):
+            w = tie_heavy_table(rng, k, top)
+            expected = exact_matching_bruteforce(tuple(range(k)), w)
+            assert pairs_of(_exact_matching(w)) == expected
+
+
+def test_exact_matching_keeps_both_exemption_states():
+    # After the pair (0, 1) the optimum is reachable both with the
+    # exemption spent on it and with the exemption still free; only the
+    # spent state leads to the first optimal pairing, so dropping it when
+    # the free one survives picks (2, 5) instead of (2, 3).
+    w = [
+        [0, 7, 8, 14, 19, 7],
+        [7, 0, 14, 19, 13, 2],
+        [8, 14, 0, 6, 19, 1],
+        [14, 19, 6, 0, 7, 4],
+        [19, 13, 19, 7, 0, 2],
+        [7, 2, 1, 4, 2, 0],
+    ]
+    expected = ((0, 1), (2, 3), (4, 5))
+    assert exact_matching_bruteforce(tuple(range(6)), w) == expected
+    assert pairs_of(_exact_matching(w)) == expected
+
+
+def test_greedy_matching_returns_the_rescan_pairing():
+    rng = random.Random(7)
+    for k in range(4, 42, 2):
+        for top in (2, 3, 6):
+            w = tie_heavy_table(rng, k, top)
+            matching = _greedy_matching(rings_of(w), k)
+            assert pairs_of(matching) == greedy_matching_rescan(tuple(range(k)), w)
+            assert [d for d, i, j in matching] == [w[i][j] for _, i, j in matching]
+
+
+def test_odd_rings_give_bfs_distances():
+    rng = random.Random(12)
+    for _ in range(40):
+        g = random_graph(rng, n_min=2, n_max=60, max_node_width=0, max_edge_width=0)
+        mg = add_jump_edges(g, 0)
+        odd = mg.odd_nodes()
+        table = _ring_table(_odd_rings(mg.simple_adjacency(), odd, g.num_nodes), len(odd))
+        assert table == [[bfs_distances(mg, a)[b] for b in odd] for a in odd]
+
+
+# SHA-256 of the prolonged and short grids of a seeded corpus of 200
+# graphs with 10-30 nodes, computed with the brute-force and rescan
+# matchings above in place of the library's. Any change to pairing or
+# tie-breaking on either the exact or the greedy path changes it.
+CORPUS_DIGEST = "23521aba385870f6eaadc494b794e1bac1258515f8c6cddec5909bd51889f615"
+
+
+def test_serialized_corpus_bytes_are_pinned():
+    rng = random.Random(31337)
+    graphs = [random_graph(rng, n_min=10, n_max=30) for _ in range(200)]
+    odd = [len(add_jump_edges(g, 0).odd_nodes()) for g in graphs]
+    assert sum(2 < k <= EXACT_ODD_LIMIT for k in odd) > 100
+    assert sum(k > EXACT_ODD_LIMIT for k in odd) > 50
+    vocab = build_vocab(graphs, "digest", ReindexConfig())
+    digest = hashlib.sha256()
+    for i, g in enumerate(graphs):
+        for layout in ("prolonged", "short"):
+            grid = serialize_graph(g, vocab, layout, seed=i)
+            digest.update(json.dumps(grid.to_json()).encode() + b"\n")
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 # --- path extraction ----------------------------------------------------
