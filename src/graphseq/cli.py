@@ -2,7 +2,11 @@
 pretrain, taskfmt, and verify.
 
 A single JSON config document may supply any flag value; explicit flags
-override it. All randomness flows through ``--seed`` with per-item seeds
+override it. Each command takes only the flags it reads. The vocabulary
+file carries the encoding: ``vocab`` records the dataset tag, both
+attribute styles and the index count in it, and every later command takes
+them from there, so a grid can only be read back under the vocabulary that
+wrote it. All randomness flows through ``--seed`` with per-item seeds
 derived from the item index, so outputs are byte-stable. Errors exit
 non-zero with one machine-readable JSON object on stderr; a malformed
 input record is reported with its file line under ``"line"``. Output is
@@ -44,8 +48,8 @@ from .pipeline import derive_seed, roundtrip_report, serialize_graph
 from .pretrain import build_ntp, build_smtp, draw_mask_fraction, pack
 from .sampler import SamplerConfig, draw_roots, sample
 from .taskfmt import format_edge_task, format_graph_task, format_node_task
-from .tokenizer import ReindexConfig, TokenGrid
-from .vocab import Vocabulary, build_vocab, semantic_token
+from .tokenizer import LAYOUTS, ReindexConfig, TokenGrid
+from .vocab import ATTR_STYLES, Vocabulary, build_vocab, semantic_token
 
 log = logging.getLogger("graphseq")
 
@@ -81,22 +85,19 @@ def _random_graph(rng: random.Random, directed=False) -> AttributedGraph:
     )
 
 
-def _reindex_cfg(args) -> ReindexConfig:
-    return ReindexConfig(
-        num_indices=args.num_indices, cyclic=args.cyclic, seed=args.seed
-    )
-
-
 def _load_vocab(args) -> Vocabulary:
-    # semantic tokens embed their tag, so a populated file wins over the flag
-    vocab = Vocabulary.load(
-        args.vocab,
-        node_attr_style=args.node_attr_style,
-        edge_attr_style=args.edge_attr_style,
-    )
-    if not vocab.dataset_tag:
-        vocab.dataset_tag = args.dataset_tag
+    """The vocabulary ``--vocab`` names; ``--num-indices``, when given, must
+    agree with its index count."""
+    vocab = Vocabulary.load(args.vocab)
+    if args.num_indices not in (None, vocab.num_indices):
+        raise ValueError(
+            f"--num-indices {args.num_indices} disagrees with the vocabulary's {vocab.num_indices} indices"
+        )
     return vocab
+
+
+def _reindex_cfg(args, vocab: Vocabulary) -> ReindexConfig:
+    return ReindexConfig(num_indices=vocab.num_indices, cyclic=args.cyclic, seed=args.seed)
 
 
 def _per_record(records, step):
@@ -128,7 +129,7 @@ def cmd_vocab(args) -> int:
     vocab = build_vocab(
         iter_graphs_jsonl(args.graphs),
         args.dataset_tag,
-        _reindex_cfg(args),
+        ReindexConfig() if args.num_indices is None else ReindexConfig(num_indices=args.num_indices),
         node_attr_style=args.node_attr_style,
         edge_attr_style=args.edge_attr_style,
     )
@@ -139,7 +140,7 @@ def cmd_vocab(args) -> int:
 
 def cmd_tokenize(args) -> int:
     vocab = _load_vocab(args)
-    cfg = _reindex_cfg(args)
+    cfg = _reindex_cfg(args, vocab)
     write_jsonl(args.output, _per_record(
         read_jsonl(args.graphs, graph_record),
         lambda i, g: serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i)).to_json(),
@@ -203,7 +204,7 @@ def cmd_sample(args) -> int:
 
 def cmd_pretrain(args) -> int:
     vocab = _load_vocab(args)
-    cfg = _reindex_cfg(args)
+    cfg = _reindex_cfg(args, vocab)
 
     def example(i, g):
         grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
@@ -222,7 +223,14 @@ def cmd_pretrain(args) -> int:
 
 def cmd_taskfmt(args) -> int:
     vocab = _load_vocab(args)
-    cfg = _reindex_cfg(args)
+    cfg = _reindex_cfg(args, vocab)
+    # Identity tokens are spelled inline. Under digits, a value-1 identity
+    # token would resolve to a dimension marker, so refuse before any item.
+    if args.task != "graph" and vocab.node_attr_style != "inline" and vocab.attr_width("node"):
+        raise ValueError(
+            f"{args.task} tasks append inline node identity tokens, but the vocabulary spells "
+            "node attributes as digits; build it with `graphseq vocab --node-attr-style inline`"
+        )
 
     def grid_of(g, i):
         return serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
@@ -281,21 +289,9 @@ def cmd_verify(args) -> int:
     return 0 if ok_count == len(graphs) else 1
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
-    p.add_argument("--dataset-tag", help="vocabulary tag for semantic tokens")
-    p.add_argument("--num-indices", type=int, help="structural index space (default 256)")
-    p.add_argument("--cyclic", action=argparse.BooleanOptionalAction, help="cyclic re-indexing (default on)")
-    p.add_argument("--node-attr-style", choices=("digits", "inline"))
-    p.add_argument("--edge-attr-style", choices=("digits", "inline"))
-    p.add_argument("--layout", choices=("short", "long", "prolonged", "all"))
-
-
 _DEFAULTS = {
     "seed": 0,
     "dataset_tag": "data",
-    "num_indices": 256,
     "cyclic": True,
     "node_attr_style": "digits",
     "edge_attr_style": "digits",
@@ -309,17 +305,30 @@ _DEFAULTS = {
     "neighbors": 1,
     "count": 1,
     "max_seq_len": 1024,
-    "negatives": False,
     "identity_k": 0,
     "identity_strategy": "bfs-partition",
     "max_cluster": 1024,
-    "partition_file": None,
-    "codebook_out": None,
-    "task": None,
     "pack_context": 0,
     "random": 100,
-    "graphs": None,
 }
+
+# Flags several commands read; each command names the ones it takes.
+_SHARED_FLAGS = {
+    "--dataset-tag": dict(help="tag for semantic tokens (default data)"),
+    "--num-indices": dict(type=int, help="structural index space; must equal the vocabulary's"),
+    "--cyclic": dict(action=argparse.BooleanOptionalAction, help="cyclic re-indexing (default on)"),
+    "--layout": dict(choices=LAYOUTS, help="grid layout (default prolonged)"),
+}
+
+
+def _command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.add_argument("--seed", type=int, help="master seed (default 0)")
+    for flag in shared:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -329,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    serializing = ("--num-indices", "--cyclic", "--layout")
 
-    p = sub.add_parser("ingest", help="normalize a graph file to graph JSON")
-    _add_common(p)
+    p = _command(sub, "ingest", cmd_ingest, "normalize a graph file to graph JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("json", "edge-tsv"))
     p.add_argument("--node-scale", type=float, help="quantization scale for node attrs")
@@ -339,30 +348,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-scale", type=float, help="quantization scale for edge attrs")
     p.add_argument("--edge-offset", type=int)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("vocab", help="build a vocabulary over a graph corpus")
-    _add_common(p)
+    p = _command(sub, "vocab", cmd_vocab, "build a vocabulary over a graph corpus", "--dataset-tag")
+    p.add_argument("--num-indices", type=int, help="structural index space (default 256)")
+    p.add_argument("--node-attr-style", choices=ATTR_STYLES, help="node attribute spelling (default digits)")
+    p.add_argument("--edge-attr-style", choices=ATTR_STYLES, help="edge attribute spelling (default digits)")
     p.add_argument("--graphs", required=True, help="graph JSONL corpus")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_vocab)
 
-    p = sub.add_parser("tokenize", help="serialize graphs to token grids")
-    _add_common(p)
+    p = _command(sub, "tokenize", cmd_tokenize, "serialize graphs to token grids", *serializing)
     p.add_argument("--graphs", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_tokenize)
 
-    p = sub.add_parser("detokenize", help="reconstruct graphs from token grids")
-    _add_common(p)
+    p = _command(sub, "detokenize", cmd_detokenize, "reconstruct graphs from token grids", "--num-indices")
     p.add_argument("--grids", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_detokenize)
 
-    p = sub.add_parser("sample", help="extract ego subgraphs from a large graph")
-    _add_common(p)
+    p = _command(sub, "sample", cmd_sample, "extract ego subgraphs from a large graph", "--dataset-tag")
     p.add_argument("--graph", required=True, help="parent graph JSON/JSONL")
     p.add_argument("--mode", choices=("node-ego", "edge-ego"), required=True)
     p.add_argument("--depth", type=int)
@@ -376,42 +380,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition-file", help="node<TAB>cluster TSV overriding the partitioner")
     p.add_argument("--codebook-out", help="write the identity codebook TSV here")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("pretrain", help="build NTP/SMTP examples from graphs")
-    _add_common(p)
+    p = _command(sub, "pretrain", cmd_pretrain, "build NTP/SMTP examples from graphs", *serializing)
     p.add_argument("--graphs", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--task", choices=("ntp", "smtp"), required=True)
     p.add_argument("--pack-context", type=int, help="pack examples into entries of this many rows")
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("taskfmt", help="format fine-tuning task sequences")
-    _add_common(p)
+    p = _command(sub, "taskfmt", cmd_taskfmt, "format fine-tuning task sequences", *serializing)
     p.add_argument("--task", choices=("graph", "edge", "node"), required=True)
     p.add_argument("--graphs", help="graph JSONL (graph-level tasks)")
     p.add_argument("--samples", help="sample JSONL (edge/node-level tasks)")
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
-    p.set_defaults(func=cmd_taskfmt)
 
-    p = sub.add_parser("verify", help="round-trip check; prints one JSON line per graph")
-    _add_common(p)
+    p = _command(sub, "verify", cmd_verify, "round-trip check; prints one JSON line per graph")
+    p.add_argument("--layout", choices=(*LAYOUTS, "all"), help="layout to check, or all (default prolonged)")
     p.add_argument("--graphs", help="graph JSONL to verify; omit to generate random graphs")
     p.add_argument("--random", type=int, help="number of random graphs (default 100)")
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         config = json.loads(Path(args.config).read_text())
-    for key, fallback in _DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, config.get(key, fallback))
+    for key, value in list(vars(args).items()):
+        if value is None:
+            setattr(args, key, config.get(key, _DEFAULTS.get(key)))
     return args
 
 

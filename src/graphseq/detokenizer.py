@@ -8,7 +8,7 @@ promises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import AttributedGraph
 from .tokenizer import (
@@ -17,6 +17,7 @@ from .tokenizer import (
     ROLE_NODE_ATTR,
     ROLE_PAD,
     ROLE_TYPE,
+    Step,
     TokenGrid,
 )
 from .vocab import (
@@ -83,16 +84,8 @@ def grid_from_prolonged_tokens(tokens: list[str], vocab: Vocabulary) -> TokenGri
     )
 
 
-@dataclass
-class _Step:
-    node: int
-    node_attr_ids: list[int] = field(default_factory=list)
-    type_id: int | None = None
-    edge_attr_ids: list[int] = field(default_factory=list)
-
-
-def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[_Step]:
-    steps: list[_Step] = []
+def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[Step]:
+    steps: list[Step] = []
     for row, roles in zip(grid.tokens, grid.roles):
         for tid, role in zip(row, roles):
             if role == ROLE_PAD:
@@ -104,15 +97,15 @@ def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[_Step]:
                         if vocab.class_of(tid) == CLASS_SPECIAL
                         else f"non-structural token {vocab.token(tid)!r} in a node cell"
                     )
-                steps.append(_Step(node=tid))
+                steps.append(Step(node=tid))
             elif not steps:
                 raise ValueError("dangling attribute tokens before any node token")
             elif role == ROLE_TYPE:
-                steps[-1].type_id = tid
+                steps[-1].edge_type = tid
             elif role == ROLE_NODE_ATTR:
-                steps[-1].node_attr_ids.append(tid)
+                steps[-1].node_attrs.append(tid)
             elif role == ROLE_EDGE_ATTR:
-                steps[-1].edge_attr_ids.append(tid)
+                steps[-1].edge_attrs.append(tid)
     return steps
 
 
@@ -187,9 +180,9 @@ def detokenize(
 
     node_attr_pairs: dict[int, list] = {}
     for step in steps:
-        if not step.node_attr_ids:
+        if not step.node_attrs:
             continue
-        pairs = _parse_block(step.node_attr_ids, vocab, "node", vocab.node_attr_style)
+        pairs = _parse_block(step.node_attrs, vocab, "node", vocab.node_attr_style)
         v = local[step.node]
         if v in node_attr_pairs and node_attr_pairs[v] != pairs:
             warnings.append(f"conflicting attribute blocks for node {v}; keeping the first")
@@ -197,7 +190,7 @@ def detokenize(
             node_attr_pairs.setdefault(v, pairs)
 
     directed = any(
-        step.type_id in (vocab.fwd_id, vocab.bwd_id) for step in steps if step.type_id is not None
+        step.edge_type in (vocab.fwd_id, vocab.bwd_id) for step in steps if step.edge_type is not None
     )
 
     dropped_jumps = 0
@@ -208,12 +201,12 @@ def detokenize(
     for i in range(len(steps) - 1):
         step = steps[i]
         a, b = local[steps[i].node], local[steps[i + 1].node]
-        if step.type_id == vocab.jump_id:
+        if step.edge_type == vocab.jump_id:
             dropped_jumps += 1
-            if step.edge_attr_ids:
+            if step.edge_attrs:
                 warnings.append("attribute tokens on a jump edge were discarded")
             continue
-        if directed and step.type_id == vocab.bwd_id:
+        if directed and step.edge_type == vocab.bwd_id:
             a, b = b, a
         key = (a, b) if directed else (min(a, b), max(a, b))
         if key in seen:
@@ -221,13 +214,13 @@ def detokenize(
         else:
             seen.add(key)
             edge_order.append(key)
-        if step.edge_attr_ids:
-            pairs = _parse_block(step.edge_attr_ids, vocab, "edge", vocab.edge_attr_style)
+        if step.edge_attrs:
+            pairs = _parse_block(step.edge_attrs, vocab, "edge", vocab.edge_attr_style)
             if key in edge_attr_pairs and edge_attr_pairs[key] != pairs:
                 warnings.append(f"conflicting attribute blocks for edge {key}; keeping the first")
             else:
                 edge_attr_pairs.setdefault(key, pairs)
-    if steps[-1].type_id is not None or steps[-1].edge_attr_ids:
+    if steps[-1].edge_type is not None or steps[-1].edge_attrs:
         raise ValueError("malformed attribute run: edge tokens after the final node")
 
     node_attrs = (

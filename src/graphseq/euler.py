@@ -61,8 +61,8 @@ class EulerizedMultigraph:
             return self.base.edges[edge_id]
         return self.jump_edges[edge_id - self.num_base_edges]
 
-    # Degrees, odd nodes and connectivity are derived once per instance;
-    # the fields are frozen, so the cached values never go stale.
+    # Degrees, odd nodes, adjacency and connectivity are derived once per
+    # instance; the fields are frozen, so the cached values never go stale.
     @cached_property
     def _dup_counts(self) -> Counter:
         return Counter(self.duplications)
@@ -93,16 +93,18 @@ class EulerizedMultigraph:
     def odd_nodes(self) -> tuple[int, ...]:
         return self._odd_nodes
 
-    def simple_adjacency(self) -> list[list[tuple[int, int]]]:
+    def simple_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per node, sorted (neighbor, edge id) pairs ignoring multiplicity."""
+        return self._simple_adjacency
+
+    @cached_property
+    def _simple_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.base.num_nodes)]
         for eid in range(self.num_edges):
             u, v = self.endpoints(eid)
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-        for lst in adj:
-            lst.sort()
-        return adj
+        return tuple(tuple(sorted(lst)) for lst in adj)
 
     def is_connected(self) -> bool:
         return self._connected

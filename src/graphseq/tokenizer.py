@@ -22,18 +22,10 @@ alongside tokens so grids deserialize without re-deriving structure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .euler import EulerPath, EulerizedMultigraph
-from .vocab import (
-    EDGE_BWD,
-    EDGE_FWD,
-    EDGE_JUMP,
-    Vocabulary,
-    digits,
-    marker_token,
-    semantic_token,
-)
+from .vocab import Vocabulary, digits, marker_token, semantic_token
 
 LAYOUTS = ("short", "long", "prolonged")
 
@@ -125,32 +117,39 @@ def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:
     return {v: (i + offset) % cfg.num_indices for v, i in order.items()}
 
 
-def _block_tokens(tag, kind, style, attrs, defaults):
-    tokens: list[str] = []
+def _block_ids(vocab, kind, style, attrs, defaults):
+    tag = vocab.dataset_tag
+    ids: list[int] = []
     for dim, value in enumerate(attrs):
         if value == defaults[dim]:
             continue
         if style == "inline":
-            tokens.append(semantic_token(tag, kind, dim, value))
+            ids.append(vocab.id(semantic_token(tag, kind, dim, value)))
         else:
-            tokens.append(marker_token(tag, kind, dim))
-            tokens.extend(digits(value))
-    return tokens
+            ids.append(vocab.id(marker_token(tag, kind, dim)))
+            for t in digits(value):
+                ids.append(vocab.id(t))
+    return ids
 
 
 @dataclass
-class _Step:
-    node: str
-    node_block: list[str]
-    type_token: str | None
-    edge_block: list[str]
+class Step:
+    """One walk step as token ids: the node's index token, its attribute
+    block if attached at this visit, the edge-type token (jump or
+    direction) if any, and the attribute block of the edge taken next if
+    attached at this traversal. The tokenizer lays steps out as grid rows;
+    the detokenizer collects them back from a grid."""
+
+    node: int
+    node_attrs: list[int] = field(default_factory=list)
+    edge_type: int | None = None
+    edge_attrs: list[int] = field(default_factory=list)
 
 
 def _build_steps(
     path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, index_of, seed: int
-) -> list[_Step]:
+) -> list[Step]:
     g = mg.base
-    tag = vocab.dataset_tag
     rng = random.Random(seed)
 
     occurrences: dict[int, list[int]] = {}
@@ -165,13 +164,13 @@ def _build_steps(
     edge_attach = {eid: rng.choice(steps_of_edge[eid]) for eid in sorted(steps_of_edge)}
 
     node_blocks = {
-        v: _block_tokens(tag, "node", vocab.node_attr_style, g.node_attrs[v], g.node_defaults)
+        v: _block_ids(vocab, "node", vocab.node_attr_style, g.node_attrs[v], g.node_defaults)
         if g.node_attrs
         else []
         for v in occurrences
     }
     edge_blocks = {
-        eid: _block_tokens(tag, "edge", vocab.edge_attr_style, g.edge_attrs[eid], g.edge_defaults)
+        eid: _block_ids(vocab, "edge", vocab.edge_attr_style, g.edge_attrs[eid], g.edge_defaults)
         if g.edge_attrs
         else []
         for eid in steps_of_edge
@@ -179,37 +178,36 @@ def _build_steps(
 
     steps = []
     for i, v in enumerate(path.nodes):
-        node_block = node_blocks[v] if node_attach[v] == i else []
-        type_token = None
-        edge_block: list[str] = []
+        node_attrs = node_blocks[v] if node_attach[v] == i else []
+        edge_type = None
+        edge_attrs: list[int] = []
         if i < len(path.edge_instances):
             eid, _ = path.edge_instances[i]
             if mg.is_jump(eid):
-                type_token = EDGE_JUMP
+                edge_type = vocab.jump_id
             elif g.directed:
                 src, _dst = mg.endpoints(eid)
-                type_token = EDGE_FWD if path.nodes[i] == src else EDGE_BWD
+                edge_type = vocab.fwd_id if path.nodes[i] == src else vocab.bwd_id
             if edge_attach.get(eid) == i:
-                edge_block = edge_blocks[eid]
-        steps.append(_Step(str(index_of[v]), node_block, type_token, edge_block))
+                edge_attrs = edge_blocks[eid]
+        steps.append(Step(vocab.id(str(index_of[v])), node_attrs, edge_type, edge_attrs))
     return steps
 
 
-def _emit_prolonged(steps, vocab):
-    tokens: list[str] = []
+def _emit_prolonged(steps):
+    tokens: list[int] = []
     roles: list[str] = []
     for step in steps:
         tokens.append(step.node)
         roles.append(ROLE_NODE)
-        tokens.extend(step.node_block)
-        roles.extend([ROLE_NODE_ATTR] * len(step.node_block))
-        if step.type_token is not None:
-            tokens.append(step.type_token)
+        tokens.extend(step.node_attrs)
+        roles.extend([ROLE_NODE_ATTR] * len(step.node_attrs))
+        if step.edge_type is not None:
+            tokens.append(step.edge_type)
             roles.append(ROLE_TYPE)
-        tokens.extend(step.edge_block)
-        roles.extend([ROLE_EDGE_ATTR] * len(step.edge_block))
-    ids = tuple((vocab.id(t),) for t in tokens)
-    return ids, tuple((r,) for r in roles)
+        tokens.extend(step.edge_attrs)
+        roles.extend([ROLE_EDGE_ATTR] * len(step.edge_attrs))
+    return tuple((t,) for t in tokens), tuple((r,) for r in roles)
 
 
 def _fit_width(blocks, configured, what):
@@ -224,29 +222,24 @@ def _fit_width(blocks, configured, what):
 
 
 def _padded(block, width, role, vocab):
-    ids = [vocab.id(t) for t in block] + [vocab.pad_id] * (width - len(block))
+    ids = block + [vocab.pad_id] * (width - len(block))
     roles = [role] * len(block) + [ROLE_PAD] * (width - len(block))
     return ids, roles
 
 
 def _emit_short(steps, vocab, edge_width, node_width):
-    we = _fit_width([s.edge_block for s in steps], edge_width, "edge attribute")
-    wn = _fit_width([s.node_block for s in steps], node_width, "node attribute")
+    we = _fit_width([s.edge_attrs for s in steps], edge_width, "edge attribute")
+    wn = _fit_width([s.node_attrs for s in steps], node_width, "node attribute")
     width = 2 + we + wn
     rows, roles = [], []
     for step in steps:
-        row = [vocab.id(step.node)]
-        role = [ROLE_NODE]
-        if step.type_token is None:
-            row.append(vocab.pad_id)
-            role.append(ROLE_PAD)
-        else:
-            row.append(vocab.id(step.type_token))
-            role.append(ROLE_TYPE)
-        ids, rs = _padded(step.edge_block, we, ROLE_EDGE_ATTR, vocab)
+        typed = step.edge_type is not None
+        row = [step.node, step.edge_type if typed else vocab.pad_id]
+        role = [ROLE_NODE, ROLE_TYPE if typed else ROLE_PAD]
+        ids, rs = _padded(step.edge_attrs, we, ROLE_EDGE_ATTR, vocab)
         row += ids
         role += rs
-        ids, rs = _padded(step.node_block, wn, ROLE_NODE_ATTR, vocab)
+        ids, rs = _padded(step.node_attrs, wn, ROLE_NODE_ATTR, vocab)
         row += ids
         role += rs
         rows.append(tuple(row))
@@ -255,8 +248,8 @@ def _emit_short(steps, vocab, edge_width, node_width):
 
 
 def _emit_long(steps, vocab, edge_width, node_width):
-    we = _fit_width([s.edge_block for s in steps], edge_width, "edge attribute")
-    wn = _fit_width([s.node_block for s in steps], node_width, "node attribute")
+    we = _fit_width([s.edge_attrs for s in steps], edge_width, "edge attribute")
+    wn = _fit_width([s.node_attrs for s in steps], node_width, "node attribute")
     width = 2 + we + wn
     rows, roles = [], []
 
@@ -265,16 +258,14 @@ def _emit_long(steps, vocab, edge_width, node_width):
         roles.append(tuple(rs + [ROLE_PAD] * (width - len(ids))))
 
     for step in steps:
-        if step.type_token is None:
-            pad_row([vocab.id(step.node)], [ROLE_NODE])
+        if step.edge_type is None:
+            pad_row([step.node], [ROLE_NODE])
         else:
-            pad_row([vocab.id(step.node), vocab.id(step.type_token)], [ROLE_NODE, ROLE_TYPE])
-        if step.node_block:
-            ids, rs = _padded(step.node_block, len(step.node_block), ROLE_NODE_ATTR, vocab)
-            pad_row(ids, rs)
-        if step.edge_block:
-            ids, rs = _padded(step.edge_block, len(step.edge_block), ROLE_EDGE_ATTR, vocab)
-            pad_row(ids, rs)
+            pad_row([step.node, step.edge_type], [ROLE_NODE, ROLE_TYPE])
+        if step.node_attrs:
+            pad_row(step.node_attrs, [ROLE_NODE_ATTR] * len(step.node_attrs))
+        if step.edge_attrs:
+            pad_row(step.edge_attrs, [ROLE_EDGE_ATTR] * len(step.edge_attrs))
     return tuple(rows), tuple(roles), width
 
 
@@ -301,7 +292,7 @@ def tokenize(
     steps = _build_steps(path, mg, vocab, index_of, seed)
     m = len(path.edge_instances)
     if layout == "prolonged":
-        tokens, roles = _emit_prolonged(steps, vocab)
+        tokens, roles = _emit_prolonged(steps)
         return TokenGrid(layout=layout, m=m, l=1, tokens=tokens, roles=roles)
     if layout == "short":
         tokens, roles, width = _emit_short(steps, vocab, edge_attr_width, node_attr_width)

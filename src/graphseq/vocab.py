@@ -11,6 +11,7 @@ Two attribute spellings exist, chosen per attribute kind:
 """
 from __future__ import annotations
 
+from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
 
@@ -33,6 +34,10 @@ CLASS_DIGIT = "digit"
 CLASS_SEMANTIC = "semantic"
 
 ATTR_STYLES = ("digits", "inline")
+
+# First line of a vocabulary file: this marker, then key=value fields.
+VOCAB_HEADER = "#graphseq-vocab"
+_HEADER_KEYS = ("dataset_tag", "node_attr_style", "edge_attr_style")
 
 _DIGIT_FOR_CHAR = {"-": "<->", ".": "<.>", **{d: f"<{d}>" for d in "0123456789"}}
 
@@ -163,43 +168,47 @@ class Vocabulary:
                 width = max(width, dim + 1)
         return width
 
-    def save(self, path: str | Path):
-        lines = [
+    def _lines(self) -> list[str]:
+        header = "\t".join([VOCAB_HEADER] + [f"{key}={getattr(self, key)}" for key in _HEADER_KEYS])
+        return [header] + [
             f"{tok}\t{i}\t{cls}"
             for i, (tok, cls) in enumerate(zip(self._id_to_token, self._id_to_class))
         ]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def save(self, path: str | Path):
+        Path(path).write_text("\n".join(self._lines()) + "\n", encoding="utf-8")
 
     @classmethod
     def load(
         cls,
         path: str | Path,
-        dataset_tag: str = "",
-        node_attr_style: str = "digits",
-        edge_attr_style: str = "digits",
+        node_attr_style: str | None = None,
+        edge_attr_style: str | None = None,
     ) -> "Vocabulary":
-        num_indices = 0
-        semantic = []
-        for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not raw:
-                continue
-            try:
-                token, _, token_class = raw.split("\t")
-            except ValueError:
-                raise ValueError(f"vocab line {lineno}: expected 'token<TAB>id<TAB>class'")
-            if token_class == CLASS_STRUCTURAL:
-                num_indices += 1
-            elif token_class == CLASS_SEMANTIC:
-                semantic.append(token)
-                if not dataset_tag:
-                    dataset_tag = parse_semantic(token)[0]
+        """Rebuild a saved vocabulary; the file is the only source of its
+        encoding. The header gives the tag and the attribute styles, the
+        structural lines the index count and the semantic lines the rest;
+        every line must then equal the rebuilt vocabulary's. A style passed
+        here is a check: it must equal the file's."""
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        header = lines[0].split("\t") if lines else []
+        settings = dict(field.partition("=")[::2] for field in header[1:])
+        if header[:1] != [VOCAB_HEADER] or sorted(settings) != sorted(_HEADER_KEYS):
+            raise ValueError(f"vocab line 1: expected a {VOCAB_HEADER} header with {', '.join(_HEADER_KEYS)}")
+        for key, wanted in (("node_attr_style", node_attr_style), ("edge_attr_style", edge_attr_style)):
+            if settings[key] not in ATTR_STYLES:
+                raise ValueError(f"vocab line 1: {key} must be one of {ATTR_STYLES}, not {settings[key]!r}")
+            if wanted is not None and wanted != settings[key]:
+                raise ValueError(f"vocabulary {path} has {key} {settings[key]!r}, not {wanted!r}")
+        rows = [raw.split("\t") for raw in lines[1:]]
         vocab = cls(
-            num_indices,
-            semantic,
-            dataset_tag=dataset_tag,
-            node_attr_style=node_attr_style,
-            edge_attr_style=edge_attr_style,
+            sum(row[-1] == CLASS_STRUCTURAL for row in rows),
+            [row[0] for row in rows if row[-1] == CLASS_SEMANTIC],
+            **settings,
         )
+        for lineno, (got, want) in enumerate(zip_longest(lines, vocab._lines()), 1):
+            if got != want:
+                raise ValueError(f"vocab line {lineno}: expected {want!r}, found {got!r}")
         return vocab
 
 

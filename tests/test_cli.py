@@ -1,10 +1,11 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import pytest
 
-from graphseq import AttributedGraph
+from graphseq import AttributedGraph, Vocabulary, isomorphic
 from graphseq.cli import main
 
 
@@ -57,10 +58,10 @@ def test_tokenize_detokenize_roundtrip(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     grids = tmp_path / "grids.jsonl"
     assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab),
-                 "--dataset-tag", "t", "--seed", "3", "--output", str(grids)]) == 0
+                 "--seed", "3", "--output", str(grids)]) == 0
     back = tmp_path / "back.jsonl"
     assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab),
-                 "--dataset-tag", "t", "--output", str(back)]) == 0
+                 "--output", str(back)]) == 0
     lines = [json.loads(l) for l in back.read_text().splitlines()]
     assert len(lines) == 3
     assert lines[0]["graph"]["num_nodes"] == 4
@@ -71,7 +72,7 @@ def test_tokenize_is_byte_deterministic(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     args = ["tokenize", "--graphs", str(corpus), "--vocab", str(vocab),
-            "--dataset-tag", "t", "--seed", "11"]
+            "--seed", "11"]
     assert main(args + ["--output", str(a)]) == 0
     assert main(args + ["--output", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -92,7 +93,7 @@ def test_pretrain_smtp_emits_one_example_per_graph(tmp_path):
     vocab = _vocab(tmp_path, corpus)
     out = tmp_path / "pt.jsonl"
     assert main(["pretrain", "--graphs", str(corpus), "--vocab", str(vocab),
-                 "--dataset-tag", "t", "--task", "smtp", "--output", str(out)]) == 0
+                 "--task", "smtp", "--output", str(out)]) == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 10
     for doc in lines:
@@ -105,7 +106,7 @@ def test_pretrain_packs_when_asked(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     out = tmp_path / "packed.jsonl"
     assert main(["pretrain", "--graphs", str(corpus), "--vocab", str(vocab),
-                 "--dataset-tag", "t", "--task", "ntp", "--pack-context", "128",
+                 "--task", "ntp", "--pack-context", "128",
                  "--output", str(out)]) == 0
     (doc,) = [json.loads(l) for l in out.read_text().splitlines()]
     assert doc["attention_contract"] == "no-cross-sequence-visibility"
@@ -149,7 +150,7 @@ def test_taskfmt_graph_edge_node(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     out = tmp_path / "ts.jsonl"
     assert main(["taskfmt", "--task", "graph", "--graphs", str(corpus),
-                 "--vocab", str(vocab), "--dataset-tag", "t",
+                 "--vocab", str(vocab),
                  "--output", str(out)]) == 0
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 3
@@ -173,8 +174,7 @@ def test_taskfmt_graph_edge_node(tmp_path, corpus):
                  "--node-attr-style", "inline", "--output", str(svocab)]) == 0
     nt = tmp_path / "nt.jsonl"
     assert main(["taskfmt", "--task", "node", "--samples", str(samples),
-                 "--vocab", str(svocab), "--dataset-tag", "t",
-                 "--node-attr-style", "inline", "--output", str(nt)]) == 0
+                 "--vocab", str(svocab), "--output", str(nt)]) == 0
     docs = [json.loads(l) for l in nt.read_text().splitlines()]
     assert len(docs) == 4
     assert all(d["readout"] == len(d["tokens"]) - 1 for d in docs)
@@ -198,7 +198,7 @@ def test_taskfmt_uses_the_vocab_files_tag(tmp_path):
                  "--node-attr-style", "inline", "--output", str(vocab)]) == 0
     out = tmp_path / "nt.jsonl"
     assert main(["taskfmt", "--task", "node", "--samples", str(samples),
-                 "--vocab", str(vocab), "--node-attr-style", "inline",
+                 "--vocab", str(vocab),
                  "--output", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 2
 
@@ -232,7 +232,7 @@ def jsonl_inputs(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     grids = tmp_path / "grids.jsonl"
     assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab),
-                 "--dataset-tag", "t", "--output", str(grids)]) == 0
+                 "--output", str(grids)]) == 0
     parent = tmp_path / "parent.jsonl"
     n = 24
     parent.write_text(json.dumps({
@@ -267,13 +267,13 @@ _FAILS_IN_STEP = {  # a record that parses but fails the per-item step, and its 
 }
 
 _COMMANDS = {  # command -> (input kind, argv with placeholders, writes per item)
-    "vocab": ("graphs", ["vocab", "--graphs", "IN"], False),
+    "vocab": ("graphs", ["vocab", "--graphs", "IN", "--dataset-tag", "t"], False),
     "tokenize": ("graphs", ["tokenize", "--graphs", "IN", "--vocab", "VOCAB"], True),
     "pretrain": ("graphs", ["pretrain", "--graphs", "IN", "--vocab", "VOCAB",
                             "--task", "smtp"], True),
     "detokenize": ("grids", ["detokenize", "--grids", "IN", "--vocab", "VOCAB"], True),
     "taskfmt": ("samples", ["taskfmt", "--task", "edge", "--samples", "IN",
-                            "--vocab", "SVOCAB", "--node-attr-style", "inline"], True),
+                            "--vocab", "SVOCAB"], True),
 }
 
 
@@ -303,7 +303,7 @@ def test_bad_record_fails_with_its_line(tmp_path, jsonl_inputs, capsys, command,
     def run(path, out):
         paths = {"IN": path, "VOCAB": jsonl_inputs["vocab"], "SVOCAB": jsonl_inputs["svocab"]}
         args = [str(paths.get(a, a)) for a in argv]
-        return main(args + ["--dataset-tag", "t", "--output", str(out)])
+        return main(args + ["--output", str(out)])
 
     expected, out = tmp_path / "expected.jsonl", tmp_path / "out.jsonl"
     assert run(prefix, expected) == 0
@@ -344,6 +344,126 @@ def test_taskfmt_names_the_missing_identity_flag(tmp_path, capsys):
     assert "--identity-k" in err["message"]
 
 
+_INLINE_CORPUS = [
+    {"num_nodes": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [1, 3]],
+     "node_attrs": [[17, 1], [20, 0], [1, 3], [0, 0], [17, 2]],
+     "edge_attrs": [[3], [1], [0], [12], [1]]},
+    {"num_nodes": 4, "edges": [[0, 1], [1, 2], [2, 3], [3, 0]],
+     "node_attrs": [[1, 1], [2, 2], [3, 3], [4, 4]], "edge_attrs": [[5], [6], [7], [8]]},
+    {"num_nodes": 3, "edges": [[0, 1], [1, 2]],
+     "node_attrs": [[9, 0], [0, 9], [1, 0]], "edge_attrs": [[1], [2]]},
+]
+
+
+def test_inline_vocabulary_round_trips_without_style_flags(tmp_path):
+    corpus = tmp_path / "graphs.jsonl"
+    corpus.write_text("".join(json.dumps(g) + "\n" for g in _INLINE_CORPUS))
+    vocab = tmp_path / "v.tsv"
+    assert main(["vocab", "--graphs", str(corpus), "--dataset-tag", "t",
+                 "--node-attr-style", "inline", "--edge-attr-style", "inline",
+                 "--output", str(vocab)]) == 0
+    digest = hashlib.sha256()
+    for layout in ("prolonged", "short", "long"):
+        grids, back = tmp_path / f"{layout}.jsonl", tmp_path / f"{layout}-back.jsonl"
+        assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab),
+                     "--layout", layout, "--seed", "5", "--output", str(grids)]) == 0
+        assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab),
+                     "--output", str(back)]) == 0
+        digest.update(grids.read_bytes())
+        for doc, original in zip(map(json.loads, back.read_text().splitlines()), _INLINE_CORPUS):
+            assert isomorphic(AttributedGraph.from_json(doc["graph"]),
+                              AttributedGraph.from_json(original))
+    # The grids that tokenize wrote when it still took the styles as flags,
+    # given --node-attr-style inline --edge-attr-style inline; without them
+    # it wrote digit-spelled grids and exited 0.
+    assert digest.hexdigest() == "bf4e4012caced378fe8350d68661c590246427e049c3c66804d1cbbe02c0abde"
+
+
+def test_headerless_vocabulary_is_rejected(tmp_path, corpus, capsys):
+    vocab = _vocab(tmp_path, corpus)
+    headerless = tmp_path / "headerless.tsv"
+    headerless.write_text("".join(vocab.read_text().splitlines(keepends=True)[1:]))
+    capsys.readouterr()
+    assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(headerless),
+                 "--output", str(tmp_path / "grids.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"].startswith("vocab line 1: ")
+
+
+def test_num_indices_defaults_to_the_vocabulary_and_must_match_it(tmp_path, corpus, capsys):
+    vocab = _vocab(tmp_path, corpus, "--num-indices", "64")
+    grids = tmp_path / "grids.jsonl"
+    for extra in ([], ["--num-indices", "64"]):
+        assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab),
+                     "--seed", "1", *extra, "--output", str(grids)]) == 0
+    capsys.readouterr()
+    assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab),
+                 "--num-indices", "256", "--output", str(tmp_path / "back.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "--num-indices 256" in err["message"] and "64" in err["message"]
+
+
+_SHARED_FLAGS = ("--config", "--seed", "--dataset-tag", "--num-indices", "--cyclic",
+                 "--node-attr-style", "--edge-attr-style", "--layout")
+_SERIALIZING = {"--num-indices", "--cyclic", "--layout"}
+
+
+def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
+    takes = {
+        "ingest": set(),
+        "vocab": {"--dataset-tag", "--num-indices", "--node-attr-style", "--edge-attr-style"},
+        "tokenize": _SERIALIZING,
+        "detokenize": {"--num-indices"},
+        "sample": {"--dataset-tag"},
+        "pretrain": _SERIALIZING,
+        "taskfmt": _SERIALIZING,
+        "verify": {"--layout"},
+    }
+    count = 0
+    for command, flags in takes.items():
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        text = capsys.readouterr().out
+        listed = {flag for flag in _SHARED_FLAGS if flag in text}
+        assert listed == {"--config", "--seed"} | flags, command
+        count += len(listed)
+    assert count == 32
+
+
+@pytest.mark.parametrize("argv", [
+    ["vocab", "--graphs", "g.jsonl", "--output", "v.tsv", "--layout", "long"],
+    ["tokenize", "--graphs", "g.jsonl", "--vocab", "v.tsv", "--output", "o", "--dataset-tag", "t"],
+    ["detokenize", "--grids", "g.jsonl", "--vocab", "v.tsv", "--output", "o",
+     "--node-attr-style", "inline"],
+    ["pretrain", "--graphs", "g.jsonl", "--vocab", "v.tsv", "--task", "ntp", "--output", "o",
+     "--edge-attr-style", "digits"],
+    ["taskfmt", "--task", "graph", "--graphs", "g.jsonl", "--vocab", "v.tsv", "--output", "o",
+     "--dataset-tag", "t"],
+    ["verify", "--num-indices", "64"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_a_flag_the_command_ignores_is_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code != 0
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["edge", "node"])
+def test_taskfmt_needs_an_inline_node_vocabulary(tmp_path, jsonl_inputs, capsys, task):
+    digits_vocab = tmp_path / "digits.tsv"
+    assert main(["vocab", "--graphs", str(jsonl_inputs["samples"]), "--dataset-tag", "t",
+                 "--output", str(digits_vocab)]) == 0
+    out = tmp_path / "tasks.jsonl"
+    capsys.readouterr()
+    assert main(["taskfmt", "--task", task, "--samples", str(jsonl_inputs["samples"]),
+                 "--vocab", str(digits_vocab), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert "graphseq vocab --node-attr-style inline" in err["message"]
+    assert "line" not in err
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, corpus):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"dataset_tag": "fromcfg", "num_indices": 32, "seed": 9}))
@@ -352,7 +472,7 @@ def test_config_file_with_flag_override(tmp_path, corpus):
                  "--output", str(vocab)]) == 0
     text = vocab.read_text()
     assert "fromcfg#node#0#1" in text
-    assert text.splitlines()[32].startswith("[p]")  # 32 structural ids from config
+    assert Vocabulary.load(vocab).token(32) == "[p]"  # 32 structural ids from config
     # flag overrides config
     vocab2 = tmp_path / "v2.tsv"
     assert main(["vocab", "--graphs", str(corpus), "--config", str(cfg),

@@ -123,3 +123,70 @@ def test_unknown_token_lookup_is_an_error():
 def test_parse_semantic_roundtrip():
     token = semantic_token("a#b", "node", 3, 17)
     assert parse_semantic(token) == ("a#b", "node", 3, 17)
+
+
+def _mixed_vocab(tmp_path):
+    g = AttributedGraph(
+        num_nodes=3, edges=((0, 1), (1, 2)), node_attrs=[[4], [1], [9]], edge_attrs=[[2], [7]]
+    )
+    vocab = build_vocab([g], "t", ReindexConfig(num_indices=8), node_attr_style="inline")
+    path = tmp_path / "v.tsv"
+    vocab.save(path)
+    return vocab, path
+
+
+def test_vocab_file_records_its_encoding(tmp_path):
+    _, path = _mixed_vocab(tmp_path)
+    header = path.read_text().splitlines()[0]
+    assert header == "#graphseq-vocab\tdataset_tag=t\tnode_attr_style=inline\tedge_attr_style=digits"
+    loaded = Vocabulary.load(path)
+    assert (loaded.dataset_tag, loaded.node_attr_style, loaded.edge_attr_style) == (
+        "t", "inline", "digits"
+    )
+    assert loaded.num_indices == 8
+
+
+def test_vocab_load_rejects_a_headerless_file(tmp_path):
+    _, path = _mixed_vocab(tmp_path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(ValueError, match="^vocab line 1: "):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_rejects_an_unknown_style(tmp_path):
+    _, path = _mixed_vocab(tmp_path)
+    path.write_text(path.read_text().replace("node_attr_style=inline", "node_attr_style=hex", 1))
+    with pytest.raises(ValueError, match="^vocab line 1: node_attr_style"):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_checks_the_styles_it_is_given(tmp_path):
+    _, path = _mixed_vocab(tmp_path)
+    assert len(Vocabulary.load(path, node_attr_style="inline", edge_attr_style="digits"))
+    with pytest.raises(ValueError, match="node_attr_style 'inline', not 'digits'"):
+        Vocabulary.load(path, node_attr_style="digits")
+    with pytest.raises(ValueError, match="edge_attr_style 'digits', not 'inline'"):
+        Vocabulary.load(path, edge_attr_style="inline")
+
+
+def test_vocab_load_rejects_swapped_semantic_ids(tmp_path):
+    vocab, path = _mixed_vocab(tmp_path)
+    lines = path.read_text().splitlines()
+    a, b = [n for n, line in enumerate(lines) if line.endswith("\tsemantic")][:2]
+    tok_a, id_a, _ = lines[a].split("\t")
+    tok_b, id_b, _ = lines[b].split("\t")
+    lines[a] = f"{tok_a}\t{id_b}\tsemantic"
+    lines[b] = f"{tok_b}\t{id_a}\tsemantic"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^vocab line {a + 1}: "):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_rejects_a_wrong_special_line(tmp_path):
+    _, path = _mixed_vocab(tmp_path)
+    lines = path.read_text().splitlines()
+    n = lines.index(f"[GSUM]\t{8 + 2}\tspecial")
+    lines[n] = f"[GSUM]\t{8 + 2}\tdigit"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^vocab line {n + 1}: "):
+        Vocabulary.load(path)
