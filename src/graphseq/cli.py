@@ -2,18 +2,18 @@
 pretrain, taskfmt, and verify.
 
 A single JSON config document may supply any flag value; explicit flags
-override it. Each command takes only the flags it reads. The vocabulary
-file carries the encoding: ``vocab`` records the dataset tag, both
-attribute styles and the index count in it, and every later command takes
-them from there, so a grid can only be read back under the vocabulary that
-wrote it. All randomness flows through ``--seed`` with per-item seeds
-derived from the item index, so outputs are byte-stable. Errors exit
-non-zero with one machine-readable JSON object on stderr; a malformed
-input record is reported with its file line under ``"line"``. Output is
-written item by item, so a failed run leaves the complete lines before the
-failing item; ``pretrain --pack-context`` writes only at the end, once
-every example is packed. The only environment knob is ``GRAPHSEQ_LOG``
-(log verbosity).
+override it. Each command takes only the flags it reads, except that
+``detokenize`` accepts ``--seed`` and ignores it. The vocabulary file
+carries the encoding: ``vocab`` records the dataset tag, both attribute
+styles and the index count in it, and every later command takes them from
+there, so a grid can only be read back under the vocabulary that wrote it.
+All randomness flows through ``--seed`` with per-item seeds derived from
+the item index, so outputs are byte-stable. Errors exit non-zero with one
+machine-readable JSON object on stderr; a malformed input record is
+reported with its file line under ``"line"``. Output is written item by
+item, so a failed run leaves the complete lines before the failing item;
+``pretrain --pack-context`` writes only at the end, once every example is
+packed. The only environment knob is ``GRAPHSEQ_LOG`` (log verbosity).
 """
 from __future__ import annotations
 
@@ -164,7 +164,7 @@ def _build_identity(args, g: AttributedGraph):
     return build_codebook(
         g,
         k=args.identity_k,
-        strategy=args.identity_strategy,
+        strategy="bfs-partition",
         max_cluster=args.max_cluster,
         seed=derive_seed(args.seed, "partition"),
         dataset_tag=args.dataset_tag,
@@ -306,7 +306,6 @@ _DEFAULTS = {
     "count": 1,
     "max_seq_len": 1024,
     "identity_k": 0,
-    "identity_strategy": "bfs-partition",
     "max_cluster": 1024,
     "pack_context": 0,
     "random": 100,
@@ -314,6 +313,7 @@ _DEFAULTS = {
 
 # Flags several commands read; each command names the ones it takes.
 _SHARED_FLAGS = {
+    "--seed": dict(type=int, help="master seed (default 0)"),
     "--dataset-tag": dict(help="tag for semantic tokens (default data)"),
     "--num-indices": dict(type=int, help="structural index space; must equal the vocabulary's"),
     "--cyclic": dict(action=argparse.BooleanOptionalAction, help="cyclic re-indexing (default on)"),
@@ -325,7 +325,6 @@ def _command(sub, name: str, func, help: str, *shared: str) -> argparse.Argument
     p = sub.add_parser(name, help=help)
     p.set_defaults(func=func)
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
     for flag in shared:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
     return p
@@ -338,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    serializing = ("--num-indices", "--cyclic", "--layout")
+    serializing = ("--seed", "--num-indices", "--cyclic", "--layout")
 
     p = _command(sub, "ingest", cmd_ingest, "normalize a graph file to graph JSON")
     p.add_argument("--input", required=True)
@@ -361,12 +360,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
 
-    p = _command(sub, "detokenize", cmd_detokenize, "reconstruct graphs from token grids", "--num-indices")
+    p = _command(sub, "detokenize", cmd_detokenize, "reconstruct graphs from token grids",
+                 "--seed", "--num-indices")
     p.add_argument("--grids", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
 
-    p = _command(sub, "sample", cmd_sample, "extract ego subgraphs from a large graph", "--dataset-tag")
+    p = _command(sub, "sample", cmd_sample, "extract ego subgraphs from a large graph",
+                 "--seed", "--dataset-tag")
     p.add_argument("--graph", required=True, help="parent graph JSON/JSONL")
     p.add_argument("--mode", choices=("node-ego", "edge-ego"), required=True)
     p.add_argument("--depth", type=int)
@@ -375,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seq-len", type=int)
     p.add_argument("--negatives", action="store_true", help="add equal non-edge roots (edge-ego)")
     p.add_argument("--identity-k", type=int, help="encode node identity with k tokens")
-    p.add_argument("--identity-strategy", choices=("given-labels", "bfs-partition"))
     p.add_argument("--max-cluster", type=int)
     p.add_argument("--partition-file", help="node<TAB>cluster TSV overriding the partitioner")
     p.add_argument("--codebook-out", help="write the identity codebook TSV here")
@@ -395,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--output", required=True)
 
-    p = _command(sub, "verify", cmd_verify, "round-trip check; prints one JSON line per graph")
+    p = _command(sub, "verify", cmd_verify, "round-trip check; prints one JSON line per graph", "--seed")
     p.add_argument("--layout", choices=(*LAYOUTS, "all"), help="layout to check, or all (default prolonged)")
     p.add_argument("--graphs", help="graph JSONL to verify; omit to generate random graphs")
     p.add_argument("--random", type=int, help="number of random graphs (default 100)")

@@ -85,10 +85,23 @@ def grid_from_prolonged_tokens(tokens: list[str], vocab: Vocabulary) -> TokenGri
 
 
 def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[Step]:
+    """Group the grid's cells into walk steps by the role each cell claims.
+
+    A cell's token must be a vocabulary id that fits its role, so a
+    relabelled cell fails here instead of being read back as a different
+    graph (a negative id would otherwise index from the vocabulary's end).
+    """
+    size = len(vocab)
+    pad = vocab.pad_id
+    edge_types = (vocab.jump_id, vocab.fwd_id, vocab.bwd_id)
     steps: list[Step] = []
     for row, roles in zip(grid.tokens, grid.roles):
         for tid, role in zip(row, roles):
+            if type(tid) is not int or not 0 <= tid < size:
+                raise ValueError(f"token id {tid!r} outside the vocabulary's {size} ids")
             if role == ROLE_PAD:
+                if tid != pad:
+                    raise ValueError(f"token {vocab.token(tid)!r} in a pad cell")
                 continue
             if role == ROLE_NODE:
                 if vocab.class_of(tid) != CLASS_STRUCTURAL:
@@ -101,11 +114,15 @@ def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[Step]:
             elif not steps:
                 raise ValueError("dangling attribute tokens before any node token")
             elif role == ROLE_TYPE:
+                if tid not in edge_types:
+                    raise ValueError(f"token {vocab.token(tid)!r} in an edge-type cell")
                 steps[-1].edge_type = tid
             elif role == ROLE_NODE_ATTR:
                 steps[-1].node_attrs.append(tid)
             elif role == ROLE_EDGE_ATTR:
                 steps[-1].edge_attrs.append(tid)
+            else:
+                raise ValueError(f"unknown cell role {role!r}")
     return steps
 
 

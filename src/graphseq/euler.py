@@ -14,12 +14,12 @@ graph yields different but equally valid sequences.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .graph import AttributedGraph, connected_components
+from .graph import Adjacency, AttributedGraph, bfs_tree, connected_components, undirected_adjacency
 
 # Odd-node counts up to this bound get the exact pairing. The subset DP
 # takes about 0.2 ms per graph at 12 odd nodes, 0.6 ms at 14, 1.7 ms at 16
@@ -61,8 +61,8 @@ class EulerizedMultigraph:
             return self.base.edges[edge_id]
         return self.jump_edges[edge_id - self.num_base_edges]
 
-    # Degrees, odd nodes, adjacency and connectivity are derived once per
-    # instance; the fields are frozen, so the cached values never go stale.
+    # Degrees, odd nodes and adjacency are derived once per instance; the
+    # fields are frozen, so the cached values never go stale.
     @cached_property
     def _dup_counts(self) -> Counter:
         return Counter(self.duplications)
@@ -93,40 +93,17 @@ class EulerizedMultigraph:
     def odd_nodes(self) -> tuple[int, ...]:
         return self._odd_nodes
 
-    def simple_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+    def simple_adjacency(self) -> Adjacency:
         """Per node, sorted (neighbor, edge id) pairs ignoring multiplicity."""
         return self._simple_adjacency
 
     @cached_property
-    def _simple_adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.base.num_nodes)]
-        for eid in range(self.num_edges):
-            u, v = self.endpoints(eid)
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        return tuple(tuple(sorted(lst)) for lst in adj)
+    def _simple_adjacency(self) -> Adjacency:
+        return undirected_adjacency(self.base.num_nodes, self.base.edges + self.jump_edges)
 
     def is_connected(self) -> bool:
-        return self._connected
-
-    @cached_property
-    def _connected(self) -> bool:
         n = self.base.num_nodes
-        if n <= 1:
-            return True
-        adj = self.simple_adjacency()
-        seen = [False] * n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    count += 1
-                    queue.append(v)
-        return count == n
+        return n <= 1 or len(bfs_tree(self.simple_adjacency(), 0)) == n
 
 
 @dataclass(frozen=True)
@@ -171,27 +148,14 @@ def classify(mg: EulerizedMultigraph) -> tuple[str, tuple[int, ...]]:
     return "neither", odd
 
 
-def _bfs_path_edges(adj, start: int, goal: int, n: int) -> list[int]:
-    """Edge ids along one shortest path; deterministic via sorted adjacency."""
-    parent_edge: list[tuple[int, int] | None] = [None] * n
-    dist = [-1] * n
-    dist[start] = 0
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        if u == goal:
-            break
-        for v, eid in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                parent_edge[v] = (u, eid)
-                queue.append(v)
+def _bfs_path_edges(adj: Adjacency, start: int, goal: int) -> list[int]:
+    """Edge ids along one shortest path, from ``goal`` back to ``start``."""
+    parent = bfs_tree(adj, start, goal)
     edges = []
     node = goal
     while node != start:
-        u, eid = parent_edge[node]
+        node, eid = parent[node]
         edges.append(eid)
-        node = u
     return edges
 
 
@@ -346,8 +310,7 @@ def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
     if len(odd) <= 2:
         return mg
     adj = mg.simple_adjacency()
-    n = mg.base.num_nodes
-    rings = _odd_rings(adj, odd, n)
+    rings = _odd_rings(adj, odd, mg.base.num_nodes)
     exact = len(odd) <= EXACT_ODD_LIMIT
     if exact:
         matching = _exact_matching(_ring_table(rings, len(odd)))
@@ -360,7 +323,7 @@ def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
         if idx == exempt:
             continue
         # Duplicating twice cancels parity-wise, so repair paths combine mod 2.
-        duplicated ^= set(_bfs_path_edges(adj, odd[i], odd[j], n))
+        duplicated ^= set(_bfs_path_edges(adj, odd[i], odd[j]))
     result = EulerizedMultigraph(
         base=mg.base,
         jump_edges=mg.jump_edges,

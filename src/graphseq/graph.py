@@ -201,13 +201,43 @@ class SubgraphSample:
         )
 
 
-def adjacency(g: AttributedGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Undirected adjacency: per node, sorted (neighbor, edge index) pairs."""
-    lists: list[list[tuple[int, int]]] = [[] for _ in range(g.num_nodes)]
-    for ei, (src, dst) in enumerate(g.edges):
+Adjacency = tuple[tuple[tuple[int, int], ...], ...]
+
+
+def undirected_adjacency(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Adjacency:
+    """Per node, sorted (neighbor, edge index) pairs, ignoring direction;
+    an edge's index is its position in ``edges``."""
+    lists: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    for ei, (src, dst) in enumerate(edges):
         lists[src].append((dst, ei))
         lists[dst].append((src, ei))
     return tuple(tuple(sorted(l)) for l in lists)
+
+
+def adjacency(g: AttributedGraph) -> Adjacency:
+    """Undirected adjacency: per node, sorted (neighbor, edge index) pairs."""
+    return undirected_adjacency(g.num_nodes, g.edges)
+
+
+def bfs_tree(adj: Adjacency, start: int, goal: int | None = None) -> dict[int, tuple[int, int] | None]:
+    """Breadth-first search from ``start`` over ``adj``.
+
+    Maps each node reached, in discovery order, to the (node, edge id)
+    that first reached it; ``start`` maps to None. Sorted adjacency makes
+    the tree deterministic. The search stops once ``goal`` is dequeued, so
+    the tree then holds one shortest path from ``start`` to ``goal``.
+    """
+    parent: dict[int, tuple[int, int] | None] = {start: None}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        if u == goal:
+            break
+        for v, eid in adj[u]:
+            if v not in parent:
+                parent[v] = (u, eid)
+                queue.append(v)
+    return parent
 
 
 def connected_components(g: AttributedGraph) -> list[set[int]]:
@@ -216,22 +246,12 @@ def connected_components(g: AttributedGraph) -> list[set[int]]:
     Components are ordered by their smallest node id.
     """
     adj = adjacency(g)
-    seen = [False] * g.num_nodes
-    components = []
+    components: list[set[int]] = []
+    seen: set[int] = set()
     for start in range(g.num_nodes):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.add(v)
-                    queue.append(v)
-        components.append(comp)
+        if start not in seen:
+            components.append(set(bfs_tree(adj, start)))
+            seen |= components[-1]
     return components
 
 

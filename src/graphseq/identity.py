@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -156,46 +156,33 @@ def build_codebook(
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
     if k == 1:
-        partition = list(range(g.num_nodes))
+        partition: Sequence[int] = range(g.num_nodes)
     elif strategy == "given-labels":
         if labels is None:
             raise ValueError("given-labels strategy requires a node label column")
         if len(labels) != g.num_nodes:
             raise ValueError("label column must cover every node")
-        partition = [int(v) for v in labels]
+        partition = labels
     else:
         if max_cluster is None or max_cluster < 1:
             raise ValueError("bfs-partition requires max_cluster >= 1")
         partition = _bfs_partition(g, max_cluster, seed)
-
-    counts: dict[int, int] = {}
-    local = [0] * g.num_nodes
-    for v in range(g.num_nodes):
-        c = partition[v]
-        local[v] = counts.get(c, 0)
-        counts[c] = local[v] + 1
+    cb = codebook_from_partition(partition, k, dataset_tag)
 
     if max_cluster is not None and k > 1:
-        if len(counts) * max_cluster < g.num_nodes:
+        sizes = Counter(cb.partition)
+        if len(sizes) * max_cluster < g.num_nodes:
             raise ValueError(
-                f"{len(counts)} clusters capped at {max_cluster} nodes cannot"
+                f"{len(sizes)} clusters capped at {max_cluster} nodes cannot"
                 f" cover {g.num_nodes} nodes"
             )
-        oversized = max(counts.values(), default=0)
+        oversized = max(sizes.values(), default=0)
         if strategy == "given-labels" and oversized > max_cluster:
             raise ValueError(
                 f"label cluster of {oversized} nodes exceeds max_cluster={max_cluster}"
             )
 
-    cb = NodeIdentityCodebook(
-        dataset_tag=dataset_tag,
-        k=k,
-        partition=tuple(partition),
-        local_index=tuple(local),
-    )
-    capacity = 1
-    for size in cb.slot_sizes:
-        capacity *= size
+    capacity = math.prod(cb.slot_sizes)
     if capacity < g.num_nodes:
         raise ValueError(
             f"identity capacity {capacity} cannot cover {g.num_nodes} nodes"

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import AttributedGraph, SubgraphSample, adjacency
+from .graph import Adjacency, AttributedGraph, SubgraphSample, adjacency
 
 MODES = ("node-ego", "edge-ego")
 
@@ -54,7 +54,7 @@ def sample(
     g: AttributedGraph,
     roots,
     cfg: SamplerConfig,
-    adj: tuple[tuple[tuple[int, int], ...], ...] | None = None,
+    adj: Adjacency | None = None,
 ) -> SubgraphSample:
     """Extract one ego subgraph. Deterministic for a fixed config seed.
 

@@ -288,6 +288,11 @@ def tokenize(
     """
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
+    # A cyclic shift past the vocabulary's indices would fail for some seeds only.
+    if cfg.num_indices > vocab.num_indices:
+        raise ValueError(
+            f"re-indexing over {cfg.num_indices} indices exceeds the vocabulary's {vocab.num_indices}"
+        )
     index_of = reindex(path, cfg)
     steps = _build_steps(path, mg, vocab, index_of, seed)
     m = len(path.edge_instances)

@@ -259,7 +259,7 @@ _BAD_RECORD = {  # key to delete, then fields that make the record invalid
 _FAILS_IN_STEP = {  # a record that parses but fails the per-item step, and its error text
     "graphs": (lambda doc: {"num_nodes": 300, "edges": [[i, i + 1] for i in range(299)]},
                "300 nodes exceed the index space of 256"),
-    "grids": (lambda doc: dict(doc, roles=[["pad"] * len(r) for r in doc["roles"]]),
+    "grids": (lambda doc: dict(doc, tokens=[], roles=[]),
               "grid contains no node tokens"),
     "samples": (lambda doc: dict(doc, graph={k: v for k, v in doc["graph"].items()
                                              if k not in ("node_attrs", "attr_defaults")}),
@@ -426,9 +426,10 @@ def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
             main([command, "--help"])
         text = capsys.readouterr().out
         listed = {flag for flag in _SHARED_FLAGS if flag in text}
-        assert listed == {"--config", "--seed"} | flags, command
+        seed = set() if command in ("ingest", "vocab") else {"--seed"}
+        assert listed == {"--config"} | seed | flags, command
         count += len(listed)
-    assert count == 32
+    assert count == 30
 
 
 @pytest.mark.parametrize("argv", [
@@ -441,6 +442,10 @@ def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
     ["taskfmt", "--task", "graph", "--graphs", "g.jsonl", "--vocab", "v.tsv", "--output", "o",
      "--dataset-tag", "t"],
     ["verify", "--num-indices", "64"],
+    ["sample", "--graph", "g.jsonl", "--mode", "node-ego", "--output", "o",
+     "--identity-strategy", "bfs-partition"],
+    ["ingest", "--input", "g.tsv", "--output", "o", "--seed", "1"],
+    ["vocab", "--graphs", "g.jsonl", "--output", "v.tsv", "--seed", "1"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
 def test_a_flag_the_command_ignores_is_rejected(argv, capsys):
     with pytest.raises(SystemExit) as exc:

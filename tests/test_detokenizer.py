@@ -174,6 +174,56 @@ def test_trailing_edge_tokens_rejected():
         detokenize(grid, vocab)
 
 
+def _relabel(grid: TokenGrid, role: str, new_role, new_token) -> TokenGrid:
+    """The grid with the second cell claiming ``role`` given a new role or token."""
+    doc = grid.to_json()
+    cells = [(r, c) for r, row in enumerate(doc["roles"]) for c, x in enumerate(row) if x == role]
+    r, c = cells[1]
+    if new_role is not None:
+        doc["roles"][r][c] = new_role
+    if new_token is not None:
+        doc["tokens"][r][c] = new_token
+    return TokenGrid.from_json(doc)
+
+
+_MISFIT_CELLS = {  # case -> (role of the cell, its new role, its new token, error text)
+    "node-as-pad": ("node", "pad", None, "in a pad cell"),
+    "edge-type-as-pad": ("edge-type", "pad", None, "in a pad cell"),
+    "index-in-edge-type": ("edge-type", None, "0", "in an edge-type cell"),
+    "unknown-role": ("node", "vertex", None, "unknown cell role"),
+}
+
+
+@pytest.mark.parametrize("layout", ["prolonged", "short", "long"])
+@pytest.mark.parametrize("case", list(_MISFIT_CELLS))
+def test_cell_whose_token_misfits_its_role_is_rejected(case, layout):
+    # Unchecked, each misfit reads back as another graph: an edge lost, or
+    # one reversed.
+    g = AttributedGraph(num_nodes=4, edges=((0, 1), (1, 2), (2, 3), (3, 0), (0, 2)), directed=True)
+    cfg = ReindexConfig()
+    vocab = vocab_for(g, cfg=cfg)
+    grid = serialize_graph(g, vocab, layout, cfg, 3)
+    assert isomorphic(detokenize(grid, vocab).graph, g)
+    role, new_role, new_token, text = _MISFIT_CELLS[case]
+    bad = _relabel(grid, role, new_role, new_token and vocab.id(new_token))
+    with pytest.raises(ValueError, match=text):
+        detokenize(bad, vocab)
+
+
+@pytest.mark.parametrize("bad_id", [-2, "2", 10**6])
+def test_token_id_outside_the_vocabulary_is_rejected(bad_id):
+    # Unchecked, -2 indexes from the end and reads as the digit <9>; the
+    # others raise TypeError or IndexError, which the CLI cannot place on a line.
+    g = AttributedGraph(num_nodes=2, edges=((0, 1),), edge_attrs=[[2]])
+    vocab = vocab_for(g)
+    grid = serialize_graph(g, vocab, "prolonged", ReindexConfig(), 0)
+    digit = next(r for r, (role,) in enumerate(grid.roles) if role == "edge-attr") + 1
+    doc = grid.to_json()
+    doc["tokens"][digit] = [bad_id]
+    with pytest.raises(ValueError, match="outside the vocabulary"):
+        detokenize(TokenGrid.from_json(doc), vocab)
+
+
 # --- isomorphism oracle ---------------------------------------------------
 
 

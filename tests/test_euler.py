@@ -3,7 +3,11 @@ import json
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_matrix, csgraph
 
 from graphseq import (
     AttributedGraph,
@@ -21,6 +25,7 @@ from graphseq import (
 from graphseq.euler import (
     EXACT_ODD_LIMIT,
     EulerizedMultigraph,
+    _bfs_path_edges,
     _exact_matching,
     _greedy_matching,
     _odd_rings,
@@ -348,3 +353,65 @@ def test_cover_exactly_once_property():
         path = extract_path(mg, i)
         assert validate_path(mg, path)
         assert len(connected_components(g)) - 1 == len(mg.jump_edges)
+
+
+# --- traversal against scipy ---------------------------------------------
+
+
+def _sparse_graph(rng: random.Random) -> AttributedGraph:
+    """20-200 nodes with about n/2 to 3n/2 random edges, so most draws fall
+    into several components; directed draws may hold antiparallel pairs."""
+    n = rng.randint(20, 200)
+    directed = rng.random() < 0.3
+    edges = set()
+    for _ in range(rng.randint(n // 2, 3 * n // 2)):
+        u, v = rng.sample(range(n), 2)
+        edges.add((u, v) if directed else (min(u, v), max(u, v)))
+    return AttributedGraph(num_nodes=n, edges=tuple(sorted(edges)), directed=directed)
+
+
+def _scipy_graph(mg: EulerizedMultigraph):
+    n = mg.base.num_nodes
+    ends = [mg.endpoints(eid) for eid in range(mg.num_edges)]
+    rows = [u for u, _ in ends]
+    cols = [v for _, v in ends]
+    return coo_matrix((np.ones(len(ends)), (rows, cols)), shape=(n, n)).tocsr()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_traversal_agrees_with_scipy(seed):
+    rng = random.Random(seed)
+    g = _sparse_graph(rng)
+    ncomp, labels = csgraph.connected_components(
+        _scipy_graph(EulerizedMultigraph(base=g)), directed=False
+    )
+    expected = {}
+    for v, label in enumerate(labels):
+        expected.setdefault(label, set()).add(v)
+    # Both order components by their smallest node.
+    assert connected_components(g) == list(expected.values())
+
+    # Jump edges chaining only some components, then the full chain with
+    # duplicated edges on top: a multigraph that may or may not be connected.
+    full = add_jump_edges(g, seed)
+    partial = EulerizedMultigraph(base=g, jump_edges=full.jump_edges[: rng.randint(0, ncomp - 1)])
+    dups = tuple(sorted(rng.choices(range(full.num_edges), k=rng.randint(0, 5))))
+    repeated = EulerizedMultigraph(base=g, jump_edges=full.jump_edges, duplications=dups)
+    for mg in (partial, full, repeated):
+        matrix = _scipy_graph(mg)
+        assert mg.is_connected() == (csgraph.connected_components(matrix, directed=False)[0] == 1)
+        adj = mg.simple_adjacency()
+        starts = rng.sample(range(g.num_nodes), 3)
+        dist = csgraph.shortest_path(matrix, directed=False, unweighted=True, indices=starts)
+        for row, a in zip(dist, starts):
+            reachable = [b for b in range(g.num_nodes) if np.isfinite(row[b])]
+            for b in rng.sample(reachable, min(8, len(reachable))):
+                chain = _bfs_path_edges(adj, a, b)
+                assert len(chain) == row[b]
+                node = a
+                for eid in reversed(chain):
+                    u, v = mg.endpoints(eid)
+                    assert node in (u, v)
+                    node = v if node == u else u
+                assert node == b

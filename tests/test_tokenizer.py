@@ -67,6 +67,18 @@ def test_reindex_rejects_oversized_graphs():
         reindex(path, ReindexConfig(num_indices=8))
 
 
+def test_config_with_more_indices_than_the_vocabulary_is_rejected():
+    # Unchecked, a 256-index shift fits a 64-index vocabulary for some seeds
+    # only: seed 0 passes, seed 1 lands on token '103'.
+    p5 = AttributedGraph(num_nodes=5, edges=tuple((i, i + 1) for i in range(4)))
+    vocab = vocab_for(p5, cfg=ReindexConfig(num_indices=64))
+    for seed in range(8):
+        with pytest.raises(ValueError, match="256 indices exceeds the vocabulary's 64"):
+            serialize_graph(p5, vocab, "prolonged", ReindexConfig(), seed)
+    grid = serialize_graph(p5, vocab, "prolonged", ReindexConfig(num_indices=16), 1)
+    assert max(tok for row in grid.tokens for tok in row) < 64
+
+
 def test_disabled_cyclic_always_starts_at_zero(c3):
     cfg = ReindexConfig(num_indices=256, cyclic=False)
     vocab = vocab_for(c3, cfg=cfg)
