@@ -9,6 +9,7 @@ promises.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .graph import AttributedGraph
 from .tokenizer import (
@@ -20,14 +21,7 @@ from .tokenizer import (
     Step,
     TokenGrid,
 )
-from .vocab import (
-    CLASS_DIGIT,
-    CLASS_SEMANTIC,
-    CLASS_SPECIAL,
-    CLASS_STRUCTURAL,
-    Vocabulary,
-    parse_semantic,
-)
+from .vocab import CLASS_SEMANTIC, CLASS_SPECIAL, CLASS_STRUCTURAL, Vocabulary
 
 ISO_NODE_LIMIT = 12
 
@@ -56,31 +50,29 @@ def grid_from_prolonged_tokens(tokens: list[str], vocab: Vocabulary) -> TokenGri
     digit tokens that follow) are node or edge attributes depending on
     the kind embedded in the token itself.
     """
+    ids = [vocab.id(tok) for tok in tokens]
     roles = []
-    current = ROLE_PAD
-    for tok in tokens:
-        tid = vocab.id(tok)
+    current = None
+    for tid in ids:
         cls = vocab.class_of(tid)
         if cls == CLASS_STRUCTURAL:
             roles.append(ROLE_NODE)
         elif cls == CLASS_SPECIAL:
             roles.append(ROLE_TYPE)
         elif cls == CLASS_SEMANTIC:
-            _, kind, _, _ = parse_semantic(tok)
-            current = ROLE_NODE_ATTR if kind == "node" else ROLE_EDGE_ATTR
+            current = ROLE_NODE_ATTR if vocab.semantic[tid][0] == "node" else ROLE_EDGE_ATTR
             roles.append(current)
-        elif cls == CLASS_DIGIT:
+        elif current is None:  # a digit, with no marker yet to own it
+            raise ValueError(f"digit token {vocab.token(tid)!r} before any attribute marker")
+        else:
             roles.append(current)
-        else:  # pragma: no cover
-            raise ValueError(f"unclassified token {tok!r}")
-    node_count = sum(1 for r in roles if r == ROLE_NODE)
-    ids = tuple((vocab.id(t),) for t in tokens)
+    node_count = roles.count(ROLE_NODE)
     return TokenGrid(
         layout="prolonged",
         m=max(node_count - 1, 0),
         l=1,
-        tokens=ids,
-        roles=tuple((r,) for r in roles),
+        tokens=zip(ids),
+        roles=zip(roles),
     )
 
 
@@ -92,66 +84,77 @@ def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[Step]:
     graph (a negative id would otherwise index from the vocabulary's end).
     """
     size = len(vocab)
+    num_indices = vocab.num_indices
     pad = vocab.pad_id
     edge_types = (vocab.jump_id, vocab.fwd_id, vocab.bwd_id)
     steps: list[Step] = []
-    for row, roles in zip(grid.tokens, grid.roles):
-        for tid, role in zip(row, roles):
-            if type(tid) is not int or not 0 <= tid < size:
-                raise ValueError(f"token id {tid!r} outside the vocabulary's {size} ids")
-            if role == ROLE_PAD:
-                if tid != pad:
-                    raise ValueError(f"token {vocab.token(tid)!r} in a pad cell")
-                continue
-            if role == ROLE_NODE:
-                if vocab.class_of(tid) != CLASS_STRUCTURAL:
-                    raise ValueError(
-                        f"edge-type token {vocab.token(tid)!r} in a node cell"
-                        if vocab.class_of(tid) == CLASS_SPECIAL
-                        else f"non-structural token {vocab.token(tid)!r} in a node cell"
-                    )
-                steps.append(Step(node=tid))
-            elif not steps:
-                raise ValueError("dangling attribute tokens before any node token")
-            elif role == ROLE_TYPE:
-                if tid not in edge_types:
-                    raise ValueError(f"token {vocab.token(tid)!r} in an edge-type cell")
-                steps[-1].edge_type = tid
-            elif role == ROLE_NODE_ATTR:
-                steps[-1].node_attrs.append(tid)
-            elif role == ROLE_EDGE_ATTR:
-                steps[-1].edge_attrs.append(tid)
-            else:
-                raise ValueError(f"unknown cell role {role!r}")
+    step = None
+    cells = zip(chain.from_iterable(grid.tokens), chain.from_iterable(grid.roles))
+    for tid, role in cells:
+        if type(tid) is not int or not 0 <= tid < size:
+            raise ValueError(f"token id {tid!r} outside the vocabulary's {size} ids")
+        if role == ROLE_PAD:
+            if tid != pad:
+                raise ValueError(f"token {vocab.token(tid)!r} in a pad cell")
+            continue
+        if role == ROLE_NODE:
+            # Structural tokens are exactly the ids below num_indices.
+            if tid >= num_indices:
+                raise ValueError(
+                    f"edge-type token {vocab.token(tid)!r} in a node cell"
+                    if vocab.class_of(tid) == CLASS_SPECIAL
+                    else f"non-structural token {vocab.token(tid)!r} in a node cell"
+                )
+            step = Step(tid)
+            steps.append(step)
+        elif step is None:
+            raise ValueError("dangling attribute tokens before any node token")
+        elif role == ROLE_TYPE:
+            if tid not in edge_types:
+                raise ValueError(f"token {vocab.token(tid)!r} in an edge-type cell")
+            step.edge_type = tid
+        elif role == ROLE_NODE_ATTR:
+            step.node_attrs.append(tid)
+        elif role == ROLE_EDGE_ATTR:
+            step.edge_attrs.append(tid)
+        else:
+            raise ValueError(f"unknown cell role {role!r}")
     return steps
 
 
-def _parse_block(ids: list[int], vocab: Vocabulary, kind: str, style: str):
-    """Decode an attribute cell run into (dimension, value) pairs."""
+def _parse_block(ids: tuple[int, ...], vocab: Vocabulary, kind: str, style: str):
+    """Decode an attribute cell run into (dimension, value) pairs, reading
+    the vocabulary's id tables. Each dimension may appear once."""
+    semantic = vocab.semantic
+    digit_chars = vocab.digit_chars
     out = []
-    i = 0
-    while i < len(ids):
+    i, n = 0, len(ids)
+    while i < n:
         tid = ids[i]
-        if vocab.class_of(tid) != CLASS_SEMANTIC:
+        entry = semantic[tid]
+        if entry is None:
             raise ValueError(
                 f"malformed attribute run: expected a semantic token, got {vocab.token(tid)!r}"
             )
-        _, token_kind, dim, value = parse_semantic(vocab.token(tid))
+        token_kind, dim, value = entry
         if token_kind != kind:
             raise ValueError(f"malformed attribute run: {token_kind} token in {kind} block")
         i += 1
         if style == "digits":
-            chars = []
-            while i < len(ids) and vocab.class_of(ids[i]) == CLASS_DIGIT:
-                chars.append(vocab.digit_value(ids[i]))
+            start = i
+            while i < n and ids[i] in digit_chars:
                 i += 1
-            if not chars:
+            if i == start:
                 raise ValueError("malformed attribute run: dimension marker without digits")
-            text = "".join(chars)
+            text = "".join([digit_chars[t] for t in ids[start:i]])
             if "." in text:
                 raise ValueError(f"malformed attribute run: non-integer value {text!r}")
             value = int(text)
         out.append((dim, value))
+    dims = [dim for dim, _ in out]
+    if len(set(dims)) < len(dims):
+        dim = next(d for i, d in enumerate(dims) if d in dims[:i])
+        raise ValueError(f"malformed attribute run: dimension {dim} repeated in {kind} block")
     return out
 
 
@@ -187,19 +190,28 @@ def detokenize(
 
     local: dict[int, int] = {}
     for step in steps:
-        if step.node not in local:
-            local[step.node] = len(local)
+        local.setdefault(step.node, len(local))
 
     n_width = node_attr_width if node_attr_width is not None else vocab.attr_width("node")
     e_width = edge_attr_width if edge_attr_width is not None else vocab.attr_width("edge")
     n_defaults = tuple(node_defaults) if node_defaults is not None else (0,) * n_width
     e_defaults = tuple(edge_defaults) if edge_defaults is not None else (0,) * e_width
 
+    # Blocks repeat (one per distinct attribute row), so each is parsed once.
+    parsed: dict[tuple[str, tuple[int, ...]], list] = {}
+
+    def parse(kind: str, ids: list[int], style: str) -> list:
+        key = (kind, tuple(ids))
+        pairs = parsed.get(key)
+        if pairs is None:
+            pairs = parsed[key] = _parse_block(key[1], vocab, kind, style)
+        return pairs
+
     node_attr_pairs: dict[int, list] = {}
     for step in steps:
         if not step.node_attrs:
             continue
-        pairs = _parse_block(step.node_attrs, vocab, "node", vocab.node_attr_style)
+        pairs = parse("node", step.node_attrs, vocab.node_attr_style)
         v = local[step.node]
         if v in node_attr_pairs and node_attr_pairs[v] != pairs:
             warnings.append(f"conflicting attribute blocks for node {v}; keeping the first")
@@ -215,9 +227,8 @@ def detokenize(
     edge_order: list[tuple[int, int]] = []
     edge_attr_pairs: dict[tuple[int, int], list] = {}
     seen: set[tuple[int, int]] = set()
-    for i in range(len(steps) - 1):
-        step = steps[i]
-        a, b = local[steps[i].node], local[steps[i + 1].node]
+    visits = [local[step.node] for step in steps]
+    for step, a, b in zip(steps, visits, visits[1:]):
         if step.edge_type == vocab.jump_id:
             dropped_jumps += 1
             if step.edge_attrs:
@@ -225,14 +236,14 @@ def detokenize(
             continue
         if directed and step.edge_type == vocab.bwd_id:
             a, b = b, a
-        key = (a, b) if directed else (min(a, b), max(a, b))
+        key = (a, b) if directed or a < b else (b, a)
         if key in seen:
             duplicates += 1
         else:
             seen.add(key)
             edge_order.append(key)
         if step.edge_attrs:
-            pairs = _parse_block(step.edge_attrs, vocab, "edge", vocab.edge_attr_style)
+            pairs = parse("edge", step.edge_attrs, vocab.edge_attr_style)
             if key in edge_attr_pairs and edge_attr_pairs[key] != pairs:
                 warnings.append(f"conflicting attribute blocks for edge {key}; keeping the first")
             else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 from .tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
@@ -70,12 +71,9 @@ def build_ntp(grid: TokenGrid, vocab: Vocabulary) -> PretrainExample:
 
 
 def distinct_node_tokens(grid: TokenGrid) -> list[int]:
-    seen: list[int] = []
-    for row, roles in zip(grid.tokens, grid.roles):
-        for tok, role in zip(row, roles):
-            if role == ROLE_NODE and tok not in seen:
-                seen.append(tok)
-    return seen
+    """Node tokens in order of first appearance."""
+    cells = zip(chain.from_iterable(grid.tokens), chain.from_iterable(grid.roles))
+    return list(dict.fromkeys(tok for tok, role in cells if role == ROLE_NODE))
 
 
 def build_smtp(

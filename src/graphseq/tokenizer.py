@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass, field
 
 from .euler import EulerPath, EulerizedMultigraph
-from .vocab import Vocabulary, digits, marker_token, semantic_token
+from .vocab import Vocabulary
 
 LAYOUTS = ("short", "long", "prolonged")
 
@@ -63,13 +63,12 @@ class TokenGrid:
     roles: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(tuple(r) for r in self.tokens))
-        object.__setattr__(self, "roles", tuple(tuple(r) for r in self.roles))
+        object.__setattr__(self, "tokens", tuple(map(tuple, self.tokens)))
+        object.__setattr__(self, "roles", tuple(map(tuple, self.roles)))
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
-        for row, roles in zip(self.tokens, self.roles):
-            if len(row) != self.l or len(roles) != self.l:
-                raise ValueError("grid rows must all have width l")
+        if not {*map(len, self.tokens), *map(len, self.roles)} <= {self.l}:
+            raise ValueError("grid rows must all have width l")
 
     @property
     def num_rows(self) -> int:
@@ -93,8 +92,8 @@ class TokenGrid:
             layout=doc["layout"],
             m=doc["m"],
             l=doc["l"],
-            tokens=tuple(tuple(r) for r in doc["tokens"]),
-            roles=tuple(tuple(r) for r in doc["roles"]),
+            tokens=doc["tokens"],
+            roles=doc["roles"],
         )
 
 
@@ -117,19 +116,28 @@ def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:
     return {v: (i + offset) % cfg.num_indices for v, i in order.items()}
 
 
-def _block_ids(vocab, kind, style, attrs, defaults):
-    tag = vocab.dataset_tag
+def _block_ids(vocab: Vocabulary, kind: str, attrs, defaults) -> list[int]:
     ids: list[int] = []
     for dim, value in enumerate(attrs):
-        if value == defaults[dim]:
-            continue
-        if style == "inline":
-            ids.append(vocab.id(semantic_token(tag, kind, dim, value)))
-        else:
-            ids.append(vocab.id(marker_token(tag, kind, dim)))
-            for t in digits(value):
-                ids.append(vocab.id(t))
+        if value != defaults[dim]:
+            ids += vocab.attr_ids(kind, dim, value)
     return ids
+
+
+def _blocks_at(vocab, kind, rows, defaults, attach) -> dict[int, list[int]]:
+    """Attribute block per step position from ``attach`` (position ->
+    row index), each distinct row spelled once."""
+    if not rows:
+        return {}
+    by_row: dict[tuple[int, ...], list[int]] = {}
+    out = {}
+    for pos, key in attach.items():
+        row = rows[key]
+        block = by_row.get(row)
+        if block is None:
+            block = by_row[row] = _block_ids(vocab, kind, row, defaults)
+        out[pos] = block
+    return out
 
 
 @dataclass
@@ -155,43 +163,33 @@ def _build_steps(
     occurrences: dict[int, list[int]] = {}
     for pos, v in enumerate(path.nodes):
         occurrences.setdefault(v, []).append(pos)
-    node_attach = {v: rng.choice(occurrences[v]) for v in sorted(occurrences)}
+    node_attach = {rng.choice(occurrences[v]): v for v in sorted(occurrences)}
 
+    # Jump edges follow the base edges in the multigraph's edge ids.
+    num_base = mg.num_base_edges
     steps_of_edge: dict[int, list[int]] = {}
+    edge_types: list[int | None] = []
     for step, (eid, _) in enumerate(path.edge_instances):
-        if not mg.is_jump(eid):
-            steps_of_edge.setdefault(eid, []).append(step)
-    edge_attach = {eid: rng.choice(steps_of_edge[eid]) for eid in sorted(steps_of_edge)}
+        if eid >= num_base:
+            edge_types.append(vocab.jump_id)
+            continue
+        steps_of_edge.setdefault(eid, []).append(step)
+        if g.directed:
+            forward = path.nodes[step] == g.edges[eid][0]
+            edge_types.append(vocab.fwd_id if forward else vocab.bwd_id)
+        else:
+            edge_types.append(None)
+    edge_types.append(None)
+    edge_attach = {rng.choice(steps_of_edge[eid]): eid for eid in sorted(steps_of_edge)}
 
-    node_blocks = {
-        v: _block_ids(vocab, "node", vocab.node_attr_style, g.node_attrs[v], g.node_defaults)
-        if g.node_attrs
-        else []
-        for v in occurrences
-    }
-    edge_blocks = {
-        eid: _block_ids(vocab, "edge", vocab.edge_attr_style, g.edge_attrs[eid], g.edge_defaults)
-        if g.edge_attrs
-        else []
-        for eid in steps_of_edge
-    }
+    node_blocks = _blocks_at(vocab, "node", g.node_attrs, g.node_defaults, node_attach)
+    edge_blocks = _blocks_at(vocab, "edge", g.edge_attrs, g.edge_defaults, edge_attach)
 
-    steps = []
-    for i, v in enumerate(path.nodes):
-        node_attrs = node_blocks[v] if node_attach[v] == i else []
-        edge_type = None
-        edge_attrs: list[int] = []
-        if i < len(path.edge_instances):
-            eid, _ = path.edge_instances[i]
-            if mg.is_jump(eid):
-                edge_type = vocab.jump_id
-            elif g.directed:
-                src, _dst = mg.endpoints(eid)
-                edge_type = vocab.fwd_id if path.nodes[i] == src else vocab.bwd_id
-            if edge_attach.get(eid) == i:
-                edge_attrs = edge_blocks[eid]
-        steps.append(Step(vocab.id(str(index_of[v])), node_attrs, edge_type, edge_attrs))
-    return steps
+    # Structural index i is vocabulary id i, so an index is its node token.
+    return [
+        Step(index_of[v], node_blocks.get(i, []), edge_type, edge_blocks.get(i, []))
+        for i, (v, edge_type) in enumerate(zip(path.nodes, edge_types))
+    ]
 
 
 def _emit_prolonged(steps):
@@ -200,14 +198,16 @@ def _emit_prolonged(steps):
     for step in steps:
         tokens.append(step.node)
         roles.append(ROLE_NODE)
-        tokens.extend(step.node_attrs)
-        roles.extend([ROLE_NODE_ATTR] * len(step.node_attrs))
+        if step.node_attrs:
+            tokens += step.node_attrs
+            roles += [ROLE_NODE_ATTR] * len(step.node_attrs)
         if step.edge_type is not None:
             tokens.append(step.edge_type)
             roles.append(ROLE_TYPE)
-        tokens.extend(step.edge_attrs)
-        roles.extend([ROLE_EDGE_ATTR] * len(step.edge_attrs))
-    return tuple((t,) for t in tokens), tuple((r,) for r in roles)
+        if step.edge_attrs:
+            tokens += step.edge_attrs
+            roles += [ROLE_EDGE_ATTR] * len(step.edge_attrs)
+    return list(zip(tokens)), list(zip(roles))
 
 
 def _fit_width(blocks, configured, what):
@@ -221,52 +221,53 @@ def _fit_width(blocks, configured, what):
     return configured
 
 
-def _padded(block, width, role, vocab):
-    ids = block + [vocab.pad_id] * (width - len(block))
-    roles = [role] * len(block) + [ROLE_PAD] * (width - len(block))
-    return ids, roles
-
-
-def _emit_short(steps, vocab, edge_width, node_width):
-    we = _fit_width([s.edge_attrs for s in steps], edge_width, "edge attribute")
-    wn = _fit_width([s.node_attrs for s in steps], node_width, "node attribute")
-    width = 2 + we + wn
+def _emit_short(steps, vocab, we, wn):
+    pad = vocab.pad_id
+    # Few distinct role rows exist: one per (typed, edge cells, node cells).
+    role_rows: dict[tuple[bool, int, int], tuple[str, ...]] = {}
     rows, roles = [], []
     for step in steps:
         typed = step.edge_type is not None
-        row = [step.node, step.edge_type if typed else vocab.pad_id]
-        role = [ROLE_NODE, ROLE_TYPE if typed else ROLE_PAD]
-        ids, rs = _padded(step.edge_attrs, we, ROLE_EDGE_ATTR, vocab)
-        row += ids
-        role += rs
-        ids, rs = _padded(step.node_attrs, wn, ROLE_NODE_ATTR, vocab)
-        row += ids
-        role += rs
-        rows.append(tuple(row))
-        roles.append(tuple(role))
-    return tuple(rows), tuple(roles), width
+        ne, nn = len(step.edge_attrs), len(step.node_attrs)
+        rows.append(
+            [step.node, step.edge_type if typed else pad]
+            + step.edge_attrs + [pad] * (we - ne)
+            + step.node_attrs + [pad] * (wn - nn)
+        )
+        key = (typed, ne, nn)
+        role = role_rows.get(key)
+        if role is None:
+            role = role_rows[key] = (
+                (ROLE_NODE, ROLE_TYPE if typed else ROLE_PAD)
+                + (ROLE_EDGE_ATTR,) * ne + (ROLE_PAD,) * (we - ne)
+                + (ROLE_NODE_ATTR,) * nn + (ROLE_PAD,) * (wn - nn)
+            )
+        roles.append(role)
+    return rows, roles
 
 
-def _emit_long(steps, vocab, edge_width, node_width):
-    we = _fit_width([s.edge_attrs for s in steps], edge_width, "edge attribute")
-    wn = _fit_width([s.node_attrs for s in steps], node_width, "node attribute")
-    width = 2 + we + wn
+def _emit_long(steps, vocab, width):
+    pad = vocab.pad_id
+    role_rows: dict[tuple[str, ...], tuple[str, ...]] = {}
     rows, roles = [], []
 
     def pad_row(ids, rs):
-        rows.append(tuple(ids + [vocab.pad_id] * (width - len(ids))))
-        roles.append(tuple(rs + [ROLE_PAD] * (width - len(ids))))
+        rows.append(ids + [pad] * (width - len(ids)))
+        role = role_rows.get(rs)
+        if role is None:
+            role = role_rows[rs] = rs + (ROLE_PAD,) * (width - len(rs))
+        roles.append(role)
 
     for step in steps:
         if step.edge_type is None:
-            pad_row([step.node], [ROLE_NODE])
+            pad_row([step.node], (ROLE_NODE,))
         else:
-            pad_row([step.node, step.edge_type], [ROLE_NODE, ROLE_TYPE])
+            pad_row([step.node, step.edge_type], (ROLE_NODE, ROLE_TYPE))
         if step.node_attrs:
-            pad_row(step.node_attrs, [ROLE_NODE_ATTR] * len(step.node_attrs))
+            pad_row(step.node_attrs, (ROLE_NODE_ATTR,) * len(step.node_attrs))
         if step.edge_attrs:
-            pad_row(step.edge_attrs, [ROLE_EDGE_ATTR] * len(step.edge_attrs))
-    return tuple(rows), tuple(roles), width
+            pad_row(step.edge_attrs, (ROLE_EDGE_ATTR,) * len(step.edge_attrs))
+    return rows, roles
 
 
 def tokenize(
@@ -299,8 +300,10 @@ def tokenize(
     if layout == "prolonged":
         tokens, roles = _emit_prolonged(steps)
         return TokenGrid(layout=layout, m=m, l=1, tokens=tokens, roles=roles)
+    we = _fit_width([s.edge_attrs for s in steps], edge_attr_width, "edge attribute")
+    wn = _fit_width([s.node_attrs for s in steps], node_attr_width, "node attribute")
     if layout == "short":
-        tokens, roles, width = _emit_short(steps, vocab, edge_attr_width, node_attr_width)
+        tokens, roles = _emit_short(steps, vocab, we, wn)
     else:
-        tokens, roles, width = _emit_long(steps, vocab, edge_attr_width, node_attr_width)
-    return TokenGrid(layout=layout, m=m, l=width, tokens=tokens, roles=roles)
+        tokens, roles = _emit_long(steps, vocab, 2 + we + wn)
+    return TokenGrid(layout=layout, m=m, l=2 + we + wn, tokens=tokens, roles=roles)

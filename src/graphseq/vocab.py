@@ -74,12 +74,24 @@ def parse_semantic(token: str) -> tuple[str, str, int, int]:
     return tag, kind, int(dim), int(value)
 
 
+def _semantic_entry(token: str) -> tuple[str, int, int]:
+    try:
+        return parse_semantic(token)[1:]
+    except ValueError:
+        raise ValueError(f"semantic token {token!r} is not TAG#KIND#DIM#VALUE") from None
+
+
 class Vocabulary:
     """Bidirectional token<->id map with dense ids and disjoint classes.
 
     Id layout: structural indices ``0..N-1`` map to ids ``0..N-1``, then
     the fixed special tokens, the twelve digit tokens, and finally the
     semantic tokens in lexicographic order.
+
+    Tables built once per vocabulary let both directions work on ids:
+    ``semantic[id]`` is a semantic token's ``(kind, dim, value)`` (None for
+    other classes), ``digit_chars`` maps each digit id to its character,
+    and ``attr_ids`` memoises the ids spelling each attribute value.
     """
 
     def __init__(
@@ -106,6 +118,20 @@ class Vocabulary:
         self._token_to_id = {t: i for i, (t, _) in enumerate(tokens)}
         if len(self._token_to_id) != len(tokens):
             raise ValueError("token classes overlap")
+        # Id tables read by the tokenizer and detokenizer instead of spellings.
+        self.semantic: tuple[tuple[str, int, int] | None, ...] = tuple(
+            _semantic_entry(t) if c == CLASS_SEMANTIC else None for t, c in tokens
+        )
+        char_of = {tok: ch for ch, tok in _DIGIT_FOR_CHAR.items()}
+        self.digit_chars: dict[int, str] = {
+            i: char_of[t] for i, (t, c) in enumerate(tokens) if c == CLASS_DIGIT
+        }
+        self._attr_width: dict[str, int] = {}
+        for entry in self.semantic:
+            if entry is not None:
+                kind, dim, _ = entry
+                self._attr_width[kind] = max(self._attr_width.get(kind, 0), dim + 1)
+        self._attr_ids: dict[tuple[str, int, int], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._id_to_token)
@@ -150,23 +176,30 @@ class Vocabulary:
         return self._token_to_id[EDGE_BWD]
 
     def digit_value(self, token_id: int) -> str:
-        token = self.token(token_id)
-        for ch, tok in _DIGIT_FOR_CHAR.items():
-            if tok == token:
-                return ch
-        raise ValueError(f"not a digit token: {token!r}")
-
-    def semantic_ids(self) -> list[int]:
-        return [i for i, c in enumerate(self._id_to_class) if c == CLASS_SEMANTIC]
+        try:
+            return self.digit_chars[token_id]
+        except KeyError:
+            raise ValueError(f"not a digit token: {self.token(token_id)!r}") from None
 
     def attr_width(self, kind: str) -> int:
         """1 + highest attribute dimension mentioned by semantic tokens."""
-        width = 0
-        for i in self.semantic_ids():
-            _, k, dim, _ = parse_semantic(self.token(i))
-            if k == kind:
-                width = max(width, dim + 1)
-        return width
+        return self._attr_width.get(kind, 0)
+
+    def attr_ids(self, kind: str, dim: int, value: int) -> tuple[int, ...]:
+        """Ids spelling ``value`` at dimension ``dim`` in ``kind``'s style:
+        one inline token, or a marker and the value's digits. Each triple
+        is spelled once and memoised; a spelling the vocabulary lacks
+        raises and is not stored."""
+        key = (kind, dim, value)
+        ids = self._attr_ids.get(key)
+        if ids is None:
+            style = self.node_attr_style if kind == "node" else self.edge_attr_style
+            if style == "inline":
+                ids = (self.id(semantic_token(self.dataset_tag, kind, dim, value)),)
+            else:
+                ids = (self.id(marker_token(self.dataset_tag, kind, dim)), *map(self.id, digits(value)))
+            self._attr_ids[key] = ids
+        return ids
 
     def _lines(self) -> list[str]:
         header = "\t".join([VOCAB_HEADER] + [f"{key}={getattr(self, key)}" for key in _HEADER_KEYS])

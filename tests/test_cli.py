@@ -322,6 +322,25 @@ def test_bad_record_fails_with_its_line(tmp_path, jsonl_inputs, capsys, command,
         assert not out.exists()
 
 
+def test_detokenize_names_the_line_of_a_repeated_dimension(tmp_path, corpus, capsys):
+    vocab = _vocab(tmp_path, corpus)
+    grids = tmp_path / "grids.jsonl"
+    assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab),
+                 "--layout", "prolonged", "--output", str(grids)]) == 0
+    ids = Vocabulary.load(vocab).id
+    marker = ids("t#node#0#1")
+    repeated = {"layout": "prolonged", "m": 1, "l": 1,
+                "tokens": [[ids("0")], [marker], [ids("<5>")], [marker], [ids("<9>")], [ids("1")]],
+                "roles": [["node"]] + [["node-attr"]] * 4 + [["node"]]}
+    first = grids.read_text().splitlines()[0]
+    grids.write_text(first + "\n" + json.dumps(repeated) + "\n")
+    assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab),
+                 "--output", str(tmp_path / "back.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["line"] == 2
+    assert err["message"] == "line 2: malformed attribute run: dimension 0 repeated in node block"
+
+
 def test_taskfmt_names_the_missing_identity_flag(tmp_path, capsys):
     parent = tmp_path / "parent.jsonl"
     n = 24

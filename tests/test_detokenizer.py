@@ -148,6 +148,33 @@ def test_marker_without_digits_rejected():
         detokenize(grid, vocab)
 
 
+def _node_block_grid(vocab, block):
+    """Prolonged grid 0, block, 1 with ``block`` the first node's attribute run."""
+    tokens = [vocab.id("0"), *map(vocab.id, block), vocab.id("1")]
+    roles = ["node"] + ["node-attr"] * len(block) + ["node"]
+    return TokenGrid(layout="prolonged", m=1, l=1, tokens=zip(tokens), roles=zip(roles))
+
+
+def test_repeated_dimension_in_a_block_is_rejected():
+    vocab, g = _tiny_vocab()
+    grid = _node_block_grid(vocab, ["test#node#0#1", "<5>", "test#node#0#1", "<9>"])
+    with pytest.raises(ValueError, match="dimension 0 repeated in node block"):
+        detokenize(grid, vocab)
+    g = AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[5], [7]])
+    vocab = vocab_for(g, node_attr_style="inline")
+    grid = _node_block_grid(vocab, ["test#node#0#5", "test#node#0#7"])
+    with pytest.raises(ValueError, match="dimension 0 repeated in node block"):
+        detokenize(grid, vocab)
+
+
+def test_leading_digit_in_prolonged_tokens_names_the_missing_marker():
+    vocab, g = _tiny_vocab()
+    with pytest.raises(ValueError, match="digit token '<5>' before any attribute marker"):
+        grid_from_prolonged_tokens(["<5>", "0", "test#node#0#1", "<3>", "1"], vocab)
+    grid = grid_from_prolonged_tokens(["0", "test#node#0#1", "<3>", "1"], vocab)
+    assert detokenize(grid, vocab).graph.node_attrs == ((3,), (0,))
+
+
 def test_special_token_in_node_cell_rejected():
     vocab, g = _tiny_vocab()
     grid = TokenGrid(
@@ -190,6 +217,8 @@ _MISFIT_CELLS = {  # case -> (role of the cell, its new role, its new token, err
     "node-as-pad": ("node", "pad", None, "in a pad cell"),
     "edge-type-as-pad": ("edge-type", "pad", None, "in a pad cell"),
     "index-in-edge-type": ("edge-type", None, "0", "in an edge-type cell"),
+    # [p] has the first id past the structural ones.
+    "pad-in-node": ("node", None, "[p]", r"token '\[p\]' in a node cell"),
     "unknown-role": ("node", "vertex", None, "unknown cell role"),
 }
 

@@ -14,7 +14,12 @@ from graphseq import (
     pack,
     serialize_graph,
 )
-from graphseq.pretrain import PretrainExample, cosine_schedule, linear_schedule
+from graphseq.pretrain import (
+    PretrainExample,
+    cosine_schedule,
+    distinct_node_tokens,
+    linear_schedule,
+)
 from graphseq.tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
 
 from conftest import random_connected_graph, vocab_for
@@ -122,6 +127,24 @@ def test_smtp_partial_mask_has_no_leaks():
         masked_nodes = {tok for pos, tok in ex.targets if flat_roles[pos] == ROLE_NODE}
         flat_in = [t for row in ex.inputs.tokens for t in row]
         assert not masked_nodes & set(flat_in), "masked node token survived"
+
+
+def test_distinct_node_tokens_keep_first_appearance_order():
+    grid = TokenGrid(
+        layout="short",
+        m=4,
+        l=2,
+        tokens=((5, 1), (2, 1), (5, 1), (0, 1), (2, 1)),
+        roles=(("node", "pad"), ("node", "pad"), ("node", "pad"), ("node", "pad"), ("pad", "node")),
+    )
+    assert distinct_node_tokens(grid) == [5, 2, 0, 1]
+    rng = random.Random(4)
+    for layout in ("short", "long", "prolonged"):
+        g = random_connected_graph(rng, n_min=8, n_max=12)
+        grid = serialize_graph(g, vocab_for(g), layout, ReindexConfig(), 3)
+        visits = [t for row, roles in zip(grid.tokens, grid.roles)
+                  for t, r in zip(row, roles) if r == ROLE_NODE]
+        assert distinct_node_tokens(grid) == sorted(set(visits), key=visits.index)
 
 
 def test_smtp_r_near_zero_masks_exactly_one_node():

@@ -125,6 +125,12 @@ def test_parse_semantic_roundtrip():
     assert parse_semantic(token) == ("a#b", "node", 3, 17)
 
 
+@pytest.mark.parametrize("token", ["foo", "t#node#x#1", "t#node#0#1.5"])
+def test_semantic_token_that_does_not_parse_is_rejected(token):
+    with pytest.raises(ValueError, match="is not TAG#KIND#DIM#VALUE"):
+        Vocabulary(num_indices=4, semantic_tokens=[token])
+
+
 def _mixed_vocab(tmp_path):
     g = AttributedGraph(
         num_nodes=3, edges=((0, 1), (1, 2)), node_attrs=[[4], [1], [9]], edge_attrs=[[2], [7]]
