@@ -297,10 +297,6 @@ _DEFAULTS = {
     "edge_attr_style": "digits",
     "layout": "prolonged",
     "format": "json",
-    "node_scale": 1.0,
-    "node_offset": 0,
-    "edge_scale": 1.0,
-    "edge_offset": 0,
     "depth": 1,
     "neighbors": 1,
     "count": 1,
@@ -342,10 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = _command(sub, "ingest", cmd_ingest, "normalize a graph file to graph JSON")
     p.add_argument("--input", required=True)
     p.add_argument("--format", choices=("json", "edge-tsv"))
-    p.add_argument("--node-scale", type=float, help="quantization scale for node attrs")
-    p.add_argument("--node-offset", type=int)
-    p.add_argument("--edge-scale", type=float, help="quantization scale for edge attrs")
-    p.add_argument("--edge-offset", type=int)
+    p.add_argument("--node-scale", type=float,
+                   help="quantize node attrs: round(v * scale) + offset (scale default 1)")
+    p.add_argument("--node-offset", type=int, help="offset for node attr quantization (default 0)")
+    p.add_argument("--edge-scale", type=float,
+                   help="quantize edge attrs: round(v * scale) + offset (scale default 1)")
+    p.add_argument("--edge-offset", type=int, help="offset for edge attr quantization (default 0)")
     p.add_argument("--output", required=True)
 
     p = _command(sub, "vocab", cmd_vocab, "build a vocabulary over a graph corpus", "--dataset-tag")

@@ -15,11 +15,19 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
-from .graph import Adjacency, AttributedGraph, bfs_tree, connected_components, undirected_adjacency
+from .graph import (
+    Adjacency,
+    AttributedGraph,
+    adjacency,
+    bfs_tree,
+    connected_components,
+    undirected_adjacency,
+)
 
 # Odd-node counts up to this bound get the exact pairing. The subset DP
 # takes about 0.2 ms per graph at 12 odd nodes, 0.6 ms at 14, 1.7 ms at 16
@@ -31,6 +39,17 @@ EXACT_ODD_LIMIT = 12
 
 
 @dataclass(frozen=True)
+class Derived:
+    """Structure of a multigraph that follows from its fields: the simple
+    adjacency (per node, sorted (neighbor, edge id) pairs ignoring
+    multiplicity), whether it is connected, and its odd-degree nodes."""
+
+    adjacency: Adjacency
+    connected: bool
+    odd_nodes: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class EulerizedMultigraph:
     """Base graph plus jump edges and duplicated edge copies.
 
@@ -38,12 +57,28 @@ class EulerizedMultigraph:
     jump edges follow at ``num_base_edges + j``. ``duplications`` is a
     multiset of edge ids; shortest repair paths may run over jump edges,
     so duplications are not restricted to base edges.
+
+    ``derived`` carries what the building function already knows:
+    ``add_jump_edges`` extends the base graph's adjacency it searched, and
+    ``eulerize`` keeps its input's adjacency and connectivity, which
+    duplicated copies do not change. It is not an init field, so a
+    multigraph a caller builds, or gets from ``dataclasses.replace``,
+    leaves it None and computes the structure from its fields on first
+    use. It takes no part in equality or repr.
     """
 
     base: AttributedGraph
     jump_edges: tuple[tuple[int, int], ...] = ()
     duplications: tuple[int, ...] = ()
     minimality_guaranteed: bool = True
+    derived: Derived | None = field(default=None, init=False, compare=False, repr=False)
+
+    @classmethod
+    def _built(cls, derived: Derived, **fields) -> "EulerizedMultigraph":
+        """A multigraph whose builder already knows its structure."""
+        mg = cls(**fields)
+        object.__setattr__(mg, "derived", derived)
+        return mg
 
     @property
     def num_base_edges(self) -> int:
@@ -56,20 +91,18 @@ class EulerizedMultigraph:
     def is_jump(self, edge_id: int) -> bool:
         return edge_id >= self.num_base_edges
 
-    def endpoints(self, edge_id: int) -> tuple[int, int]:
-        if edge_id < self.num_base_edges:
-            return self.base.edges[edge_id]
-        return self.jump_edges[edge_id - self.num_base_edges]
-
-    # Degrees, odd nodes and adjacency are derived once per instance; the
-    # fields are frozen, so the cached values never go stale.
+    # The fields are frozen, so values cached per instance never go stale.
     @cached_property
-    def _dup_counts(self) -> Counter:
-        return Counter(self.duplications)
+    def _endpoints(self) -> tuple[tuple[int, int], ...]:
+        """Endpoints per edge id: the base edges, then the jump edges."""
+        return self.base.edges + self.jump_edges
+
+    def endpoints(self, edge_id: int) -> tuple[int, int]:
+        return self._endpoints[edge_id]
 
     def edge_instances(self) -> tuple[tuple[int, int], ...]:
         """All (edge id, instance ordinal) pairs, in canonical order."""
-        dups = self._dup_counts
+        dups = Counter(self.duplications)
         out = []
         for eid in range(self.num_edges):
             for ordinal in range(1 + dups.get(eid, 0)):
@@ -78,32 +111,33 @@ class EulerizedMultigraph:
 
     def degrees(self) -> list[int]:
         deg = [0] * self.base.num_nodes
-        dups = self._dup_counts
-        for eid in range(self.num_edges):
-            u, v = self.endpoints(eid)
-            mult = 1 + dups.get(eid, 0)
-            deg[u] += mult
-            deg[v] += mult
+        ends = self._endpoints
+        for u, v in chain(ends, map(ends.__getitem__, self.duplications)):
+            deg[u] += 1
+            deg[v] += 1
         return deg
 
     @cached_property
-    def _odd_nodes(self) -> tuple[int, ...]:
-        return tuple(v for v, d in enumerate(self.degrees()) if d % 2 == 1)
+    def _derived(self) -> Derived:
+        if self.derived is not None:
+            return self.derived
+        n = self.base.num_nodes
+        adj = undirected_adjacency(n, self._endpoints)
+        return Derived(
+            adjacency=adj,
+            connected=n <= 1 or len(bfs_tree(adj, 0)) == n,
+            odd_nodes=tuple(v for v, d in enumerate(self.degrees()) if d % 2 == 1),
+        )
 
     def odd_nodes(self) -> tuple[int, ...]:
-        return self._odd_nodes
+        return self._derived.odd_nodes
 
     def simple_adjacency(self) -> Adjacency:
         """Per node, sorted (neighbor, edge id) pairs ignoring multiplicity."""
-        return self._simple_adjacency
-
-    @cached_property
-    def _simple_adjacency(self) -> Adjacency:
-        return undirected_adjacency(self.base.num_nodes, self.base.edges + self.jump_edges)
+        return self._derived.adjacency
 
     def is_connected(self) -> bool:
-        n = self.base.num_nodes
-        return n <= 1 or len(bfs_tree(self.simple_adjacency(), 0)) == n
+        return self._derived.connected
 
 
 @dataclass(frozen=True)
@@ -126,14 +160,25 @@ def add_jump_edges(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     linked consecutively (first to second, second to third, ...), with the
     endpoint inside each component drawn uniformly from that component.
     """
-    comps = connected_components(g)
+    adj = adjacency(g)
+    comps = connected_components(g, adj)
     rng = random.Random(seed)
     jumps = []
     for a, b in zip(comps, comps[1:]):
         u = rng.choice(sorted(a))
         v = rng.choice(sorted(b))
         jumps.append((u, v))
-    return EulerizedMultigraph(base=g, jump_edges=tuple(jumps))
+    if jumps:
+        lists = list(adj)
+        for eid, (u, v) in enumerate(jumps, start=g.num_edges):
+            lists[u] = tuple(sorted(lists[u] + ((v, eid),)))
+            lists[v] = tuple(sorted(lists[v] + ((u, eid),)))
+        adj = tuple(lists)
+    # Without duplications every edge appears once in each endpoint's list.
+    odd = tuple(v for v, lst in enumerate(adj) if len(lst) % 2 == 1)
+    return EulerizedMultigraph._built(
+        Derived(adj, connected=True, odd_nodes=odd), base=g, jump_edges=tuple(jumps)
+    )
 
 
 def classify(mg: EulerizedMultigraph) -> tuple[str, tuple[int, ...]]:
@@ -324,15 +369,20 @@ def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
             continue
         # Duplicating twice cancels parity-wise, so repair paths combine mod 2.
         duplicated ^= set(_bfs_path_edges(adj, odd[i], odd[j]))
-    result = EulerizedMultigraph(
+    # Each duplicated copy flips the degree parity of both its endpoints.
+    still_odd = set(odd)
+    ends = mg._endpoints
+    for eid in duplicated:
+        still_odd.symmetric_difference_update(ends[eid])
+    if len(still_odd) > 2:
+        raise RuntimeError("parity repair failed")  # pragma: no cover
+    return EulerizedMultigraph._built(
+        Derived(adj, connected=True, odd_nodes=tuple(sorted(still_odd))),
         base=mg.base,
         jump_edges=mg.jump_edges,
         duplications=tuple(sorted(duplicated)),
         minimality_guaranteed=exact and mg.minimality_guaranteed,
     )
-    if len(result.odd_nodes()) > 2:
-        raise RuntimeError("parity repair failed")  # pragma: no cover
-    return result
 
 
 def build_multigraph(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
@@ -361,9 +411,10 @@ def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
     start = rng.choice(list(odd)) if odd else rng.randrange(n)
 
     instances = mg.edge_instances()
+    ends = mg._endpoints
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for idx, (eid, _) in enumerate(instances):
-        u, v = mg.endpoints(eid)
+        u, v = ends[eid]
         adj[u].append((idx, v))
         adj[v].append((idx, u))
     for lst in adj:

@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import json
+import operator
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -50,8 +52,68 @@ def write_jsonl(path: str | Path, docs: Iterable[dict]) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
-def _as_attr_rows(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in row) for row in rows)
+def _int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
+    """``row`` as ints, converted one by one: ints and integer types with
+    ``__index__`` (numpy integers, say) pass. The first float, string or
+    boolean raises, named after ``what``."""
+    out = []
+    for value in row:
+        try:
+            if type(value) is bool:  # an int subclass, but true/false is no integer
+                raise TypeError
+            out.append(operator.index(value))
+        except TypeError:
+            raise GraphFormatError(f"{what} {value!r} is not an integer{hint}") from None
+    return tuple(out)
+
+
+def check_edges(num_nodes: int, edges: tuple[tuple[int, int], ...], directed: bool) -> None:
+    """Raise ``GraphFormatError`` naming the first edge that is out of
+    range, a self-loop or a duplicate (on undirected graphs, (v, u) after
+    (u, v) is one).
+
+    The checks run in bulk: min and max of the endpoints, one pairwise
+    comparison, the size of the edge set and, undirected, its overlap
+    with the swapped pairs. Only when one fails does the per-edge loop
+    run, to find the first bad edge.
+    """
+    if not edges:
+        return
+    srcs, dsts = zip(*edges)
+    pairs = set(edges)
+    if (
+        min(srcs) >= 0
+        and min(dsts) >= 0
+        and max(srcs) < num_nodes
+        and max(dsts) < num_nodes
+        and not any(map(operator.eq, srcs, dsts))
+        and len(pairs) == len(edges)
+        and (directed or pairs.isdisjoint(zip(dsts, srcs)))
+    ):
+        return
+    seen = set()
+    for src, dst in edges:
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            raise GraphFormatError(f"node id out of range in edge ({src}, {dst})")
+        if src == dst:
+            raise GraphFormatError(f"self-loop at node {src}")
+        key = (src, dst) if directed else (min(src, dst), max(src, dst))
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge ({src}, {dst})")
+        seen.add(key)
+
+
+def _check_rows(rows: tuple[tuple[int, ...], ...], expected: int, what: str) -> None:
+    """One attribute row per node or edge, all of the same width."""
+    if len(rows) != expected:
+        raise GraphFormatError(f"expected {expected} {what} attribute rows, got {len(rows)}")
+    width = len(rows[0])
+    if {*map(len, rows)} != {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise GraphFormatError(f"inconsistent {what} attribute width at {what} {i}")
+
+
+_QUANTIZE_HINT = "; quantize continuous attributes with `graphseq ingest --{0}-scale/--{0}-offset`"
 
 
 @dataclass(frozen=True)
@@ -60,8 +122,9 @@ class AttributedGraph:
 
     Node ids are 0..num_nodes-1. Undirected graphs store each edge once;
     directed graphs may contain both (u, v) and (v, u). Self loops and
-    duplicate edges are rejected. ``node_defaults`` / ``edge_defaults``
-    give, per dimension, the value that serialization omits.
+    duplicate edges are rejected, and so is any value that is not an
+    integer. ``node_defaults`` / ``edge_defaults`` give, per dimension,
+    the value that serialization omits.
     """
 
     num_nodes: int
@@ -73,15 +136,47 @@ class AttributedGraph:
     edge_defaults: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(s), int(d)) for s, d in self.edges))
-        object.__setattr__(self, "node_attrs", _as_attr_rows(self.node_attrs))
-        object.__setattr__(self, "edge_attrs", _as_attr_rows(self.edge_attrs))
-        object.__setattr__(self, "node_defaults", tuple(int(v) for v in self.node_defaults))
-        object.__setattr__(self, "edge_defaults", tuple(int(v) for v in self.edge_defaults))
-        if not self.node_defaults and self.node_attr_width:
-            object.__setattr__(self, "node_defaults", (0,) * self.node_attr_width)
-        if not self.edge_defaults and self.edge_attr_width:
-            object.__setattr__(self, "edge_defaults", (0,) * self.edge_attr_width)
+        # Rows become tuples at C speed. One scan of the value types then
+        # confirms that every value is already an int, as from JSON or
+        # from this package; only when one is not do values get converted
+        # one by one, which names the first that is not an integer.
+        edges = tuple([(s, d) for s, d in self.edges])
+        node_attrs = tuple(map(tuple, self.node_attrs))
+        edge_attrs = tuple(map(tuple, self.edge_attrs))
+        node_defaults = tuple(self.node_defaults)
+        edge_defaults = tuple(self.edge_defaults)
+        types = {
+            type(self.num_nodes),
+            *map(type, chain.from_iterable(edges)),
+            *map(type, chain.from_iterable(node_attrs)),
+            *map(type, chain.from_iterable(edge_attrs)),
+            *map(type, node_defaults),
+            *map(type, edge_defaults),
+        }
+        if types != {int}:
+            object.__setattr__(self, "num_nodes", _int_row((self.num_nodes,), "num_nodes")[0])
+            edges = tuple(_int_row(e, f"edge {i}: node id") for i, e in enumerate(edges))
+            node_attrs = tuple(
+                _int_row(row, f"node {i}: attribute", _QUANTIZE_HINT.format("node"))
+                for i, row in enumerate(node_attrs)
+            )
+            edge_attrs = tuple(
+                _int_row(row, f"edge {i}: attribute", _QUANTIZE_HINT.format("edge"))
+                for i, row in enumerate(edge_attrs)
+            )
+            node_defaults = _int_row(node_defaults, "node attr_defaults: value")
+            edge_defaults = _int_row(edge_defaults, "edge attr_defaults: value")
+        if type(self.directed) is not bool:
+            raise GraphFormatError(f"directed must be true or false, got {self.directed!r}")
+        if not node_defaults and node_attrs:
+            node_defaults = (0,) * len(node_attrs[0])
+        if not edge_defaults and edge_attrs:
+            edge_defaults = (0,) * len(edge_attrs[0])
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "node_attrs", node_attrs)
+        object.__setattr__(self, "edge_attrs", edge_attrs)
+        object.__setattr__(self, "node_defaults", node_defaults)
+        object.__setattr__(self, "edge_defaults", edge_defaults)
         self._validate()
 
     @property
@@ -99,34 +194,11 @@ class AttributedGraph:
     def _validate(self):
         if self.num_nodes < 0:
             raise GraphFormatError("num_nodes must be non-negative")
-        seen = set()
-        for src, dst in self.edges:
-            if not (0 <= src < self.num_nodes and 0 <= dst < self.num_nodes):
-                raise GraphFormatError(f"node id out of range in edge ({src}, {dst})")
-            if src == dst:
-                raise GraphFormatError(f"self-loop at node {src}")
-            key = (src, dst) if self.directed else (min(src, dst), max(src, dst))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({src}, {dst})")
-            seen.add(key)
+        check_edges(self.num_nodes, self.edges, self.directed)
         if self.node_attrs:
-            if len(self.node_attrs) != self.num_nodes:
-                raise GraphFormatError(
-                    f"expected {self.num_nodes} node attribute rows, got {len(self.node_attrs)}"
-                )
-            width = len(self.node_attrs[0])
-            for i, row in enumerate(self.node_attrs):
-                if len(row) != width:
-                    raise GraphFormatError(f"inconsistent node attribute width at node {i}")
+            _check_rows(self.node_attrs, self.num_nodes, "node")
         if self.edge_attrs:
-            if len(self.edge_attrs) != len(self.edges):
-                raise GraphFormatError(
-                    f"expected {len(self.edges)} edge attribute rows, got {len(self.edge_attrs)}"
-                )
-            width = len(self.edge_attrs[0])
-            for i, row in enumerate(self.edge_attrs):
-                if len(row) != width:
-                    raise GraphFormatError(f"inconsistent edge attribute width at edge {i}")
+            _check_rows(self.edge_attrs, len(self.edges), "edge")
         if len(self.node_defaults) != self.node_attr_width:
             raise GraphFormatError("node attr_defaults width mismatch")
         if len(self.edge_defaults) != self.edge_attr_width:
@@ -149,12 +221,15 @@ class AttributedGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AttributedGraph":
+        """The graph of a JSON document. Every value must be a JSON integer
+        and ``directed`` a JSON boolean; anything else is an error, never
+        truncated or coerced."""
         defaults = doc.get("attr_defaults") or {}
         try:
             return cls(
-                num_nodes=int(doc["num_nodes"]),
-                edges=tuple((int(s), int(d)) for s, d in doc.get("edges", ())),
-                directed=bool(doc.get("directed", False)),
+                num_nodes=doc["num_nodes"],
+                edges=doc.get("edges", ()),
+                directed=doc.get("directed", False),
                 node_attrs=doc.get("node_attrs") or (),
                 edge_attrs=doc.get("edge_attrs") or (),
                 node_defaults=defaults.get("node") or (),
@@ -240,12 +315,14 @@ def bfs_tree(adj: Adjacency, start: int, goal: int | None = None) -> dict[int, t
     return parent
 
 
-def connected_components(g: AttributedGraph) -> list[set[int]]:
+def connected_components(g: AttributedGraph, adj: Adjacency | None = None) -> list[set[int]]:
     """Partition nodes into maximal connected sets, ignoring edge direction.
 
-    Components are ordered by their smallest node id.
+    Components are ordered by their smallest node id. Pass ``adjacency(g)``
+    when it is already built.
     """
-    adj = adjacency(g)
+    if adj is None:
+        adj = adjacency(g)
     components: list[set[int]] = []
     seen: set[int] = set()
     for start in range(g.num_nodes):
@@ -270,17 +347,20 @@ def load_graph(
     path: str | Path,
     format: str = "json",
     *,
-    node_scale: float = 1.0,
-    node_offset: int = 0,
-    edge_scale: float = 1.0,
-    edge_offset: int = 0,
+    node_scale: float | None = None,
+    node_offset: int | None = None,
+    edge_scale: float | None = None,
+    edge_offset: int | None = None,
 ) -> AttributedGraph:
     """Load a graph from disk.
 
     ``json`` expects a single object in the documented graph schema;
     ``edge-tsv`` expects one "src<TAB>dst" pair per line and produces an
     attribute-free undirected graph. Scale/offset pairs quantize continuous
-    attribute values at ingest so the in-memory model stays integer-only.
+    attribute values at ingest so the in-memory model stays integer-only:
+    setting either half of a pair quantizes that kind, the other half
+    defaulting to scale 1 or offset 0 (so ``node_scale=1`` rounds). With
+    neither set, the values must already be integers.
     """
     path = Path(path)
     if format == "json":
@@ -288,10 +368,12 @@ def load_graph(
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-        if (node_scale, node_offset) != (1.0, 0) and doc.get("node_attrs"):
-            doc["node_attrs"] = quantize_attrs(doc["node_attrs"], node_scale, node_offset)
-        if (edge_scale, edge_offset) != (1.0, 0) and doc.get("edge_attrs"):
-            doc["edge_attrs"] = quantize_attrs(doc["edge_attrs"], edge_scale, edge_offset)
+        for key, scale, offset in (
+            ("node_attrs", node_scale, node_offset),
+            ("edge_attrs", edge_scale, edge_offset),
+        ):
+            if (scale, offset) != (None, None) and doc.get(key):
+                doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0)
         return AttributedGraph.from_json(doc)
     if format == "edge-tsv":
         edges = []

@@ -214,7 +214,7 @@ def codebook_from_partition(
 
 def load_partition(path: str | Path) -> list[int]:
     """Read a "global_id<TAB>cluster" TSV into a dense node->cluster list."""
-    rows: dict[int, int] = {}
+    rows: dict[int, tuple[int, int]] = {}  # node -> (cluster, file line)
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -222,10 +222,15 @@ def load_partition(path: str | Path) -> list[int]:
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
             raise ValueError(f"partition line {lineno}: expected 'global_id<TAB>cluster'")
-        rows[int(parts[0])] = int(parts[1])
+        node = int(parts[0])
+        if node in rows:
+            raise ValueError(
+                f"partition line {lineno}: node {node} is already assigned on line {rows[node][1]}"
+            )
+        rows[node] = (int(parts[1]), lineno)
     if sorted(rows) != list(range(len(rows))):
         raise ValueError("partition file must cover node ids 0..n-1 exactly once")
-    return [rows[v] for v in range(len(rows))]
+    return [rows[v][0] for v in range(len(rows))]
 
 
 def with_identity_attrs(sample: SubgraphSample, cb: NodeIdentityCodebook) -> SubgraphSample:

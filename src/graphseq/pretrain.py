@@ -43,17 +43,17 @@ class PretrainExample:
     mask_rate_drawn: float | None = None
 
     def to_json(self) -> dict:
-        doc = {
+        """The example as a JSON document of shared tuples; copy before editing."""
+        return {
             "task": self.task,
-            "inputs": [list(r) for r in self.inputs.tokens],
-            "targets": [list(t) for t in self.targets],
+            "inputs": self.inputs.tokens,
+            "targets": self.targets,
             "r": self.mask_rate_drawn,
             "layout": self.inputs.layout,
             "m": self.inputs.m,
             "l": self.inputs.l,
-            "roles": [list(r) for r in self.inputs.roles],
+            "roles": self.inputs.roles,
         }
-        return doc
 
 
 def build_ntp(grid: TokenGrid, vocab: Vocabulary) -> PretrainExample:
@@ -142,13 +142,14 @@ class PackedBatch:
     attention_contract: str = ATTENTION_CONTRACT
 
     def to_json(self) -> dict:
+        """The batch as a JSON document of shared tuples; copy before editing."""
         return {
             "layout": self.layout,
             "l": self.l,
-            "tokens": [list(r) for r in self.tokens],
-            "boundaries": [list(b) for b in self.boundaries],
-            "tasks": list(self.tasks),
-            "targets": [[list(t) for t in seq] for seq in self.targets],
+            "tokens": self.tokens,
+            "boundaries": self.boundaries,
+            "tasks": self.tasks,
+            "targets": self.targets,
             "attention_contract": self.attention_contract,
         }
 

@@ -24,9 +24,10 @@ class TaskSequence:
     label: object = None
 
     def to_json(self) -> dict:
+        """The sequence as a JSON document; ``tokens`` is the shared tuple."""
         return {
             "task": self.task,
-            "tokens": list(self.tokens),
+            "tokens": self.tokens,
             "readout": self.readout_position,
             "label": self.label,
         }

@@ -78,12 +78,14 @@ class TokenGrid:
         return [tok for row in self.tokens for tok in row]
 
     def to_json(self) -> dict:
+        """The grid as a JSON document. Its rows are the grid's own tuples,
+        which ``json.dumps`` writes as arrays: copy before editing."""
         return {
             "layout": self.layout,
             "m": self.m,
             "l": self.l,
-            "tokens": [list(r) for r in self.tokens],
-            "roles": [list(r) for r in self.roles],
+            "tokens": self.tokens,
+            "roles": self.roles,
         }
 
     @classmethod

@@ -54,6 +54,51 @@ def test_ingest_quantizes_edge_attrs(tmp_path):
     assert json.loads(out.read_text())["edge_attrs"] == [[164]]
 
 
+def test_ingest_of_float_attributes_points_to_the_scale_flags(tmp_path, capsys):
+    raw = tmp_path / "g.json"
+    raw.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]], "edge_attrs": [[0.165]]}))
+    out = tmp_path / "q.jsonl"
+    assert main(["ingest", "--input", str(raw), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GraphFormatError"
+    assert err["message"].startswith("edge 0: attribute 0.165 is not an integer")
+    assert "--edge-scale/--edge-offset" in err["message"]
+    assert not out.exists()
+    # Either flag alone quantizes, the other taking scale 1 or offset 0.
+    assert main(["ingest", "--input", str(raw), "--edge-scale", "1", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["edge_attrs"] == [[0]]
+    assert main(["ingest", "--input", str(raw), "--edge-offset", "2", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["edge_attrs"] == [[2]]
+
+
+def test_non_integer_graph_fails_with_its_line(tmp_path, corpus, capsys):
+    # Before, this record was truncated into a directed graph with edge
+    # (0, 1) and node attribute 1, and tokenize exited 0.
+    vocab = _vocab(tmp_path, corpus)
+    graphs = tmp_path / "floats.jsonl"
+    graphs.write_text(corpus.read_text() + json.dumps({
+        "num_nodes": 3, "edges": [[0, 1.7], [1, 2]], "node_attrs": [[1.9], [2], [3]],
+        "directed": "false",
+    }) + "\n")
+    assert main(["tokenize", "--graphs", str(graphs), "--vocab", str(vocab),
+                 "--output", str(tmp_path / "grids.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["line"] == 4
+    assert err["message"] == "line 4: edge 0: node id 1.7 is not an integer"
+
+
+def test_repeated_partition_node_fails_naming_both_lines(tmp_path, capsys):
+    # Before, the last line won and node 0 silently moved to cluster 2.
+    parent = tmp_path / "parent.jsonl"
+    parent.write_text(json.dumps({"num_nodes": 3, "edges": [[0, 1], [1, 2]]}) + "\n")
+    part = tmp_path / "part.tsv"
+    part.write_text("0\t1\n1\t1\n0\t2\n2\t2\n")
+    assert main(["sample", "--graph", str(parent), "--mode", "node-ego", "--identity-k", "2",
+                 "--partition-file", str(part), "--output", str(tmp_path / "s.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == "partition line 3: node 0 is already assigned on line 1"
+
+
 def test_tokenize_detokenize_roundtrip(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     grids = tmp_path / "grids.jsonl"

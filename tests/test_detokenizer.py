@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -203,7 +204,7 @@ def test_trailing_edge_tokens_rejected():
 
 def _relabel(grid: TokenGrid, role: str, new_role, new_token) -> TokenGrid:
     """The grid with the second cell claiming ``role`` given a new role or token."""
-    doc = grid.to_json()
+    doc = json.loads(json.dumps(grid.to_json()))  # to_json shares the grid's tuples
     cells = [(r, c) for r, row in enumerate(doc["roles"]) for c, x in enumerate(row) if x == role]
     r, c = cells[1]
     if new_role is not None:
@@ -247,7 +248,7 @@ def test_token_id_outside_the_vocabulary_is_rejected(bad_id):
     vocab = vocab_for(g)
     grid = serialize_graph(g, vocab, "prolonged", ReindexConfig(), 0)
     digit = next(r for r, (role,) in enumerate(grid.roles) if role == "edge-attr") + 1
-    doc = grid.to_json()
+    doc = json.loads(json.dumps(grid.to_json()))  # to_json shares the grid's tuples
     doc["tokens"][digit] = [bad_id]
     with pytest.raises(ValueError, match="outside the vocabulary"):
         detokenize(TokenGrid.from_json(doc), vocab)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -415,3 +416,44 @@ def test_traversal_agrees_with_scipy(seed):
                     assert node in (u, v)
                     node = v if node == u else u
                 assert node == b
+
+
+# --- structure carried from the building function --------------------------
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_carried_structure_equals_a_fresh_build(seed):
+    # add_jump_edges and eulerize hand their results the adjacency,
+    # connectivity and odd nodes they already know; a multigraph built from
+    # the same fields derives them itself.
+    rng = random.Random(seed)
+    g = _sparse_graph(rng) if rng.random() < 0.5 else random_graph(rng)
+    connected = add_jump_edges(g, seed)
+    for mg in (connected, eulerize(connected)):
+        fresh = EulerizedMultigraph(
+            base=mg.base,
+            jump_edges=mg.jump_edges,
+            duplications=mg.duplications,
+            minimality_guaranteed=mg.minimality_guaranteed,
+        )
+        assert mg.derived is not None and fresh.derived is None
+        assert replace(mg, minimality_guaranteed=True).derived is None
+        assert mg == fresh and repr(mg) == repr(fresh)
+        assert mg.odd_nodes() == fresh.odd_nodes()
+        assert mg.degrees() == fresh.degrees()
+        assert mg.simple_adjacency() == fresh.simple_adjacency()
+        assert mg.is_connected() == fresh.is_connected()
+
+
+def test_carried_structure_covers_jumps_and_duplications():
+    # Two three-leaf stars: a jump edge joins them and parity repair
+    # duplicates edges, so both carrying paths are taken.
+    g = AttributedGraph(num_nodes=8, edges=((0, 1), (1, 2), (1, 3), (4, 5), (5, 6), (5, 7)))
+    connected = add_jump_edges(g, 0)
+    mg = eulerize(connected)
+    assert connected.jump_edges and mg.duplications
+    fresh = EulerizedMultigraph(base=g, jump_edges=mg.jump_edges, duplications=mg.duplications)
+    assert mg.odd_nodes() == fresh.odd_nodes() and len(mg.odd_nodes()) == 2
+    assert mg.simple_adjacency() == fresh.simple_adjacency()
+    assert mg.is_connected() and fresh.is_connected()

@@ -1,12 +1,21 @@
 import json
 import random
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphseq import AttributedGraph, GraphFormatError, connected_components, load_graph
-from graphseq.graph import iter_graphs_jsonl, quantize_attrs, read_jsonl, write_jsonl
+from graphseq.graph import (
+    check_edges,
+    graph_record,
+    iter_graphs_jsonl,
+    quantize_attrs,
+    read_jsonl,
+    write_jsonl,
+)
 
 from conftest import random_graph
 
@@ -160,3 +169,117 @@ def test_component_count_matches_edgeless_nodes(n, data):
     # a graph with no edges has exactly n components
     if not pairs:
         assert len(comps) == n
+
+
+# --- bulk edge check against the per-edge loop ---------------------------
+
+
+def _per_edge_check(num_nodes, edges, directed):
+    """The per-edge loop that validated every edge before the bulk check;
+    kept as the reference for its verdicts and messages."""
+    seen = set()
+    for src, dst in edges:
+        if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
+            raise GraphFormatError(f"node id out of range in edge ({src}, {dst})")
+        if src == dst:
+            raise GraphFormatError(f"self-loop at node {src}")
+        key = (src, dst) if directed else (min(src, dst), max(src, dst))
+        if key in seen:
+            raise GraphFormatError(f"duplicate edge ({src}, {dst})")
+        seen.add(key)
+
+
+@st.composite
+def _edge_lists(draw):
+    """A node count, a direction flag and an edge list: either any pairs
+    over ids from -2 to n+1, or distinct valid pairs with at most one
+    fault (an out-of-range or negative id, a self-loop, a duplicate or a
+    reversed duplicate) put in at a random place."""
+    n = draw(st.integers(0, 8))
+    directed = draw(st.booleans())
+    if draw(st.booleans()):
+        ids = st.integers(-2, n + 1)
+        return n, directed, draw(st.lists(st.tuples(ids, ids), max_size=12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) and not directed else (u, v) for u, v in edges]
+    fault = draw(st.sampled_from(["none", "out-of-range", "negative", "self-loop", "duplicate", "reversed"]))
+    u = draw(st.integers(0, max(n - 1, 0)))
+    bad = {
+        "none": None,
+        "out-of-range": (u, n + draw(st.integers(0, 2))),
+        "negative": (draw(st.integers(-3, -1)), u),
+        "self-loop": (u, u),
+        "duplicate": edges[0] if edges else None,
+        "reversed": edges[0][::-1] if edges else None,
+    }[fault]
+    if bad is not None:
+        if draw(st.booleans()):
+            bad = bad[::-1]
+        edges.insert(draw(st.integers(0, len(edges))), bad)
+    return n, directed, edges
+
+
+def _verdict(check, *args):
+    try:
+        check(*args)
+    except GraphFormatError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edge_lists())
+def test_bulk_edge_check_matches_the_per_edge_loop(case):
+    n, directed, edges = case
+    expected = _verdict(_per_edge_check, n, tuple(edges), directed)
+    assert _verdict(check_edges, n, tuple(edges), directed) == expected
+    assert _verdict(AttributedGraph, n, edges, directed) == expected
+
+
+# --- values must be integers ----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        # Read as a directed graph with edge (0, 1) and attribute 1 before.
+        (
+            {"num_nodes": 3, "edges": [[0, 1.7], [1, 2]], "node_attrs": [[1.9], [2], [3]],
+             "directed": "false"},
+            "edge 0: node id 1.7 is not an integer",
+        ),
+        ({"num_nodes": 2.9, "edges": []}, "num_nodes 2.9 is not an integer"),
+        (
+            {"num_nodes": 3, "edges": [[0, 1], [1, 2]], "node_attrs": [[1], [2.5], [3]]},
+            "node 1: attribute 2.5 is not an integer; quantize continuous attributes with "
+            "`graphseq ingest --node-scale/--node-offset`",
+        ),
+        (
+            {"num_nodes": 2, "edges": [[0, 1]], "edge_attrs": [["4"]]},
+            "edge 0: attribute '4' is not an integer; quantize continuous attributes with "
+            "`graphseq ingest --edge-scale/--edge-offset`",
+        ),
+        ({"num_nodes": 2, "edges": [[0, True]]}, "edge 0: node id True is not an integer"),
+        (
+            {"num_nodes": 2, "edges": [[0, 1]], "edge_attrs": [[1]], "attr_defaults": {"edge": [0.0]}},
+            "edge attr_defaults: value 0.0 is not an integer",
+        ),
+        ({"num_nodes": 3, "edges": [[0, 1]], "directed": "false"}, "directed must be true or false, got 'false'"),
+        ({"num_nodes": 3, "directed": None}, "directed must be true or false, got None"),
+        ({"num_nodes": 3, "directed": 1}, "directed must be true or false, got 1"),
+    ],
+)
+def test_non_integer_graph_json_is_rejected_with_its_line(tmp_path, doc, message):
+    path = tmp_path / "g.jsonl"
+    path.write_text(json.dumps({"num_nodes": 1}) + "\n" + json.dumps(doc) + "\n")
+    with pytest.raises(GraphFormatError, match=re.escape(f"line 2: {message}")):
+        list(read_jsonl(path, graph_record))
+
+
+def test_integer_types_convert_and_floats_fail_from_python():
+    g = AttributedGraph(num_nodes=np.int64(2), edges=[(np.int32(0), 1)], node_attrs=[[np.int64(3)], [4]])
+    assert g == AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=((3,), (4,)))
+    assert {type(v) for v in (g.num_nodes, *g.edges[0], *g.node_attrs[0])} == {int}
+    with pytest.raises(GraphFormatError, match="node 0: attribute 3.0 is not an integer"):
+        AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[3.0], [4]])

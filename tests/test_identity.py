@@ -147,6 +147,14 @@ def test_partition_file_must_be_dense(tmp_path):
         load_partition(path)
 
 
+def test_partition_file_rejects_a_repeated_node(tmp_path):
+    # Keeping the last line would load [2, 1].
+    path = tmp_path / "part.tsv"
+    path.write_text("0\t1\n1\t1\n0\t2\n")
+    with pytest.raises(ValueError, match="partition line 3: node 0 is already assigned on line 1"):
+        load_partition(path)
+
+
 def test_codebook_file_format(tmp_path):
     g = _ring(4)
     cb = build_codebook(g, k=2, strategy="given-labels", labels=[1, 1, 2, 2], dataset_tag="t")

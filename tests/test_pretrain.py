@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -259,3 +260,40 @@ def test_pack_conserves_tokens(lengths, context):
             original[tok] += 1
     assert packed == original
     assert separators == sum(max(0, len(b.boundaries) - 1) for b in batches)
+
+
+def test_to_json_writes_the_bytes_of_list_copies():
+    # Examples and batches hand json.dumps their own tuples; the bytes must
+    # be those of the list copies they once made.
+    rng = random.Random(22)
+    examples = []
+    for i in range(12):
+        g = random_connected_graph(rng, max_edge_width=0)
+        vocab = vocab_for(g)
+        grid = serialize_graph(g, vocab, "prolonged", ReindexConfig(), i)
+        ex = build_smtp(grid, 0.5, i, vocab) if i % 2 else build_ntp(grid, vocab)
+        copied = {
+            "task": ex.task,
+            "inputs": [list(r) for r in ex.inputs.tokens],
+            "targets": [list(t) for t in ex.targets],
+            "r": ex.mask_rate_drawn,
+            "layout": ex.inputs.layout,
+            "m": ex.inputs.m,
+            "l": ex.inputs.l,
+            "roles": [list(r) for r in ex.inputs.roles],
+        }
+        assert json.dumps(ex.to_json()) == json.dumps(copied)
+        examples.append(ex)
+    batches = pack(examples, 256, vocab)
+    assert len(batches) > 1
+    for b in batches:
+        copied = {
+            "layout": b.layout,
+            "l": b.l,
+            "tokens": [list(r) for r in b.tokens],
+            "boundaries": [list(x) for x in b.boundaries],
+            "tasks": list(b.tasks),
+            "targets": [[list(t) for t in seq] for seq in b.targets],
+            "attention_contract": b.attention_contract,
+        }
+        assert json.dumps(b.to_json()) == json.dumps(copied)

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -162,3 +163,19 @@ def test_grid_layout_task_suffix_is_padded_row():
     assert vocab.token(suffix[0]) == GSUM
     assert all(t == vocab.pad_id for t in suffix[1:])
     assert ts.readout_position == len(grid.flat())
+
+
+def test_to_json_writes_the_bytes_of_a_list_copy():
+    # TaskSequence.to_json hands json.dumps its token tuple; the bytes must
+    # be those of the list copy it once made.
+    _, cb, sub, vocab = _identity_setup()
+    grid = _grid(sub.graph, vocab)
+    src, dst = (encode_node(cb, v) for v in sub.origin_ids[:2])
+    for ts in (format_graph_task(grid, vocab, label=3), format_edge_task(grid, vocab, src, dst, label=1)):
+        copied = {
+            "task": ts.task,
+            "tokens": list(ts.tokens),
+            "readout": ts.readout_position,
+            "label": ts.label,
+        }
+        assert json.dumps(ts.to_json()) == json.dumps(copied)

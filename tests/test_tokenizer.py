@@ -1,3 +1,4 @@
+import json
 import random
 from dataclasses import replace
 
@@ -293,3 +294,20 @@ def test_grid_json_roundtrip(c3):
     mg, path = _walk(c3)
     grid = tokenize(path, mg, vocab, "long", ReindexConfig(), 0)
     assert TokenGrid.from_json(grid.to_json()) == grid
+
+
+def test_to_json_writes_the_bytes_of_list_rows():
+    # to_json hands json.dumps the grid's own tuples; the bytes must be
+    # those of the list copies it once made.
+    rng = random.Random(21)
+    for i in range(30):
+        g = random_graph(rng)
+        grid = serialize_graph(g, vocab_for(g), ("prolonged", "short", "long")[i % 3], ReindexConfig(), i)
+        copied = {
+            "layout": grid.layout,
+            "m": grid.m,
+            "l": grid.l,
+            "tokens": [list(r) for r in grid.tokens],
+            "roles": [list(r) for r in grid.roles],
+        }
+        assert json.dumps(grid.to_json()) == json.dumps(copied)
