@@ -21,7 +21,7 @@ from .euler import (
     validate_path,
 )
 from .vocab import Vocabulary, build_vocab, digits
-from .tokenizer import ReindexConfig, TokenGrid, reindex, tokenize
+from .tokenizer import ReindexConfig, TokenGrid, reindex, sequence_length, tokenize
 from .detokenizer import (
     ReconstructionReport,
     detokenize,

@@ -390,6 +390,19 @@ def build_multigraph(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     return eulerize(add_jump_edges(g, seed))
 
 
+def check_walkable(mg: EulerizedMultigraph) -> tuple[int, ...]:
+    """The odd nodes of a multigraph that one walk covers; raises for an
+    empty, unrepaired or disconnected multigraph."""
+    if mg.base.num_nodes == 0:
+        raise ValueError("cannot extract a path from an empty graph")
+    odd = mg.odd_nodes()
+    if len(odd) not in (0, 2):
+        raise ValueError(f"multigraph has {len(odd)} odd-degree nodes; eulerize first")
+    if not mg.is_connected():
+        raise ValueError("multigraph is disconnected; add jump edges first")
+    return odd
+
+
 def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
     """Sample one (semi-)Eulerian walk with Hierholzer's algorithm.
 
@@ -398,15 +411,8 @@ def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
     (Eulerian), so distinct seeds explore distinct walks. Deterministic
     for a fixed (multigraph, seed) pair.
     """
+    odd = check_walkable(mg)
     n = mg.base.num_nodes
-    if n == 0:
-        raise ValueError("cannot extract a path from an empty graph")
-    odd = mg.odd_nodes()
-    if len(odd) not in (0, 2):
-        raise ValueError(f"multigraph has {len(odd)} odd-degree nodes; eulerize first")
-    if not mg.is_connected():
-        raise ValueError("multigraph is disconnected; add jump edges first")
-
     rng = random.Random(seed)
     start = rng.choice(list(odd)) if odd else rng.randrange(n)
 

@@ -4,13 +4,14 @@ verification, per-item seed derivation, and the sequence-budget fit rule.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import replace
 
 from .detokenizer import detokenize, isomorphic
 from .euler import build_multigraph, extract_path
 from .graph import AttributedGraph, SubgraphSample, adjacency
 from .sampler import SamplerConfig, sample
-from .tokenizer import ReindexConfig, TokenGrid, tokenize
+from .tokenizer import ReindexConfig, TokenGrid, sequence_length, tokenize
 from .vocab import Vocabulary, build_vocab
 
 
@@ -79,6 +80,16 @@ def roundtrip_report(
     }
 
 
+def _prolonged_length(g: AttributedGraph, vocab: Vocabulary, cfg: ReindexConfig, seed: int) -> float:
+    """``serialize_graph(g, vocab, "prolonged", cfg, seed).num_rows``,
+    counted from the repaired multigraph without walking or tokenizing.
+    A graph with more nodes than a valid index space holds is infinitely
+    long: an oversized attempt, not an error."""
+    if g.num_nodes > cfg.num_indices and cfg.num_indices <= vocab.num_indices:
+        return math.inf
+    return sequence_length(build_multigraph(g, derive_seed(seed, "jump")), vocab, cfg)
+
+
 def fit_sample(
     g: AttributedGraph,
     roots,
@@ -87,12 +98,16 @@ def fit_sample(
     reindex_cfg: ReindexConfig | None = None,
     seed: int = 0,
     adj=None,
-) -> tuple[SubgraphSample, TokenGrid]:
-    """Sample and serialize within the config's token budget.
+) -> tuple[SubgraphSample, int]:
+    """Sample within the config's token budget; returns the sample and
+    its prolonged length under ``seed``.
 
-    Oversized serializations are rejected and the draw retried with the
-    fanout decremented (never truncated); exhausting fanout 1 is an error.
-    Without ``reindex_cfg`` the vocabulary's index space is used.
+    Each attempt is measured by counting the prolonged tokens of its
+    repaired multigraph, without walking it. An attempt over the budget,
+    or with more nodes than the index space holds, is rejected and the
+    draw retried with the fanout decremented (never truncated);
+    exhausting fanout 1 is an error. Without ``reindex_cfg`` the
+    vocabulary's index space is used.
     """
     reindex_cfg = reindex_cfg or ReindexConfig(num_indices=vocab.num_indices)
     if adj is None:
@@ -100,9 +115,9 @@ def fit_sample(
     for attempt, fanout in enumerate(range(cfg.neighbors, 0, -1)):
         attempt_cfg = replace(cfg, neighbors=fanout, seed=derive_seed(cfg.seed, "retry", attempt))
         sub = sample(g, roots, attempt_cfg, adj=adj)
-        grid = serialize_graph(sub.graph, vocab, "prolonged", reindex_cfg, seed)
-        if grid.num_rows <= cfg.max_seq_len:
-            return sub, grid
+        length = _prolonged_length(sub.graph, vocab, reindex_cfg, seed)
+        if length <= cfg.max_seq_len:
+            return sub, length
     raise ValueError(
         f"sequence exceeds max_seq_len={cfg.max_seq_len} even at fanout 1"
     )
@@ -116,10 +131,12 @@ def calibrate_fanout(
     seed: int = 0,
     adj=None,
 ) -> SamplerConfig:
-    """Largest fanout <= cfg.neighbors whose trial serializations all fit.
+    """Largest fanout <= cfg.neighbors whose trial samples all fit.
 
     Mirrors the preconfiguration step that keeps generated sequences
-    inside the context window. Trials use the vocabulary's index space.
+    inside the context window. Each trial's prolonged length is counted
+    from its repaired multigraph without walking it; a trial with more
+    nodes than the vocabulary's index space does not fit.
     """
     from .sampler import draw_roots
 
@@ -133,8 +150,7 @@ def calibrate_fanout(
         for i, r in enumerate(roots):
             trial_cfg = replace(candidate, seed=derive_seed(seed, "trial", fanout, i))
             sub = sample(g, r, trial_cfg, adj=adj)
-            grid = serialize_graph(sub.graph, vocab, "prolonged", reindex_cfg, derive_seed(seed, i))
-            if grid.num_rows > cfg.max_seq_len:
+            if _prolonged_length(sub.graph, vocab, reindex_cfg, derive_seed(seed, i)) > cfg.max_seq_len:
                 ok = False
                 break
         if ok:

@@ -22,9 +22,10 @@ alongside tokens so grids deserialize without re-deriving structure.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
-from .euler import EulerPath, EulerizedMultigraph
+from .euler import EulerPath, EulerizedMultigraph, check_walkable
 from .vocab import Vocabulary
 
 LAYOUTS = ("short", "long", "prolonged")
@@ -99,6 +100,19 @@ class TokenGrid:
         )
 
 
+def _check_vocab_indices(cfg: ReindexConfig, vocab: Vocabulary) -> None:
+    # A cyclic shift past the vocabulary's indices would fail for some seeds only.
+    if cfg.num_indices > vocab.num_indices:
+        raise ValueError(
+            f"re-indexing over {cfg.num_indices} indices exceeds the vocabulary's {vocab.num_indices}"
+        )
+
+
+def _check_node_count(num_nodes: int, cfg: ReindexConfig) -> None:
+    if num_nodes > cfg.num_indices:
+        raise ValueError(f"{num_nodes} nodes exceed the index space of {cfg.num_indices}")
+
+
 def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:
     """Map node ids to serialization indices.
 
@@ -110,10 +124,7 @@ def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:
     for v in path.nodes:
         if v not in order:
             order[v] = len(order)
-    if len(order) > cfg.num_indices:
-        raise ValueError(
-            f"{len(order)} nodes exceed the index space of {cfg.num_indices}"
-        )
+    _check_node_count(len(order), cfg)
     offset = random.Random(cfg.seed).randrange(cfg.num_indices) if cfg.cyclic else 0
     return {v: (i + offset) % cfg.num_indices for v, i in order.items()}
 
@@ -212,6 +223,42 @@ def _emit_prolonged(steps):
     return list(zip(tokens)), list(zip(roles))
 
 
+def _spelled_cells(vocab, kind, rows, defaults) -> int:
+    """Cells holding every row's attribute block, each distinct row spelled
+    once, in the order ``tokenize`` first spells them."""
+    return sum(
+        count * len(_block_ids(vocab, kind, row, defaults))
+        for row, count in Counter(rows).items()
+    )
+
+
+def sequence_length(mg: EulerizedMultigraph, vocab: Vocabulary, cfg: ReindexConfig) -> int:
+    """Prolonged token count of any walk of a repaired multigraph.
+
+    Every walk gives the same count, so none is taken: one node cell per
+    visit (edge instances + 1), one edge-type cell per typed instance
+    (every instance on a directed graph, jump instances otherwise), and
+    each node's and base edge's attribute block once. Raises what
+    ``extract_path`` and ``tokenize`` raise on the same inputs, with the
+    same messages.
+    """
+    check_walkable(mg)
+    _check_vocab_indices(cfg, vocab)
+    g = mg.base
+    _check_node_count(g.num_nodes, cfg)
+    m = mg.num_edges + len(mg.duplications)
+    if g.directed:
+        typed = m
+    else:
+        num_base = mg.num_base_edges
+        typed = len(mg.jump_edges) + sum(eid >= num_base for eid in mg.duplications)
+    return (
+        m + 1 + typed
+        + _spelled_cells(vocab, "node", g.node_attrs, g.node_defaults)
+        + _spelled_cells(vocab, "edge", g.edge_attrs, g.edge_defaults)
+    )
+
+
 def _fit_width(blocks, configured, what):
     needed = max((len(b) for b in blocks), default=0)
     if configured is None:
@@ -231,11 +278,11 @@ def _emit_short(steps, vocab, we, wn):
     for step in steps:
         typed = step.edge_type is not None
         ne, nn = len(step.edge_attrs), len(step.node_attrs)
-        rows.append(
-            [step.node, step.edge_type if typed else pad]
-            + step.edge_attrs + [pad] * (we - ne)
-            + step.node_attrs + [pad] * (wn - nn)
-        )
+        rows.append((
+            step.node, step.edge_type if typed else pad,
+            *step.edge_attrs, *(pad,) * (we - ne),
+            *step.node_attrs, *(pad,) * (wn - nn),
+        ))
         key = (typed, ne, nn)
         role = role_rows.get(key)
         if role is None:
@@ -254,7 +301,7 @@ def _emit_long(steps, vocab, width):
     rows, roles = [], []
 
     def pad_row(ids, rs):
-        rows.append(ids + [pad] * (width - len(ids)))
+        rows.append((*ids, *(pad,) * (width - len(ids))))
         role = role_rows.get(rs)
         if role is None:
             role = role_rows[rs] = rs + (ROLE_PAD,) * (width - len(rs))
@@ -262,9 +309,9 @@ def _emit_long(steps, vocab, width):
 
     for step in steps:
         if step.edge_type is None:
-            pad_row([step.node], (ROLE_NODE,))
+            pad_row((step.node,), (ROLE_NODE,))
         else:
-            pad_row([step.node, step.edge_type], (ROLE_NODE, ROLE_TYPE))
+            pad_row((step.node, step.edge_type), (ROLE_NODE, ROLE_TYPE))
         if step.node_attrs:
             pad_row(step.node_attrs, (ROLE_NODE_ATTR,) * len(step.node_attrs))
         if step.edge_attrs:
@@ -291,11 +338,7 @@ def tokenize(
     """
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
-    # A cyclic shift past the vocabulary's indices would fail for some seeds only.
-    if cfg.num_indices > vocab.num_indices:
-        raise ValueError(
-            f"re-indexing over {cfg.num_indices} indices exceeds the vocabulary's {vocab.num_indices}"
-        )
+    _check_vocab_indices(cfg, vocab)
     index_of = reindex(path, cfg)
     steps = _build_steps(path, mg, vocab, index_of, seed)
     m = len(path.edge_instances)

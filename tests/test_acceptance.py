@@ -309,8 +309,9 @@ def test_criterion_09_sampler_context_fit():
             max_seq_len=calibrated.max_seq_len,
             seed=derive_seed(5, i),
         )
-        _, grid = fit_sample(g, r, cfg, vocab, seed=derive_seed(6, i), adj=adj)
-        assert grid.num_rows <= calibrated.max_seq_len
+        sub, length = fit_sample(g, r, cfg, vocab, seed=derive_seed(6, i), adj=adj)
+        grid = serialize_graph(sub.graph, vocab, "prolonged", ReindexConfig(), derive_seed(6, i))
+        assert grid.num_rows == length <= calibrated.max_seq_len
         fitted += 1
     assert fitted == 1000
 

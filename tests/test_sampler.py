@@ -12,6 +12,7 @@ from graphseq import (
     draw_roots,
     fit_sample,
     sample,
+    serialize_graph,
 )
 from graphseq.pipeline import calibrate_fanout
 
@@ -216,8 +217,8 @@ def test_fit_sample_decrements_fanout():
     vocab = build_vocab([g], "fit", ReindexConfig())
     adj = adjacency(g)
     tight = SamplerConfig(mode="node-ego", depth=3, neighbors=8, max_seq_len=24, seed=0)
-    sub, grid = fit_sample(g, (0,), tight, vocab, adj=adj)
-    assert grid.num_rows <= 24
+    sub, length = fit_sample(g, (0,), tight, vocab, adj=adj)
+    assert serialize_graph(sub.graph, vocab, "prolonged", ReindexConfig(), 0).num_rows == length <= 24
     loose = SamplerConfig(mode="node-ego", depth=3, neighbors=8, max_seq_len=4096, seed=0)
     sub_loose, _ = fit_sample(g, (0,), loose, vocab, adj=adj)
     assert sub_loose.graph.num_nodes >= sub.graph.num_nodes
@@ -238,5 +239,19 @@ def test_budget_fit_uses_the_vocabulary_index_space():
     vocab = build_vocab([star], "star", ReindexConfig(num_indices=512))
     cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=300, max_seq_len=4096, seed=0)
     assert calibrate_fanout(star, cfg, vocab, trials=3).neighbors == 300
-    sub, _ = fit_sample(star, (5,), cfg, vocab)
+    sub, length = fit_sample(star, (5,), cfg, vocab)
     assert sub.graph.num_nodes == 302
+    grid = serialize_graph(sub.graph, vocab, "prolonged", ReindexConfig(num_indices=512), 0)
+    assert grid.num_rows == length <= 4096
+
+
+def test_budget_fit_retries_a_sample_that_overflows_the_index_space():
+    # With 256 indices the fanout-300 draw of 302 nodes is oversized, not
+    # an error: fanout 254 gives the leaf root, the hub and 254 more leaves.
+    star = AttributedGraph(num_nodes=401, edges=tuple((0, i) for i in range(1, 401)))
+    vocab = build_vocab([star], "star", ReindexConfig())
+    cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=300, max_seq_len=4096, seed=0)
+    assert calibrate_fanout(star, cfg, vocab, trials=3).neighbors == 254
+    sub, length = fit_sample(star, (5,), cfg, vocab)
+    assert sub.graph.num_nodes == 256
+    assert serialize_graph(sub.graph, vocab, "prolonged", ReindexConfig(), 0).num_rows == length

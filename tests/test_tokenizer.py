@@ -3,13 +3,17 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from graphseq import (
     AttributedGraph,
     ReindexConfig,
     build_multigraph,
+    derive_seed,
     extract_path,
     reindex,
+    sequence_length,
     serialize_graph,
     tokenize,
 )
@@ -262,6 +266,91 @@ def test_prolonged_token_count_audit():
         path = extract_path(mg, i)
         grid = tokenize(path, mg, vocab, "prolonged", ReindexConfig(cyclic=False), i)
         assert grid.num_rows == _expected_prolonged_length(g, mg, path, vocab)
+
+
+# --- counting without walking ---------------------------------------------
+
+
+@st.composite
+def _count_graphs(draw):
+    """Graphs of 1-40 nodes, often disconnected, directed or not, with
+    attribute rows around non-zero defaults."""
+    n = draw(st.integers(1, 40))
+    directed = draw(st.booleans())
+    edges = []
+    if n > 1:
+        # The second endpoint skips the first, so no pair is a self-loop.
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 2)).map(
+            lambda p: (p[0], p[1] + (p[1] >= p[0]))
+        )
+        edges = draw(st.lists(
+            pairs, max_size=2 * n,
+            unique_by=(lambda p: p) if directed else (lambda p: frozenset(p)),
+        ))
+    a_n, a_e = draw(st.integers(0, 3)), draw(st.integers(0, 2)) if edges else 0
+
+    def rows(count, width):
+        values = st.lists(st.integers(-3, 30), min_size=width, max_size=width)
+        return [draw(values) for _ in range(count)]
+
+    return AttributedGraph(
+        num_nodes=n,
+        edges=tuple(edges),
+        directed=directed,
+        node_attrs=rows(n, a_n) if a_n else (),
+        edge_attrs=rows(len(edges), a_e) if a_e else (),
+        node_defaults=draw(st.lists(st.integers(-3, 3), min_size=a_n, max_size=a_n)),
+        edge_defaults=draw(st.lists(st.integers(-3, 3), min_size=a_e, max_size=a_e)),
+    )
+
+
+_STYLES = st.sampled_from(("digits", "inline"))
+# Under seed 0 parity repair duplicates the jump edge (2, 3).
+_JUMP_DUPLICATED = AttributedGraph(num_nodes=4, edges=((1, 2),))
+# 14 odd leaves take the greedy pairing.
+_STAR_14 = AttributedGraph(
+    num_nodes=15,
+    edges=tuple((0, i) for i in range(1, 15)),
+    node_attrs=[[i % 3, 7] for i in range(15)],
+    node_defaults=[1, 7],
+)
+
+
+@given(g=_count_graphs(), seed=st.integers(0, 2**32), node_style=_STYLES, edge_style=_STYLES)
+@example(g=_JUMP_DUPLICATED, seed=0, node_style="digits", edge_style="digits")
+@example(g=_STAR_14, seed=0, node_style="inline", edge_style="digits")
+@example(g=AttributedGraph(num_nodes=1, node_attrs=[[5]]), seed=0, node_style="digits", edge_style="digits")
+@settings(max_examples=300, deadline=None)
+def test_sequence_length_is_the_prolonged_row_count(g, seed, node_style, edge_style):
+    vocab = vocab_for(g, node_attr_style=node_style, edge_attr_style=edge_style)
+    cfg = ReindexConfig()
+    mg = build_multigraph(g, derive_seed(seed, "jump"))
+    grid = serialize_graph(g, vocab, "prolonged", cfg, seed)
+    assert sequence_length(mg, vocab, cfg) == grid.num_rows
+
+
+_P10 = AttributedGraph(num_nodes=10, edges=tuple((i, i + 1) for i in range(9)))
+_ATTRIBUTED = AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[3], [0]])
+
+
+@pytest.mark.parametrize("g, vocab, cfg, message", [
+    (_P10, vocab_for(_P10), ReindexConfig(num_indices=8), "10 nodes exceed the index space of 8"),
+    (_P10, vocab_for(_P10, cfg=ReindexConfig(num_indices=64)), ReindexConfig(),
+     "re-indexing over 256 indices exceeds the vocabulary's 64"),
+    (AttributedGraph(num_nodes=0), vocab_for(_P10), ReindexConfig(),
+     "cannot extract a path from an empty graph"),
+    (_ATTRIBUTED, vocab_for(_P10), ReindexConfig(), "token not in vocabulary: 'test#node#0#1'"),
+], ids=["index-space", "vocab-indices", "empty", "unknown-attr"])
+def test_sequence_length_raises_what_serialization_raises(g, vocab, cfg, message):
+    raised = []
+    for measure in (
+        lambda: sequence_length(build_multigraph(g, derive_seed(0, "jump")), vocab, cfg),
+        lambda: serialize_graph(g, vocab, "prolonged", cfg, 0),
+    ):
+        with pytest.raises(ValueError) as info:
+            measure()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == (ValueError, message)
 
 
 def test_every_edge_attr_block_appears_exactly_once():
