@@ -22,12 +22,7 @@ from .euler import (
 )
 from .vocab import Vocabulary, build_vocab, digits
 from .tokenizer import ReindexConfig, TokenGrid, reindex, sequence_length, tokenize
-from .detokenizer import (
-    ReconstructionReport,
-    detokenize,
-    grid_from_prolonged_tokens,
-    isomorphic,
-)
+from .detokenizer import ReconstructionReport, detokenize, grid_from_prolonged_tokens
 from .sampler import SamplerConfig, draw_roots, sample
 from .identity import (
     NodeIdentityCodebook,

@@ -1,10 +1,9 @@
-"""Grid-to-graph reconstruction and the isomorphism check backing the
-round-trip guarantee.
+"""Grid-to-graph reconstruction.
 
 Consecutive node tokens define edges; jump-marked instances are dropped
 and repeat traversals collapse to one edge. The cyclic index shift is not
-inverted: reconstruction is up to relabeling, which is what the guarantee
-promises.
+inverted: decoded node k is the k-th distinct index token of the grid, so
+reconstruction is up to relabeling, which is what the guarantee promises.
 """
 from __future__ import annotations
 
@@ -22,8 +21,6 @@ from .tokenizer import (
     TokenGrid,
 )
 from .vocab import CLASS_SEMANTIC, CLASS_SPECIAL, CLASS_STRUCTURAL, Vocabulary
-
-ISO_NODE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -282,90 +279,3 @@ def detokenize(
         deduplicated_edges=duplicates,
         warnings=tuple(warnings),
     )
-
-
-def _signature(g: AttributedGraph):
-    """Per-node invariant used to prune candidate bijections."""
-    indeg = [0] * g.num_nodes
-    outdeg = [0] * g.num_nodes
-    for s, d in g.edges:
-        outdeg[s] += 1
-        indeg[d] += 1
-    sigs = []
-    for v in range(g.num_nodes):
-        attrs = g.node_attrs[v] if g.node_attrs else ()
-        if g.directed:
-            sigs.append((indeg[v], outdeg[v], attrs))
-        else:
-            sigs.append((indeg[v] + outdeg[v], attrs))
-    return sigs
-
-
-def _edge_attr_map(g: AttributedGraph):
-    out = {}
-    for i, (s, d) in enumerate(g.edges):
-        key = (s, d) if g.directed else (min(s, d), max(s, d))
-        out[key] = g.edge_attrs[i] if g.edge_attrs else ()
-    return out
-
-
-def isomorphic(g1: AttributedGraph, g2: AttributedGraph) -> bool:
-    """Attribute-preserving isomorphism by pruned backtracking search.
-
-    A test oracle, not a general solver: inputs above ``ISO_NODE_LIMIT``
-    nodes are rejected.
-    """
-    if g1.num_nodes > ISO_NODE_LIMIT or g2.num_nodes > ISO_NODE_LIMIT:
-        raise ValueError(f"isomorphism oracle is limited to {ISO_NODE_LIMIT} nodes")
-    if (
-        g1.num_nodes != g2.num_nodes
-        or g1.num_edges != g2.num_edges
-        or g1.directed != g2.directed
-        or g1.node_attr_width != g2.node_attr_width
-        or g1.edge_attr_width != g2.edge_attr_width
-    ):
-        return False
-    sig1, sig2 = _signature(g1), _signature(g2)
-    if sorted(sig1) != sorted(sig2):
-        return False
-    edges1, edges2 = _edge_attr_map(g1), _edge_attr_map(g2)
-
-    candidates = [
-        [u for u in range(g2.num_nodes) if sig2[u] == sig1[v]] for v in range(g1.num_nodes)
-    ]
-    order = sorted(range(g1.num_nodes), key=lambda v: len(candidates[v]))
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    adj1: dict[int, list[tuple[int, int, int]]] = {v: [] for v in range(g1.num_nodes)}
-    for s, d in g1.edges:
-        adj1[s].append((d, s, d))
-        adj1[d].append((s, s, d))
-
-    def consistent(v: int, u: int) -> bool:
-        for w, s, d in adj1[v]:
-            if w not in mapping:
-                continue
-            ms, md = (u, mapping[w]) if s == v else (mapping[w], u)
-            key1 = (s, d) if g1.directed else (min(s, d), max(s, d))
-            key2 = (ms, md) if g1.directed else (min(ms, md), max(ms, md))
-            if key2 not in edges2 or edges2[key2] != edges1[key1]:
-                return False
-        return True
-
-    def search(i: int) -> bool:
-        if i == len(order):
-            return True
-        v = order[i]
-        for u in candidates[v]:
-            if u in used or not consistent(v, u):
-                continue
-            mapping[v] = u
-            used.add(u)
-            if search(i + 1):
-                return True
-            del mapping[v]
-            used.discard(u)
-        return False
-
-    return search(0)

@@ -34,7 +34,6 @@ from graphseq import (
     format_edge_task,
     format_graph_task,
     format_node_task,
-    isomorphic,
     sample,
     serialize_graph,
     validate_path,
@@ -47,6 +46,7 @@ from graphseq.tokenizer import ROLE_NODE, ROLE_NODE_ATTR, tokenize
 from graphseq.vocab import GSUM
 
 from conftest import DATA_DIR, random_connected_graph, random_graph, vocab_for
+from oracle import isomorphic
 from test_euler import min_duplications_bruteforce
 
 LAYOUTS = ("prolonged", "short", "long")
@@ -61,14 +61,22 @@ def test_criterion_01_roundtrip_reversibility():
     tokenize is isomorphic to the input. Under 30 s."""
     rng = random.Random(2024)
     start = time.time()
-    failures = 0
+    failures = not_isomorphic = 0
     for i in range(1000):
         g = random_connected_graph(rng, n_min=2, n_max=12, max_node_width=4, max_edge_width=3)
+        vocab = build_vocab([g], "roundtrip", ReindexConfig())
         for layout in LAYOUTS:
-            report = gs.roundtrip_report(g, layout, seed=derive_seed(1, i, layout))
+            seed = derive_seed(1, i, layout)
+            report = gs.roundtrip_report(g, layout, seed=seed)
             failures += not report["ok"]
+            decoded = detokenize(
+                serialize_graph(g, vocab, layout, seed=seed), vocab,
+                g.node_attr_width, g.edge_attr_width, g.node_defaults or None, g.edge_defaults or None,
+            )
+            not_isomorphic += not isomorphic(decoded.graph, g)
     elapsed = time.time() - start
     assert failures == 0
+    assert not_isomorphic == 0
     assert elapsed < 30
     _report(1, f"1000/1000 graphs reversible across all three layouts in {elapsed:.1f}s")
 

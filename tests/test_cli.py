@@ -5,8 +5,10 @@ import sys
 
 import pytest
 
-from graphseq import AttributedGraph, Vocabulary, isomorphic
+from graphseq import AttributedGraph, Vocabulary
 from graphseq.cli import main
+
+from oracle import isomorphic
 
 
 @pytest.fixture
@@ -259,6 +261,31 @@ def test_verify_100_random_graphs(capsys):
 def test_verify_reads_graph_file(tmp_path, corpus, capsys):
     assert main(["verify", "--graphs", str(corpus), "--seed", "0"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "3/3 ok"
+
+
+def test_verify_checks_graphs_of_any_size(tmp_path, capsys):
+    # 20 nodes is past the isomorphism oracle, 300 past the default 256 indices.
+    path = tmp_path / "paths.jsonl"
+    path.write_text("".join(
+        json.dumps({"num_nodes": n, "edges": [[i, i + 1] for i in range(n - 1)]}) + "\n"
+        for n in (20, 300)
+    ))
+    assert main(["verify", "--graphs", str(path), "--layout", "all"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [json.loads(line) for line in out[:-1]] == [
+        {"id": 0, "ok": True, "dedup": 0, "jumps": 0},
+        {"id": 1, "ok": True, "dedup": 0, "jumps": 0},
+    ]
+    assert out[-1] == "2/2 ok"
+
+
+def test_verify_accepts_edgeless_directed_graphs(tmp_path, capsys):
+    # Direction is carried by edge tokens, so without an edge there is none to check.
+    path = tmp_path / "edgeless.jsonl"
+    path.write_text('{"num_nodes": 1, "directed": true}\n'
+                    '{"num_nodes": 3, "directed": true, "edges": []}\n')
+    assert main(["verify", "--graphs", str(path), "--layout", "all"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2/2 ok"
 
 
 def test_errors_are_machine_readable(tmp_path, capsys):

@@ -9,7 +9,6 @@ from graphseq import (
     build_multigraph,
     detokenize,
     extract_path,
-    isomorphic,
     serialize_graph,
     tokenize,
 )
@@ -18,6 +17,7 @@ from graphseq.tokenizer import TokenGrid
 from graphseq.vocab import build_vocab
 
 from conftest import random_graph, vocab_for
+from oracle import isomorphic
 
 
 def _roundtrip(g, layout, seed=0, cfg=None):

@@ -11,7 +11,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphseq import AttributedGraph, ReindexConfig, build_vocab, detokenize, isomorphic, serialize_graph
+from graphseq import AttributedGraph, ReindexConfig, build_vocab, detokenize, serialize_graph
 from graphseq import tokenizer
 from graphseq.detokenizer import _collect_steps, _parse_block
 from graphseq.tokenizer import LAYOUTS
@@ -23,6 +23,8 @@ from graphseq.vocab import (
     parse_semantic,
     semantic_token,
 )
+
+from oracle import isomorphic
 
 
 def _block_ids_by_spelling(vocab, kind, style, attrs, defaults):
