@@ -35,15 +35,11 @@ from .graph import (
     graph_record,
     iter_graphs_jsonl,
     load_graph,
+    random_graph,
     read_jsonl,
     write_jsonl,
 )
-from .identity import (
-    build_codebook,
-    codebook_from_partition,
-    load_partition,
-    with_identity_attrs,
-)
+from .identity import build_codebook, load_partition, with_identity_attrs
 from .pipeline import derive_seed, roundtrip_report, serialize_graph
 from .pretrain import build_ntp, build_smtp, draw_mask_fraction, pack
 from .sampler import SamplerConfig, draw_roots, sample
@@ -57,32 +53,6 @@ log = logging.getLogger("graphseq")
 def _setup_logging():
     level = os.environ.get("GRAPHSEQ_LOG", "warning").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
-
-def _random_graph(rng: random.Random, directed=False) -> AttributedGraph:
-    """Small random connected attributed graph for self-contained verify runs."""
-    n = rng.randint(2, 12)
-    edges = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.add((u, v))
-    extra = rng.randint(0, n)
-    for _ in range(extra):
-        u, v = rng.sample(range(n), 2)
-        if not directed:
-            u, v = min(u, v), max(u, v)
-        if (u, v) not in edges:
-            edges.add((u, v))
-    a_n = rng.randint(0, 4)
-    a_e = rng.randint(0, 3)
-    edges = sorted(edges)
-    return AttributedGraph(
-        num_nodes=n,
-        edges=tuple(edges),
-        directed=directed,
-        node_attrs=[[rng.randint(0, 5) for _ in range(a_n)] for _ in range(n)] if a_n else (),
-        edge_attrs=[[rng.randint(0, 5) for _ in range(a_e)] for _ in range(len(edges))] if a_e else (),
-    )
 
 
 def _load_vocab(args) -> Vocabulary:
@@ -159,8 +129,13 @@ def cmd_detokenize(args) -> int:
 
 def _build_identity(args, g: AttributedGraph):
     if args.partition_file:
-        labels = load_partition(args.partition_file)
-        return codebook_from_partition(labels, k=args.identity_k, dataset_tag=args.dataset_tag)
+        return build_codebook(
+            g,
+            k=args.identity_k,
+            strategy="given-labels",
+            labels=load_partition(args.partition_file),
+            dataset_tag=args.dataset_tag,
+        )
     return build_codebook(
         g,
         k=args.identity_k,
@@ -272,8 +247,11 @@ def cmd_verify(args) -> int:
     if args.graphs:
         graphs = list(iter_graphs_jsonl(args.graphs))
     else:
+        # Up to 40 nodes, so some draws have more than 12 odd nodes and take
+        # the greedy pairing; the generator also draws directed graphs and
+        # disconnected ones, which need jump edges.
         rng = random.Random(args.seed)
-        graphs = [_random_graph(rng) for _ in range(args.random)]
+        graphs = [random_graph(rng, n_max=40) for _ in range(args.random)]
     layouts = ("prolonged", "short", "long") if args.layout == "all" else (args.layout,)
     ok_count = 0
     for i, g in enumerate(graphs):

@@ -1,8 +1,10 @@
-"""In-memory model for attributed graphs and sampled subgraphs."""
+"""In-memory model for attributed graphs and sampled subgraphs, their
+file formats, and seeded random graphs for round-trip self-checks."""
 from __future__ import annotations
 
 import json
 import operator
+import random
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
@@ -391,6 +393,8 @@ def load_graph(
                     src, dst = int(parts[0]), int(parts[1])
                 except ValueError:
                     raise GraphFormatError("node ids must be integers", line=lineno)
+                if src < 0 or dst < 0:
+                    raise GraphFormatError(f"negative node id in edge ({src}, {dst})", line=lineno)
                 if src == dst:
                     raise GraphFormatError(f"self-loop at node {src}", line=lineno)
                 key = (min(src, dst), max(src, dst))
@@ -411,3 +415,69 @@ def graph_record(doc: dict) -> AttributedGraph:
 def iter_graphs_jsonl(path: str | Path) -> Iterator[AttributedGraph]:
     """Yield graphs from a JSONL file; lines may be bare graphs or samples."""
     return (g for _, g in read_jsonl(path, graph_record))
+
+
+def random_connected_graph(
+    rng: random.Random,
+    n_min: int = 2,
+    n_max: int = 12,
+    max_node_width: int = 4,
+    max_edge_width: int = 3,
+    directed: bool | None = None,
+    value_range: int = 5,
+) -> AttributedGraph:
+    """Random spanning tree plus extra edges, with random attribute vectors.
+
+    Attribute values land in 0..value_range with all-zero defaults, so some
+    dimensions hit the default and exercise omission.
+    """
+    n = rng.randint(n_min, n_max)
+    if directed is None:
+        directed = rng.random() < 0.25
+    edges = set()
+    order = list(range(n))
+    rng.shuffle(order)
+    for i in range(1, n):
+        u, v = order[rng.randrange(i)], order[i]
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.add((u, v) if directed else (min(u, v), max(u, v)))
+    for _ in range(rng.randint(0, n)):
+        u, v = rng.sample(range(n), 2)
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if key not in edges:
+            edges.add(key)
+    edges = sorted(edges)
+    a_n = rng.randint(0, max_node_width)
+    a_e = rng.randint(0, max_edge_width)
+    return AttributedGraph(
+        num_nodes=n,
+        edges=tuple(edges),
+        directed=directed,
+        node_attrs=[
+            [rng.randint(0, value_range) for _ in range(a_n)] for _ in range(n)
+        ]
+        if a_n
+        else (),
+        edge_attrs=[
+            [rng.randint(0, value_range) for _ in range(a_e)] for _ in range(len(edges))
+        ]
+        if a_e
+        else (),
+    )
+
+
+def random_graph(rng: random.Random, **kwargs) -> AttributedGraph:
+    """Like random_connected_graph but occasionally drops edges so jump
+    repair gets exercised."""
+    g = random_connected_graph(rng, **kwargs)
+    if g.num_edges > 1 and rng.random() < 0.3:
+        keep = sorted(rng.sample(range(g.num_edges), g.num_edges - 1))
+        return AttributedGraph(
+            num_nodes=g.num_nodes,
+            edges=tuple(g.edges[i] for i in keep),
+            directed=g.directed,
+            node_attrs=g.node_attrs,
+            edge_attrs=tuple(g.edge_attrs[i] for i in keep) if g.edge_attrs else (),
+        )
+    return g

@@ -155,13 +155,14 @@ def build_codebook(
         raise ValueError("k must be >= 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"strategy must be one of {STRATEGIES}")
-    if k == 1:
-        partition: Sequence[int] = range(g.num_nodes)
-    elif strategy == "given-labels":
+    if strategy == "given-labels":
         if labels is None:
             raise ValueError("given-labels strategy requires a node label column")
         if len(labels) != g.num_nodes:
-            raise ValueError("label column must cover every node")
+            raise ValueError(f"label column has {len(labels)} labels for {g.num_nodes} nodes")
+    if k == 1:
+        partition: Sequence[int] = range(g.num_nodes)
+    elif strategy == "given-labels":
         partition = labels
     else:
         if max_cluster is None or max_cluster < 1:
@@ -222,12 +223,15 @@ def load_partition(path: str | Path) -> list[int]:
         parts = line.split("\t") if "\t" in line else line.split()
         if len(parts) != 2:
             raise ValueError(f"partition line {lineno}: expected 'global_id<TAB>cluster'")
-        node = int(parts[0])
+        try:
+            node, cluster = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"partition line {lineno}: {exc}") from None
         if node in rows:
             raise ValueError(
                 f"partition line {lineno}: node {node} is already assigned on line {rows[node][1]}"
             )
-        rows[node] = (int(parts[1]), lineno)
+        rows[node] = (cluster, lineno)
     if sorted(rows) != list(range(len(rows))):
         raise ValueError("partition file must cover node ids 0..n-1 exactly once")
     return [rows[v][0] for v in range(len(rows))]

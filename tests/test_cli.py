@@ -5,9 +5,11 @@ import sys
 
 import pytest
 
-from graphseq import AttributedGraph, Vocabulary
+from graphseq import AttributedGraph, Vocabulary, build_multigraph
+from graphseq import cli
 from graphseq.cli import main
 
+from conftest import random_graph
 from oracle import isomorphic
 
 
@@ -43,6 +45,16 @@ def test_ingest_normalizes_tsv(tmp_path):
                  "--output", str(out)]) == 0
     g = AttributedGraph.from_json(json.loads(out.read_text()))
     assert g.num_nodes == 3 and g.num_edges == 2
+
+
+def test_ingest_names_the_line_of_a_negative_node_id(tmp_path, capsys):
+    raw = tmp_path / "edges.tsv"
+    raw.write_text("0\t1\n1\t2\n1\t-2\n")
+    assert main(["ingest", "--input", str(raw), "--format", "edge-tsv",
+                 "--output", str(tmp_path / "g.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["line"] == 3
+    assert err["message"] == "line 3: negative node id in edge (1, -2)"
 
 
 def test_ingest_quantizes_edge_attrs(tmp_path):
@@ -99,6 +111,22 @@ def test_repeated_partition_node_fails_naming_both_lines(tmp_path, capsys):
                  "--partition-file", str(part), "--output", str(tmp_path / "s.jsonl")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["message"] == "partition line 3: node 0 is already assigned on line 1"
+
+
+@pytest.mark.parametrize("lines", [2, 9])
+def test_partition_file_of_the_wrong_size_fails_before_sampling(tmp_path, capsys, lines):
+    # Too few lines would fail mid-run at the first node left out; too many
+    # would pass unnoticed.
+    parent = tmp_path / "parent.jsonl"
+    parent.write_text(json.dumps({"num_nodes": 5, "edges": [[i, i + 1] for i in range(4)]}) + "\n")
+    part = tmp_path / "part.tsv"
+    part.write_text("".join(f"{v}\t{v // 2}\n" for v in range(lines)))
+    out = tmp_path / "s.jsonl"
+    assert main(["sample", "--graph", str(parent), "--mode", "node-ego", "--count", "5",
+                 "--identity-k", "2", "--partition-file", str(part), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == f"label column has {lines} labels for 5 nodes"
+    assert not out.exists()
 
 
 def test_tokenize_detokenize_roundtrip(tmp_path, corpus):
@@ -250,12 +278,24 @@ def test_taskfmt_uses_the_vocab_files_tag(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
-def test_verify_100_random_graphs(capsys):
+def test_verify_100_random_graphs(capsys, monkeypatch):
+    graphs = []
+
+    def recorded(rng, **kwargs):
+        graphs.append(random_graph(rng, **kwargs))
+        return graphs[-1]
+
+    monkeypatch.setattr(cli, "random_graph", recorded)
     assert main(["verify", "--random", "100", "--seed", "4", "--layout", "all"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "100/100 ok"
-    first = json.loads(out[0])
-    assert set(first) == {"id", "ok", "dedup", "jumps"}
+    rows = [json.loads(line) for line in out[:-1]]
+    assert set(rows[0]) == {"id", "ok", "dedup", "jumps"}
+    # The draws reach direction tokens, jump repair and the greedy pairing.
+    assert len(graphs) == 100
+    assert any(g.directed for g in graphs)
+    assert any(row["jumps"] > 0 for row in rows)
+    assert any(not build_multigraph(g, 0).minimality_guaranteed for g in graphs)
 
 
 def test_verify_reads_graph_file(tmp_path, corpus, capsys):

@@ -330,8 +330,15 @@ def test_walks_are_stochastic_across_seeds():
     )
     mg = build_multigraph(g, 0)
     assert classify(mg)[0] == "eulerian"
-    walks = {extract_path(mg, s).nodes for s in range(200)}
+    walks = {extract_path(mg, s).nodes for s in range(20)}
     assert len(walks) >= 2
+    # One graph, many sequences: the augmentation serialization-based
+    # training relies on. With cyclic=False the walk is the only seeded
+    # draw left in the tokens.
+    cfg = ReindexConfig(cyclic=False)
+    vocab = build_vocab([g], "div", cfg)
+    sequences = {serialize_graph(g, vocab, "prolonged", cfg, s).tokens for s in range(20)}
+    assert len(sequences) >= 2
 
 
 def test_extract_path_rejects_unrepaired_parity(k13):

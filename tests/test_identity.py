@@ -129,6 +129,9 @@ def test_k3_decomposition_is_injective():
 def test_given_labels_requires_labels():
     with pytest.raises(ValueError, match="label column"):
         build_codebook(_ring(3), k=2, strategy="given-labels")
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="label column has 3 labels for 4 nodes"):
+            build_codebook(_ring(4), k=k, strategy="given-labels", labels=[0, 0, 1])
 
 
 def test_partition_file_roundtrip(tmp_path):
@@ -152,6 +155,13 @@ def test_partition_file_rejects_a_repeated_node(tmp_path):
     path = tmp_path / "part.tsv"
     path.write_text("0\t1\n1\t1\n0\t2\n")
     with pytest.raises(ValueError, match="partition line 3: node 0 is already assigned on line 1"):
+        load_partition(path)
+
+
+def test_partition_file_names_the_line_of_a_non_integer_field(tmp_path):
+    path = tmp_path / "part.tsv"
+    path.write_text("0\t1\n1\tx\n")
+    with pytest.raises(ValueError, match="partition line 2: invalid literal for int"):
         load_partition(path)
 
 
