@@ -32,7 +32,6 @@ from .identity import (
     encode_node,
     load_partition,
     with_identity_attrs,
-    with_label_attrs,
 )
 from .pretrain import (
     PackedBatch,

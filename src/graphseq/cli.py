@@ -45,7 +45,7 @@ from .pretrain import build_ntp, build_smtp, draw_mask_fraction, pack
 from .sampler import SamplerConfig, draw_roots, sample
 from .taskfmt import format_edge_task, format_graph_task, format_node_task
 from .tokenizer import LAYOUTS, ReindexConfig, TokenGrid
-from .vocab import ATTR_STYLES, Vocabulary, build_vocab, semantic_token
+from .vocab import ATTR_STYLES, Vocabulary, build_vocab
 
 log = logging.getLogger("graphseq")
 
@@ -149,12 +149,12 @@ def _build_identity(args, g: AttributedGraph):
 def cmd_sample(args) -> int:
     g = next(iter_graphs_jsonl(args.graph))
     adj = adjacency(g)
-    codebook = _build_identity(args, g) if args.identity_k else None
-    if codebook is not None and args.codebook_out:
-        codebook.save(args.codebook_out)
     roots = draw_roots(
         g, args.mode, args.count, derive_seed(args.seed, "roots"), negatives=args.negatives
     )
+    codebook = _build_identity(args, g) if args.identity_k else None
+    if codebook is not None and args.codebook_out:
+        codebook.save(args.codebook_out)
 
     def docs():
         for i, r in enumerate(roots):
@@ -177,12 +177,34 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _widest_blocks(records, vocab: Vocabulary) -> dict[str, int]:
+    """The widest edge and node attribute blocks of a graph corpus, as
+    ``serialize_graph``'s width keywords, so every short or long grid of
+    it has one row width. Blocks are spelled from the rows; no walk."""
+
+    def widest(kind, rows, defaults):
+        return max((len(vocab.block_ids(kind, row, defaults)) for row in set(rows)), default=0)
+
+    def widths(_, g):
+        return widest("edge", g.edge_attrs, g.edge_defaults), widest("node", g.node_attrs, g.node_defaults)
+
+    per_graph = list(_per_record(records, widths))
+    return {
+        "edge_attr_width": max((e for e, _ in per_graph), default=0),
+        "node_attr_width": max((n for _, n in per_graph), default=0),
+    }
+
+
 def cmd_pretrain(args) -> int:
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args, vocab)
+    # Packed rows share one width, so short and long grids take the corpus's widest blocks.
+    widths = {}
+    if args.pack_context and args.layout != "prolonged":
+        widths = _widest_blocks(read_jsonl(args.graphs, graph_record), vocab)
 
     def example(i, g):
-        grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i))
+        grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i), **widths)
         if args.task == "ntp":
             return build_ntp(grid, vocab)
         rng = random.Random(derive_seed(args.seed, "rate", i))
@@ -216,11 +238,7 @@ def cmd_taskfmt(args) -> int:
             raise ValueError(
                 "samples carry no node identity tokens; draw them with `graphseq sample --identity-k`"
             )
-        return [
-            semantic_token(vocab.dataset_tag, "node", dim, value)
-            for dim, value in enumerate(g.node_attrs[local])
-            if value != g.node_defaults[dim]
-        ]
+        return [vocab.token(t) for t in vocab.block_ids("node", g.node_attrs[local], g.node_defaults)]
 
     def sample_task(i, record):
         sub, label = record

@@ -14,7 +14,6 @@ graph yields different but equally valid sequences.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -88,9 +87,6 @@ class EulerizedMultigraph:
     def num_edges(self) -> int:
         return self.num_base_edges + len(self.jump_edges)
 
-    def is_jump(self, edge_id: int) -> bool:
-        return edge_id >= self.num_base_edges
-
     # The fields are frozen, so values cached per instance never go stale.
     @cached_property
     def _endpoints(self) -> tuple[tuple[int, int], ...]:
@@ -100,14 +96,10 @@ class EulerizedMultigraph:
     def endpoints(self, edge_id: int) -> tuple[int, int]:
         return self._endpoints[edge_id]
 
-    def edge_instances(self) -> tuple[tuple[int, int], ...]:
-        """All (edge id, instance ordinal) pairs, in canonical order."""
-        dups = Counter(self.duplications)
-        out = []
-        for eid in range(self.num_edges):
-            for ordinal in range(1 + dups.get(eid, 0)):
-                out.append((eid, ordinal))
-        return tuple(out)
+    def edge_instances(self) -> tuple[int, ...]:
+        """The edge id of every edge instance (each edge, then each of its
+        duplicated copies), in ascending order."""
+        return tuple(sorted(chain(range(self.num_edges), self.duplications)))
 
     def degrees(self) -> list[int]:
         deg = [0] * self.base.num_nodes
@@ -142,14 +134,14 @@ class EulerizedMultigraph:
 
 @dataclass(frozen=True)
 class EulerPath:
-    """One edge-covering walk: n+1 node visits aligned with n edge instances."""
+    """One edge-covering walk: n+1 node visits and the ids of the n edge
+    instances between them."""
 
     nodes: tuple[int, ...]
-    edge_instances: tuple[tuple[int, int], ...]
-    rng_seed: int
+    edges: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.nodes) != len(self.edge_instances) + 1:
+        if len(self.nodes) != len(self.edges) + 1:
             raise ValueError("node sequence must be one longer than edge sequence")
 
 
@@ -419,7 +411,7 @@ def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
     instances = mg.edge_instances()
     ends = mg._endpoints
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, (eid, _) in enumerate(instances):
+    for idx, eid in enumerate(instances):
         u, v = ends[eid]
         adj[u].append((idx, v))
         adj[v].append((idx, u))
@@ -451,19 +443,16 @@ def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
     rev_insts.reverse()
     if len(rev_insts) != len(instances):  # pragma: no cover - guarded by checks above
         raise RuntimeError("walk failed to cover every edge instance")
-    return EulerPath(
-        nodes=tuple(rev_nodes),
-        edge_instances=tuple(instances[i] for i in rev_insts),
-        rng_seed=seed,
-    )
+    return EulerPath(nodes=tuple(rev_nodes), edges=tuple(instances[i] for i in rev_insts))
 
 
 def validate_path(mg: EulerizedMultigraph, path: EulerPath) -> bool:
-    """True iff the walk covers every edge instance exactly once and every
-    consecutive node pair is joined by its claimed instance."""
-    if sorted(path.edge_instances) != sorted(mg.edge_instances()):
+    """True iff the walk takes every edge as often as the multigraph has
+    instances of it and every consecutive node pair is joined by its
+    claimed edge."""
+    if sorted(path.edges) != list(mg.edge_instances()):
         return False
-    for i, (eid, _) in enumerate(path.edge_instances):
+    for i, eid in enumerate(path.edges):
         u, v = mg.endpoints(eid)
         a, b = path.nodes[i], path.nodes[i + 1]
         if {a, b} != {u, v}:

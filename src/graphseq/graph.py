@@ -54,10 +54,13 @@ def write_jsonl(path: str | Path, docs: Iterable[dict]) -> None:
             fh.write(json.dumps(doc) + "\n")
 
 
-def _int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
-    """``row`` as ints, converted one by one: ints and integer types with
-    ``__index__`` (numpy integers, say) pass. The first float, string or
-    boolean raises, named after ``what``."""
+def int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
+    """``row`` as a tuple of ints: ints and integer types with ``__index__``
+    (numpy integers, say) pass, after one scan of the value types when all
+    are ints. The first float, string or boolean raises, named after ``what``."""
+    row = tuple(row)
+    if {*map(type, row)} <= {int}:
+        return row
     out = []
     for value in row:
         try:
@@ -156,18 +159,18 @@ class AttributedGraph:
             *map(type, edge_defaults),
         }
         if types != {int}:
-            object.__setattr__(self, "num_nodes", _int_row((self.num_nodes,), "num_nodes")[0])
-            edges = tuple(_int_row(e, f"edge {i}: node id") for i, e in enumerate(edges))
+            object.__setattr__(self, "num_nodes", int_row((self.num_nodes,), "num_nodes")[0])
+            edges = tuple(int_row(e, f"edge {i}: node id") for i, e in enumerate(edges))
             node_attrs = tuple(
-                _int_row(row, f"node {i}: attribute", _QUANTIZE_HINT.format("node"))
+                int_row(row, f"node {i}: attribute", _QUANTIZE_HINT.format("node"))
                 for i, row in enumerate(node_attrs)
             )
             edge_attrs = tuple(
-                _int_row(row, f"edge {i}: attribute", _QUANTIZE_HINT.format("edge"))
+                int_row(row, f"edge {i}: attribute", _QUANTIZE_HINT.format("edge"))
                 for i, row in enumerate(edge_attrs)
             )
-            node_defaults = _int_row(node_defaults, "node attr_defaults: value")
-            edge_defaults = _int_row(edge_defaults, "edge attr_defaults: value")
+            node_defaults = int_row(node_defaults, "node attr_defaults: value")
+            edge_defaults = int_row(edge_defaults, "edge attr_defaults: value")
         if type(self.directed) is not bool:
             raise GraphFormatError(f"directed must be true or false, got {self.directed!r}")
         if not node_defaults and node_attrs:
@@ -250,8 +253,8 @@ class SubgraphSample:
     origin_ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "root_nodes", tuple(int(v) for v in self.root_nodes))
-        object.__setattr__(self, "origin_ids", tuple(int(v) for v in self.origin_ids))
+        object.__setattr__(self, "root_nodes", int_row(self.root_nodes, "root node"))
+        object.__setattr__(self, "origin_ids", int_row(self.origin_ids, "origin id"))
         if len(self.root_nodes) not in (1, 2):
             raise ValueError("root_nodes must hold 1 or 2 node ids")
         for r in self.root_nodes:
@@ -345,6 +348,26 @@ def quantize_attrs(
     return [[_quantize(v, scale, offset) for v in row] for row in rows]
 
 
+def read_int_pairs(path: str | Path, fields: str, not_int: str = "") -> Iterator[tuple[int, int, int]]:
+    """Yield ``(line number, a, b)`` per "a<TAB>b" line of a text file,
+    skipping blank and ``#`` lines; whitespace splits a line with no tab.
+    Another shape raises ``GraphFormatError`` ``expected '<fields>'`` with
+    the line, a non-integer field ``not_int`` (default: what int says)."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t") if "\t" in line else line.split()
+            if len(parts) != 2:
+                raise GraphFormatError(f"expected '{fields}'", line=lineno)
+            try:
+                a, b = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise GraphFormatError(not_int or str(exc), line=lineno) from None
+            yield lineno, a, b
+
+
 def load_graph(
     path: str | Path,
     format: str = "json",
@@ -381,28 +404,17 @@ def load_graph(
         edges = []
         seen = set()
         max_node = -1
-        with path.open() as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t") if "\t" in line else line.split()
-                if len(parts) != 2:
-                    raise GraphFormatError("expected 'src<TAB>dst'", line=lineno)
-                try:
-                    src, dst = int(parts[0]), int(parts[1])
-                except ValueError:
-                    raise GraphFormatError("node ids must be integers", line=lineno)
-                if src < 0 or dst < 0:
-                    raise GraphFormatError(f"negative node id in edge ({src}, {dst})", line=lineno)
-                if src == dst:
-                    raise GraphFormatError(f"self-loop at node {src}", line=lineno)
-                key = (min(src, dst), max(src, dst))
-                if key in seen:
-                    raise GraphFormatError(f"duplicate edge ({src}, {dst})", line=lineno)
-                seen.add(key)
-                edges.append((src, dst))
-                max_node = max(max_node, src, dst)
+        for lineno, src, dst in read_int_pairs(path, "src<TAB>dst", "node ids must be integers"):
+            if src < 0 or dst < 0:
+                raise GraphFormatError(f"negative node id in edge ({src}, {dst})", line=lineno)
+            if src == dst:
+                raise GraphFormatError(f"self-loop at node {src}", line=lineno)
+            key = (min(src, dst), max(src, dst))
+            if key in seen:
+                raise GraphFormatError(f"duplicate edge ({src}, {dst})", line=lineno)
+            seen.add(key)
+            edges.append((src, dst))
+            max_node = max(max_node, src, dst)
         return AttributedGraph(num_nodes=max_node + 1, edges=tuple(edges))
     raise ValueError(f"unknown graph format: {format!r}")
 

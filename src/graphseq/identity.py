@@ -16,7 +16,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .graph import AttributedGraph, SubgraphSample, adjacency
+from .graph import AttributedGraph, GraphFormatError, SubgraphSample, adjacency, int_row, read_int_pairs
 from .vocab import parse_semantic, semantic_token
 
 STRATEGIES = ("given-labels", "bfs-partition")
@@ -197,9 +197,9 @@ def codebook_from_partition(
     """Build a codebook from an externally computed node->cluster map."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    partition = [int(c) for c in partition]
+    partition = int_row(partition, "cluster")
     if k == 1:
-        partition = list(range(len(partition)))
+        partition = tuple(range(len(partition)))
     counts: dict[int, int] = {}
     local = []
     for c in partition:
@@ -208,7 +208,7 @@ def codebook_from_partition(
     return NodeIdentityCodebook(
         dataset_tag=dataset_tag,
         k=k,
-        partition=tuple(partition),
+        partition=partition,
         local_index=tuple(local),
     )
 
@@ -216,22 +216,15 @@ def codebook_from_partition(
 def load_partition(path: str | Path) -> list[int]:
     """Read a "global_id<TAB>cluster" TSV into a dense node->cluster list."""
     rows: dict[int, tuple[int, int]] = {}  # node -> (cluster, file line)
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t") if "\t" in line else line.split()
-        if len(parts) != 2:
-            raise ValueError(f"partition line {lineno}: expected 'global_id<TAB>cluster'")
-        try:
-            node, cluster = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"partition line {lineno}: {exc}") from None
-        if node in rows:
-            raise ValueError(
-                f"partition line {lineno}: node {node} is already assigned on line {rows[node][1]}"
-            )
-        rows[node] = (cluster, lineno)
+    try:
+        for lineno, node, cluster in read_int_pairs(path, "global_id<TAB>cluster"):
+            if node in rows:
+                raise GraphFormatError(
+                    f"node {node} is already assigned on line {rows[node][1]}", line=lineno
+                )
+            rows[node] = (cluster, lineno)
+    except GraphFormatError as exc:
+        raise ValueError(f"partition {exc}") from None
     if sorted(rows) != list(range(len(rows))):
         raise ValueError("partition file must cover node ids 0..n-1 exactly once")
     return [rows[v][0] for v in range(len(rows))]
@@ -248,11 +241,4 @@ def with_identity_attrs(sample: SubgraphSample, cb: NodeIdentityCodebook) -> Sub
         node_attrs=attrs,
         node_defaults=(-1,) * cb.k,
     )
-    return SubgraphSample(graph=graph, root_nodes=sample.root_nodes, origin_ids=sample.origin_ids)
-
-
-def with_label_attrs(sample: SubgraphSample, labels: Sequence[int]) -> SubgraphSample:
-    """Identity-encoding ablation: keep only the coarse per-node label."""
-    attrs = tuple((int(labels[gid]),) for gid in sample.origin_ids)
-    graph = replace(sample.graph, node_attrs=attrs, node_defaults=(-1,))
     return SubgraphSample(graph=graph, root_nodes=sample.root_nodes, origin_ids=sample.origin_ids)

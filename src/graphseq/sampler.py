@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Adjacency, AttributedGraph, SubgraphSample, adjacency
+from .graph import Adjacency, AttributedGraph, SubgraphSample, adjacency, int_row
 
 MODES = ("node-ego", "edge-ego")
 
@@ -41,7 +41,7 @@ class SamplerConfig:
 
 
 def _roots_for_mode(mode: str, roots) -> tuple[int, ...]:
-    roots = tuple(int(r) for r in roots)
+    roots = int_row(roots, "root node")
     expected = 1 if mode == "node-ego" else 2
     if len(roots) != expected:
         raise ValueError(f"{mode} sampling takes {expected} root(s), got {len(roots)}")
@@ -115,16 +115,18 @@ def draw_roots(
     count: int,
     seed: int,
     negatives: bool = False,
-    max_tries: int = 64,
 ) -> list[tuple[int, ...]]:
     """Draw sampling roots without replacement.
 
     node-ego: ``count`` uniform nodes. edge-ego: ``count`` uniform existing
     edges; with ``negatives`` set, ``count`` non-edges follow, each formed
-    by keeping a positive edge's head and redrawing the tail uniformly.
+    by keeping a positive edge's head and redrawing the tail uniformly, at
+    most 64 times. Negatives exist for edge-ego only.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
+    if negatives and mode != "edge-ego":
+        raise ValueError(f"negatives are drawn for edge-ego roots only, not {mode}")
     if count < 0:
         raise ValueError("count must be non-negative")
     rng = random.Random(seed)
@@ -140,7 +142,7 @@ def draw_roots(
     if negatives:
         linked = {frozenset(e) for e in g.edges}
         for head, _ in positives:
-            for attempt in range(max_tries):
+            for _ in range(64):
                 tail = rng.randrange(g.num_nodes)
                 if tail != head and frozenset((head, tail)) not in linked:
                     roots.append((head, tail))

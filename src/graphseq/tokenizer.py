@@ -129,14 +129,6 @@ def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:
     return {v: (i + offset) % cfg.num_indices for v, i in order.items()}
 
 
-def _block_ids(vocab: Vocabulary, kind: str, attrs, defaults) -> list[int]:
-    ids: list[int] = []
-    for dim, value in enumerate(attrs):
-        if value != defaults[dim]:
-            ids += vocab.attr_ids(kind, dim, value)
-    return ids
-
-
 def _blocks_at(vocab, kind, rows, defaults, attach) -> dict[int, list[int]]:
     """Attribute block per step position from ``attach`` (position ->
     row index), each distinct row spelled once."""
@@ -148,7 +140,7 @@ def _blocks_at(vocab, kind, rows, defaults, attach) -> dict[int, list[int]]:
         row = rows[key]
         block = by_row.get(row)
         if block is None:
-            block = by_row[row] = _block_ids(vocab, kind, row, defaults)
+            block = by_row[row] = vocab.block_ids(kind, row, defaults)
         out[pos] = block
     return out
 
@@ -182,7 +174,7 @@ def _build_steps(
     num_base = mg.num_base_edges
     steps_of_edge: dict[int, list[int]] = {}
     edge_types: list[int | None] = []
-    for step, (eid, _) in enumerate(path.edge_instances):
+    for step, eid in enumerate(path.edges):
         if eid >= num_base:
             edge_types.append(vocab.jump_id)
             continue
@@ -227,7 +219,7 @@ def _spelled_cells(vocab, kind, rows, defaults) -> int:
     """Cells holding every row's attribute block, each distinct row spelled
     once, in the order ``tokenize`` first spells them."""
     return sum(
-        count * len(_block_ids(vocab, kind, row, defaults))
+        count * len(vocab.block_ids(kind, row, defaults))
         for row, count in Counter(rows).items()
     )
 
@@ -341,7 +333,7 @@ def tokenize(
     _check_vocab_indices(cfg, vocab)
     index_of = reindex(path, cfg)
     steps = _build_steps(path, mg, vocab, index_of, seed)
-    m = len(path.edge_instances)
+    m = len(path.edges)
     if layout == "prolonged":
         tokens, roles = _emit_prolonged(steps)
         return TokenGrid(layout=layout, m=m, l=1, tokens=tokens, roles=roles)

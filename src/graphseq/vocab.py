@@ -91,7 +91,9 @@ class Vocabulary:
     Tables built once per vocabulary let both directions work on ids:
     ``semantic[id]`` is a semantic token's ``(kind, dim, value)`` (None for
     other classes), ``digit_chars`` maps each digit id to its character,
-    and ``attr_ids`` memoises the ids spelling each attribute value.
+    ``attr_ids`` memoises the ids spelling each attribute value and
+    ``block_ids`` spells a whole attribute row. ``pad_id`` and the other
+    special-token ids the pipeline writes are attributes.
     """
 
     def __init__(
@@ -118,6 +120,9 @@ class Vocabulary:
         self._token_to_id = {t: i for i, (t, _) in enumerate(tokens)}
         if len(self._token_to_id) != len(tokens):
             raise ValueError("token classes overlap")
+        ids = self._token_to_id
+        self.pad_id, self.jump_id, self.eos_id = ids[PAD], ids[EDGE_JUMP], ids[EOS]
+        self.mask_id, self.fwd_id, self.bwd_id = ids[MASK], ids[EDGE_FWD], ids[EDGE_BWD]
         # Id tables read by the tokenizer and detokenizer instead of spellings.
         self.semantic: tuple[tuple[str, int, int] | None, ...] = tuple(
             _semantic_entry(t) if c == CLASS_SEMANTIC else None for t, c in tokens
@@ -151,36 +156,6 @@ class Vocabulary:
     def class_of(self, token_id: int) -> str:
         return self._id_to_class[token_id]
 
-    @property
-    def pad_id(self) -> int:
-        return self._token_to_id[PAD]
-
-    @property
-    def jump_id(self) -> int:
-        return self._token_to_id[EDGE_JUMP]
-
-    @property
-    def eos_id(self) -> int:
-        return self._token_to_id[EOS]
-
-    @property
-    def mask_id(self) -> int:
-        return self._token_to_id[MASK]
-
-    @property
-    def fwd_id(self) -> int:
-        return self._token_to_id[EDGE_FWD]
-
-    @property
-    def bwd_id(self) -> int:
-        return self._token_to_id[EDGE_BWD]
-
-    def digit_value(self, token_id: int) -> str:
-        try:
-            return self.digit_chars[token_id]
-        except KeyError:
-            raise ValueError(f"not a digit token: {self.token(token_id)!r}") from None
-
     def attr_width(self, kind: str) -> int:
         """1 + highest attribute dimension mentioned by semantic tokens."""
         return self._attr_width.get(kind, 0)
@@ -199,6 +174,15 @@ class Vocabulary:
             else:
                 ids = (self.id(marker_token(self.dataset_tag, kind, dim)), *map(self.id, digits(value)))
             self._attr_ids[key] = ids
+        return ids
+
+    def block_ids(self, kind: str, row, defaults) -> list[int]:
+        """Ids spelling one node or edge attribute row: ``attr_ids`` of
+        each dimension whose value is not its default, in dimension order."""
+        ids: list[int] = []
+        for dim, value in enumerate(row):
+            if value != defaults[dim]:
+                ids += self.attr_ids(kind, dim, value)
         return ids
 
     def _lines(self) -> list[str]:

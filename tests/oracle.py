@@ -1,12 +1,17 @@
-"""Attribute-preserving isomorphism by backtracking search: the
-reference the round-trip tests compare decoded graphs against.
+"""References the tests compare graphseq against.
 
-``graphseq`` checks its own round trips against the serializer's node
-order, which names one bijection. This oracle searches for any
-bijection, so it is independent of that order, and exponential: it
-refuses graphs above ``ISO_NODE_LIMIT`` nodes.
+``isomorphic`` is attribute-preserving isomorphism by backtracking
+search, the reference for decoded graphs. ``graphseq`` checks its own
+round trips against the serializer's node order, which names one
+bijection. This oracle searches for any bijection, so it is independent
+of that order, and exponential: it refuses graphs above
+``ISO_NODE_LIMIT`` nodes.
+
+``cell_roles`` derives every cell's role from the token ids alone, the
+reference for the roles the tokenizer records.
 """
-from graphseq import AttributedGraph
+from graphseq import AttributedGraph, Vocabulary
+from graphseq.vocab import CLASS_DIGIT, CLASS_SEMANTIC, CLASS_STRUCTURAL
 
 ISO_NODE_LIMIT = 12
 
@@ -96,3 +101,27 @@ def isomorphic(g1: AttributedGraph, g2: AttributedGraph) -> bool:
         return False
 
     return search(0)
+
+
+def cell_roles(flat_ids, vocab: Vocabulary) -> list[str]:
+    """The role of each cell of a row-major grid, from its token alone.
+
+    A structural token is a node and ``[p]`` is padding; any other special
+    token (a jump or a direction) is an edge type. A semantic token takes
+    its kind's attribute role, and a digit the role of the latest semantic
+    token. No layout is needed.
+    """
+    roles = []
+    latest = None
+    for tid in flat_ids:
+        cls = vocab.class_of(tid)
+        if cls == CLASS_STRUCTURAL:
+            roles.append("node")
+        elif cls == CLASS_SEMANTIC:
+            latest = f"{vocab.semantic[tid][0]}-attr"
+            roles.append(latest)
+        elif cls == CLASS_DIGIT:
+            roles.append(latest)
+        else:
+            roles.append("pad" if tid == vocab.pad_id else "edge-type")
+    return roles

@@ -188,6 +188,50 @@ def test_pretrain_packs_when_asked(tmp_path, corpus):
     assert len(doc["boundaries"]) == 3
 
 
+# Short rows of these two graphs are 9 and 8 cells wide.
+_MIXED_WIDTHS = [
+    {"num_nodes": 4, "edges": [[0, 1], [1, 2], [0, 2], [2, 3]],
+     "node_attrs": [[6, 0], [8, 1], [6, 0], [7, 12]], "edge_attrs": [[1], [2], [1], [1]]},
+    {"num_nodes": 5, "directed": True, "edges": [[0, 1], [2, 1], [3, 4]],
+     "node_attrs": [[6, 0], [0, 0], [8, 3], [6, 0], [0, 1]], "edge_attrs": [[2], [0], [1]]},
+]
+
+
+@pytest.mark.parametrize("task", ["ntp", "smtp"])
+@pytest.mark.parametrize("layout", ["short", "long"])
+def test_pretrain_packs_grids_whose_blocks_differ_in_width(tmp_path, layout, task):
+    corpus = tmp_path / "mixed.jsonl"
+    corpus.write_text("".join(json.dumps(g) + "\n" for g in _MIXED_WIDTHS * 3))
+    vocab = _vocab(tmp_path, corpus)
+    out = tmp_path / "packed.jsonl"
+    assert main(["pretrain", "--graphs", str(corpus), "--vocab", str(vocab), "--task", task,
+                 "--layout", layout, "--pack-context", "20", "--output", str(out)]) == 0
+    batches = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(batches) > 1
+    assert sum(len(b["boundaries"]) for b in batches) == 6
+    for b in batches:
+        assert b["l"] == 9
+        assert {len(row) for row in b["tokens"]} == {9}
+        for (start, end), targets in zip(b["boundaries"], b["targets"], strict=True):
+            assert targets
+            lo, hi = (start, end) if task == "ntp" else (start * 9, end * 9)
+            assert all(lo <= pos < hi for pos, _ in targets)
+
+
+def test_pretrain_output_is_unchanged_where_widths_are_not_pinned(tmp_path):
+    # Unpacked short grids keep their own widths; packed prolonged ones are width 1.
+    corpus = tmp_path / "mixed.jsonl"
+    corpus.write_text("".join(json.dumps(g) + "\n" for g in _MIXED_WIDTHS))
+    vocab = _vocab(tmp_path, corpus)
+    out = tmp_path / "pt.jsonl"
+    assert main(["pretrain", "--graphs", str(corpus), "--vocab", str(vocab), "--task", "ntp",
+                 "--layout", "short", "--output", str(out)]) == 0
+    assert [json.loads(l)["l"] for l in out.read_text().splitlines()] == [9, 8]
+    assert main(["pretrain", "--graphs", str(corpus), "--vocab", str(vocab), "--task", "ntp",
+                 "--pack-context", "64", "--output", str(out)]) == 0
+    assert [json.loads(l)["l"] for l in out.read_text().splitlines()] == [1]
+
+
 def test_sample_command(tmp_path):
     parent = tmp_path / "parent.jsonl"
     n = 30
@@ -219,6 +263,19 @@ def test_sample_with_identity_and_codebook(tmp_path):
     assert [d["label"] for d in lines] == [1, 1, 1, 0, 0, 0]
     assert all(len(d["graph"]["node_attrs"][0]) == 2 for d in lines)
     assert len(cb.read_text().splitlines()) == n
+
+
+def test_node_ego_negatives_are_an_error(tmp_path, capsys):
+    parent = tmp_path / "parent.jsonl"
+    parent.write_text(json.dumps({"num_nodes": 6, "edges": [[i, i + 1] for i in range(5)]}) + "\n")
+    out, cb = tmp_path / "samples.jsonl", tmp_path / "cb.tsv"
+    assert main(["sample", "--graph", str(parent), "--mode", "node-ego", "--count", "3",
+                 "--negatives", "--identity-k", "2", "--max-cluster", "3", "--codebook-out", str(cb),
+                 "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err == {"error": "ValueError",
+                   "message": "negatives are drawn for edge-ego roots only, not node-ego"}
+    assert not out.exists() and not cb.exists()
 
 
 def test_taskfmt_graph_edge_node(tmp_path, corpus):
@@ -432,6 +489,29 @@ def test_bad_record_fails_with_its_line(tmp_path, jsonl_inputs, capsys, command,
         assert out.read_text() == expected.read_text()
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize(("key", "index", "value", "text"), [
+    ("root_nodes", 1, 1.7, "root node 1.7"),
+    ("root_nodes", 1, True, "root node True"),
+    ("root_nodes", 1, "1", "root node '1'"),
+    ("origin_ids", 0, "+0.9", "origin id"),
+])
+def test_sample_ids_that_are_not_integers_fail_with_their_line(
+    tmp_path, jsonl_inputs, capsys, key, index, value, text
+):
+    # Coercing these would read 1.7 or "1" as node 1, a different sample.
+    lines = jsonl_inputs["samples"].read_text().splitlines(keepends=True)
+    doc = json.loads(lines[1])
+    doc[key][index] = doc[key][index] + 0.9 if value == "+0.9" else value
+    samples = tmp_path / "bad-samples.jsonl"
+    samples.write_text(lines[0] + json.dumps(doc) + "\n" + "".join(lines[2:]))
+    assert main(["taskfmt", "--task", "edge", "--samples", str(samples),
+                 "--vocab", str(jsonl_inputs["svocab"]), "--output", str(tmp_path / "ts.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["line"] == 2
+    assert err["message"].startswith(f"line 2: {text}")
+    assert err["message"].endswith(" is not an integer")
 
 
 def test_detokenize_names_the_line_of_a_repeated_dimension(tmp_path, corpus, capsys):

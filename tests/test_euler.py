@@ -306,7 +306,7 @@ def test_serialized_corpus_bytes_are_pinned():
 def test_triangle_walk_covers_three_edges(c3):
     mg = build_multigraph(c3, 0)
     path = extract_path(mg, 5)
-    assert len(path.edge_instances) == 3
+    assert len(path.edges) == 3
     assert path.nodes[0] == path.nodes[-1]
     assert validate_path(mg, path)
 
@@ -350,7 +350,7 @@ def test_single_node_graph_walks_trivially():
     g = AttributedGraph(num_nodes=1)
     path = extract_path(build_multigraph(g, 0), 0)
     assert path.nodes == (0,)
-    assert path.edge_instances == ()
+    assert path.edges == ()
 
 
 def test_cover_exactly_once_property():

@@ -11,8 +11,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphseq import AttributedGraph, ReindexConfig, build_vocab, detokenize, serialize_graph
-from graphseq import tokenizer
+from graphseq import AttributedGraph, ReindexConfig, Vocabulary, build_vocab, detokenize, serialize_graph
 from graphseq.detokenizer import _collect_steps, _parse_block
 from graphseq.tokenizer import LAYOUTS
 from graphseq.vocab import (
@@ -58,7 +57,7 @@ def _parse_block_by_spelling(ids, vocab, kind, style):
         if style == "digits":
             chars = []
             while i < len(ids) and vocab.class_of(ids[i]) == CLASS_DIGIT:
-                chars.append(vocab.digit_value(ids[i]))
+                chars.append(vocab.digit_chars[ids[i]])
                 i += 1
             if not chars:
                 raise ValueError("malformed attribute run: dimension marker without digits")
@@ -71,13 +70,13 @@ def _parse_block_by_spelling(ids, vocab, kind, style):
 
 
 def _spelled_blocks(vocab):
-    """Patch the tokenizer to spell blocks through the string reference."""
+    """Patch the vocabulary to spell blocks through the string reference."""
     styles = {"node": vocab.node_attr_style, "edge": vocab.edge_attr_style}
 
     def block_ids(vocab, kind, attrs, defaults):
         return _block_ids_by_spelling(vocab, kind, styles[kind], attrs, defaults)
 
-    return mock.patch.object(tokenizer, "_block_ids", block_ids)
+    return mock.patch.object(Vocabulary, "block_ids", block_ids)
 
 
 _STYLES = st.sampled_from(("digits", "inline"))
@@ -169,5 +168,5 @@ def test_attribute_ids_are_memoised_per_value():
     assert [vocab.token(t) for t in ids] == ["t#node#0#1", "<->", "<1>", "<7>"]
     assert vocab.attr_ids("node", 0, -17) is ids
     assert vocab.semantic[ids[0]] == ("node", 0, 1)
-    assert [vocab.digit_value(t) for t in ids[1:]] == ["-", "1", "7"]
+    assert [vocab.digit_chars[t] for t in ids[1:]] == ["-", "1", "7"]
     assert vocab.attr_width("node") == 1 and vocab.attr_width("edge") == 0

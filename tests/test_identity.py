@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -16,7 +17,6 @@ from graphseq import (
     sample,
     serialize_graph,
     with_identity_attrs,
-    with_label_attrs,
 )
 
 from conftest import random_connected_graph
@@ -165,6 +165,12 @@ def test_partition_file_names_the_line_of_a_non_integer_field(tmp_path):
         load_partition(path)
 
 
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_partition_clusters_must_be_integers(bad):
+    with pytest.raises(ValueError, match=f"cluster {bad!r} is not an integer"):
+        codebook_from_partition([0, bad])
+
+
 def test_codebook_file_format(tmp_path):
     g = _ring(4)
     cb = build_codebook(g, k=2, strategy="given-labels", labels=[1, 1, 2, 2], dataset_tag="t")
@@ -205,7 +211,11 @@ def test_label_only_ablation_still_roundtrips_structure():
     parent = _ring(16)
     labels = [v % 3 for v in range(16)]
     cfg = SamplerConfig(mode="node-ego", depth=3, neighbors=2, max_seq_len=256, seed=9)
-    sub = with_label_attrs(sample(parent, (5,), cfg), labels)
+    # The ablation keeps only each node's coarse label as its attribute.
+    sub = sample(parent, (5,), cfg)
+    sub = replace(sub, graph=replace(
+        sub.graph, node_attrs=[(labels[gid],) for gid in sub.origin_ids], node_defaults=(-1,)
+    ))
     assert sub.graph.node_attr_width == 1
     rcfg = ReindexConfig()
     vocab = build_vocab([sub.graph], "t", rcfg, node_attr_style="inline")

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from graphseq import (
@@ -100,6 +101,15 @@ def test_root_out_of_range(c3):
         sample(c3, (9,), _cfg())
 
 
+def test_roots_must_be_integers(c3):
+    # int() would read 1.5 as 1 and sample around a node nobody asked for.
+    with pytest.raises(ValueError, match="root node 1.5 is not an integer"):
+        sample(c3, (0, 1.5), _cfg(mode="edge-ego"))
+    with pytest.raises(ValueError, match="root node True is not an integer"):
+        sample(c3, (True,), _cfg())
+    assert sample(c3, (np.int64(1),), _cfg()).origin_ids[0] == 1
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="depth"):
         SamplerConfig(mode="node-ego", depth=0, neighbors=1, max_seq_len=10)
@@ -126,6 +136,11 @@ def test_draw_all_edges_of_triangle(c3):
 def test_negatives_on_complete_graph_fail(c3):
     with pytest.raises(ValueError, match="non-edge"):
         draw_roots(c3, "edge-ego", 3, seed=0, negatives=True)
+
+
+def test_negatives_need_edge_ego(c3):
+    with pytest.raises(ValueError, match="edge-ego roots only, not node-ego"):
+        draw_roots(c3, "node-ego", 2, seed=0, negatives=True)
 
 
 def test_negatives_are_real_non_edges():

@@ -19,6 +19,7 @@ from graphseq import (
 )
 from graphseq.euler import EulerPath
 from graphseq.tokenizer import (
+    LAYOUTS,
     ROLE_EDGE_ATTR,
     ROLE_NODE,
     ROLE_NODE_ATTR,
@@ -29,6 +30,7 @@ from graphseq.tokenizer import (
 from graphseq.vocab import EDGE_BWD, EDGE_FWD, EDGE_JUMP
 
 from conftest import random_graph, vocab_for
+from oracle import cell_roles
 
 
 def _walk(g, seed=0):
@@ -37,8 +39,7 @@ def _walk(g, seed=0):
 
 
 def _fake_path(nodes):
-    instances = tuple((i, 0) for i in range(len(nodes) - 1))
-    return EulerPath(nodes=tuple(nodes), edge_instances=instances, rng_seed=0)
+    return EulerPath(nodes=tuple(nodes), edges=tuple(range(len(nodes) - 1)))
 
 
 # --- re-indexing --------------------------------------------------------
@@ -246,14 +247,14 @@ def _expected_prolonged_length(g, mg, path, vocab):
             for dim, value in enumerate(g.node_attrs[v]):
                 if value != g.node_defaults[dim]:
                     attr_tokens += 1 if vocab.node_attr_style == "inline" else 1 + len(str(value))
-    traversed = {eid for eid, _ in path.edge_instances if not mg.is_jump(eid)}
+    traversed = {eid for eid in path.edges if eid < mg.num_base_edges}
     for eid in traversed:
         if g.edge_attrs:
             for dim, value in enumerate(g.edge_attrs[eid]):
                 if value != g.edge_defaults[dim]:
                     attr_tokens += 1 if vocab.edge_attr_style == "inline" else 1 + len(str(value))
-    jumps = sum(1 for eid, _ in path.edge_instances if mg.is_jump(eid))
-    arrows = len(path.edge_instances) - jumps if g.directed else 0
+    jumps = sum(1 for eid in path.edges if eid >= mg.num_base_edges)
+    arrows = len(path.edges) - jumps if g.directed else 0
     return n_tokens + attr_tokens + jumps + arrows
 
 
@@ -400,3 +401,19 @@ def test_to_json_writes_the_bytes_of_list_rows():
             "roles": [list(r) for r in grid.roles],
         }
         assert json.dumps(grid.to_json()) == json.dumps(copied)
+
+
+@pytest.mark.parametrize("style", ["digits", "inline"])
+def test_recorded_roles_follow_from_the_tokens(style):
+    # random_graph draws directed graphs and, with an edge dropped, disconnected ones.
+    rng = random.Random(7)
+    kinds = set()
+    for i in range(200):
+        g = random_graph(rng, n_max=40)
+        mg = build_multigraph(g, i)
+        kinds.add((g.directed, bool(mg.jump_edges)))
+        vocab = vocab_for(g, node_attr_style=style, edge_attr_style=style)
+        for layout in LAYOUTS:
+            grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
+            assert cell_roles(grid.flat(), vocab) == [r for row in grid.roles for r in row]
+    assert kinds == {(False, False), (False, True), (True, False), (True, True)}
