@@ -15,7 +15,6 @@ from .euler import (
     EulerizedMultigraph,
     add_jump_edges,
     build_multigraph,
-    classify,
     eulerize,
     extract_path,
     validate_path,

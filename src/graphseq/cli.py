@@ -41,7 +41,7 @@ from .graph import (
 )
 from .identity import build_codebook, load_partition, with_identity_attrs
 from .pipeline import derive_seed, roundtrip_report, serialize_graph
-from .pretrain import build_ntp, build_smtp, draw_mask_fraction, pack
+from .pretrain import build_ntp, build_smtp, check_fits, draw_mask_fraction, pack
 from .sampler import SamplerConfig, draw_roots, sample
 from .taskfmt import format_edge_task, format_graph_task, format_node_task
 from .tokenizer import LAYOUTS, ReindexConfig, TokenGrid
@@ -206,10 +206,14 @@ def cmd_pretrain(args) -> int:
     def example(i, g):
         grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i), **widths)
         if args.task == "ntp":
-            return build_ntp(grid, vocab)
-        rng = random.Random(derive_seed(args.seed, "rate", i))
-        rate = draw_mask_fraction(rng)
-        return build_smtp(grid, rate, derive_seed(args.seed, "mask", i), vocab)
+            ex = build_ntp(grid, vocab)
+        else:
+            rng = random.Random(derive_seed(args.seed, "rate", i))
+            rate = draw_mask_fraction(rng)
+            ex = build_smtp(grid, rate, derive_seed(args.seed, "mask", i), vocab)
+        if args.pack_context:
+            check_fits(ex, args.pack_context)  # here, so the error names the line
+        return ex
 
     examples = _per_record(read_jsonl(args.graphs, graph_record), example)
     # First-fit packing needs every bin, so packed output is written at the end.
@@ -240,8 +244,15 @@ def cmd_taskfmt(args) -> int:
             )
         return [vocab.token(t) for t in vocab.block_ids("node", g.node_attrs[local], g.node_defaults)]
 
+    roots, mode = (2, "edge-ego") if args.task == "edge" else (1, "node-ego")
+
     def sample_task(i, record):
         sub, label = record
+        if len(sub.root_nodes) != roots:
+            raise ValueError(
+                f"{args.task} tasks need samples with {roots} root node(s), not "
+                f"{len(sub.root_nodes)}; draw them with `graphseq sample --mode {mode}`"
+            )
         g = sub.graph
         grid = grid_of(g, i)
         if args.task == "edge":

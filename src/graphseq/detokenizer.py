@@ -63,14 +63,7 @@ def grid_from_prolonged_tokens(tokens: list[str], vocab: Vocabulary) -> TokenGri
             raise ValueError(f"digit token {vocab.token(tid)!r} before any attribute marker")
         else:
             roles.append(current)
-    node_count = roles.count(ROLE_NODE)
-    return TokenGrid(
-        layout="prolonged",
-        m=max(node_count - 1, 0),
-        l=1,
-        tokens=zip(ids),
-        roles=zip(roles),
-    )
+    return TokenGrid(layout="prolonged", l=1, tokens=zip(ids), roles=zip(roles))
 
 
 def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[Step]:

@@ -173,18 +173,6 @@ def add_jump_edges(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     )
 
 
-def classify(mg: EulerizedMultigraph) -> tuple[str, tuple[int, ...]]:
-    """Return ("eulerian" | "semi-eulerian" | "neither", odd-degree nodes)."""
-    if not mg.is_connected():
-        raise ValueError("multigraph is disconnected; add jump edges first")
-    odd = mg.odd_nodes()
-    if len(odd) == 0:
-        return "eulerian", odd
-    if len(odd) == 2:
-        return "semi-eulerian", odd
-    return "neither", odd
-
-
 def _bfs_path_edges(adj: Adjacency, start: int, goal: int) -> list[int]:
     """Edge ids along one shortest path, from ``goal`` back to ``start``."""
     parent = bfs_tree(adj, start, goal)

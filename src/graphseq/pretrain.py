@@ -18,8 +18,6 @@ from typing import Callable, Iterable
 from .tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
 from .vocab import Vocabulary
 
-ATTENTION_CONTRACT = "no-cross-sequence-visibility"
-
 
 def linear_schedule(u: float) -> float:
     """Identity schedule: a Uniform(0, 1] draw is the mask fraction."""
@@ -43,16 +41,15 @@ class PretrainExample:
     mask_rate_drawn: float | None = None
 
     def to_json(self) -> dict:
-        """The example as a JSON document of shared tuples; copy before editing."""
+        """The example as a JSON document of shared tuples; copy before
+        editing. Roles are left out: the token classes give them back."""
         return {
             "task": self.task,
             "inputs": self.inputs.tokens,
             "targets": self.targets,
             "r": self.mask_rate_drawn,
             "layout": self.inputs.layout,
-            "m": self.inputs.m,
             "l": self.inputs.l,
-            "roles": self.inputs.roles,
         }
 
 
@@ -113,9 +110,7 @@ def build_smtp(
                 targets.append((flat + c, tok))
         new_rows.append(tuple(new_row))
         flat += grid.l
-    inputs = TokenGrid(
-        layout=grid.layout, m=grid.m, l=grid.l, tokens=tuple(new_rows), roles=grid.roles
-    )
+    inputs = TokenGrid(layout=grid.layout, l=grid.l, tokens=tuple(new_rows), roles=grid.roles)
     return PretrainExample(
         inputs=inputs,
         targets=tuple(targets),
@@ -128,8 +123,8 @@ def build_smtp(
 class PackedBatch:
     """Several examples in one context window, separated by ``<eos>`` rows.
 
-    ``boundaries`` are [start, end) row spans of the member sequences so a
-    consumer can mask attention across them; separator rows belong to no
+    ``boundaries`` are [start, end) row spans of the member sequences.
+    Members never attend across them, and separator rows belong to no
     span.
     """
 
@@ -139,7 +134,6 @@ class PackedBatch:
     boundaries: tuple[tuple[int, int], ...]
     tasks: tuple[str, ...]
     targets: tuple[tuple[tuple[int, int], ...], ...]
-    attention_contract: str = ATTENTION_CONTRACT
 
     def to_json(self) -> dict:
         """The batch as a JSON document of shared tuples; copy before editing."""
@@ -150,8 +144,14 @@ class PackedBatch:
             "boundaries": self.boundaries,
             "tasks": self.tasks,
             "targets": self.targets,
-            "attention_contract": self.attention_contract,
         }
+
+
+def check_fits(ex: PretrainExample, context: int) -> None:
+    """Raise unless the example fits ``context`` rows on its own."""
+    rows = ex.inputs.num_rows
+    if rows > context:
+        raise ValueError(f"example of {rows} rows exceeds context {context}")
 
 
 def pack(
@@ -168,9 +168,8 @@ def pack(
     layout: str | None = None
     width: int | None = None
     for ex in examples:
+        check_fits(ex, context)
         rows = ex.inputs.num_rows
-        if rows > context:
-            raise ValueError(f"example of {rows} rows exceeds context {context}")
         if layout is None:
             layout, width = ex.inputs.layout, ex.inputs.l
         elif ex.inputs.layout != layout or ex.inputs.l != width:

@@ -16,8 +16,9 @@ Attribute dimensions holding their default value are omitted.
   a node-attr row and an edge-attr row (same width ``l``) whenever the
   step carries the corresponding block.
 
-Cell roles (node / edge-type / edge-attr / node-attr / pad) are recorded
-alongside tokens so grids deserialize without re-deriving structure.
+Grids record each cell's role (node / edge-type / edge-attr / node-attr /
+pad) next to its token, and the detokenizer reads them. The token classes
+fix every role too, so example files leave roles out.
 """
 from __future__ import annotations
 
@@ -54,11 +55,9 @@ class ReindexConfig:
 
 @dataclass(frozen=True)
 class TokenGrid:
-    """Token ids in grid form. ``m`` is the walk's edge-instance count and
-    ``l`` the row width (1 for prolonged)."""
+    """Token ids in grid form; ``l`` is the row width (1 for prolonged)."""
 
     layout: str
-    m: int
     l: int
     tokens: tuple[tuple[int, ...], ...]
     roles: tuple[tuple[str, ...], ...]
@@ -83,7 +82,6 @@ class TokenGrid:
         which ``json.dumps`` writes as arrays: copy before editing."""
         return {
             "layout": self.layout,
-            "m": self.m,
             "l": self.l,
             "tokens": self.tokens,
             "roles": self.roles,
@@ -93,7 +91,6 @@ class TokenGrid:
     def from_json(cls, doc: dict) -> "TokenGrid":
         return cls(
             layout=doc["layout"],
-            m=doc["m"],
             l=doc["l"],
             tokens=doc["tokens"],
             roles=doc["roles"],
@@ -333,14 +330,13 @@ def tokenize(
     _check_vocab_indices(cfg, vocab)
     index_of = reindex(path, cfg)
     steps = _build_steps(path, mg, vocab, index_of, seed)
-    m = len(path.edges)
     if layout == "prolonged":
         tokens, roles = _emit_prolonged(steps)
-        return TokenGrid(layout=layout, m=m, l=1, tokens=tokens, roles=roles)
+        return TokenGrid(layout=layout, l=1, tokens=tokens, roles=roles)
     we = _fit_width([s.edge_attrs for s in steps], edge_attr_width, "edge attribute")
     wn = _fit_width([s.node_attrs for s in steps], node_attr_width, "node attribute")
     if layout == "short":
         tokens, roles = _emit_short(steps, vocab, we, wn)
     else:
         tokens, roles = _emit_long(steps, vocab, 2 + we + wn)
-    return TokenGrid(layout=layout, m=m, l=2 + we + wn, tokens=tokens, roles=roles)
+    return TokenGrid(layout=layout, l=2 + we + wn, tokens=tokens, roles=roles)

@@ -11,6 +11,7 @@ Two attribute spellings exist, chosen per attribute kind:
 """
 from __future__ import annotations
 
+import operator
 from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
@@ -42,22 +43,10 @@ _HEADER_KEYS = ("dataset_tag", "node_attr_style", "edge_attr_style")
 _DIGIT_FOR_CHAR = {"-": "<->", ".": "<.>", **{d: f"<{d}>" for d in "0123456789"}}
 
 
-def digits(value: int | str) -> list[str]:
-    """Digit-wise spelling of a number: sign, then decimal digit tokens.
-
-    Integers never carry leading zeros (zero itself is a single ``<0>``).
-    Strings pass through character-wise, so pre-quantized decimals like
-    "3.14" keep their point token.
-    """
-    text = str(int(value)) if not isinstance(value, str) else value
-    out = []
-    for ch in text:
-        if ch not in _DIGIT_FOR_CHAR:
-            raise ValueError(f"cannot digit-tokenize character {ch!r} in {text!r}")
-        out.append(_DIGIT_FOR_CHAR[ch])
-    if not out:
-        raise ValueError("empty value")
-    return out
+def digits(value: int) -> list[str]:
+    """Digit-wise spelling of an integer: sign, then decimal digit tokens,
+    with no leading zeros (zero itself is a single ``<0>``)."""
+    return [_DIGIT_FOR_CHAR[ch] for ch in str(operator.index(value))]
 
 
 def semantic_token(tag: str, kind: str, dim: int, value: int) -> str:
@@ -67,6 +56,12 @@ def semantic_token(tag: str, kind: str, dim: int, value: int) -> str:
 def marker_token(tag: str, kind: str, dim: int) -> str:
     """Dimension announcement used by the ``digits`` attribute style."""
     return semantic_token(tag, kind, dim, 1)
+
+
+def _head_token(tag: str, kind: str, style: str, dim: int, value: int) -> str:
+    """First token spelling ``value`` at dimension ``dim``: the inline
+    token, or the dimension marker that the value's digits follow."""
+    return semantic_token(tag, kind, dim, value) if style == "inline" else marker_token(tag, kind, dim)
 
 
 def parse_semantic(token: str) -> tuple[str, str, int, int]:
@@ -169,10 +164,9 @@ class Vocabulary:
         ids = self._attr_ids.get(key)
         if ids is None:
             style = self.node_attr_style if kind == "node" else self.edge_attr_style
-            if style == "inline":
-                ids = (self.id(semantic_token(self.dataset_tag, kind, dim, value)),)
-            else:
-                ids = (self.id(marker_token(self.dataset_tag, kind, dim)), *map(self.id, digits(value)))
+            ids = (self.id(_head_token(self.dataset_tag, kind, style, dim, value)),)
+            if style == "digits":
+                ids += tuple(map(self.id, digits(value)))
             self._attr_ids[key] = ids
         return ids
 
@@ -229,19 +223,6 @@ class Vocabulary:
         return vocab
 
 
-def _attr_tokens(tag, kind, style, attrs, defaults):
-    tokens = set()
-    for row in attrs:
-        for dim, value in enumerate(row):
-            if value == defaults[dim]:
-                continue
-            if style == "inline":
-                tokens.add(semantic_token(tag, kind, dim, value))
-            else:
-                tokens.add(marker_token(tag, kind, dim))
-    return tokens
-
-
 def build_vocab(
     corpus: Iterable[AttributedGraph],
     dataset_tag: str,
@@ -256,13 +237,19 @@ def build_vocab(
     observed in the corpus. Rebuilding from the same corpus is
     byte-identical.
     """
-    semantic: set[str] = set()
+    # Distinct (kind, dim, value) triples first, so each is spelled once.
+    triples: set[tuple[str, int, int]] = set()
     for g in corpus:
-        semantic |= _attr_tokens(dataset_tag, "node", node_attr_style, g.node_attrs, g.node_defaults)
-        semantic |= _attr_tokens(dataset_tag, "edge", edge_attr_style, g.edge_attrs, g.edge_defaults)
+        for kind, rows, defaults in (
+            ("node", g.node_attrs, g.node_defaults),
+            ("edge", g.edge_attrs, g.edge_defaults),
+        ):
+            for row in set(rows):
+                triples.update((kind, dim, v) for dim, v in enumerate(row) if v != defaults[dim])
+    styles = {"node": node_attr_style, "edge": edge_attr_style}
     return Vocabulary(
         num_indices=cfg.num_indices,
-        semantic_tokens=semantic,
+        semantic_tokens={_head_token(dataset_tag, k, styles[k], dim, v) for k, dim, v in triples},
         dataset_tag=dataset_tag,
         node_attr_style=node_attr_style,
         edge_attr_style=edge_attr_style,

@@ -172,6 +172,8 @@ def test_pretrain_smtp_emits_one_example_per_graph(tmp_path):
     lines = [json.loads(l) for l in out.read_text().splitlines()]
     assert len(lines) == 10
     for doc in lines:
+        # No roles and no edge count: the tokens give both back.
+        assert set(doc) == {"task", "inputs", "targets", "r", "layout", "l"}
         assert doc["task"] == "smtp"
         assert 0 < doc["r"] <= 1
         assert doc["targets"]
@@ -184,8 +186,20 @@ def test_pretrain_packs_when_asked(tmp_path, corpus):
                  "--task", "ntp", "--pack-context", "128",
                  "--output", str(out)]) == 0
     (doc,) = [json.loads(l) for l in out.read_text().splitlines()]
-    assert doc["attention_contract"] == "no-cross-sequence-visibility"
+    assert set(doc) == {"layout", "l", "tokens", "boundaries", "tasks", "targets"}
     assert len(doc["boundaries"]) == 3
+
+
+def test_pretrain_names_the_line_of_an_example_too_long_to_pack(tmp_path, capsys):
+    corpus = tmp_path / "mixed.jsonl"
+    corpus.write_text("".join(json.dumps(g) + "\n" for g in _MIXED_WIDTHS))
+    vocab = _vocab(tmp_path, corpus)
+    capsys.readouterr()
+    assert main(["pretrain", "--graphs", str(corpus), "--vocab", str(vocab), "--task", "ntp",
+                 "--pack-context", "5", "--output", str(tmp_path / "pt.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["line"] == 1
+    assert err["message"] == "line 1: example of 26 rows exceeds context 5"
 
 
 # Short rows of these two graphs are 9 and 8 cells wide.
@@ -521,6 +535,7 @@ def test_detokenize_names_the_line_of_a_repeated_dimension(tmp_path, corpus, cap
                  "--layout", "prolonged", "--output", str(grids)]) == 0
     ids = Vocabulary.load(vocab).id
     marker = ids("t#node#0#1")
+    # An older grid file's "m" key is not read.
     repeated = {"layout": "prolonged", "m": 1, "l": 1,
                 "tokens": [[ids("0")], [marker], [ids("<5>")], [marker], [ids("<9>")], [ids("1")]],
                 "roles": [["node"]] + [["node-attr"]] * 4 + [["node"]]}
@@ -555,6 +570,32 @@ def test_taskfmt_names_the_missing_identity_flag(tmp_path, capsys):
     assert "--identity-k" in err["message"]
 
 
+@pytest.mark.parametrize(("task", "drawn", "wanted"), [
+    ("edge", "node-ego", "edge-ego"),
+    ("node", "edge-ego", "node-ego"),
+])
+def test_taskfmt_needs_the_root_count_of_its_task(tmp_path, capsys, task, drawn, wanted):
+    parent = tmp_path / "parent.jsonl"
+    n = 20
+    parent.write_text(json.dumps({
+        "num_nodes": n, "edges": [[i, (i + 1) % n] for i in range(n)]
+    }) + "\n")
+    samples = tmp_path / "samples.jsonl"
+    assert main(["sample", "--graph", str(parent), "--mode", drawn,
+                 "--depth", "2", "--neighbors", "2", "--count", "2",
+                 "--identity-k", "2", "--max-cluster", "5", "--dataset-tag", "t",
+                 "--seed", "1", "--output", str(samples)]) == 0
+    vocab = tmp_path / "v.tsv"
+    assert main(["vocab", "--graphs", str(samples), "--dataset-tag", "t",
+                 "--node-attr-style", "inline", "--output", str(vocab)]) == 0
+    capsys.readouterr()
+    assert main(["taskfmt", "--task", task, "--samples", str(samples),
+                 "--vocab", str(vocab), "--output", str(tmp_path / "out.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["line"] == 1
+    assert f"graphseq sample --mode {wanted}" in err["message"]
+
+
 _INLINE_CORPUS = [
     {"num_nodes": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [1, 3]],
      "node_attrs": [[17, 1], [20, 0], [1, 3], [0, 0], [17, 2]],
@@ -585,9 +626,10 @@ def test_inline_vocabulary_round_trips_without_style_flags(tmp_path):
             assert isomorphic(AttributedGraph.from_json(doc["graph"]),
                               AttributedGraph.from_json(original))
     # The grids that tokenize wrote when it still took the styles as flags,
-    # given --node-attr-style inline --edge-attr-style inline; without them
-    # it wrote digit-spelled grids and exited 0.
-    assert digest.hexdigest() == "bf4e4012caced378fe8350d68661c590246427e049c3c66804d1cbbe02c0abde"
+    # given --node-attr-style inline --edge-attr-style inline (without them
+    # it wrote digit-spelled grids and exited 0), less the "m" key grids
+    # no longer carry.
+    assert digest.hexdigest() == "fc32d29203554094025bb2d0448c8e9acebb4ec4a5049c0613a556b5aa46a351"
 
 
 def test_headerless_vocabulary_is_rejected(tmp_path, corpus, capsys):

@@ -126,7 +126,6 @@ def test_dangling_attribute_tokens_rejected():
     marker = vocab.id("test#node#0#1")
     grid = TokenGrid(
         layout="prolonged",
-        m=0,
         l=1,
         tokens=((marker,), (vocab.id("0"),)),
         roles=(("node-attr",), ("node",)),
@@ -140,7 +139,6 @@ def test_marker_without_digits_rejected():
     marker = vocab.id("test#node#0#1")
     grid = TokenGrid(
         layout="prolonged",
-        m=1,
         l=1,
         tokens=((vocab.id("0"),), (marker,), (vocab.id("1"),)),
         roles=(("node",), ("node-attr",), ("node",)),
@@ -153,7 +151,14 @@ def _node_block_grid(vocab, block):
     """Prolonged grid 0, block, 1 with ``block`` the first node's attribute run."""
     tokens = [vocab.id("0"), *map(vocab.id, block), vocab.id("1")]
     roles = ["node"] + ["node-attr"] * len(block) + ["node"]
-    return TokenGrid(layout="prolonged", m=1, l=1, tokens=zip(tokens), roles=zip(roles))
+    return TokenGrid(layout="prolonged", l=1, tokens=zip(tokens), roles=zip(roles))
+
+
+def test_decimal_point_in_a_digit_run_is_rejected():
+    vocab, g = _tiny_vocab()
+    grid = _node_block_grid(vocab, ["test#node#0#1", "<3>", "<.>", "<1>"])
+    with pytest.raises(ValueError, match="non-integer value '3.1'"):
+        detokenize(grid, vocab)
 
 
 def test_repeated_dimension_in_a_block_is_rejected():
@@ -180,7 +185,6 @@ def test_special_token_in_node_cell_rejected():
     vocab, g = _tiny_vocab()
     grid = TokenGrid(
         layout="prolonged",
-        m=0,
         l=1,
         tokens=((vocab.jump_id,),),
         roles=(("node",),),
@@ -193,7 +197,6 @@ def test_trailing_edge_tokens_rejected():
     vocab, g = _tiny_vocab()
     grid = TokenGrid(
         layout="prolonged",
-        m=0,
         l=1,
         tokens=((vocab.id("0"),), (vocab.jump_id,)),
         roles=(("node",), ("edge-type",)),

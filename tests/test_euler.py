@@ -16,7 +16,6 @@ from graphseq import (
     add_jump_edges,
     build_multigraph,
     build_vocab,
-    classify,
     connected_components,
     eulerize,
     extract_path,
@@ -166,29 +165,6 @@ def test_jump_endpoints_vary_with_seed(two_triangles):
     assert len(endpoints) > 1
 
 
-# --- classification -----------------------------------------------------
-
-
-def test_classify_triangle(c3):
-    kind, odd = classify(add_jump_edges(c3, 0))
-    assert kind == "eulerian" and odd == ()
-
-
-def test_classify_path(p3):
-    kind, odd = classify(add_jump_edges(p3, 0))
-    assert kind == "semi-eulerian" and odd == (0, 2)
-
-
-def test_classify_star(k13):
-    kind, odd = classify(add_jump_edges(k13, 0))
-    assert kind == "neither" and len(odd) == 4
-
-
-def test_classify_rejects_disconnected(two_triangles):
-    with pytest.raises(ValueError, match="disconnected"):
-        classify(EulerizedMultigraph(base=two_triangles))
-
-
 # --- eulerization -------------------------------------------------------
 
 
@@ -282,7 +258,7 @@ def test_odd_rings_give_bfs_distances():
 # graphs with 10-30 nodes, computed with the brute-force and rescan
 # matchings above in place of the library's. Any change to pairing or
 # tie-breaking on either the exact or the greedy path changes it.
-CORPUS_DIGEST = "23521aba385870f6eaadc494b794e1bac1258515f8c6cddec5909bd51889f615"
+CORPUS_DIGEST = "5c8943d73c6b7bb2814a2387e2af05e16677f72e7932e8a10e6ebab803876391"
 
 
 def test_serialized_corpus_bytes_are_pinned():
@@ -296,11 +272,18 @@ def test_serialized_corpus_bytes_are_pinned():
     for i, g in enumerate(graphs):
         for layout in ("prolonged", "short"):
             grid = serialize_graph(g, vocab, layout, seed=i)
-            digest.update(json.dumps(grid.to_json()).encode() + b"\n")
+            doc = [grid.layout, grid.l, grid.tokens, grid.roles]
+            digest.update(json.dumps(doc).encode() + b"\n")
     assert digest.hexdigest() == CORPUS_DIGEST
 
 
 # --- path extraction ----------------------------------------------------
+
+
+def test_walk_of_a_disconnected_multigraph_is_rejected(two_triangles):
+    # Every degree is even, so only the connectivity check can refuse it.
+    with pytest.raises(ValueError, match="disconnected; add jump edges first"):
+        extract_path(EulerizedMultigraph(base=two_triangles), 0)
 
 
 def test_triangle_walk_covers_three_edges(c3):
@@ -329,7 +312,7 @@ def test_walks_are_stochastic_across_seeds():
         num_nodes=5, edges=((0, 1), (1, 2), (0, 2), (0, 3), (3, 4), (0, 4))
     )
     mg = build_multigraph(g, 0)
-    assert classify(mg)[0] == "eulerian"
+    assert mg.odd_nodes() == ()
     walks = {extract_path(mg, s).nodes for s in range(20)}
     assert len(walks) >= 2
     # One graph, many sequences: the augmentation serialization-based

@@ -21,15 +21,15 @@ from graphseq.pretrain import (
     distinct_node_tokens,
     linear_schedule,
 )
-from graphseq.tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
+from graphseq.tokenizer import LAYOUTS, ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
 
-from conftest import random_connected_graph, vocab_for
+from conftest import random_connected_graph, random_graph, vocab_for
+from oracle import cell_roles
 
 
 def _prolonged_example(tokens, vocab):
     grid = TokenGrid(
         layout="prolonged",
-        m=len(tokens) - 1,
         l=1,
         tokens=tuple((t,) for t in tokens),
         roles=tuple(("node",) for _ in tokens),
@@ -130,10 +130,29 @@ def test_smtp_partial_mask_has_no_leaks():
         assert not masked_nodes & set(flat_in), "masked node token survived"
 
 
+@pytest.mark.parametrize("task", ["ntp", "smtp"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_example_files_give_the_grid_roles_back(layout, task):
+    # Example files carry no roles: with each SMTP target put back into its
+    # cell, the token-class rule gives the tokenizer's roles.
+    rng = random.Random(17)
+    for i in range(40):
+        g = random_graph(rng, n_max=30)
+        vocab = vocab_for(g, **({"node_attr_style": "inline"} if i % 2 else {}))
+        grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
+        ex = build_smtp(grid, 0.5, i, vocab) if task == "smtp" else build_ntp(grid, vocab)
+        doc = json.loads(json.dumps(ex.to_json()))
+        flat = [tok for row in doc["inputs"] for tok in row]
+        if task == "smtp":
+            for pos, tok in doc["targets"]:
+                assert flat[pos] == vocab.mask_id
+                flat[pos] = tok
+        assert cell_roles(flat, vocab) == [r for row in grid.roles for r in row]
+
+
 def test_distinct_node_tokens_keep_first_appearance_order():
     grid = TokenGrid(
         layout="short",
-        m=4,
         l=2,
         tokens=((5, 1), (2, 1), (5, 1), (0, 1), (2, 1)),
         roles=(("node", "pad"), ("node", "pad"), ("node", "pad"), ("node", "pad"), ("pad", "node")),
@@ -198,7 +217,7 @@ def test_cosine_schedule_is_a_valid_fraction():
 def _dummy_example(vocab, length):
     tokens = tuple((vocab.id("0"),) for _ in range(length))
     roles = tuple(("node",) for _ in range(length))
-    grid = TokenGrid(layout="prolonged", m=length - 1, l=1, tokens=tokens, roles=roles)
+    grid = TokenGrid(layout="prolonged", l=1, tokens=tokens, roles=roles)
     return PretrainExample(inputs=grid, targets=((0, vocab.id("0")),), task="ntp")
 
 
@@ -210,7 +229,6 @@ def test_pack_two_examples_with_separator():
     assert len(batch.tokens) == 21  # 10 + separator + 10
     assert batch.boundaries == ((0, 10), (11, 21))
     assert batch.tokens[10][0] == vocab.eos_id
-    assert batch.attention_contract == "no-cross-sequence-visibility"
 
 
 def test_pack_oversized_example_fails():
@@ -278,9 +296,7 @@ def test_to_json_writes_the_bytes_of_list_copies():
             "targets": [list(t) for t in ex.targets],
             "r": ex.mask_rate_drawn,
             "layout": ex.inputs.layout,
-            "m": ex.inputs.m,
             "l": ex.inputs.l,
-            "roles": [list(r) for r in ex.inputs.roles],
         }
         assert json.dumps(ex.to_json()) == json.dumps(copied)
         examples.append(ex)
@@ -294,6 +310,5 @@ def test_to_json_writes_the_bytes_of_list_copies():
             "boundaries": [list(x) for x in b.boundaries],
             "tasks": list(b.tasks),
             "targets": [[list(t) for t in seq] for seq in b.targets],
-            "attention_contract": b.attention_contract,
         }
         assert json.dumps(b.to_json()) == json.dumps(copied)

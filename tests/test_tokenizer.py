@@ -116,7 +116,6 @@ def test_attribute_free_triangle_short_grid(c3):
     mg, path = _walk(c3)
     cfg = ReindexConfig(num_indices=16, cyclic=False)
     grid = tokenize(path, mg, vocab, "short", cfg, 0, edge_attr_width=1, node_attr_width=1)
-    assert grid.m == 3
     assert grid.num_rows == 4
     assert grid.l == 4
     for row, roles in zip(grid.tokens, grid.roles):
@@ -395,7 +394,6 @@ def test_to_json_writes_the_bytes_of_list_rows():
         grid = serialize_graph(g, vocab_for(g), ("prolonged", "short", "long")[i % 3], ReindexConfig(), i)
         copied = {
             "layout": grid.layout,
-            "m": grid.m,
             "l": grid.l,
             "tokens": [list(r) for r in grid.tokens],
             "roles": [list(r) for r in grid.roles],

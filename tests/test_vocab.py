@@ -16,7 +16,12 @@ from graphseq.vocab import (
 
 
 def test_digits_of_decimal_string():
-    assert digits("3.14") == ["<3>", "<.>", "<1>", "<4>"]
+    # Values are integers; a decimal is quantized at ingest, never spelled.
+    # The <.> token stays so the decoder can name a point it rejects.
+    assert "<.>" in DIGIT_TOKENS
+    for value in ("3.14", 3.14):
+        with pytest.raises(TypeError):
+            digits(value)
 
 
 def test_digits_of_zero():
@@ -41,8 +46,9 @@ def test_digits_never_emit_leading_zeros(value):
 
 
 def test_digits_reject_garbage():
-    with pytest.raises(ValueError):
-        digits("12a")
+    for value in ("12a", "12", None):
+        with pytest.raises(TypeError):
+            digits(value)
 
 
 def test_vocab_size_without_attributes():
