@@ -17,7 +17,6 @@ from .euler import (
     build_multigraph,
     eulerize,
     extract_path,
-    validate_path,
 )
 from .vocab import Vocabulary, build_vocab, digits
 from .tokenizer import ReindexConfig, TokenGrid, reindex, sequence_length, tokenize

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -29,11 +29,11 @@ from .graph import (
 )
 
 # Odd-node counts up to this bound get the exact pairing. The subset DP
-# takes about 0.2 ms per graph at 12 odd nodes, 0.6 ms at 14, 1.7 ms at 16
-# and 5.3 ms at 18 (2-vCPU host, Python 3.11). The limit stays at 12:
-# raising it changes seeded output, and at 16 the perfbench mol-pretrain
-# workload fell from 777 to 517 items/s while its mean sequence length
-# fell by only 0.2%.
+# takes about 0.14 ms per graph at 12 odd nodes, 0.4 ms at 14, 1.3 ms at 16
+# and 4.0 ms at 18, after building that count's pairing plan once in 2.5,
+# 5, 9 and 56 ms (random tables of weights 1-6, best of nine passes; 2-vCPU
+# Xeon host, Python 3.11). The limit stays at 12: raising it changes
+# seeded output.
 EXACT_ODD_LIMIT = 12
 
 
@@ -154,13 +154,14 @@ def add_jump_edges(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     """
     adj = adjacency(g)
     comps = connected_components(g, adj)
-    rng = random.Random(seed)
     jumps = []
-    for a, b in zip(comps, comps[1:]):
-        u = rng.choice(sorted(a))
-        v = rng.choice(sorted(b))
-        jumps.append((u, v))
-    if jumps:
+    if len(comps) > 1:
+        # A connected graph draws nothing, so it skips seeding a generator.
+        rng = random.Random(seed)
+        for a, b in zip(comps, comps[1:]):
+            u = rng.choice(sorted(a))
+            v = rng.choice(sorted(b))
+            jumps.append((u, v))
         lists = list(adj)
         for eid, (u, v) in enumerate(jumps, start=g.num_edges):
             lists[u] = tuple(sorted(lists[u] + ((v, eid),)))
@@ -224,6 +225,35 @@ def _ring_table(rings: Iterable[list[int]], k: int) -> list[list[int]]:
     return w
 
 
+@cache
+def _pairing_plan(k: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """The subsets of range(k), k even, that pairing the lowest index first
+    reaches from the full set, as (lowest index, moves) per subset.
+
+    Subsets are listed by size, so every move leads to an earlier entry:
+    entry 0 is the empty set and the last is the full set. A move
+    (j, sub) pairs the lowest index with j and leaves entry ``sub``; moves
+    are in ascending j. Only these subsets take part in the DP: 233 at
+    k = 12, out of 4,096.
+    """
+    levels = [{(1 << k) - 1}]
+    for _ in range(k // 2):
+        rests = {m & (m - 1) for m in levels[-1]}  # each without its lowest index
+        levels.append({rest ^ 1 << j for rest in rests for j in range(k) if rest >> j & 1})
+    masks = [m for level in reversed(levels) for m in sorted(level)]
+    index = {m: s for s, m in enumerate(masks)}
+    plan = []
+    for mask in masks:
+        rest = mask & (mask - 1)
+        moves = tuple((j, index[rest ^ 1 << j]) for j in range(k) if rest >> j & 1)
+        plan.append(((mask & -mask).bit_length() - 1, moves))
+    return tuple(plan)
+
+
+# Stands for no pairing, above any total of BFS distances.
+_NO_PAIRING = 1 << 62
+
+
 def _exact_matching(w: list[list[int]]) -> list[tuple[int, int, int]]:
     """Index pairing minimizing its total weight minus its largest weight,
     as (weight, i, j) triples.
@@ -239,57 +269,50 @@ def _exact_matching(w: list[list[int]]) -> list[tuple[int, int, int]]:
     Among optimal pairings the first in lexicographic order of partners
     (lowest index's partner first) is returned, with pairs in that order.
     """
-    inf = float("inf")
-    cost: dict[int, tuple[float, float]] = {0: (inf, 0)}  # mask -> (free, spent)
-
-    def solve(mask: int) -> tuple[float, float]:
-        low = mask & -mask
-        rest = mask ^ low
-        row = w[low.bit_length() - 1]
-        free = spent = inf
-        r = rest
-        while r:
-            bit = r & -r
-            r ^= bit
-            sub = rest ^ bit
-            sub_free, sub_spent = cost.get(sub) or solve(sub)
-            d = row[bit.bit_length() - 1]
-            if d + sub_free < free:
-                free = d + sub_free
-            if sub_spent < free:
-                free = sub_spent
-            if d + sub_spent < spent:
-                spent = d + sub_spent
-        cost[mask] = (free, spent)
-        return free, spent
+    plan = _pairing_plan(len(w))
+    # Per plan entry, the least cost of pairing its subset with the
+    # exemption still free and with it spent; the empty set must spend it.
+    free = [_NO_PAIRING] * len(plan)
+    spent = [0] * len(plan)
+    for s in range(1, len(plan)):
+        i, moves = plan[s]
+        row = w[i]
+        best_free = best_spent = _NO_PAIRING
+        for j, sub in moves:
+            d = row[j]
+            cost = d + free[sub]
+            if cost < best_free:
+                best_free = cost
+            cost = spent[sub]
+            if cost < best_free:
+                best_free = cost
+            cost += d
+            if cost < best_spent:
+                best_spent = cost
+        free[s] = best_free
+        spent[s] = best_spent
 
     # Walk down from the full set taking the lowest feasible partner. A
     # prefix can reach the optimum with the exemption still free, already
     # spent, or both; each flag fixes what the rest must cost, so the two
     # flags are the whole state.
-    mask = (1 << len(w)) - 1
-    solve(mask)
+    s = len(plan) - 1
     can_free, can_spent = True, False
     matching = []
-    while mask:
-        low = mask & -mask
-        rest = mask ^ low
-        i = low.bit_length() - 1
-        free, spent = cost[mask]
-        r = rest
-        while r:
-            bit = r & -r
-            r ^= bit
-            d = w[i][bit.bit_length() - 1]
-            sub_free, sub_spent = cost[rest ^ bit]
-            next_free = can_free and d + sub_free == free
-            next_spent = (can_free and sub_spent == free) or (can_spent and d + sub_spent == spent)
+    while s:
+        i, moves = plan[s]
+        row = w[i]
+        for j, sub in moves:
+            d = row[j]
+            next_free = can_free and d + free[sub] == free[s]
+            next_spent = (can_free and spent[sub] == free[s]) or (
+                can_spent and d + spent[sub] == spent[s]
+            )
             if next_free or next_spent:
                 break
-        j = bit.bit_length() - 1
-        matching.append((w[i][j], i, j))
+        matching.append((d, i, j))
         can_free, can_spent = next_free, next_spent
-        mask = rest ^ bit
+        s = sub
     return matching
 
 
@@ -433,16 +456,3 @@ def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
         raise RuntimeError("walk failed to cover every edge instance")
     return EulerPath(nodes=tuple(rev_nodes), edges=tuple(instances[i] for i in rev_insts))
 
-
-def validate_path(mg: EulerizedMultigraph, path: EulerPath) -> bool:
-    """True iff the walk takes every edge as often as the multigraph has
-    instances of it and every consecutive node pair is joined by its
-    claimed edge."""
-    if sorted(path.edges) != list(mg.edge_instances()):
-        return False
-    for i, eid in enumerate(path.edges):
-        u, v = mg.endpoints(eid)
-        a, b = path.nodes[i], path.nodes[i + 1]
-        if {a, b} != {u, v}:
-            return False
-    return True

@@ -42,15 +42,14 @@ class PretrainExample:
 
     def to_json(self) -> dict:
         """The example as a JSON document of shared tuples; copy before
-        editing. Roles are left out: the token classes give them back."""
-        return {
-            "task": self.task,
-            "inputs": self.inputs.tokens,
-            "targets": self.targets,
-            "r": self.mask_rate_drawn,
-            "layout": self.inputs.layout,
-            "l": self.inputs.l,
-        }
+        editing. Roles are left out: the token classes give them back.
+        Only ``smtp`` examples carry the drawn mask fraction ``r``."""
+        doc = {"task": self.task, "inputs": self.inputs.tokens, "targets": self.targets}
+        if self.task == "smtp":
+            doc["r"] = self.mask_rate_drawn
+        doc["layout"] = self.inputs.layout
+        doc["l"] = self.inputs.l
+        return doc
 
 
 def build_ntp(grid: TokenGrid, vocab: Vocabulary) -> PretrainExample:

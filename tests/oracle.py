@@ -9,8 +9,11 @@ of that order, and exponential: it refuses graphs above
 
 ``cell_roles`` derives every cell's role from the token ids alone, the
 reference for the roles the tokenizer records.
+
+``validate_path`` checks a walk against its multigraph edge by edge, the
+reference for ``extract_path``.
 """
-from graphseq import AttributedGraph, Vocabulary
+from graphseq import AttributedGraph, EulerizedMultigraph, EulerPath, Vocabulary
 from graphseq.vocab import CLASS_DIGIT, CLASS_SEMANTIC, CLASS_STRUCTURAL
 
 ISO_NODE_LIMIT = 12
@@ -125,3 +128,17 @@ def cell_roles(flat_ids, vocab: Vocabulary) -> list[str]:
         else:
             roles.append("pad" if tid == vocab.pad_id else "edge-type")
     return roles
+
+
+def validate_path(mg: EulerizedMultigraph, path: EulerPath) -> bool:
+    """True iff the walk takes every edge as often as the multigraph has
+    instances of it and every consecutive node pair is joined by its
+    claimed edge."""
+    if sorted(path.edges) != list(mg.edge_instances()):
+        return False
+    for i, eid in enumerate(path.edges):
+        u, v = mg.endpoints(eid)
+        a, b = path.nodes[i], path.nodes[i + 1]
+        if {a, b} != {u, v}:
+            return False
+    return True

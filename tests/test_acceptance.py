@@ -36,7 +36,6 @@ from graphseq import (
     format_node_task,
     sample,
     serialize_graph,
-    validate_path,
     with_identity_attrs,
 )
 from graphseq.detokenizer import grid_from_prolonged_tokens
@@ -46,7 +45,7 @@ from graphseq.tokenizer import ROLE_NODE, ROLE_NODE_ATTR, tokenize
 from graphseq.vocab import GSUM
 
 from conftest import DATA_DIR, random_connected_graph, random_graph, vocab_for
-from oracle import isomorphic
+from oracle import isomorphic, validate_path
 from test_euler import min_duplications_bruteforce
 
 LAYOUTS = ("prolonged", "short", "long")

@@ -179,6 +179,19 @@ def test_pretrain_smtp_emits_one_example_per_graph(tmp_path):
         assert doc["targets"]
 
 
+def test_pretrain_ntp_lines_hold_no_mask_fraction(tmp_path, corpus):
+    vocab = _vocab(tmp_path, corpus)
+    out = tmp_path / "ntp.jsonl"
+    assert main(["pretrain", "--graphs", str(corpus), "--vocab", str(vocab),
+                 "--task", "ntp", "--output", str(out)]) == 0
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(lines) == 3
+    for doc in lines:
+        # Only smtp draws a mask fraction, so ntp lines leave "r" out.
+        assert set(doc) == {"task", "inputs", "targets", "layout", "l"}
+        assert doc["task"] == "ntp"
+
+
 def test_pretrain_packs_when_asked(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     out = tmp_path / "packed.jsonl"

@@ -20,7 +20,6 @@ from graphseq import (
     eulerize,
     extract_path,
     serialize_graph,
-    validate_path,
 )
 from graphseq.euler import (
     EXACT_ODD_LIMIT,
@@ -33,6 +32,7 @@ from graphseq.euler import (
 )
 
 from conftest import random_connected_graph, random_graph
+from oracle import validate_path
 
 
 def min_duplications_bruteforce(mg: EulerizedMultigraph, max_size: int = 12) -> int:
@@ -195,6 +195,18 @@ def test_eulerize_matches_oracle_on_random_graphs():
         assert len(repaired.duplications) == min_duplications_bruteforce(mg)
 
 
+def test_exact_pairing_at_the_limit():
+    # A star with EXACT_ODD_LIMIT leaves: every leaf is odd and two apart
+    # from every other, so the exact pairing duplicates all but the two
+    # edges of the exempted pair.
+    n = EXACT_ODD_LIMIT + 1
+    g = AttributedGraph(num_nodes=n, edges=tuple((0, v) for v in range(1, n)))
+    repaired = eulerize(add_jump_edges(g, 0))
+    assert repaired.minimality_guaranteed
+    assert len(repaired.odd_nodes()) == 2
+    assert len(repaired.duplications) == EXACT_ODD_LIMIT - 2
+
+
 def test_greedy_fallback_above_exact_limit():
     # a star with 14 leaves has 14 odd nodes, beyond the exact-search bound
     n = 15
@@ -214,6 +226,25 @@ def test_exact_matching_returns_the_bruteforce_pairing(k):
             w = tie_heavy_table(rng, k, top)
             expected = exact_matching_bruteforce(tuple(range(k)), w)
             assert pairs_of(_exact_matching(w)) == expected
+
+
+def test_exact_matching_returns_the_bruteforce_pairing_on_bfs_tables():
+    # Distance tables of real graphs: a metric, with the ties that short
+    # BFS distances bring, unlike the tables drawn above.
+    rng = random.Random(2024)
+    wanted = dict.fromkeys(range(4, EXACT_ODD_LIMIT + 1, 2), 6)
+    for _ in range(5000):
+        g = random_graph(rng, n_min=8, n_max=40, max_node_width=0, max_edge_width=0)
+        mg = add_jump_edges(g, 0)
+        odd = mg.odd_nodes()
+        if not wanted.get(len(odd)):
+            continue
+        wanted[len(odd)] -= 1
+        w = _ring_table(_odd_rings(mg.simple_adjacency(), odd, g.num_nodes), len(odd))
+        assert pairs_of(_exact_matching(w)) == exact_matching_bruteforce(tuple(range(len(odd))), w)
+        if not any(wanted.values()):
+            break
+    assert not any(wanted.values())
 
 
 def test_exact_matching_keeps_both_exemption_states():
