@@ -93,9 +93,6 @@ class EulerizedMultigraph:
         """Endpoints per edge id: the base edges, then the jump edges."""
         return self.base.edges + self.jump_edges
 
-    def endpoints(self, edge_id: int) -> tuple[int, int]:
-        return self._endpoints[edge_id]
-
     def edge_instances(self) -> tuple[int, ...]:
         """The edge id of every edge instance (each edge, then each of its
         duplicated copies), in ascending order."""

@@ -39,7 +39,12 @@ class NodeIdentityCodebook:
         if self.k <= 2:
             return 0
         max_local = max(self.local_index, default=0)
-        return max(2, math.ceil((max_local + 1) ** (1.0 / (self.k - 1))))
+        base = max(2, math.ceil((max_local + 1) ** (1.0 / (self.k - 1))))
+        # The float root can land one short; codes stay injective only
+        # while k-1 digits reach every local index.
+        while base ** (self.k - 1) <= max_local:
+            base += 1
+        return base
 
     def code(self, node: int) -> tuple[int, ...]:
         """The k slot values identifying ``node``."""
@@ -102,34 +107,32 @@ def decode_node(cb: NodeIdentityCodebook, tokens: Sequence[str]) -> int:
 def _bfs_partition(g: AttributedGraph, max_cluster: int, seed: int) -> list[int]:
     """Greedy seeded BFS regions of at most ``max_cluster`` nodes.
 
-    Region seeds are the lowest-id unassigned nodes, which keeps region
-    counts near ceil(n / max_cluster) on well-connected graphs; the rng
-    only shuffles expansion order inside a region.
+    Each region starts at the lowest-id unassigned node; the rng only
+    shuffles expansion order inside a region. The cap is all it
+    guarantees: the region count is not bounded near
+    ceil(n / max_cluster). A region stops when its BFS runs out of
+    unassigned neighbours, so on a power-law parent most regions are
+    leftover single nodes.
     """
     adj = adjacency(g)
     rng = random.Random(seed)
     cluster = [-1] * g.num_nodes
-    next_seed = 0
     current = 0
-    while True:
-        while next_seed < g.num_nodes and cluster[next_seed] >= 0:
-            next_seed += 1
-        if next_seed == g.num_nodes:
-            break
-        size = 0
-        queue = deque([next_seed])
-        cluster[next_seed] = current
-        size += 1
+    for start in range(g.num_nodes):
+        if cluster[start] >= 0:
+            continue
+        cluster[start] = current
+        size = 1
+        queue = deque([start])
         while queue and size < max_cluster:
             u = queue.popleft()
             fresh = sorted({v for v, _ in adj[u] if cluster[v] < 0})
             rng.shuffle(fresh)
+            fresh = fresh[: max_cluster - size]
             for v in fresh:
-                if size >= max_cluster:
-                    break
                 cluster[v] = current
-                size += 1
-                queue.append(v)
+            queue.extend(fresh)
+            size += len(fresh)
         current += 1
     return cluster
 
@@ -146,7 +149,8 @@ def build_codebook(
     """Assign every node an injective k-token identity.
 
     ``given-labels`` clusters by a caller-provided per-node label column
-    (raw label values become the cluster slot); ``bfs-partition`` grows
+    (raw non-negative label values become the cluster slot) and rejects a
+    cluster above ``max_cluster``; ``bfs-partition`` grows
     seeded BFS regions capped at ``max_cluster`` nodes. Local indices run
     in ascending global-id order within each cluster. ``k=1`` degenerates
     to one unique token per node.
@@ -169,37 +173,34 @@ def build_codebook(
             raise ValueError("bfs-partition requires max_cluster >= 1")
         partition = _bfs_partition(g, max_cluster, seed)
     cb = codebook_from_partition(partition, k, dataset_tag)
-
-    if max_cluster is not None and k > 1:
-        sizes = Counter(cb.partition)
-        if len(sizes) * max_cluster < g.num_nodes:
-            raise ValueError(
-                f"{len(sizes)} clusters capped at {max_cluster} nodes cannot"
-                f" cover {g.num_nodes} nodes"
-            )
-        oversized = max(sizes.values(), default=0)
-        if strategy == "given-labels" and oversized > max_cluster:
+    # BFS regions stop growing at the cap; label clusters are checked here.
+    if strategy == "given-labels" and max_cluster is not None and k > 1:
+        oversized = max(Counter(cb.partition).values(), default=0)
+        if oversized > max_cluster:
             raise ValueError(
                 f"label cluster of {oversized} nodes exceeds max_cluster={max_cluster}"
             )
-
-    capacity = math.prod(cb.slot_sizes)
-    if capacity < g.num_nodes:
-        raise ValueError(
-            f"identity capacity {capacity} cannot cover {g.num_nodes} nodes"
-        )
     return cb
 
 
 def codebook_from_partition(
     partition: Sequence[int], k: int = 2, dataset_tag: str = "data"
 ) -> NodeIdentityCodebook:
-    """Build a codebook from an externally computed node->cluster map."""
+    """Build a codebook from an externally computed node->cluster map.
+
+    For k > 1 clusters must be non-negative: -1 is the identity slots'
+    default value, whose token is never written.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     partition = int_row(partition, "cluster")
     if k == 1:
         partition = tuple(range(len(partition)))
+    elif min(partition, default=0) < 0:
+        node = next(v for v, c in enumerate(partition) if c < 0)
+        raise ValueError(
+            f"node {node} has negative cluster {partition[node]}; clusters must be >= 0"
+        )
     counts: dict[int, int] = {}
     local = []
     for c in partition:

@@ -10,7 +10,7 @@ from dataclasses import replace
 from .detokenizer import detokenize
 from .euler import EulerPath, build_multigraph, extract_path
 from .graph import AttributedGraph, SubgraphSample, adjacency
-from .sampler import SamplerConfig, sample
+from .sampler import SamplerConfig, draw_roots, sample
 from .tokenizer import ReindexConfig, TokenGrid, sequence_length, tokenize
 from .vocab import Vocabulary, build_vocab
 
@@ -182,8 +182,6 @@ def calibrate_fanout(
     from its repaired multigraph without walking it; a trial with more
     nodes than the vocabulary's index space does not fit.
     """
-    from .sampler import draw_roots
-
     if adj is None:
         adj = adjacency(g)
     reindex_cfg = ReindexConfig(num_indices=vocab.num_indices)

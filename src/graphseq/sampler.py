@@ -140,11 +140,12 @@ def draw_roots(
     positives = [tuple(g.edges[i]) for i in rng.sample(range(g.num_edges), count)]
     roots = list(positives)
     if negatives:
-        linked = {frozenset(e) for e in g.edges}
+        # Either orientation counts as linked, on directed parents too.
+        linked = set(g.edges)
         for head, _ in positives:
             for _ in range(64):
                 tail = rng.randrange(g.num_nodes)
-                if tail != head and frozenset((head, tail)) not in linked:
+                if tail != head and (head, tail) not in linked and (tail, head) not in linked:
                     roots.append((head, tail))
                     break
             else:

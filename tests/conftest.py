@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,25 @@ DATA_DIR = Path(__file__).parent / "data"
 
 def vocab_for(g: AttributedGraph, tag: str = "test", cfg: ReindexConfig | None = None, **styles):
     return build_vocab([g], tag, cfg or ReindexConfig(), **styles)
+
+
+def power_law_graph(n, m, seed):
+    """Preferential attachment: each new node links to ``m`` earlier ones,
+    80% by degree, 20% uniformly."""
+    rng = random.Random(seed)
+    edges = set()
+    repeated = []
+    for v in range(m, n):
+        chosen = set()
+        while len(chosen) < m:
+            pick = rng.choice(repeated) if repeated and rng.random() < 0.8 else rng.randrange(v)
+            chosen.add(pick)
+        for u in chosen:
+            edges.add((u, v))
+            repeated += [u, v]
+        if len(repeated) > 200000:
+            repeated = repeated[-100000:]
+    return AttributedGraph(num_nodes=n, edges=tuple(sorted(edges)))
 
 
 @pytest.fixture

@@ -11,7 +11,8 @@ of that order, and exponential: it refuses graphs above
 reference for the roles the tokenizer records.
 
 ``validate_path`` checks a walk against its multigraph edge by edge, the
-reference for ``extract_path``.
+reference for ``extract_path``; ``edge_ends`` reads each edge id's
+endpoints from the multigraph's fields.
 """
 from graphseq import AttributedGraph, EulerizedMultigraph, EulerPath, Vocabulary
 from graphseq.vocab import CLASS_DIGIT, CLASS_SEMANTIC, CLASS_STRUCTURAL
@@ -130,14 +131,20 @@ def cell_roles(flat_ids, vocab: Vocabulary) -> list[str]:
     return roles
 
 
+def edge_ends(mg: EulerizedMultigraph) -> tuple[tuple[int, int], ...]:
+    """Endpoints per edge id: the base edges, then the jump edges."""
+    return mg.base.edges + mg.jump_edges
+
+
 def validate_path(mg: EulerizedMultigraph, path: EulerPath) -> bool:
     """True iff the walk takes every edge as often as the multigraph has
     instances of it and every consecutive node pair is joined by its
     claimed edge."""
     if sorted(path.edges) != list(mg.edge_instances()):
         return False
+    ends = edge_ends(mg)
     for i, eid in enumerate(path.edges):
-        u, v = mg.endpoints(eid)
+        u, v = ends[eid]
         a, b = path.nodes[i], path.nodes[i + 1]
         if {a, b} != {u, v}:
             return False

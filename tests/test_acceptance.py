@@ -44,7 +44,7 @@ from graphseq.pipeline import calibrate_fanout
 from graphseq.tokenizer import ROLE_NODE, ROLE_NODE_ATTR, tokenize
 from graphseq.vocab import GSUM
 
-from conftest import DATA_DIR, random_connected_graph, random_graph, vocab_for
+from conftest import DATA_DIR, power_law_graph, random_connected_graph, random_graph, vocab_for
 from oracle import isomorphic, validate_path
 from test_euler import min_duplications_bruteforce
 
@@ -263,23 +263,6 @@ def test_criterion_08_identity_codebook_scale():
     _report(8, f"10^6 nodes: slots {cb.slot_sizes}, injective, decode(encode)=id in {elapsed:.1f}s")
 
 
-def _power_law_graph(n, m, seed):
-    rng = random.Random(seed)
-    edges = set()
-    repeated = []
-    for v in range(m, n):
-        chosen = set()
-        while len(chosen) < m:
-            pick = rng.choice(repeated) if repeated and rng.random() < 0.8 else rng.randrange(v)
-            chosen.add(pick)
-        for u in chosen:
-            edges.add((u, v))
-            repeated += [u, v]
-        if len(repeated) > 200000:
-            repeated = repeated[-100000:]
-    return AttributedGraph(num_nodes=n, edges=tuple(sorted(edges)))
-
-
 def _ring_lattice(n, k, rewire, seed):
     rng = random.Random(seed)
     edges = set()
@@ -301,7 +284,7 @@ def test_criterion_09_sampler_context_fit():
     1,000/1,000 prolonged sequences inside the budget; deep fanout-1
     sampling on a clustered graph lands within a factor of two of the
     50-token scale."""
-    g = _power_law_graph(100_000, 2, 0)
+    g = power_law_graph(100_000, 2, 0)
     adj = adjacency(g)
     vocab = build_vocab([g], "pl", ReindexConfig())
     base = SamplerConfig(mode="node-ego", depth=2, neighbors=12, max_seq_len=256, seed=0)

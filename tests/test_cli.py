@@ -129,6 +129,22 @@ def test_partition_file_of_the_wrong_size_fails_before_sampling(tmp_path, capsys
     assert not out.exists()
 
 
+def test_negative_partition_cluster_fails_before_sampling(tmp_path, capsys):
+    # Cluster -1 is the identity slots' default: its token would never be
+    # written, and an edge task's suffix would name the wrong nodes.
+    parent = tmp_path / "parent.jsonl"
+    parent.write_text(json.dumps({"num_nodes": 12, "edges": [[i, (i + 1) % 12] for i in range(12)]}) + "\n")
+    part = tmp_path / "part.tsv"
+    part.write_text("".join(f"{v}\t{-1 if v < 6 else 0}\n" for v in range(12)))
+    out = tmp_path / "s.jsonl"
+    assert main(["sample", "--graph", str(parent), "--mode", "edge-ego", "--count", "4", "--negatives",
+                 "--identity-k", "2", "--partition-file", str(part), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError",
+                   "message": "node 0 has negative cluster -1; clusters must be >= 0"}
+    assert not out.exists()
+
+
 def test_tokenize_detokenize_roundtrip(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     grids = tmp_path / "grids.jsonl"

@@ -32,7 +32,7 @@ from graphseq.euler import (
 )
 
 from conftest import random_connected_graph, random_graph
-from oracle import validate_path
+from oracle import edge_ends, validate_path
 
 
 def min_duplications_bruteforce(mg: EulerizedMultigraph, max_size: int = 12) -> int:
@@ -42,12 +42,11 @@ def min_duplications_bruteforce(mg: EulerizedMultigraph, max_size: int = 12) -> 
     base_deg = mg.degrees()
     if sum(d % 2 for d in base_deg) <= 2:
         return 0
-    edge_ids = list(range(mg.num_edges))
+    ends = edge_ends(mg)
     for size in range(1, max_size + 1):
-        for combo in combinations(edge_ids, size):
+        for combo in combinations(ends, size):
             deg = list(base_deg)
-            for eid in combo:
-                u, v = mg.endpoints(eid)
+            for u, v in combo:
                 deg[u] += 1
                 deg[v] += 1
             if sum(d % 2 for d in deg) <= 2:
@@ -394,7 +393,7 @@ def _sparse_graph(rng: random.Random) -> AttributedGraph:
 
 def _scipy_graph(mg: EulerizedMultigraph):
     n = mg.base.num_nodes
-    ends = [mg.endpoints(eid) for eid in range(mg.num_edges)]
+    ends = edge_ends(mg)
     rows = [u for u, _ in ends]
     cols = [v for _, v in ends]
     return coo_matrix((np.ones(len(ends)), (rows, cols)), shape=(n, n)).tocsr()
@@ -424,6 +423,7 @@ def test_traversal_agrees_with_scipy(seed):
         matrix = _scipy_graph(mg)
         assert mg.is_connected() == (csgraph.connected_components(matrix, directed=False)[0] == 1)
         adj = mg.simple_adjacency()
+        ends = edge_ends(mg)
         starts = rng.sample(range(g.num_nodes), 3)
         dist = csgraph.shortest_path(matrix, directed=False, unweighted=True, indices=starts)
         for row, a in zip(dist, starts):
@@ -433,7 +433,7 @@ def test_traversal_agrees_with_scipy(seed):
                 assert len(chain) == row[b]
                 node = a
                 for eid in reversed(chain):
-                    u, v = mg.endpoints(eid)
+                    u, v = ends[eid]
                     assert node in (u, v)
                     node = v if node == u else u
                 assert node == b

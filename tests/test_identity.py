@@ -1,3 +1,6 @@
+import hashlib
+import json
+import math
 import random
 from dataclasses import replace
 
@@ -5,6 +8,7 @@ import pytest
 
 from graphseq import (
     AttributedGraph,
+    NodeIdentityCodebook,
     ReindexConfig,
     SamplerConfig,
     build_codebook,
@@ -19,7 +23,7 @@ from graphseq import (
     with_identity_attrs,
 )
 
-from conftest import random_connected_graph
+from conftest import power_law_graph, random_connected_graph, random_graph
 from oracle import isomorphic
 
 
@@ -76,31 +80,19 @@ def test_decode_unknown_tuple_is_an_error():
         decode_node(cb, ("t#node#1#0", "t#node#0#0"))
 
 
-def test_capacity_check():
-    # 2 label clusters capped at 2 local indices cannot cover 5 nodes
-    g = _ring(5)
-    with pytest.raises(ValueError, match="cannot cover"):
-        build_codebook(
-            g,
-            k=2,
-            strategy="given-labels",
-            labels=[0, 0, 0, 1, 1],
-            max_cluster=2,
-            dataset_tag="t",
-        )
-
-
 def test_oversized_label_cluster_rejected():
-    g = _ring(6)
-    with pytest.raises(ValueError, match="exceeds max_cluster"):
-        build_codebook(
-            g,
-            k=2,
-            strategy="given-labels",
-            labels=[0, 0, 0, 0, 1, 1],
-            max_cluster=3,
-            dataset_tag="t",
-        )
+    # The second input has 2 clusters capped at 2 for 5 nodes: the cap
+    # alone rules it out, and the oversized cluster is the fault to name.
+    for labels, max_cluster in (([0, 0, 0, 0, 1, 1], 3), ([0, 0, 0, 1, 1], 2)):
+        with pytest.raises(ValueError, match="exceeds max_cluster"):
+            build_codebook(
+                _ring(len(labels)),
+                k=2,
+                strategy="given-labels",
+                labels=labels,
+                max_cluster=max_cluster,
+                dataset_tag="t",
+            )
 
 
 def test_bfs_partition_respects_cluster_cap():
@@ -114,6 +106,67 @@ def test_bfs_partition_respects_cluster_cap():
     assert sum(sizes.values()) == g.num_nodes
     cb2 = build_codebook(g, k=2, strategy="bfs-partition", max_cluster=8, seed=3, dataset_tag="t")
     assert cb2 == cb
+
+
+# sha256 prefixes of the JSON partitions. The partition fixes every
+# node's identity code, so a change to these digests changes output.
+PARTITION_DIGESTS = {
+    1: {"ring": "47ccd4ae1f739155", "random": "604003a80a7968eb", "power-law": "c24030f18f5aa7e8"},
+    8: {"ring": "f288b8231b35566e", "random": "753f334629523a42", "power-law": "0b32299c5b99569e"},
+    64: {"ring": "5c32f9c43f03356e", "random": "c8ecc98d25a53564", "power-law": "25dcf2e06d9f8618"},
+}
+
+
+def test_bfs_partition_clusters_are_pinned():
+    rng = random.Random(3)
+    families = {
+        "ring": [_ring(50)],
+        "random": [random_graph(rng, n_max=60) for _ in range(40)],
+        "power-law": [power_law_graph(2000, 2, 0)],
+    }
+    for cap, expected in PARTITION_DIGESTS.items():
+        for name, graphs in families.items():
+            partitions = [
+                build_codebook(g, k=2, strategy="bfs-partition", max_cluster=cap, seed=cap).partition
+                for g in graphs
+            ]
+            digest = hashlib.sha256(json.dumps(partitions).encode()).hexdigest()[:16]
+            assert digest == expected[name], (cap, name)
+
+
+def test_codes_are_injective_and_slots_cover_every_node():
+    rng = random.Random(8)
+    # One cluster whose largest local index sits at or just below a power:
+    # 999 and 1,000 around 10**3 (k=4), 1,023 and 1,024 around 32**2 (k=3),
+    # 4,096 = 16**3 = 64**2.
+    partitions = [[0] * size for size in (1000, 1001, 1024, 1025, 4097)]
+    for _ in range(30):
+        n = rng.randint(1, 300)
+        clusters = rng.randint(1, n)
+        partitions.append([rng.randrange(clusters) for _ in range(n)])
+    for partition in partitions:
+        for k in (1, 2, 3, 4):
+            cb = codebook_from_partition(partition, k=k)
+            codes = {cb.code(v) for v in range(len(partition))}
+            assert len(codes) == len(partition), (k, len(partition))
+            assert math.prod(cb.slot_sizes) >= len(partition)
+
+
+def test_local_base_is_exact_where_the_float_root_falls_short():
+    # sqrt(b*b + 1) rounds to b in floating point, so base b would fold
+    # local index b*b onto 0.
+    b = 2**27 + 1
+    cb = NodeIdentityCodebook(dataset_tag="t", k=3, partition=(0, 0), local_index=(0, b * b))
+    assert cb.code(0) != cb.code(1)
+
+
+def test_negative_clusters_are_rejected_above_k1():
+    # -1 is the identity slots' default value, whose token is never written.
+    with pytest.raises(ValueError, match="node 2 has negative cluster -1"):
+        codebook_from_partition([0, 0, -1, 1], k=2)
+    with pytest.raises(ValueError, match="node 0 has negative cluster -5"):
+        build_codebook(_ring(3), k=3, strategy="given-labels", labels=[-5, 0, 0])
+    assert codebook_from_partition([-1, -1], k=1).partition == (0, 1)
 
 
 def test_k3_decomposition_is_injective():

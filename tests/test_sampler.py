@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import numpy as np
@@ -17,7 +19,7 @@ from graphseq import (
 )
 from graphseq.pipeline import calibrate_fanout
 
-from conftest import random_connected_graph
+from conftest import power_law_graph, random_connected_graph
 
 
 def _chain(n=5):
@@ -154,6 +156,27 @@ def test_negatives_are_real_non_edges():
     for i, (head, tail) in enumerate(negatives):
         assert head == positives[i][0]  # head kept, tail redrawn
         assert frozenset((head, tail)) not in linked
+
+
+def test_negative_roots_are_pinned():
+    # sha256 prefix of the JSON roots: the draws decide every sample. On
+    # the directed graph some pairs are linked in one orientation only,
+    # and a negative must avoid both.
+    dense = AttributedGraph(
+        num_nodes=10,
+        directed=True,
+        edges=tuple(
+            (v, u) if (u + v) % 2 else (u, v)
+            for u in range(10)
+            for v in range(u + 1, 10)
+            if (u + 2 * v) % 5
+        ),
+    )
+    roots = [
+        draw_roots(power_law_graph(2000, 2, 0), "edge-ego", 500, 7, negatives=True),
+        draw_roots(dense, "edge-ego", 30, 7, negatives=True),
+    ]
+    assert hashlib.sha256(json.dumps(roots).encode()).hexdigest()[:16] == "5d27a739f28dbe07"
 
 
 def test_draw_more_than_available_fails(c3):
