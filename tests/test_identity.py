@@ -80,19 +80,32 @@ def test_decode_unknown_tuple_is_an_error():
         decode_node(cb, ("t#node#1#0", "t#node#0#0"))
 
 
+def test_capacity_check():
+    # 2 label clusters capped at 2 local indices cannot cover 5 nodes;
+    # the cap alone rules this out, and the oversized cluster is named.
+    g = _ring(5)
+    with pytest.raises(ValueError, match="exceeds max_cluster"):
+        build_codebook(
+            g,
+            k=2,
+            strategy="given-labels",
+            labels=[0, 0, 0, 1, 1],
+            max_cluster=2,
+            dataset_tag="t",
+        )
+
+
 def test_oversized_label_cluster_rejected():
-    # The second input has 2 clusters capped at 2 for 5 nodes: the cap
-    # alone rules it out, and the oversized cluster is the fault to name.
-    for labels, max_cluster in (([0, 0, 0, 0, 1, 1], 3), ([0, 0, 0, 1, 1], 2)):
-        with pytest.raises(ValueError, match="exceeds max_cluster"):
-            build_codebook(
-                _ring(len(labels)),
-                k=2,
-                strategy="given-labels",
-                labels=labels,
-                max_cluster=max_cluster,
-                dataset_tag="t",
-            )
+    g = _ring(6)
+    with pytest.raises(ValueError, match="exceeds max_cluster"):
+        build_codebook(
+            g,
+            k=2,
+            strategy="given-labels",
+            labels=[0, 0, 0, 0, 1, 1],
+            max_cluster=3,
+            dataset_tag="t",
+        )
 
 
 def test_bfs_partition_respects_cluster_cap():
