@@ -31,7 +31,6 @@ from .graph import (
     AttributedGraph,
     GraphFormatError,
     SubgraphSample,
-    adjacency,
     graph_record,
     iter_graphs_jsonl,
     load_graph,
@@ -148,7 +147,6 @@ def _build_identity(args, g: AttributedGraph):
 
 def cmd_sample(args) -> int:
     g = next(iter_graphs_jsonl(args.graph))
-    adj = adjacency(g)
     roots = draw_roots(
         g, args.mode, args.count, derive_seed(args.seed, "roots"), negatives=args.negatives
     )
@@ -165,7 +163,7 @@ def cmd_sample(args) -> int:
                 max_seq_len=args.max_seq_len,
                 seed=derive_seed(args.seed, "sample", i),
             )
-            sub = sample(g, r, cfg, adj=adj)
+            sub = sample(g, r, cfg)
             if codebook is not None:
                 sub = with_identity_attrs(sub, codebook)
             doc = sub.to_json()

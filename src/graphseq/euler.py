@@ -150,7 +150,7 @@ def add_jump_edges(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     endpoint inside each component drawn uniformly from that component.
     """
     adj = adjacency(g)
-    comps = connected_components(g, adj)
+    comps = connected_components(g)
     jumps = []
     if len(comps) > 1:
         # A connected graph draws nothing, so it skips seeding a generator.

@@ -7,6 +7,7 @@ import operator
 import random
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -196,6 +197,12 @@ class AttributedGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
+    # The fields are frozen, so the cached value never goes stale; a graph
+    # from ``dataclasses.replace`` is a new instance and builds its own.
+    @cached_property
+    def _adjacency(self) -> Adjacency:
+        return undirected_adjacency(self.num_nodes, self.edges)
+
     def _validate(self):
         if self.num_nodes < 0:
             raise GraphFormatError("num_nodes must be non-negative")
@@ -295,8 +302,9 @@ def undirected_adjacency(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Ad
 
 
 def adjacency(g: AttributedGraph) -> Adjacency:
-    """Undirected adjacency: per node, sorted (neighbor, edge index) pairs."""
-    return undirected_adjacency(g.num_nodes, g.edges)
+    """Undirected adjacency: per node, sorted (neighbor, edge index) pairs.
+    Built on first use and kept by the graph."""
+    return g._adjacency
 
 
 def bfs_tree(adj: Adjacency, start: int, goal: int | None = None) -> dict[int, tuple[int, int] | None]:
@@ -320,14 +328,12 @@ def bfs_tree(adj: Adjacency, start: int, goal: int | None = None) -> dict[int, t
     return parent
 
 
-def connected_components(g: AttributedGraph, adj: Adjacency | None = None) -> list[set[int]]:
+def connected_components(g: AttributedGraph) -> list[set[int]]:
     """Partition nodes into maximal connected sets, ignoring edge direction.
 
-    Components are ordered by their smallest node id. Pass ``adjacency(g)``
-    when it is already built.
+    Components are ordered by their smallest node id.
     """
-    if adj is None:
-        adj = adjacency(g)
+    adj = adjacency(g)
     components: list[set[int]] = []
     seen: set[int] = set()
     for start in range(g.num_nodes):

@@ -8,8 +8,8 @@ import math
 from dataclasses import replace
 
 from .detokenizer import detokenize
-from .euler import EulerPath, build_multigraph, extract_path
-from .graph import AttributedGraph, SubgraphSample, adjacency
+from .euler import EulerizedMultigraph, EulerPath, build_multigraph, extract_path
+from .graph import AttributedGraph, SubgraphSample
 from .sampler import SamplerConfig, draw_roots, sample
 from .tokenizer import ReindexConfig, TokenGrid, sequence_length, tokenize
 from .vocab import Vocabulary, build_vocab
@@ -19,6 +19,34 @@ def derive_seed(master: int, *parts) -> int:
     """Stable per-item seed: hash of the master seed and an item key."""
     text = ":".join([str(master), *map(str, parts)])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+
+
+# The repaired multigraph of ``fit_sample``'s accepted attempt and its jump
+# seed. A data loader fits a sample, attaches identity attributes, then
+# serializes the same nodes and edges under the same seed; the repair
+# depends on nothing else, so that serialization reuses it. The next
+# ``_serialize`` empties the slot whether or not it matches. The key is
+# the whole input of the repair, so an entry another thread left is at
+# worst a miss.
+_fitted: list[tuple[int, EulerizedMultigraph]] = []
+
+
+def _multigraph(g: AttributedGraph, jump_seed: int) -> EulerizedMultigraph:
+    """``build_multigraph(g, jump_seed)``, taken from the fit slot when
+    its graph has the same nodes and edges and its seed is ``jump_seed``."""
+    try:
+        fitted_seed, mg = _fitted.pop()  # atomic, unlike a test then a pop
+    except IndexError:
+        return build_multigraph(g, jump_seed)
+    if fitted_seed != jump_seed or mg.base.num_nodes != g.num_nodes or mg.base.edges != g.edges:
+        return build_multigraph(g, jump_seed)
+    return EulerizedMultigraph._built(
+        mg.derived,
+        base=g,
+        jump_edges=mg.jump_edges,
+        duplications=mg.duplications,
+        minimality_guaranteed=mg.minimality_guaranteed,
+    )
 
 
 def _serialize(
@@ -31,7 +59,7 @@ def _serialize(
     node_attr_width: int | None = None,
 ) -> tuple[TokenGrid, EulerPath]:
     """``serialize_graph``'s grid together with the walk it spells."""
-    mg = build_multigraph(g, derive_seed(seed, "jump"))
+    mg = _multigraph(g, derive_seed(seed, "jump"))
     path = extract_path(mg, derive_seed(seed, "path"))
     step_cfg = replace(cfg, seed=derive_seed(seed, "shift", cfg.seed))
     grid = tokenize(
@@ -124,14 +152,18 @@ def roundtrip_report(
     }
 
 
-def _prolonged_length(g: AttributedGraph, vocab: Vocabulary, cfg: ReindexConfig, seed: int) -> float:
+def _prolonged_length(
+    g: AttributedGraph, vocab: Vocabulary, cfg: ReindexConfig, seed: int
+) -> tuple[float, EulerizedMultigraph | None]:
     """``serialize_graph(g, vocab, "prolonged", cfg, seed).num_rows``,
-    counted from the repaired multigraph without walking or tokenizing.
-    A graph with more nodes than a valid index space holds is infinitely
-    long: an oversized attempt, not an error."""
+    counted from the repaired multigraph without walking or tokenizing,
+    and that multigraph. A graph with more nodes than a valid index space
+    holds is infinitely long, with no multigraph: an oversized attempt,
+    not an error."""
     if g.num_nodes > cfg.num_indices and cfg.num_indices <= vocab.num_indices:
-        return math.inf
-    return sequence_length(build_multigraph(g, derive_seed(seed, "jump")), vocab, cfg)
+        return math.inf, None
+    mg = build_multigraph(g, derive_seed(seed, "jump"))
+    return sequence_length(mg, vocab, cfg), mg
 
 
 def fit_sample(
@@ -151,16 +183,17 @@ def fit_sample(
     or with more nodes than the index space holds, is rejected and the
     draw retried with the fanout decremented (never truncated);
     exhausting fanout 1 is an error. Without ``reindex_cfg`` the
-    vocabulary's index space is used.
+    vocabulary's index space is used. The accepted attempt's multigraph
+    is kept for the next serialization, which reuses it when it
+    serializes the same nodes and edges under ``seed``.
     """
     reindex_cfg = reindex_cfg or ReindexConfig(num_indices=vocab.num_indices)
-    if adj is None:
-        adj = adjacency(g)
     for attempt, fanout in enumerate(range(cfg.neighbors, 0, -1)):
         attempt_cfg = replace(cfg, neighbors=fanout, seed=derive_seed(cfg.seed, "retry", attempt))
         sub = sample(g, roots, attempt_cfg, adj=adj)
-        length = _prolonged_length(sub.graph, vocab, reindex_cfg, seed)
+        length, mg = _prolonged_length(sub.graph, vocab, reindex_cfg, seed)
         if length <= cfg.max_seq_len:
+            _fitted[:] = [(derive_seed(seed, "jump"), mg)]
             return sub, length
     raise ValueError(
         f"sequence exceeds max_seq_len={cfg.max_seq_len} even at fanout 1"
@@ -182,8 +215,6 @@ def calibrate_fanout(
     from its repaired multigraph without walking it; a trial with more
     nodes than the vocabulary's index space does not fit.
     """
-    if adj is None:
-        adj = adjacency(g)
     reindex_cfg = ReindexConfig(num_indices=vocab.num_indices)
     for fanout in range(cfg.neighbors, 0, -1):
         candidate = replace(cfg, neighbors=fanout)
@@ -192,7 +223,7 @@ def calibrate_fanout(
         for i, r in enumerate(roots):
             trial_cfg = replace(candidate, seed=derive_seed(seed, "trial", fanout, i))
             sub = sample(g, r, trial_cfg, adj=adj)
-            if _prolonged_length(sub.graph, vocab, reindex_cfg, derive_seed(seed, i)) > cfg.max_seq_len:
+            if _prolonged_length(sub.graph, vocab, reindex_cfg, derive_seed(seed, i))[0] > cfg.max_seq_len:
                 ok = False
                 break
         if ok:

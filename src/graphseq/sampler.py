@@ -57,10 +57,7 @@ def sample(
     adj: Adjacency | None = None,
 ) -> SubgraphSample:
     """Extract one ego subgraph. Deterministic for a fixed config seed.
-
-    Pass a precomputed ``adjacency(g)`` when sampling the same parent
-    repeatedly.
-    """
+    ``adj``, when given, must be ``adjacency(g)``, which the graph keeps."""
     roots = _roots_for_mode(cfg.mode, roots)
     for r in roots:
         if not 0 <= r < g.num_nodes:

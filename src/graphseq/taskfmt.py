@@ -33,27 +33,27 @@ class TaskSequence:
         }
 
 
-def _with_suffix(grid: TokenGrid, suffix_ids: Sequence[int], task: str, label, vocab: Vocabulary):
-    """Append one suffix token per row (padded to the grid width) and
-    flatten row-major; the readout lands on the last suffix token."""
-    flat = grid.flat()
-    tokens = list(flat)
+def _with_suffix(flat: list[int], l: int, suffix_ids: Sequence[int], task: str, label, vocab: Vocabulary):
+    """Append one suffix token per row of width ``l`` (padded) to the
+    grid's row-major ``flat`` list, which it extends; the readout lands
+    on the last suffix token."""
     readout = None
     for tid in suffix_ids:
-        readout = len(tokens)
-        tokens.extend([tid] + [vocab.pad_id] * (grid.l - 1))
-    return TaskSequence(tokens=tuple(tokens), readout_position=readout, task=task, label=label)
+        readout = len(flat)
+        flat.extend([tid] + [vocab.pad_id] * (l - 1))
+    return TaskSequence(tokens=tuple(flat), readout_position=readout, task=task, label=label)
 
 
 def format_graph_task(grid: TokenGrid, vocab: Vocabulary, label=None) -> TaskSequence:
     """Graph-level readout: append the summary token."""
     if not grid.tokens:
         raise ValueError("cannot format an empty grid")
-    return _with_suffix(grid, [vocab.id(GSUM)], "graph", label, vocab)
+    return _with_suffix(grid.flat(), grid.l, [vocab.id(GSUM)], "graph", label, vocab)
 
 
-def _resolve(grid: TokenGrid, vocab: Vocabulary, tokens: Sequence[str], what: str) -> list[int]:
-    """Token ids for a node reference, required to occur contiguously.
+def _resolve(flat: list[int], vocab: Vocabulary, tokens: Sequence[str], what: str) -> list[int]:
+    """Token ids for a node reference, required to occur contiguously in
+    the flattened grid ``flat``.
 
     Identity blocks are emitted as adjacent slot tokens, so a contiguous
     match pins down one in-sequence node; single tokens shared across
@@ -62,11 +62,17 @@ def _resolve(grid: TokenGrid, vocab: Vocabulary, tokens: Sequence[str], what: st
     ids = [vocab.id(t) for t in tokens]
     if not ids:
         raise ValueError(f"{what} node reference is empty")
-    flat = grid.flat()
-    span = len(ids)
-    if not any(flat[i : i + span] == ids for i in range(len(flat) - span + 1)):
-        raise ValueError(f"{what} tokens {list(tokens)!r} do not occur in the sequence")
-    return ids
+    first, rest = ids[0], ids[1:]
+    # Only offsets holding the first id can start a match.
+    stop = len(flat) - len(rest)
+    i = -1
+    try:
+        while True:
+            i = flat.index(first, i + 1, stop)
+            if flat[i + 1 : i + len(ids)] == rest:
+                return ids
+    except ValueError:
+        raise ValueError(f"{what} tokens {list(tokens)!r} do not occur in the sequence") from None
 
 
 def format_edge_task(
@@ -86,8 +92,9 @@ def format_edge_task(
         raise ValueError("cannot format an empty grid")
     if tuple(src_tokens) == tuple(dst_tokens):
         raise ValueError("source and destination nodes must differ")
-    ids = _resolve(grid, vocab, src_tokens, "source") + _resolve(grid, vocab, dst_tokens, "destination")
-    return _with_suffix(grid, ids, "edge", label, vocab)
+    flat = grid.flat()
+    ids = _resolve(flat, vocab, src_tokens, "source") + _resolve(flat, vocab, dst_tokens, "destination")
+    return _with_suffix(flat, grid.l, ids, "edge", label, vocab)
 
 
 def format_node_task(
@@ -96,6 +103,6 @@ def format_node_task(
     """Node-level readout: append the target node's tokens."""
     if not grid.tokens:
         raise ValueError("cannot format an empty grid")
-    ids = _resolve(grid, vocab, target_tokens, "target")
-    return _with_suffix(grid, ids, "node", label, vocab)
-
+    flat = grid.flat()
+    ids = _resolve(flat, vocab, target_tokens, "target")
+    return _with_suffix(flat, grid.l, ids, "node", label, vocab)

@@ -67,6 +67,10 @@ class TokenGrid:
         object.__setattr__(self, "roles", tuple(map(tuple, self.roles)))
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
+        if len(self.tokens) != len(self.roles):
+            raise ValueError(
+                f"grid has {len(self.tokens)} token rows but {len(self.roles)} role rows"
+            )
         if not {*map(len, self.tokens), *map(len, self.roles)} <= {self.l}:
             raise ValueError("grid rows must all have width l")
 

@@ -577,6 +577,26 @@ def test_detokenize_names_the_line_of_a_repeated_dimension(tmp_path, corpus, cap
     assert err["message"] == "line 2: malformed attribute run: dimension 0 repeated in node block"
 
 
+def test_detokenize_refuses_a_grid_with_fewer_role_rows_than_token_rows(tmp_path, capsys):
+    # Decoding zipped tokens with roles, so a truncated roles list read
+    # the 4-node path back as a 2-node graph.
+    path = tmp_path / "path.jsonl"
+    path.write_text(json.dumps({"num_nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]]}) + "\n")
+    vocab = _vocab(tmp_path, path)
+    grids = tmp_path / "grids.jsonl"
+    assert main(["tokenize", "--graphs", str(path), "--vocab", str(vocab),
+                 "--layout", "short", "--output", str(grids)]) == 0
+    doc = json.loads(grids.read_text())
+    rows = len(doc["tokens"])
+    doc["roles"] = doc["roles"][:2]
+    grids.write_text(json.dumps(doc) + "\n")
+    assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab),
+                 "--output", str(tmp_path / "back.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["line"] == 1
+    assert err["message"] == f"line 1: grid has {rows} token rows but 2 role rows"
+
+
 def test_taskfmt_names_the_missing_identity_flag(tmp_path, capsys):
     parent = tmp_path / "parent.jsonl"
     n = 24

@@ -1,19 +1,21 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphseq import AttributedGraph, GraphFormatError, connected_components, load_graph
+from graphseq import AttributedGraph, GraphFormatError, adjacency, connected_components, load_graph
 from graphseq.graph import (
     check_edges,
     graph_record,
     iter_graphs_jsonl,
     quantize_attrs,
     read_jsonl,
+    undirected_adjacency,
     write_jsonl,
 )
 
@@ -106,6 +108,28 @@ def test_components_partition_property():
             assert not (union & comp)
             union |= comp
         assert union == set(range(g.num_nodes))
+
+
+def test_adjacency_is_built_once_per_graph(two_triangles):
+    adj = adjacency(two_triangles)
+    assert adj is adjacency(two_triangles)
+    assert adj == undirected_adjacency(6, two_triangles.edges)
+    # replace() makes a new graph, which builds its own adjacency.
+    chained = replace(two_triangles, edges=two_triangles.edges + ((2, 3),))
+    assert adjacency(chained) == undirected_adjacency(6, chained.edges)
+    assert adjacency(chained) is not adj
+    assert connected_components(chained) == [set(range(6))]
+
+
+def test_cached_adjacency_leaves_equality_hash_and_repr_alone():
+    rng = random.Random(12)
+    for _ in range(20):
+        g = random_graph(rng)
+        twin = AttributedGraph.from_json(g.to_json())
+        before = (hash(g), repr(g))
+        adjacency(g)
+        assert g == twin and twin == g
+        assert (hash(g), repr(g)) == before == (hash(twin), repr(twin))
 
 
 def test_json_roundtrip_identity():

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,14 +11,23 @@ from graphseq import (
     AttributedGraph,
     ReindexConfig,
     SamplerConfig,
+    SubgraphSample,
+    add_jump_edges,
     adjacency,
+    build_codebook,
     build_vocab,
     connected_components,
+    derive_seed,
     draw_roots,
+    eulerize,
+    extract_path,
     fit_sample,
     sample,
     serialize_graph,
+    tokenize,
+    with_identity_attrs,
 )
+from graphseq import euler, pipeline
 from graphseq.pipeline import calibrate_fanout
 
 from conftest import power_law_graph, random_connected_graph
@@ -293,3 +304,116 @@ def test_budget_fit_retries_a_sample_that_overflows_the_index_space():
     sub, length = fit_sample(star, (5,), cfg, vocab)
     assert sub.graph.num_nodes == 256
     assert serialize_graph(sub.graph, vocab, "prolonged", ReindexConfig(), 0).num_rows == length
+
+
+# --- reuse of the fitted repair -------------------------------------------
+
+
+def _layer_grid(g, vocab, layout, cfg, seed):
+    """``serialize_graph``'s grid composed from the layer calls, over a
+    freshly repaired multigraph."""
+    mg = eulerize(add_jump_edges(g, derive_seed(seed, "jump")))
+    path = extract_path(mg, derive_seed(seed, "path"))
+    step_cfg = replace(cfg, seed=derive_seed(seed, "shift", cfg.seed))
+    return tokenize(path, mg, vocab, layout, step_cfg, derive_seed(seed, "attrs"))
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_serialization_reuses_the_fitted_repair(monkeypatch):
+    # fit -> identity attributes -> serialize, as a data loader runs it:
+    # one parity repair per fit attempt, none more for the serialization.
+    parent = power_law_graph(2000, 3, seed=5)
+    cb = build_codebook(parent, k=2, strategy="bfs-partition", max_cluster=64, dataset_tag="ppa")
+    everyone = SubgraphSample(graph=parent, root_nodes=(0,), origin_ids=range(parent.num_nodes))
+    coded_parent = with_identity_attrs(everyone, cb).graph
+    vocab = build_vocab([coded_parent], "ppa", ReindexConfig(), node_attr_style="inline")
+    cfg = ReindexConfig(seed=3)
+    calls = Counter()
+    _count_calls(monkeypatch, euler, "eulerize", calls)
+    _count_calls(monkeypatch, pipeline, "sample", calls)
+    rng = random.Random(8)
+    written = []
+    for i in range(40):
+        roots = parent.edges[rng.randrange(parent.num_edges)]
+        scfg = SamplerConfig(mode="edge-ego", depth=1, neighbors=10, max_seq_len=30, seed=i)
+        sub, _ = fit_sample(parent, roots, scfg, vocab, cfg, seed=i)
+        coded = with_identity_attrs(sub, cb).graph
+        layout = ("prolonged", "short", "long")[i % 3]
+        written.append((coded, layout, i, serialize_graph(coded, vocab, layout, cfg, i)))
+    assert calls["sample"] > len(written)  # the tight budget makes some fits retry
+    assert calls["eulerize"] == calls["sample"]
+    monkeypatch.undo()
+    for coded, layout, i, grid in written:
+        assert grid == _layer_grid(coded, vocab, layout, cfg, i)
+
+
+def test_fitted_repair_is_not_reused_for_other_edges_or_seeds(monkeypatch):
+    g = random_connected_graph(random.Random(3), n_min=40, n_max=40, max_node_width=0, max_edge_width=0)
+    vocab = build_vocab([g], "fit", ReindexConfig())
+    cfg = ReindexConfig()
+    scfg = SamplerConfig(mode="node-ego", depth=2, neighbors=3, max_seq_len=4096, seed=0)
+    calls = Counter()
+    _count_calls(monkeypatch, euler, "eulerize", calls)
+    for seed in range(12):
+        for differs in ("edges", "seed"):
+            sub, _ = fit_sample(g, (seed,), scfg, vocab, cfg, seed=seed)
+            if differs == "edges":  # same nodes, one edge fewer
+                h, s = replace(sub.graph, edges=sub.graph.edges[:-1]), seed
+            else:
+                h, s = sub.graph, seed + 100
+            before = calls["eulerize"]
+            grid = serialize_graph(h, vocab, "prolonged", cfg, s)
+            assert calls["eulerize"] == before + 1
+            assert grid == _layer_grid(h, vocab, "prolonged", cfg, s)
+
+
+def test_only_an_accepted_fit_fills_the_slot_and_serialization_empties_it():
+    g = random_connected_graph(random.Random(4), n_min=30, n_max=30, max_node_width=0, max_edge_width=0)
+    vocab = build_vocab([g], "fit", ReindexConfig())
+    serialize_graph(g, vocab)  # empties the slot whatever earlier tests left
+    assert pipeline._fitted == []
+    cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=4, max_seq_len=4096, seed=0)
+    calibrate_fanout(g, cfg, vocab, trials=5)
+    assert pipeline._fitted == []
+    with pytest.raises(ValueError, match="max_seq_len"):
+        fit_sample(g, (0,), replace(cfg, max_seq_len=1), vocab)
+    assert pipeline._fitted == []
+    sub, _ = fit_sample(g, (0,), cfg, vocab)
+    [(jump_seed, mg)] = pipeline._fitted
+    assert mg.base is sub.graph and jump_seed == derive_seed(0, "jump")
+    serialize_graph(g, vocab, seed=5)
+    assert pipeline._fitted == []
+
+
+def test_interleaved_fits_serialize_what_separate_fits_would():
+    # Two loaders in one process: the second fit overwrites the first
+    # one's slot entry, so the first serialization must miss, and the
+    # second finds the slot empty. On a circulant graph most samples have
+    # the same node count, so an entry taken without its whole key would
+    # give a wrong grid.
+    n = 600
+    g = AttributedGraph(num_nodes=n, edges=tuple((v, (v + d) % n) for v in range(n) for d in (1, 2, 5)))
+    vocab = build_vocab([g], "fit", ReindexConfig())
+    cfg = SamplerConfig(mode="edge-ego", depth=1, neighbors=3, max_seq_len=4096, seed=0)
+
+    def fit(i):
+        return fit_sample(g, g.edges[7 * i], replace(cfg, seed=i), vocab, seed=i)[0]
+
+    alone = []
+    for i in range(40):
+        alone.append(serialize_graph(fit(i).graph, vocab, seed=i))
+    interleaved = []
+    for i in range(0, 40, 2):
+        first, second = fit(i), fit(i + 1)
+        interleaved.append(serialize_graph(first.graph, vocab, seed=i))
+        interleaved.append(serialize_graph(second.graph, vocab, seed=i + 1))
+    assert interleaved == alone

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -179,3 +180,47 @@ def test_to_json_writes_the_bytes_of_a_list_copy():
             "label": ts.label,
         }
         assert json.dumps(ts.to_json()) == json.dumps(copied)
+
+
+def _reference_outcomes(seed: int):
+    """Edge and node tasks on random grids, as JSON lines or error messages.
+
+    References are spans of the grid itself, of one to three tokens
+    (their first token often occurs earlier too), plus a pair of
+    vocabulary tokens drawn at random, which here never occurs.
+    """
+    rng = random.Random(seed)
+    for i in range(120):
+        g = random_connected_graph(rng, n_max=14, max_node_width=3)
+        vocab = vocab_for(g, node_attr_style="inline")
+        grid = _grid(g, vocab, ("prolonged", "short", "long")[i % 3], seed=i)
+        flat = grid.flat()
+        names = [vocab.token(t) for t in flat]
+
+        def span():
+            width = rng.randint(1, 3)
+            start = rng.randrange(len(names) - width + 1)
+            return names[start : start + width]
+
+        stray = [vocab.token(rng.randrange(len(vocab))) for _ in range(2)]
+        for src, dst in ((span(), span()), (span(), stray), (stray, span())):
+            try:
+                yield json.dumps(format_edge_task(grid, vocab, src, dst, label=i % 2).to_json())
+            except ValueError as exc:
+                yield str(exc)
+        for target in (span(), stray):
+            try:
+                yield json.dumps(format_node_task(grid, vocab, target).to_json())
+            except ValueError as exc:
+                yield str(exc)
+
+
+def test_reference_search_output_and_errors_are_pinned():
+    # Digest taken from a search that compared a slice at every offset:
+    # skipping to occurrences of the first id must change no output or
+    # message.
+    outcomes = list(_reference_outcomes(31))
+    misses = [o for o in outcomes if o.endswith("do not occur in the sequence")]
+    assert (len(outcomes), len(misses)) == (600, 360)
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == "461b7e1ea9e2ebf3267e0c1b238db72b343af35faa34c1ab46d9d77bce27a5bc"

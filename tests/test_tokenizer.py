@@ -385,6 +385,17 @@ def test_grid_json_roundtrip(c3):
     assert TokenGrid.from_json(grid.to_json()) == grid
 
 
+def test_grid_needs_one_role_row_per_token_row(c3):
+    vocab = vocab_for(c3)
+    mg, path = _walk(c3)
+    doc = tokenize(path, mg, vocab, "short", ReindexConfig(), 0).to_json()
+    rows = len(doc["tokens"])
+    with pytest.raises(ValueError, match=f"grid has {rows} token rows but 2 role rows"):
+        TokenGrid.from_json({**doc, "roles": doc["roles"][:2]})
+    with pytest.raises(ValueError, match=f"grid has {rows - 1} token rows but {rows} role rows"):
+        TokenGrid.from_json({**doc, "tokens": doc["tokens"][1:]})
+
+
 def test_to_json_writes_the_bytes_of_list_rows():
     # to_json hands json.dumps the grid's own tuples; the bytes must be
     # those of the list copies it once made.
