@@ -7,7 +7,7 @@ reconstruction is up to relabeling, which is what the guarantee promises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 from .graph import AttributedGraph
@@ -17,10 +17,22 @@ from .tokenizer import (
     ROLE_NODE_ATTR,
     ROLE_PAD,
     ROLE_TYPE,
-    Step,
     TokenGrid,
 )
 from .vocab import CLASS_SEMANTIC, CLASS_SPECIAL, CLASS_STRUCTURAL, Vocabulary
+
+
+@dataclass
+class Step:
+    """One walk step read back from a grid: the node's index token, its
+    attribute block if attached at this visit, the edge-type token (jump
+    or direction) if any, and the attribute block of the edge taken next
+    if attached at this traversal."""
+
+    node: int
+    node_attrs: list[int] = field(default_factory=list)
+    edge_type: int | None = None
+    edge_attrs: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import eq
 from typing import Callable, Iterable
 
 from .tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
@@ -66,12 +67,6 @@ def build_ntp(grid: TokenGrid, vocab: Vocabulary) -> PretrainExample:
     return PretrainExample(inputs=grid, targets=tuple(targets), task="ntp")
 
 
-def distinct_node_tokens(grid: TokenGrid) -> list[int]:
-    """Node tokens in order of first appearance."""
-    cells = zip(chain.from_iterable(grid.tokens), chain.from_iterable(grid.roles))
-    return list(dict.fromkeys(tok for tok, role in cells if role == ROLE_NODE))
-
-
 def build_smtp(
     grid: TokenGrid, schedule_draw: float, seed: int, vocab: Vocabulary
 ) -> PretrainExample:
@@ -84,32 +79,28 @@ def build_smtp(
     """
     if not 0.0 < schedule_draw <= 1.0:
         raise ValueError("mask fraction must lie in (0, 1]")
-    nodes = distinct_node_tokens(grid)
+    cells = grid.flat()
+    roles = list(chain.from_iterable(grid.roles))
+    nodes = set(compress(cells, map(eq, roles, repeat(ROLE_NODE))))
     if not nodes:
         raise ValueError("grid contains no node tokens")
     count = math.ceil(schedule_draw * len(nodes))
-    rng = random.Random(seed)
-    masked = set(rng.sample(sorted(nodes), count))
+    masked = set(random.Random(seed).sample(sorted(nodes), count))
 
+    # Attribute cells belong to the last node cell before them.
     mask_id = vocab.mask_id
-    new_rows = []
     targets = []
-    owner: int | None = None
-    flat = 0
-    for row, roles in zip(grid.tokens, grid.roles):
-        new_row = list(row)
-        for c, (tok, role) in enumerate(zip(row, roles)):
-            if role == ROLE_NODE:
-                owner = tok
-            hit = (role == ROLE_NODE and tok in masked) or (
-                role == ROLE_NODE_ATTR and owner in masked
-            )
-            if hit:
-                new_row[c] = mask_id
-                targets.append((flat + c, tok))
-        new_rows.append(tuple(new_row))
-        flat += grid.l
-    inputs = TokenGrid(layout=grid.layout, l=grid.l, tokens=tuple(new_rows), roles=grid.roles)
+    masking = False
+    for pos, role in enumerate(roles):
+        if role == ROLE_NODE:
+            masking = cells[pos] in masked
+        elif role != ROLE_NODE_ATTR:
+            continue
+        if masking:
+            targets.append((pos, cells[pos]))
+            cells[pos] = mask_id
+    rows = list(zip(*[iter(cells)] * grid.l))
+    inputs = TokenGrid(layout=grid.layout, l=grid.l, tokens=rows, roles=grid.roles)
     return PretrainExample(
         inputs=inputs,
         targets=tuple(targets),

@@ -1,11 +1,12 @@
 """Walk-to-token serialization in three layouts.
 
-Every layout starts from the same per-step record: the step's node index
-token, the node's attribute block (attached at exactly one of the node's
-visits, drawn uniformly under the call seed), an optional edge-type token
-(jump marker, or traversal direction for directed graphs), and the edge's
-attribute block (attached at exactly one traversal of each base edge).
-Attribute dimensions holding their default value are omitted.
+Every layout is written from three lists indexed by walk position: the
+node's attribute block (attached at exactly one of the node's visits,
+drawn uniformly under the call seed), an optional edge-type token (jump
+marker, or traversal direction for directed graphs), and the edge's
+attribute block (attached at exactly one traversal of each base edge),
+beside the node index token of each position. Attribute dimensions
+holding their default value are omitted.
 
 * ``prolonged`` - fully flattened, width-1 grid. Per step:
   ``node, node-attrs?, edge-type?, edge-attrs?`` then the next node.
@@ -24,7 +25,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 
 from .euler import EulerPath, EulerizedMultigraph, check_walkable
 from .vocab import Vocabulary
@@ -55,7 +57,8 @@ class ReindexConfig:
 
 @dataclass(frozen=True)
 class TokenGrid:
-    """Token ids in grid form; ``l`` is the row width (1 for prolonged)."""
+    """Token ids in grid form; ``l`` is the row width: 1 for prolonged,
+    at least 2 for short and long."""
 
     layout: str
     l: int
@@ -67,6 +70,9 @@ class TokenGrid:
         object.__setattr__(self, "roles", tuple(map(tuple, self.roles)))
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
+        # Each short or long row holds at least a node and an edge-type cell.
+        if type(self.l) is not int or (self.l != 1 if self.layout == "prolonged" else self.l < 2):
+            raise ValueError(f"a {self.layout} grid cannot have row width l={self.l!r}")
         if len(self.tokens) != len(self.roles):
             raise ValueError(
                 f"grid has {len(self.tokens)} token rows but {len(self.roles)} role rows"
@@ -79,7 +85,7 @@ class TokenGrid:
         return len(self.tokens)
 
     def flat(self) -> list[int]:
-        return [tok for row in self.tokens for tok in row]
+        return list(chain.from_iterable(self.tokens))
 
     def to_json(self) -> dict:
         """The grid as a JSON document. Its rows are the grid's own tuples,
@@ -114,6 +120,24 @@ def _check_node_count(num_nodes: int, cfg: ReindexConfig) -> None:
         raise ValueError(f"{num_nodes} nodes exceed the index space of {cfg.num_indices}")
 
 
+def _visits(path: EulerPath) -> dict[int, list[int]]:
+    """Each node's walk positions, keyed in order of first appearance."""
+    visits: dict[int, list[int]] = {}
+    for pos, v in enumerate(path.nodes):
+        at = visits.get(v)
+        if at is None:
+            visits[v] = [pos]
+        else:
+            at.append(pos)
+    return visits
+
+
+def _index_map(first_seen, cfg: ReindexConfig) -> dict[int, int]:
+    _check_node_count(len(first_seen), cfg)
+    offset = random.Random(cfg.seed).randrange(cfg.num_indices) if cfg.cyclic else 0
+    return {v: (i + offset) % cfg.num_indices for i, v in enumerate(first_seen)}
+
+
 def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:
     """Map node ids to serialization indices.
 
@@ -121,99 +145,86 @@ def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:
     every index is shifted by one offset drawn uniformly from
     ``0..num_indices-1`` under ``cfg.seed``.
     """
-    order: dict[int, int] = {}
-    for v in path.nodes:
-        if v not in order:
-            order[v] = len(order)
-    _check_node_count(len(order), cfg)
-    offset = random.Random(cfg.seed).randrange(cfg.num_indices) if cfg.cyclic else 0
-    return {v: (i + offset) % cfg.num_indices for v, i in order.items()}
+    return _index_map(_visits(path), cfg)
 
 
-def _blocks_at(vocab, kind, rows, defaults, attach) -> dict[int, list[int]]:
-    """Attribute block per step position from ``attach`` (position ->
-    row index), each distinct row spelled once."""
-    if not rows:
-        return {}
-    by_row: dict[tuple[int, ...], list[int]] = {}
-    out = {}
-    for pos, key in attach.items():
-        row = rows[key]
-        block = by_row.get(row)
-        if block is None:
-            block = by_row[row] = vocab.block_ids(kind, row, defaults)
-        out[pos] = block
-    return out
+def _spelled(vocab: Vocabulary, kind: str, rows, defaults) -> dict:
+    """``vocab.block_ids`` of each distinct row, spelled in row order."""
+    return {row: vocab.block_ids(kind, row, defaults) for row in dict.fromkeys(rows)}
 
 
-@dataclass
-class Step:
-    """One walk step as token ids: the node's index token, its attribute
-    block if attached at this visit, the edge-type token (jump or
-    direction) if any, and the attribute block of the edge taken next if
-    attached at this traversal. The tokenizer lays steps out as grid rows;
-    the detokenizer collects them back from a grid."""
+def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, visits, seed: int):
+    """Node attribute block, edge-type id (or None) and edge attribute
+    block per walk position; a position without a block holds ``()``.
 
-    node: int
-    node_attrs: list[int] = field(default_factory=list)
-    edge_type: int | None = None
-    edge_attrs: list[int] = field(default_factory=list)
-
-
-def _build_steps(
-    path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, index_of, seed: int
-) -> list[Step]:
+    Under ``seed``, each node's block goes to one of its visits (one draw
+    per node, in node id order), then each base edge's block to one of
+    its traversals (one draw per edge, in edge id order). The node draws
+    are made without node attributes too, so edge placement does not
+    depend on them.
+    """
     g = mg.base
-    rng = random.Random(seed)
-
-    occurrences: dict[int, list[int]] = {}
-    for pos, v in enumerate(path.nodes):
-        occurrences.setdefault(v, []).append(pos)
-    node_attach = {rng.choice(occurrences[v]): v for v in sorted(occurrences)}
+    nodes, edges = path.nodes, path.edges
+    choice = random.Random(seed).choice
+    node_blocks: list = [()] * len(nodes)
+    if g.node_attrs:
+        rows = g.node_attrs
+        spelled = _spelled(vocab, "node", rows, g.node_defaults)
+        for v in sorted(visits):
+            node_blocks[choice(visits[v])] = spelled[rows[v]]
+    elif g.edge_attrs:
+        for v in sorted(visits):
+            choice(visits[v])
 
     # Jump edges follow the base edges in the multigraph's edge ids.
     num_base = mg.num_base_edges
-    steps_of_edge: dict[int, list[int]] = {}
-    edge_types: list[int | None] = []
-    for step, eid in enumerate(path.edges):
-        if eid >= num_base:
-            edge_types.append(vocab.jump_id)
-            continue
-        steps_of_edge.setdefault(eid, []).append(step)
-        if g.directed:
-            forward = path.nodes[step] == g.edges[eid][0]
-            edge_types.append(vocab.fwd_id if forward else vocab.bwd_id)
-        else:
-            edge_types.append(None)
-    edge_types.append(None)
-    edge_attach = {rng.choice(steps_of_edge[eid]): eid for eid in sorted(steps_of_edge)}
+    jump = vocab.jump_id
+    if g.directed:
+        fwd, bwd, ends = vocab.fwd_id, vocab.bwd_id, g.edges
+        types = [
+            jump if eid >= num_base else fwd if v == ends[eid][0] else bwd
+            for v, eid in zip(nodes, edges)
+        ]
+    else:
+        types = [jump if eid >= num_base else None for eid in edges]
+    types.append(None)
 
-    node_blocks = _blocks_at(vocab, "node", g.node_attrs, g.node_defaults, node_attach)
-    edge_blocks = _blocks_at(vocab, "edge", g.edge_attrs, g.edge_defaults, edge_attach)
+    edge_blocks: list = [()] * len(nodes)
+    if g.edge_attrs:
+        steps_of_edge: list[list[int]] = [[] for _ in range(num_base)]
+        for step, eid in enumerate(edges):
+            if eid < num_base:
+                steps_of_edge[eid].append(step)
+        rows = g.edge_attrs
+        spelled = _spelled(vocab, "edge", rows, g.edge_defaults)
+        for eid, steps in enumerate(steps_of_edge):
+            if steps:
+                edge_blocks[choice(steps)] = spelled[rows[eid]]
+    return node_blocks, types, edge_blocks
 
-    # Structural index i is vocabulary id i, so an index is its node token.
-    return [
-        Step(index_of[v], node_blocks.get(i, []), edge_type, edge_blocks.get(i, []))
-        for i, (v, edge_type) in enumerate(zip(path.nodes, edge_types))
-    ]
+
+_NODE_CELL = (ROLE_NODE,)
+_TYPE_CELL = (ROLE_TYPE,)
+_NODE_ATTR_CELL = (ROLE_NODE_ATTR,)
+_EDGE_ATTR_CELL = (ROLE_EDGE_ATTR,)
 
 
-def _emit_prolonged(steps):
+def _emit_prolonged(node_toks, node_blocks, types, edge_blocks):
     tokens: list[int] = []
-    roles: list[str] = []
-    for step in steps:
-        tokens.append(step.node)
-        roles.append(ROLE_NODE)
-        if step.node_attrs:
-            tokens += step.node_attrs
-            roles += [ROLE_NODE_ATTR] * len(step.node_attrs)
-        if step.edge_type is not None:
-            tokens.append(step.edge_type)
-            roles.append(ROLE_TYPE)
-        if step.edge_attrs:
-            tokens += step.edge_attrs
-            roles += [ROLE_EDGE_ATTR] * len(step.edge_attrs)
-    return list(zip(tokens)), list(zip(roles))
+    roles: list[tuple[str]] = []
+    for tok, nb, et, eb in zip(node_toks, node_blocks, types, edge_blocks):
+        tokens.append(tok)
+        roles.append(_NODE_CELL)
+        if nb:
+            tokens += nb
+            roles += [_NODE_ATTR_CELL] * len(nb)
+        if et is not None:
+            tokens.append(et)
+            roles.append(_TYPE_CELL)
+        if eb:
+            tokens += eb
+            roles += [_EDGE_ATTR_CELL] * len(eb)
+    return list(zip(tokens)), roles
 
 
 def _spelled_cells(vocab, kind, rows, defaults) -> int:
@@ -253,7 +264,7 @@ def sequence_length(mg: EulerizedMultigraph, vocab: Vocabulary, cfg: ReindexConf
 
 
 def _fit_width(blocks, configured, what):
-    needed = max((len(b) for b in blocks), default=0)
+    needed = max(map(len, blocks), default=0)
     if configured is None:
         return needed
     if needed > configured:
@@ -263,19 +274,15 @@ def _fit_width(blocks, configured, what):
     return configured
 
 
-def _emit_short(steps, vocab, we, wn):
-    pad = vocab.pad_id
+def _emit_short(node_toks, node_blocks, types, edge_blocks, pad, we, wn):
+    pads = [(pad,) * k for k in range(max(we, wn) + 1)]
     # Few distinct role rows exist: one per (typed, edge cells, node cells).
     role_rows: dict[tuple[bool, int, int], tuple[str, ...]] = {}
     rows, roles = [], []
-    for step in steps:
-        typed = step.edge_type is not None
-        ne, nn = len(step.edge_attrs), len(step.node_attrs)
-        rows.append((
-            step.node, step.edge_type if typed else pad,
-            *step.edge_attrs, *(pad,) * (we - ne),
-            *step.node_attrs, *(pad,) * (wn - nn),
-        ))
+    for tok, nb, et, eb in zip(node_toks, node_blocks, types, edge_blocks):
+        typed = et is not None
+        ne, nn = len(eb), len(nb)
+        rows.append((tok, et if typed else pad, *eb, *pads[we - ne], *nb, *pads[wn - nn]))
         key = (typed, ne, nn)
         role = role_rows.get(key)
         if role is None:
@@ -288,27 +295,26 @@ def _emit_short(steps, vocab, we, wn):
     return rows, roles
 
 
-def _emit_long(steps, vocab, width):
-    pad = vocab.pad_id
-    role_rows: dict[tuple[str, ...], tuple[str, ...]] = {}
+def _emit_long(node_toks, node_blocks, types, edge_blocks, pad, width):
+    pads = [(pad,) * k for k in range(width + 1)]
+    node_role = (ROLE_NODE,) + (ROLE_PAD,) * (width - 1)
+    typed_role = (ROLE_NODE, ROLE_TYPE) + (ROLE_PAD,) * (width - 2)
+    node_attr_roles = [(ROLE_NODE_ATTR,) * k + (ROLE_PAD,) * (width - k) for k in range(width + 1)]
+    edge_attr_roles = [(ROLE_EDGE_ATTR,) * k + (ROLE_PAD,) * (width - k) for k in range(width + 1)]
     rows, roles = [], []
-
-    def pad_row(ids, rs):
-        rows.append((*ids, *(pad,) * (width - len(ids))))
-        role = role_rows.get(rs)
-        if role is None:
-            role = role_rows[rs] = rs + (ROLE_PAD,) * (width - len(rs))
-        roles.append(role)
-
-    for step in steps:
-        if step.edge_type is None:
-            pad_row((step.node,), (ROLE_NODE,))
+    for tok, nb, et, eb in zip(node_toks, node_blocks, types, edge_blocks):
+        if et is None:
+            rows.append((tok, *pads[width - 1]))
+            roles.append(node_role)
         else:
-            pad_row((step.node, step.edge_type), (ROLE_NODE, ROLE_TYPE))
-        if step.node_attrs:
-            pad_row(step.node_attrs, (ROLE_NODE_ATTR,) * len(step.node_attrs))
-        if step.edge_attrs:
-            pad_row(step.edge_attrs, (ROLE_EDGE_ATTR,) * len(step.edge_attrs))
+            rows.append((tok, et, *pads[width - 2]))
+            roles.append(typed_role)
+        if nb:
+            rows.append((*nb, *pads[width - len(nb)]))
+            roles.append(node_attr_roles[len(nb)])
+        if eb:
+            rows.append((*eb, *pads[width - len(eb)]))
+            roles.append(edge_attr_roles[len(eb)])
     return rows, roles
 
 
@@ -332,15 +338,18 @@ def tokenize(
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
     _check_vocab_indices(cfg, vocab)
-    index_of = reindex(path, cfg)
-    steps = _build_steps(path, mg, vocab, index_of, seed)
+    visits = _visits(path)
+    # Structural index i is vocabulary id i, so an index is its node token.
+    node_toks = list(map(_index_map(visits, cfg).__getitem__, path.nodes))
+    placements = _placements(path, mg, vocab, visits, seed)
     if layout == "prolonged":
-        tokens, roles = _emit_prolonged(steps)
+        tokens, roles = _emit_prolonged(node_toks, *placements)
         return TokenGrid(layout=layout, l=1, tokens=tokens, roles=roles)
-    we = _fit_width([s.edge_attrs for s in steps], edge_attr_width, "edge attribute")
-    wn = _fit_width([s.node_attrs for s in steps], node_attr_width, "node attribute")
+    node_blocks, _, edge_blocks = placements
+    we = _fit_width(edge_blocks, edge_attr_width, "edge attribute")
+    wn = _fit_width(node_blocks, node_attr_width, "node attribute")
     if layout == "short":
-        tokens, roles = _emit_short(steps, vocab, we, wn)
+        tokens, roles = _emit_short(node_toks, *placements, vocab.pad_id, we, wn)
     else:
-        tokens, roles = _emit_long(steps, vocab, 2 + we + wn)
+        tokens, roles = _emit_long(node_toks, *placements, vocab.pad_id, 2 + we + wn)
     return TokenGrid(layout=layout, l=2 + we + wn, tokens=tokens, roles=roles)

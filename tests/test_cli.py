@@ -597,6 +597,27 @@ def test_detokenize_refuses_a_grid_with_fewer_role_rows_than_token_rows(tmp_path
     assert err["message"] == f"line 1: grid has {rows} token rows but 2 role rows"
 
 
+def test_detokenize_refuses_a_row_width_the_layout_cannot_have(tmp_path, capsys):
+    # Unchecked, a 4-node path's prolonged grid cut into 2-cell rows
+    # decoded with exit 0.
+    path = tmp_path / "path.jsonl"
+    path.write_text(json.dumps({"num_nodes": 4, "edges": [[0, 1], [1, 2], [2, 3]]}) + "\n")
+    vocab = _vocab(tmp_path, path)
+    grids = tmp_path / "grids.jsonl"
+    assert main(["tokenize", "--graphs", str(path), "--vocab", str(vocab),
+                 "--layout", "prolonged", "--output", str(grids)]) == 0
+    doc = json.loads(grids.read_text())
+    cells = [cell for row in doc["tokens"] for cell in row]
+    assert len(cells) == 4
+    doc.update(l=2, tokens=[cells[:2], cells[2:]], roles=[["node", "node"]] * 2)
+    grids.write_text(json.dumps(doc) + "\n")
+    assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab),
+                 "--output", str(tmp_path / "back.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["line"] == 1
+    assert err["message"] == "line 1: a prolonged grid cannot have row width l=2"
+
+
 def test_taskfmt_names_the_missing_identity_flag(tmp_path, capsys):
     parent = tmp_path / "parent.jsonl"
     n = 24

@@ -18,10 +18,9 @@ from graphseq import (
 from graphseq.pretrain import (
     PretrainExample,
     cosine_schedule,
-    distinct_node_tokens,
     linear_schedule,
 )
-from graphseq.tokenizer import LAYOUTS, ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
+from graphseq.tokenizer import LAYOUTS, ROLE_EDGE_ATTR, ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
 
 from conftest import random_connected_graph, random_graph, vocab_for
 from oracle import cell_roles
@@ -117,17 +116,32 @@ def test_smtp_masks_every_occurrence_of_a_node():
 
 
 def test_smtp_partial_mask_has_no_leaks():
+    # random_graph draws directed graphs and, with an edge dropped, disconnected ones.
     rng = random.Random(12)
     for i in range(40):
-        g = random_connected_graph(rng, n_max=10)
+        g = random_graph(rng, n_max=10)
         vocab = vocab_for(g)
-        layout = ("short", "long", "prolonged")[i % 3]
-        grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
-        ex = build_smtp(grid, max(rng.random(), 1e-6), seed=i, vocab=vocab)
-        flat_roles = [r for row in grid.roles for r in row]
-        masked_nodes = {tok for pos, tok in ex.targets if flat_roles[pos] == ROLE_NODE}
-        flat_in = [t for row in ex.inputs.tokens for t in row]
-        assert not masked_nodes & set(flat_in), "masked node token survived"
+        for layout in LAYOUTS:
+            grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
+            ex = build_smtp(grid, max(rng.random(), 1e-6), seed=i, vocab=vocab)
+            flat_roles = [r for row in grid.roles for r in row]
+            flat_grid = grid.flat()
+            flat_in = [t for row in ex.inputs.tokens for t in row]
+            targets = dict(ex.targets)
+            assert all(flat_in[pos] == vocab.mask_id and flat_grid[pos] == tok
+                       for pos, tok in targets.items())
+            masked_nodes = {tok for pos, tok in targets.items() if flat_roles[pos] == ROLE_NODE}
+            assert not masked_nodes & set(flat_in), "masked node token survived"
+            # A node's attribute cells follow its node cell: both are
+            # targets exactly when the node is masked, and no other cell is.
+            owner = None
+            for pos, (tok, role) in enumerate(zip(flat_grid, flat_roles)):
+                if role == ROLE_NODE:
+                    owner = tok
+                hidden = role in (ROLE_NODE, ROLE_NODE_ATTR) and owner in masked_nodes
+                assert (pos in targets) == hidden
+                if role == ROLE_EDGE_ATTR:
+                    assert flat_in[pos] == tok
 
 
 @pytest.mark.parametrize("task", ["ntp", "smtp"])
@@ -148,23 +162,6 @@ def test_example_files_give_the_grid_roles_back(layout, task):
                 assert flat[pos] == vocab.mask_id
                 flat[pos] = tok
         assert cell_roles(flat, vocab) == [r for row in grid.roles for r in row]
-
-
-def test_distinct_node_tokens_keep_first_appearance_order():
-    grid = TokenGrid(
-        layout="short",
-        l=2,
-        tokens=((5, 1), (2, 1), (5, 1), (0, 1), (2, 1)),
-        roles=(("node", "pad"), ("node", "pad"), ("node", "pad"), ("node", "pad"), ("pad", "node")),
-    )
-    assert distinct_node_tokens(grid) == [5, 2, 0, 1]
-    rng = random.Random(4)
-    for layout in ("short", "long", "prolonged"):
-        g = random_connected_graph(rng, n_min=8, n_max=12)
-        grid = serialize_graph(g, vocab_for(g), layout, ReindexConfig(), 3)
-        visits = [t for row, roles in zip(grid.tokens, grid.roles)
-                  for t, r in zip(row, roles) if r == ROLE_NODE]
-        assert distinct_node_tokens(grid) == sorted(set(visits), key=visits.index)
 
 
 def test_smtp_r_near_zero_masks_exactly_one_node():

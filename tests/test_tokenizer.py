@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import replace
@@ -10,6 +11,8 @@ from graphseq import (
     AttributedGraph,
     ReindexConfig,
     build_multigraph,
+    build_ntp,
+    build_smtp,
     derive_seed,
     extract_path,
     reindex,
@@ -396,6 +399,33 @@ def test_grid_needs_one_role_row_per_token_row(c3):
         TokenGrid.from_json({**doc, "tokens": doc["tokens"][1:]})
 
 
+def test_row_width_must_be_one_the_layout_can_have():
+    # Unchecked, each of these decoded: a prolonged grid cut into 2-cell
+    # rows as a path (with multi-token NTP targets), and the others as the
+    # grid they were cut from.
+    p4 = AttributedGraph(num_nodes=4, edges=((0, 1), (1, 2), (2, 3)))
+    vocab = vocab_for(p4)
+    prolonged = serialize_graph(p4, vocab, "prolonged", ReindexConfig(), 0).to_json()
+    short = serialize_graph(p4, vocab, "short", ReindexConfig(), 0).to_json()
+    cells = [cell for row in prolonged["tokens"] for cell in row]
+    assert len(cells) == 4 and short["l"] == 2
+    pairs = {"layout": "prolonged", "l": 2, "tokens": [cells[:2], cells[2:]],
+             "roles": [[ROLE_NODE, ROLE_NODE]] * 2}
+    node_column = {**prolonged, "layout": "short"}
+    bad = [
+        (pairs, "a prolonged grid cannot have row width l=2"),
+        (node_column, "a short grid cannot have row width l=1"),
+        ({**node_column, "layout": "long"}, "a long grid cannot have row width l=1"),
+        ({**prolonged, "l": True}, "a prolonged grid cannot have row width l=True"),
+        ({**short, "l": 2.0}, "a short grid cannot have row width l=2.0"),
+    ]
+    for doc, message in bad:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            TokenGrid.from_json(doc)
+    for doc in (prolonged, short):
+        assert TokenGrid.from_json(doc).to_json() == doc
+
+
 def test_to_json_writes_the_bytes_of_list_rows():
     # to_json hands json.dumps the grid's own tuples; the bytes must be
     # those of the list copies it once made.
@@ -426,3 +456,36 @@ def test_recorded_roles_follow_from_the_tokens(style):
             grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
             assert cell_roles(grid.flat(), vocab) == [r for row in grid.roles for r in row]
     assert kinds == {(False, False), (False, True), (True, False), (True, True)}
+
+
+# SHA-256 of the grids, with their roles, and of the SMTP and NTP examples
+# of 150 random graphs in every layout, under both attribute styles and,
+# for every other graph, explicit attribute widths wider than the blocks.
+# Any change to the cells, roles, attribute placement or masking changes it.
+GRIDS_AND_EXAMPLES_DIGEST = "5d750d4d48022de4cd954b2ea6093ac199d3423af9d9b833a6770866b09668b4"
+
+
+def test_grids_and_examples_are_pinned():
+    rng = random.Random(4242)
+    styles = ("digits", "inline")
+    kinds = set()
+    digest = hashlib.sha256()
+    for i in range(150):
+        g = random_graph(rng, n_max=24)
+        kinds.add(g.directed)
+        vocab = vocab_for(g, node_attr_style=styles[i % 2], edge_attr_style=styles[i // 2 % 2])
+        widths = {}
+        if i % 2:
+            widths = {
+                "edge_attr_width": max((len(vocab.block_ids("edge", row, g.edge_defaults))
+                                        for row in g.edge_attrs), default=0) + i % 3,
+                "node_attr_width": max((len(vocab.block_ids("node", row, g.node_defaults))
+                                        for row in g.node_attrs), default=0) + 1,
+            }
+        for layout in LAYOUTS:
+            grid = serialize_graph(g, vocab, layout, ReindexConfig(), i, **widths)
+            smtp = build_smtp(grid, max(rng.random(), 1e-6), i, vocab)
+            for doc in (grid.to_json(), smtp.to_json(), build_ntp(grid, vocab).to_json()):
+                digest.update(json.dumps(doc).encode() + b"\n")
+    assert kinds == {False, True}
+    assert digest.hexdigest() == GRIDS_AND_EXAMPLES_DIGEST
