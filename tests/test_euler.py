@@ -31,7 +31,7 @@ from graphseq.euler import (
     _ring_table,
 )
 
-from conftest import random_connected_graph, random_graph
+from conftest import power_law_graph, random_connected_graph, random_graph
 from oracle import edge_ends, validate_path
 
 
@@ -305,6 +305,65 @@ def test_serialized_corpus_bytes_are_pinned():
             doc = [grid.layout, grid.l, grid.tokens, grid.roles]
             digest.update(json.dumps(doc).encode() + b"\n")
     assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def _large_graphs() -> list[AttributedGraph]:
+    """Seeded graphs of 200-1,000 nodes: sparse random draws (most
+    disconnected, some directed), power-law graphs with hubs, and long
+    cycles with a few chords, whose at most 12 odd nodes lie many rings
+    apart."""
+    rng = random.Random(1973)
+    graphs = []
+    for i in range(10):
+        n = rng.randint(200, 1000)
+        directed = i % 3 == 0
+        edges = set()
+        for _ in range(rng.randint(n // 2, 3 * n // 2)):
+            u, v = rng.sample(range(n), 2)
+            edges.add((u, v) if directed else (min(u, v), max(u, v)))
+        graphs.append(AttributedGraph(num_nodes=n, edges=tuple(sorted(edges)), directed=directed))
+    for n, m, seed in ((200, 1, 3), (600, 2, 4), (1000, 3, 5)):
+        g = power_law_graph(n, m, seed)
+        graphs.append(g)
+        graphs.append(replace(g, directed=True))
+    for n, chords in ((300, 4), (800, 6), (1000, 5)):
+        edges = {(v, v + 1) for v in range(n - 1)} | {(0, n - 1)}
+        while len(edges) < n + chords:
+            u, v = sorted(rng.sample(range(n), 2))
+            if v - u > 1:
+                edges.add((u, v))
+        graphs.append(AttributedGraph(num_nodes=n, edges=tuple(sorted(edges))))
+    return graphs
+
+
+# SHA-256 of the duplicated edge ids, the minimality flag and the walk's
+# nodes and edge ids of every graph of _large_graphs, each repaired and
+# walked under its own seed. Taken from the bitset-ring repair with one
+# search per pair and the walk over shuffled (instance, node) lists.
+LARGE_REPAIR_DIGEST = "7750d5604a3830a4514681d47393c41e3fd2178e82cf692658a6d1ea0a8bc85e"
+
+
+def test_repairs_and_walks_of_large_graphs_are_pinned():
+    graphs = _large_graphs()
+    digest = hashlib.sha256()
+    odd_counts, ring_counts = [], []
+    for seed, g in enumerate(graphs, start=500):
+        connected = add_jump_edges(g, seed)
+        odd = connected.odd_nodes()
+        odd_counts.append(len(odd))
+        ring_counts.append(max(max(bfs_distances(connected, a)) for a in odd[:12]) if odd else 0)
+        mg = eulerize(connected)
+        path = extract_path(mg, seed)
+        doc = [mg.duplications, mg.minimality_guaranteed, path.nodes, path.edges]
+        digest.update(json.dumps(doc).encode() + b"\n")
+    # Both repair paths, over many rings; hubs, directed and disconnected inputs.
+    assert sum(k > EXACT_ODD_LIMIT for k in odd_counts) >= 10
+    assert sum(2 < k <= EXACT_ODD_LIMIT for k in odd_counts) >= 3
+    assert sum(r >= 30 for r in ring_counts) >= 10
+    assert max(max(len(lst) for lst in add_jump_edges(g, 0).simple_adjacency()) for g in graphs) >= 9
+    assert sum(g.directed for g in graphs) >= 5
+    assert sum(len(connected_components(g)) > 1 for g in graphs) >= 5
+    assert digest.hexdigest() == LARGE_REPAIR_DIGEST
 
 
 # --- path extraction ----------------------------------------------------
