@@ -4,20 +4,25 @@ A graph is first made connected by chaining its components with synthetic
 "jump" edges, then repaired to have at most two odd-degree nodes by
 duplicating existing edges along shortest paths: the route-inspection
 construction of Edmonds & Johnson, "Matching, Euler tours and the Chinese
-postman" (Math. Programming 5, 1973). The odd nodes are paired from their
-BFS distances, exactly by a DP over subsets of odd nodes up to
-``EXACT_ODD_LIMIT`` of them and by a one-pass nearest-pair greedy matching
-above it. ``extract_path`` samples one edge-covering walk of the resulting
-multigraph with seeded randomness, so repeated serialization of the same
-graph yields different but equally valid sequences.
+postman" (Math. Programming 5, 1973). Up to ``EXACT_ODD_LIMIT`` odd nodes,
+one BFS from each gives both the distance table of an exact DP over
+subsets of odd nodes and the repair paths of the pairs it picks. Above
+it, the BFS runs from all odd nodes advance together as bitsets for a
+one-pass nearest-pair greedy matching, each search stopping once its node
+is matched, and each matched pair's path comes from one BFS stopped at
+the partner. ``extract_path`` samples one edge-covering walk of the
+resulting multigraph with seeded randomness, so repeated serialization of
+the same graph yields different but equally valid sequences. Its draws,
+and the tokenizer's, come from ``bounded_draws``.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import chain, compress
+from operator import and_, invert, itemgetter, or_
+from typing import Generator, Iterator
 
 from .graph import (
     Adjacency,
@@ -29,11 +34,12 @@ from .graph import (
 )
 
 # Odd-node counts up to this bound get the exact pairing. The subset DP
-# takes about 0.14 ms per graph at 12 odd nodes, 0.4 ms at 14, 1.3 ms at 16
-# and 4.0 ms at 18, after building that count's pairing plan once in 2.5,
-# 5, 9 and 56 ms (random tables of weights 1-6, best of nine passes; 2-vCPU
-# Xeon host, Python 3.11). The limit stays at 12: raising it changes
-# seeded output.
+# takes about 0.13 ms per graph at 12 odd nodes, 0.37 ms at 14, 1.1 ms at
+# 16 and 3.3 ms at 18, after building that count's pairing plan once in
+# 0.9, 2.8, 7.6 and 20 ms (random tables of weights 1-6, best of nine
+# passes); the 11 BFS runs of its distance table take about 0.05 ms on a
+# 22-node molecule (2-vCPU Xeon host, Python 3.11). The limit stays at 12:
+# raising it changes seeded output.
 EXACT_ODD_LIMIT = 12
 
 
@@ -171,55 +177,104 @@ def add_jump_edges(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     )
 
 
-def _bfs_path_edges(adj: Adjacency, start: int, goal: int) -> list[int]:
-    """Edge ids along one shortest path, from ``goal`` back to ``start``."""
-    parent = bfs_tree(adj, start, goal)
+def _search(adj: Adjacency, start: int, n: int) -> tuple[list[int], list[int]]:
+    """Breadth-first search from ``start``: each node's distance (-1 where
+    unreached) and the id of the edge that first reached it. Queue order
+    over sorted adjacency gives each node the parent ``bfs_tree`` gives it."""
+    dist = [-1] * n
+    via = [-1] * n
+    dist[start] = 0
+    queue = [start]
+    for u in queue:
+        du = dist[u] + 1
+        for v, eid in adj[u]:
+            if dist[v] < 0:
+                dist[v] = du
+                via[v] = eid
+                queue.append(v)
+    return dist, via
+
+
+def _odd_searches(adj: Adjacency, odd: tuple[int, ...], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """The k x k table of BFS distances between odd nodes, and the
+    ``_search`` edge ids of every odd node but the last.
+
+    Pairs are (i, j) with i < j, so the last odd node needs no search of
+    its own: its row of the table is the last column.
+    """
+    w, vias = [], []
+    for a in odd[:-1]:
+        dist, via = _search(adj, a, n)
+        w.append([dist[b] for b in odd])
+        vias.append(via)
+    w.append([row[-1] for row in w] + [0])
+    return w, vias
+
+
+def _path_edges(via: list[int], ends, start: int, goal: int) -> list[int]:
+    """Edge ids along the search tree's path, from ``goal`` back to ``start``."""
     edges = []
     node = goal
     while node != start:
-        node, eid = parent[node]
+        eid = via[node]
         edges.append(eid)
+        u, v = ends[eid]
+        node ^= u ^ v
     return edges
 
 
-def _odd_rings(adj, odd: tuple[int, ...], n: int) -> Iterator[list[int]]:
+def _pair_paths(adj: Adjacency, ends, n: int, pairs) -> Iterator[list[int]]:
+    """Per (start, goal) pair, the edge ids of the path ``_search`` from
+    ``start`` finds to ``goal``: one search per pair, stopped once ``goal``
+    is reached, over lists reused under a fresh stamp per pair."""
+    mark = [0] * n
+    via = [-1] * n
+    for stamp, (start, goal) in enumerate(pairs, start=1):
+        mark[start] = stamp
+        queue = [start]
+        for u in queue:
+            for v, eid in adj[u]:
+                if mark[v] != stamp:
+                    mark[v] = stamp
+                    via[v] = eid
+                    queue.append(v)
+            if mark[goal] == stamp:
+                break
+        yield _path_edges(via, ends, start, goal)
+
+
+def _odd_rings(adj, odd: tuple[int, ...], n: int) -> Generator[tuple[int, ...], int, None]:
     """Distance rings between odd nodes, from all their BFS runs at once.
 
-    Yields, for d = 1, 2, ... until every search is exhausted, a list whose
+    Yields, for d = 1, 2, ... until every search is exhausted, a tuple whose
     entry i is the bitset of odd indices j at distance exactly d from
     ``odd[i]``. Bit i of ``front[v]`` puts v on the level-d frontier of the
     search from ``odd[i]``, so one pass over the edges advances all k
     searches by a level: O(diameter * m) big-integer operations in place of
-    k separate BFS runs, with O(n) integers held.
+    k separate BFS runs, with O(n) integers held. After each ring the
+    consumer sends the bitset of indices whose searches it still needs;
+    the others stop spreading, and later rings hold only the needed
+    indices j.
     """
     nbrs = [[v for v, _ in lst] for lst in adj]
     front = [0] * n
     for i, a in enumerate(odd):
         front[a] = 1 << i
     seen = front
+    live = (1 << len(odd)) - 1
+    ring = itemgetter(*odd)
     while True:
         reach = [0] * n
-        for u, bits in enumerate(front):
+        for u in compress(range(n), front):
+            bits = front[u] & live
             if bits:
                 for v in nbrs[u]:
                     reach[v] |= bits
-        front = [r & ~s for r, s in zip(reach, seen)]
+        front = list(map(and_, reach, map(invert, seen)))
         if not any(front):
             return
-        seen = [s | f for s, f in zip(seen, front)]
-        yield [front[a] for a in odd]
-
-
-def _ring_table(rings: Iterable[list[int]], k: int) -> list[list[int]]:
-    """The k x k distance table the rings describe."""
-    w = [[0] * k for _ in range(k)]
-    for d, ring in enumerate(rings, start=1):
-        for row, bits in zip(w, ring):
-            while bits:
-                low = bits & -bits
-                row[low.bit_length() - 1] = d
-                bits ^= low
-    return w
+        seen = list(map(or_, seen, front))
+        live = yield ring(front)
 
 
 @cache
@@ -313,7 +368,7 @@ def _exact_matching(w: list[list[int]]) -> list[tuple[int, int, int]]:
     return matching
 
 
-def _greedy_matching(rings: Iterable[list[int]], k: int) -> list[tuple[int, int, int]]:
+def _greedy_matching(rings: Generator[tuple[int, ...], int, None], k: int) -> list[tuple[int, int, int]]:
     """Nearest-pair matching: repeatedly take the unmatched index pair
     (i, j), i < j, least in (distance, i, j) order. Returns (distance, i, j)
     triples in the order taken.
@@ -321,21 +376,29 @@ def _greedy_matching(rings: Iterable[list[int]], k: int) -> list[tuple[int, int,
     One pass over the rings in ascending distance: in each, every unmatched
     i, lowest first, takes its lowest unmatched j > i at that distance. An
     i passed over at a distance gains no partner there later, since matched
-    indices only accumulate.
+    indices only accumulate. After each ring the unmatched bitset goes back
+    to ``rings``, so searches from matched indices stop.
     """
     unmatched = (1 << k) - 1
+    matched = bytearray(k)
+    todo = range(k)
     matching = []
-    for d, ring in enumerate(rings, start=1):
-        for i, bits in enumerate(ring):
-            if unmatched >> i & 1:
+    d, ring = 1, next(rings)
+    while True:
+        for i in todo:
+            bits = ring[i]
+            if bits and not matched[i]:
                 bits &= unmatched >> (i + 1) << (i + 1)
                 if bits:
                     j = (bits & -bits).bit_length() - 1
                     unmatched ^= 1 << i | 1 << j
+                    matched[i] = matched[j] = 1
                     matching.append((d, i, j))
         if not unmatched:
-            break
-    return matching
+            return matching
+        todo = [i for i in todo if not matched[i]]
+        d += 1
+        ring = rings.send(unmatched)
 
 
 def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
@@ -346,8 +409,10 @@ def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
     largest shortest-path distance, so the result is semi-Eulerian and
     saves that pair's duplications. Up to ``EXACT_ODD_LIMIT`` odd nodes
     the pairing comes from an exact DP over subsets of odd nodes and the
-    duplication count is provably minimal; beyond that a nearest-pair
-    greedy matching is used and ``minimality_guaranteed`` is cleared.
+    duplication count is provably minimal; the BFS runs that fill its
+    distance table also give the paths. Beyond that a nearest-pair greedy
+    matching is used and ``minimality_guaranteed`` is cleared. Each path
+    is the one ``bfs_tree`` from the pair's lower-index node holds.
     """
     if not mg.is_connected():
         raise ValueError("multigraph is disconnected; add jump edges first")
@@ -355,23 +420,26 @@ def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
     if len(odd) <= 2:
         return mg
     adj = mg.simple_adjacency()
-    rings = _odd_rings(adj, odd, mg.base.num_nodes)
-    exact = len(odd) <= EXACT_ODD_LIMIT
+    ends = mg._endpoints
+    n, k = mg.base.num_nodes, len(odd)
+    exact = k <= EXACT_ODD_LIMIT
     if exact:
-        matching = _exact_matching(_ring_table(rings, len(odd)))
+        w, vias = _odd_searches(adj, odd, n)
+        matching = _exact_matching(w)
     else:
-        matching = _greedy_matching(rings, len(odd))
+        matching = _greedy_matching(_odd_rings(adj, odd, n), k)
     weights = [d for d, _, _ in matching]
-    exempt = weights.index(max(weights))
+    del matching[weights.index(max(weights))]
+    if exact:
+        paths = (_path_edges(vias[i], ends, odd[i], odd[j]) for _, i, j in matching)
+    else:
+        paths = _pair_paths(adj, ends, n, [(odd[i], odd[j]) for _, i, j in matching])
     duplicated: set[int] = set()
-    for idx, (_, i, j) in enumerate(matching):
-        if idx == exempt:
-            continue
+    for path in paths:
         # Duplicating twice cancels parity-wise, so repair paths combine mod 2.
-        duplicated ^= set(_bfs_path_edges(adj, odd[i], odd[j]))
+        duplicated.symmetric_difference_update(path)
     # Each duplicated copy flips the degree parity of both its endpoints.
     still_odd = set(odd)
-    ends = mg._endpoints
     for eid in duplicated:
         still_odd.symmetric_difference_update(ends[eid])
     if len(still_odd) > 2:
@@ -403,6 +471,39 @@ def check_walkable(mg: EulerizedMultigraph) -> tuple[int, ...]:
     return odd
 
 
+def bounded_draws(rng: random.Random):
+    """``shuffle`` and ``choice`` functions that consume ``rng`` exactly as
+    ``rng.shuffle`` and ``rng.choice`` do, drawing from its public
+    ``getrandbits`` alone.
+
+    A draw below n is that of CPython's ``_randbelow_with_getrandbits``
+    (the same on 3.10 through 3.13): take ``n.bit_length()`` bits and draw
+    again while the value is n or more. Inlined, it costs no Python call
+    per draw.
+    """
+    getrandbits = rng.getrandbits
+
+    def shuffle(x: list) -> None:
+        for i in range(len(x) - 1, 0, -1):
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+
+    def choice(seq):
+        n = len(seq)
+        if not n:
+            raise IndexError("cannot choose from an empty sequence")
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return seq[r]
+
+    return shuffle, choice
+
+
 def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
     """Sample one (semi-)Eulerian walk with Hierholzer's algorithm.
 
@@ -413,43 +514,51 @@ def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
     """
     odd = check_walkable(mg)
     n = mg.base.num_nodes
-    rng = random.Random(seed)
-    start = rng.choice(list(odd)) if odd else rng.randrange(n)
+    shuffle, choice = bounded_draws(random.Random(seed))
+    start = choice(odd or range(n))
 
+    # Per node, the indices of its edge instances in shuffled order,
+    # reversed so that pop() takes them in that order; an instance's far
+    # end is the XOR of its endpoints with the near one.
     instances = mg.edge_instances()
-    ends = mg._endpoints
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, eid in enumerate(instances):
-        u, v = ends[eid]
-        adj[u].append((idx, v))
-        adj[v].append((idx, u))
-    for lst in adj:
-        rng.shuffle(lst)
+    pairs = list(map(mg._endpoints.__getitem__, instances))
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for idx, (u, v) in enumerate(pairs):
+        incident[u].append(idx)
+        incident[v].append(idx)
+    far = [u ^ v for u, v in pairs]
+    for lst in incident:
+        if len(lst) > 1:
+            shuffle(lst)
+            lst.reverse()
 
-    used = [False] * len(instances)
-    ptr = [0] * n
-    stack: list[tuple[int, int | None]] = [(start, None)]
+    # Hierholzer: follow unused instances from v, leaving each node passed
+    # and its instance on the stacks; a node with none left closes the
+    # walk backwards, and the walk resumes from the node left behind.
+    used = bytearray(len(instances))
+    stack: list[int] = []
+    vias: list[int] = []
     rev_nodes: list[int] = []
     rev_insts: list[int] = []
-    while stack:
-        v, via = stack[-1]
-        moved = False
-        while ptr[v] < len(adj[v]):
-            idx, w = adj[v][ptr[v]]
-            ptr[v] += 1
+    v = start
+    lst = incident[v]
+    while True:
+        while lst:
+            idx = lst.pop()
             if not used[idx]:
-                used[idx] = True
-                stack.append((w, idx))
-                moved = True
-                break
-        if not moved:
-            stack.pop()
-            rev_nodes.append(v)
-            if via is not None:
-                rev_insts.append(via)
+                used[idx] = 1
+                stack.append(v)
+                vias.append(idx)
+                v ^= far[idx]
+                lst = incident[v]
+        rev_nodes.append(v)
+        if not stack:
+            break
+        v = stack.pop()
+        rev_insts.append(vias.pop())
+        lst = incident[v]
     rev_nodes.reverse()
     rev_insts.reverse()
     if len(rev_insts) != len(instances):  # pragma: no cover - guarded by checks above
         raise RuntimeError("walk failed to cover every edge instance")
-    return EulerPath(nodes=tuple(rev_nodes), edges=tuple(instances[i] for i in rev_insts))
-
+    return EulerPath(nodes=tuple(rev_nodes), edges=tuple(map(instances.__getitem__, rev_insts)))

@@ -307,20 +307,17 @@ def adjacency(g: AttributedGraph) -> Adjacency:
     return g._adjacency
 
 
-def bfs_tree(adj: Adjacency, start: int, goal: int | None = None) -> dict[int, tuple[int, int] | None]:
+def bfs_tree(adj: Adjacency, start: int) -> dict[int, tuple[int, int] | None]:
     """Breadth-first search from ``start`` over ``adj``.
 
     Maps each node reached, in discovery order, to the (node, edge id)
     that first reached it; ``start`` maps to None. Sorted adjacency makes
-    the tree deterministic. The search stops once ``goal`` is dequeued, so
-    the tree then holds one shortest path from ``start`` to ``goal``.
+    the tree deterministic.
     """
     parent: dict[int, tuple[int, int] | None] = {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        if u == goal:
-            break
         for v, eid in adj[u]:
             if v not in parent:
                 parent[v] = (u, eid)

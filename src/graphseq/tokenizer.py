@@ -28,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from .euler import EulerPath, EulerizedMultigraph, check_walkable
+from .euler import EulerPath, EulerizedMultigraph, bounded_draws, check_walkable
 from .vocab import Vocabulary
 
 LAYOUTS = ("short", "long", "prolonged")
@@ -165,7 +165,7 @@ def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, vis
     """
     g = mg.base
     nodes, edges = path.nodes, path.edges
-    choice = random.Random(seed).choice
+    _, choice = bounded_draws(random.Random(seed))
     node_blocks: list = [()] * len(nodes)
     if g.node_attrs:
         rows = g.node_attrs

@@ -24,12 +24,16 @@ from graphseq import (
 from graphseq.euler import (
     EXACT_ODD_LIMIT,
     EulerizedMultigraph,
-    _bfs_path_edges,
     _exact_matching,
     _greedy_matching,
     _odd_rings,
-    _ring_table,
+    _odd_searches,
+    _pair_paths,
+    _path_edges,
+    _search,
+    bounded_draws,
 )
+from graphseq.graph import bfs_tree
 
 from conftest import power_law_graph, random_connected_graph, random_graph
 from oracle import edge_ends, validate_path
@@ -106,13 +110,26 @@ def tie_heavy_table(rng: random.Random, k: int, top: int) -> list[list[int]]:
     return w
 
 
-def rings_of(w: list[list[int]]) -> list[list[int]]:
-    """Per distance 1..max, each row's bitset of columns at that distance."""
+def rings_of(w: list[list[int]]):
+    """Per distance 1..max, each row's bitset of columns at that distance,
+    as ``_odd_rings`` yields them: it takes the bitset of indices still
+    needed by ``send`` and clears the rows and columns of the others."""
     k = len(w)
-    return [
-        [sum(1 << j for j in range(k) if w[i][j] == d) for i in range(k)]
-        for d in range(1, max(map(max, w)) + 1)
-    ]
+    live = (1 << k) - 1
+    for d in range(1, max(map(max, w)) + 1):
+        ring = [sum(1 << j for j in range(k) if w[i][j] == d) & live for i in range(k)]
+        live = yield [bits if live >> i & 1 else 0 for i, bits in enumerate(ring)]
+
+
+def tree_path(adj, start: int, goal: int) -> list[int]:
+    """Edge ids along the ``bfs_tree`` path, from ``goal`` back to ``start``."""
+    parent = bfs_tree(adj, start)
+    edges = []
+    node = goal
+    while node != start:
+        node, eid = parent[node]
+        edges.append(eid)
+    return edges
 
 
 def pairs_of(matching):
@@ -239,7 +256,7 @@ def test_exact_matching_returns_the_bruteforce_pairing_on_bfs_tables():
         if not wanted.get(len(odd)):
             continue
         wanted[len(odd)] -= 1
-        w = _ring_table(_odd_rings(mg.simple_adjacency(), odd, g.num_nodes), len(odd))
+        w, _ = _odd_searches(mg.simple_adjacency(), odd, g.num_nodes)
         assert pairs_of(_exact_matching(w)) == exact_matching_bruteforce(tuple(range(len(odd))), w)
         if not any(wanted.values()):
             break
@@ -274,14 +291,54 @@ def test_greedy_matching_returns_the_rescan_pairing():
             assert [d for d, i, j in matching] == [w[i][j] for _, i, j in matching]
 
 
-def test_odd_rings_give_bfs_distances():
+def test_odd_searches_give_bfs_distances():
     rng = random.Random(12)
     for _ in range(40):
         g = random_graph(rng, n_min=2, n_max=60, max_node_width=0, max_edge_width=0)
         mg = add_jump_edges(g, 0)
         odd = mg.odd_nodes()
-        table = _ring_table(_odd_rings(mg.simple_adjacency(), odd, g.num_nodes), len(odd))
+        if len(odd) < 2:
+            continue
+        adj = mg.simple_adjacency()
+        table, vias = _odd_searches(adj, odd, g.num_nodes)
         assert table == [[bfs_distances(mg, a)[b] for b in odd] for a in odd]
+        assert len(vias) == len(odd) - 1
+        ends = edge_ends(mg)
+        for i, (a, via) in enumerate(zip(odd, vias)):
+            for b in odd[i + 1 :]:
+                assert _path_edges(via, ends, a, b) == tree_path(adj, a, b)
+
+
+def test_odd_rings_give_bfs_distances():
+    # Entry i of ring d holds the odd indices at distance d from odd[i].
+    # Indices sent back as no longer needed stop their searches; every
+    # entry of a needed index still holds every needed index.
+    rng = random.Random(12)
+    for _ in range(40):
+        g = random_graph(rng, n_min=2, n_max=60, max_node_width=0, max_edge_width=0)
+        mg = add_jump_edges(g, 0)
+        odd = mg.odd_nodes()
+        k = len(odd)
+        if k < 2:
+            continue
+        dist = [[bfs_distances(mg, a)[b] for b in odd] for a in odd]
+        rings = _odd_rings(mg.simple_adjacency(), odd, g.num_nodes)
+        live = (1 << k) - 1
+        d, ring = 1, next(rings)
+        while True:
+            for i in range(k):
+                if live >> i & 1:
+                    expected = sum(1 << j for j in range(k) if live >> j & 1 and dist[i][j] == d)
+                    assert ring[i] & live == expected
+            if rng.random() < 0.5:
+                live &= ~(1 << rng.randrange(k))
+            try:
+                ring = rings.send(live)
+            except StopIteration:
+                break
+            d += 1
+        needed = [i for i in range(k) if live >> i & 1]
+        assert all(dist[i][j] <= d for i in needed for j in needed)
 
 
 # SHA-256 of the prolonged and short grids of a seeded corpus of 200
@@ -367,6 +424,30 @@ def test_repairs_and_walks_of_large_graphs_are_pinned():
 
 
 # --- path extraction ----------------------------------------------------
+
+
+def test_bounded_draws_consume_the_generator_as_random_does():
+    # Every length from 0 to 300 in turn on one generator per seed, then
+    # powers of two and their neighbours, where the bit count changes.
+    edges = sorted({m + d for m in (2**e for e in range(1, 9)) for d in (-1, 0, 1)})
+    for seed in range(25):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        shuffle, choice = bounded_draws(ours)
+        for n in [*range(301), *edges, 1, 1, 2, 1]:
+            a, b = list(range(n)), list(range(n))
+            shuffle(a)
+            theirs.shuffle(b)
+            assert a == b
+            if n:
+                assert choice(a) == theirs.choice(b)
+                assert choice(range(n)) == theirs.choice(range(n))
+            else:
+                with pytest.raises(IndexError):
+                    choice(a)
+                with pytest.raises(IndexError):
+                    theirs.choice(b)
+            assert ours.getstate() == theirs.getstate()
+
 
 
 def test_walk_of_a_disconnected_multigraph_is_rejected(two_triangles):
@@ -486,9 +567,14 @@ def test_traversal_agrees_with_scipy(seed):
         starts = rng.sample(range(g.num_nodes), 3)
         dist = csgraph.shortest_path(matrix, directed=False, unweighted=True, indices=starts)
         for row, a in zip(dist, starts):
+            # A full search and one stopped at each goal find the same paths.
+            search_dist, via = _search(adj, a, g.num_nodes)
+            assert search_dist == [int(d) if np.isfinite(d) else -1 for d in row]
             reachable = [b for b in range(g.num_nodes) if np.isfinite(row[b])]
-            for b in rng.sample(reachable, min(8, len(reachable))):
-                chain = _bfs_path_edges(adj, a, b)
+            goals = rng.sample(reachable, min(8, len(reachable)))
+            stopped = _pair_paths(adj, ends, g.num_nodes, [(a, b) for b in goals])
+            for b, chain in zip(goals, stopped):
+                assert chain == _path_edges(via, ends, a, b) == tree_path(adj, a, b)
                 assert len(chain) == row[b]
                 node = a
                 for eid in reversed(chain):
