@@ -270,7 +270,10 @@ def _odd_rings(adj, odd: tuple[int, ...], n: int) -> Generator[tuple[int, ...], 
             if bits:
                 for v in nbrs[u]:
                     reach[v] |= bits
+        # Each list goes once read, so at most three are held at a time.
+        del front
         front = list(map(and_, reach, map(invert, seen)))
+        del reach
         if not any(front):
             return
         seen = list(map(or_, seen, front))

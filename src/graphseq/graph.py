@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import operator
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -315,9 +314,8 @@ def bfs_tree(adj: Adjacency, start: int) -> dict[int, tuple[int, int] | None]:
     the tree deterministic.
     """
     parent: dict[int, tuple[int, int] | None] = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
+    queue = [start]
+    for u in queue:
         for v, eid in adj[u]:
             if v not in parent:
                 parent[v] = (u, eid)
