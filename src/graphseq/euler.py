@@ -4,21 +4,24 @@ A graph is first made connected by chaining its components with synthetic
 "jump" edges, then repaired to have at most two odd-degree nodes by
 duplicating existing edges along shortest paths: the route-inspection
 construction of Edmonds & Johnson, "Matching, Euler tours and the Chinese
-postman" (Math. Programming 5, 1973). Up to ``EXACT_ODD_LIMIT`` odd nodes,
-one BFS from each gives both the distance table of an exact DP over
-subsets of odd nodes and the repair paths of the pairs it picks. Above
-it, the BFS runs from all odd nodes advance together as bitsets for a
-one-pass nearest-pair greedy matching, each search stopping once its node
-is matched, and each matched pair's path comes from one BFS stopped at
-the partner. ``extract_path`` samples one edge-covering walk of the
-resulting multigraph with seeded randomness, so repeated serialization of
-the same graph yields different but equally valid sequences. Its draws,
-and the tokenizer's, come from ``bounded_draws``.
+postman" (Math. Programming 5, 1973). Components, connectivity and both
+repairs' paths come from one search, ``graph.bfs``. Up to
+``EXACT_ODD_LIMIT`` odd nodes, one full search from each gives both the
+distance table of an exact DP over subsets of odd nodes and the repair
+paths of the pairs it picks. Above it, searches from all odd nodes
+advance together as bitsets for a one-pass nearest-pair greedy matching,
+each stopping once its node is matched, and each matched pair's path
+comes from one ``bfs`` stopped at the partner, over lists reused across
+pairs. Either way a pair's path is the one a full ``bfs`` from its
+lower-index node holds. ``extract_path`` samples one edge-covering walk
+of the resulting multigraph with seeded randomness, so repeated
+serialization of the same graph yields different but equally valid
+sequences. Its draws, and the tokenizer's, come from ``bounded_draws``.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain, compress
 from operator import and_, invert, itemgetter, or_
@@ -28,7 +31,7 @@ from .graph import (
     Adjacency,
     AttributedGraph,
     adjacency,
-    bfs_tree,
+    bfs,
     connected_components,
     undirected_adjacency,
 )
@@ -63,26 +66,27 @@ class EulerizedMultigraph:
     multiset of edge ids; shortest repair paths may run over jump edges,
     so duplications are not restricted to base edges.
 
-    ``derived`` carries what the building function already knows:
-    ``add_jump_edges`` extends the base graph's adjacency it searched, and
-    ``eulerize`` keeps its input's adjacency and connectivity, which
-    duplicated copies do not change. It is not an init field, so a
-    multigraph a caller builds, or gets from ``dataclasses.replace``,
-    leaves it None and computes the structure from its fields on first
-    use. It takes no part in equality or repr.
+    The ``_derived`` structure is computed from the fields on first use,
+    unless the building function already knows it: ``add_jump_edges``
+    extends the base graph's adjacency it searched, and ``eulerize`` keeps
+    its input's adjacency and connectivity, which duplicated copies do not
+    change. A multigraph a caller builds, or gets from
+    ``dataclasses.replace``, computes its own. It is no field, so it takes
+    no part in equality or repr.
     """
 
     base: AttributedGraph
     jump_edges: tuple[tuple[int, int], ...] = ()
     duplications: tuple[int, ...] = ()
     minimality_guaranteed: bool = True
-    derived: Derived | None = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def _built(cls, derived: Derived, **fields) -> "EulerizedMultigraph":
         """A multigraph whose builder already knows its structure."""
         mg = cls(**fields)
-        object.__setattr__(mg, "derived", derived)
+        # A cached property has no setter, so this fills the instance
+        # dict, where ``_derived`` looks first.
+        object.__setattr__(mg, "_derived", derived)
         return mg
 
     @property
@@ -114,13 +118,11 @@ class EulerizedMultigraph:
 
     @cached_property
     def _derived(self) -> Derived:
-        if self.derived is not None:
-            return self.derived
         n = self.base.num_nodes
         adj = undirected_adjacency(n, self._endpoints)
         return Derived(
             adjacency=adj,
-            connected=n <= 1 or len(bfs_tree(adj, 0)) == n,
+            connected=n <= 1 or len(bfs(adj, 0, [-1] * n, [-1] * n)) == n,
             odd_nodes=tuple(v for v, d in enumerate(self.degrees()) if d % 2 == 1),
         )
 
@@ -177,34 +179,17 @@ def add_jump_edges(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     )
 
 
-def _search(adj: Adjacency, start: int, n: int) -> tuple[list[int], list[int]]:
-    """Breadth-first search from ``start``: each node's distance (-1 where
-    unreached) and the id of the edge that first reached it. Queue order
-    over sorted adjacency gives each node the parent ``bfs_tree`` gives it."""
-    dist = [-1] * n
-    via = [-1] * n
-    dist[start] = 0
-    queue = [start]
-    for u in queue:
-        du = dist[u] + 1
-        for v, eid in adj[u]:
-            if dist[v] < 0:
-                dist[v] = du
-                via[v] = eid
-                queue.append(v)
-    return dist, via
-
-
 def _odd_searches(adj: Adjacency, odd: tuple[int, ...], n: int) -> tuple[list[list[int]], list[list[int]]]:
-    """The k x k table of BFS distances between odd nodes, and the
-    ``_search`` edge ids of every odd node but the last.
+    """The k x k table of BFS distances between odd nodes, and the ``via``
+    list of a full ``bfs`` from every odd node but the last.
 
     Pairs are (i, j) with i < j, so the last odd node needs no search of
     its own: its row of the table is the last column.
     """
     w, vias = [], []
     for a in odd[:-1]:
-        dist, via = _search(adj, a, n)
+        dist, via = [-1] * n, [-1] * n
+        bfs(adj, a, dist, via)
         w.append([dist[b] for b in odd])
         vias.append(via)
     w.append([row[-1] for row in w] + [0])
@@ -224,23 +209,15 @@ def _path_edges(via: list[int], ends, start: int, goal: int) -> list[int]:
 
 
 def _pair_paths(adj: Adjacency, ends, n: int, pairs) -> Iterator[list[int]]:
-    """Per (start, goal) pair, the edge ids of the path ``_search`` from
-    ``start`` finds to ``goal``: one search per pair, stopped once ``goal``
-    is reached, over lists reused under a fresh stamp per pair."""
-    mark = [0] * n
-    via = [-1] * n
-    for stamp, (start, goal) in enumerate(pairs, start=1):
-        mark[start] = stamp
-        queue = [start]
-        for u in queue:
-            for v, eid in adj[u]:
-                if mark[v] != stamp:
-                    mark[v] = stamp
-                    via[v] = eid
-                    queue.append(v)
-            if mark[goal] == stamp:
-                break
+    """Per (start, goal) pair, the edge ids of the path a full ``bfs``
+    from ``start`` finds to ``goal``: one search per pair, stopped at
+    ``goal``, over one pair of lists reset where each search reached."""
+    dist, via = [-1] * n, [-1] * n
+    for start, goal in pairs:
+        reached = bfs(adj, start, dist, via, goal)
         yield _path_edges(via, ends, start, goal)
+        for v in reached:
+            dist[v] = -1
 
 
 def _odd_rings(adj, odd: tuple[int, ...], n: int) -> Generator[tuple[int, ...], int, None]:
@@ -415,7 +392,7 @@ def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
     duplication count is provably minimal; the BFS runs that fill its
     distance table also give the paths. Beyond that a nearest-pair greedy
     matching is used and ``minimality_guaranteed`` is cleared. Each path
-    is the one ``bfs_tree`` from the pair's lower-index node holds.
+    is the one a full ``bfs`` from the pair's lower-index node holds.
     """
     if not mg.is_connected():
         raise ValueError("multigraph is disconnected; add jump edges first")

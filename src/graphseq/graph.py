@@ -306,36 +306,40 @@ def adjacency(g: AttributedGraph) -> Adjacency:
     return g._adjacency
 
 
-def bfs_tree(adj: Adjacency, start: int) -> dict[int, tuple[int, int] | None]:
-    """Breadth-first search from ``start`` over ``adj``.
+def bfs(adj: Adjacency, start: int, dist: list[int], via: list[int], goal: int = -1) -> list[int]:
+    """Breadth-first search from ``start`` over ``adj``, stopped after
+    expanding the node that reaches ``goal`` when one is given.
 
-    Maps each node reached, in discovery order, to the (node, edge id)
-    that first reached it; ``start`` maps to None. Sorted adjacency makes
-    the tree deterministic.
+    ``dist`` must hold -1 at every node not yet reached. For each node it
+    reaches, the search writes the distance into ``dist`` and the id of
+    the edge that first reached the node into ``via``. It returns those
+    nodes in discovery order; setting ``dist`` back to -1 at them readies
+    both lists for the next search. Sorted adjacency makes the tree
+    deterministic.
     """
-    parent: dict[int, tuple[int, int] | None] = {start: None}
+    dist[start] = 0
     queue = [start]
     for u in queue:
+        du = dist[u] + 1
         for v, eid in adj[u]:
-            if v not in parent:
-                parent[v] = (u, eid)
+            if dist[v] < 0:
+                dist[v] = du
+                via[v] = eid
                 queue.append(v)
-    return parent
+        if goal >= 0 and dist[goal] >= 0:
+            break
+    return queue
 
 
 def connected_components(g: AttributedGraph) -> list[set[int]]:
     """Partition nodes into maximal connected sets, ignoring edge direction.
 
-    Components are ordered by their smallest node id.
+    Components are ordered by their smallest node id. One pair of lists
+    serves every search, so the cost is linear in the graph's size.
     """
-    adj = adjacency(g)
-    components: list[set[int]] = []
-    seen: set[int] = set()
-    for start in range(g.num_nodes):
-        if start not in seen:
-            components.append(set(bfs_tree(adj, start)))
-            seen |= components[-1]
-    return components
+    adj, n = adjacency(g), g.num_nodes
+    dist, via = [-1] * n, [-1] * n
+    return [set(bfs(adj, v, dist, via)) for v in range(n) if dist[v] < 0]
 
 
 def _quantize(value, scale: float, offset: int) -> int:

@@ -41,7 +41,7 @@ def _multigraph(g: AttributedGraph, jump_seed: int) -> EulerizedMultigraph:
     if fitted_seed != jump_seed or mg.base.num_nodes != g.num_nodes or mg.base.edges != g.edges:
         return build_multigraph(g, jump_seed)
     return EulerizedMultigraph._built(
-        mg.derived,
+        mg._derived,
         base=g,
         jump_edges=mg.jump_edges,
         duplications=mg.duplications,
@@ -124,9 +124,9 @@ def roundtrip_report(
     layout: str = "prolonged",
     seed: int = 0,
     cfg: ReindexConfig | None = None,
-    vocab: Vocabulary | None = None,
 ) -> dict:
-    """Serialize, reconstruct, and compare against the input graph.
+    """Serialize, reconstruct, and compare against the input graph, under
+    a vocabulary built from ``g`` alone.
 
     The walk names the bijection to check: the detokenizer numbers nodes
     by first appearance, so decoded node k is the k-th distinct node of
@@ -134,8 +134,7 @@ def roundtrip_report(
     Without ``cfg`` the index space is 256, or the node count if larger.
     """
     cfg = cfg or ReindexConfig(num_indices=max(256, g.num_nodes))
-    if vocab is None:
-        vocab = build_vocab([g], "roundtrip", cfg)
+    vocab = build_vocab([g], "roundtrip", cfg)
     grid, path = _serialize(g, vocab, layout, cfg, seed)
     report = detokenize(
         grid,

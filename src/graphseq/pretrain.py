@@ -14,24 +14,16 @@ import random
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import eq
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
 from .vocab import Vocabulary
 
 
-def linear_schedule(u: float) -> float:
-    """Identity schedule: a Uniform(0, 1] draw is the mask fraction."""
-    return u
-
-
-def cosine_schedule(u: float) -> float:
-    return math.cos((1.0 - u) * math.pi / 2.0)
-
-
-def draw_mask_fraction(rng: random.Random, schedule: Callable[[float], float] = linear_schedule) -> float:
-    # 1 - random() lies in (0, 1], so at least one node is always masked.
-    return schedule(1.0 - rng.random())
+def draw_mask_fraction(rng: random.Random) -> float:
+    """A Uniform(0, 1] draw: 1 - random() is never 0, so at least one
+    node is always masked."""
+    return 1.0 - rng.random()
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,9 @@ reference for the roles the tokenizer records.
 ``validate_path`` checks a walk against its multigraph edge by edge, the
 reference for ``extract_path``; ``edge_ends`` reads each edge id's
 endpoints from the multigraph's fields.
+
+``bfs_tree`` is a breadth-first search over a dict parent map, the
+reference for the shortest paths ``graph.bfs`` finds.
 """
 from graphseq import AttributedGraph, EulerizedMultigraph, EulerPath, Vocabulary
 from graphseq.vocab import CLASS_DIGIT, CLASS_SEMANTIC, CLASS_STRUCTURAL
@@ -149,3 +152,19 @@ def validate_path(mg: EulerizedMultigraph, path: EulerPath) -> bool:
         if {a, b} != {u, v}:
             return False
     return True
+
+
+def bfs_tree(adj, start: int) -> dict:
+    """Breadth-first search from ``start`` over sorted adjacency.
+
+    Maps each node reached, in discovery order, to the (node, edge id)
+    that first reached it; ``start`` maps to None.
+    """
+    parent = {start: None}
+    queue = [start]
+    for u in queue:
+        for v, eid in adj[u]:
+            if v not in parent:
+                parent[v] = (u, eid)
+                queue.append(v)
+    return parent

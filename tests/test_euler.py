@@ -30,13 +30,12 @@ from graphseq.euler import (
     _odd_searches,
     _pair_paths,
     _path_edges,
-    _search,
     bounded_draws,
 )
-from graphseq.graph import bfs_tree
+from graphseq.graph import bfs
 
 from conftest import power_law_graph, random_connected_graph, random_graph
-from oracle import edge_ends, validate_path
+from oracle import bfs_tree, edge_ends, validate_path
 
 
 def min_duplications_bruteforce(mg: EulerizedMultigraph, max_size: int = 12) -> int:
@@ -122,7 +121,8 @@ def rings_of(w: list[list[int]]):
 
 
 def tree_path(adj, start: int, goal: int) -> list[int]:
-    """Edge ids along the ``bfs_tree`` path, from ``goal`` back to ``start``."""
+    """Edge ids along the oracle's ``bfs_tree`` path, from ``goal`` back
+    to ``start``."""
     parent = bfs_tree(adj, start)
     edges = []
     node = goal
@@ -305,6 +305,11 @@ def test_odd_searches_give_bfs_distances():
         assert len(vias) == len(odd) - 1
         ends = edge_ends(mg)
         for i, (a, via) in enumerate(zip(odd, vias)):
+            # Each kept list is that of a full bfs from its odd node, whose
+            # distances are the reference's at every node.
+            dist, fresh = [-1] * g.num_nodes, [-1] * g.num_nodes
+            bfs(adj, a, dist, fresh)
+            assert dist == bfs_distances(mg, a) and via == fresh
             for b in odd[i + 1 :]:
                 assert _path_edges(via, ends, a, b) == tree_path(adj, a, b)
 
@@ -559,22 +564,31 @@ def test_traversal_agrees_with_scipy(seed):
     partial = EulerizedMultigraph(base=g, jump_edges=full.jump_edges[: rng.randint(0, ncomp - 1)])
     dups = tuple(sorted(rng.choices(range(full.num_edges), k=rng.randint(0, 5))))
     repeated = EulerizedMultigraph(base=g, jump_edges=full.jump_edges, duplications=dups)
+    n = g.num_nodes
     for mg in (partial, full, repeated):
         matrix = _scipy_graph(mg)
         assert mg.is_connected() == (csgraph.connected_components(matrix, directed=False)[0] == 1)
         adj = mg.simple_adjacency()
         ends = edge_ends(mg)
-        starts = rng.sample(range(g.num_nodes), 3)
-        dist = csgraph.shortest_path(matrix, directed=False, unweighted=True, indices=starts)
-        for row, a in zip(dist, starts):
-            # A full search and one stopped at each goal find the same paths.
-            search_dist, via = _search(adj, a, g.num_nodes)
-            assert search_dist == [int(d) if np.isfinite(d) else -1 for d in row]
-            reachable = [b for b in range(g.num_nodes) if np.isfinite(row[b])]
-            goals = rng.sample(reachable, min(8, len(reachable)))
-            stopped = _pair_paths(adj, ends, g.num_nodes, [(a, b) for b in goals])
-            for b, chain in zip(goals, stopped):
-                assert chain == _path_edges(via, ends, a, b) == tree_path(adj, a, b)
+        starts = rng.sample(range(n), 3)
+        scipy_dist = csgraph.shortest_path(matrix, directed=False, unweighted=True, indices=starts)
+        # One pair of lists serves every stopped search, reset after each.
+        dist, via = [-1] * n, [-1] * n
+        for row, a in zip(scipy_dist, starts):
+            full_dist, full_via = [-1] * n, [-1] * n
+            reached = bfs(adj, a, full_dist, full_via)
+            assert full_dist == [int(d) if np.isfinite(d) else -1 for d in row]
+            assert reached == list(bfs_tree(adj, a))
+            goals = rng.sample(reached, min(8, len(reached)))
+            for b in goals:
+                # A search stopped at b reaches a prefix of the full
+                # search's nodes, b among them, and the same path to b.
+                stopped = bfs(adj, a, dist, via, b)
+                assert stopped == reached[: len(stopped)] and b in stopped
+                chain = _path_edges(via, ends, a, b)
+                for v in stopped:
+                    dist[v] = -1
+                assert chain == _path_edges(full_via, ends, a, b) == tree_path(adj, a, b)
                 assert len(chain) == row[b]
                 node = a
                 for eid in reversed(chain):
@@ -582,6 +596,10 @@ def test_traversal_agrees_with_scipy(seed):
                     assert node in (u, v)
                     node = v if node == u else u
                 assert node == b
+            assert dist == [-1] * n
+            # Greedy repair's per-pair paths are these paths.
+            pair_paths = _pair_paths(adj, ends, n, [(a, b) for b in goals])
+            assert list(pair_paths) == [tree_path(adj, a, b) for b in goals]
 
 
 # --- structure carried from the building function --------------------------
@@ -603,8 +621,8 @@ def test_carried_structure_equals_a_fresh_build(seed):
             duplications=mg.duplications,
             minimality_guaranteed=mg.minimality_guaranteed,
         )
-        assert mg.derived is not None and fresh.derived is None
-        assert replace(mg, minimality_guaranteed=True).derived is None
+        assert "_derived" in vars(mg) and "_derived" not in vars(fresh)
+        assert "_derived" not in vars(replace(mg, minimality_guaranteed=True))
         assert mg == fresh and repr(mg) == repr(fresh)
         assert mg.odd_nodes() == fresh.odd_nodes()
         assert mg.degrees() == fresh.degrees()

@@ -15,11 +15,7 @@ from graphseq import (
     pack,
     serialize_graph,
 )
-from graphseq.pretrain import (
-    PretrainExample,
-    cosine_schedule,
-    linear_schedule,
-)
+from graphseq.pretrain import PretrainExample
 from graphseq.tokenizer import LAYOUTS, ROLE_EDGE_ATTR, ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
 
 from conftest import random_connected_graph, random_graph, vocab_for
@@ -198,14 +194,6 @@ def test_linear_schedule_statistics():
     mean = sum(draws) / len(draws)
     assert abs(mean - 0.5) < 0.03
     assert all(0 < r <= 1 for r in draws)
-
-
-def test_cosine_schedule_is_a_valid_fraction():
-    rng = random.Random(7)
-    for _ in range(200):
-        r = draw_mask_fraction(rng, cosine_schedule)
-        assert 0 < r <= 1
-    assert linear_schedule(0.25) == 0.25
 
 
 # --- packing ---------------------------------------------------------------
