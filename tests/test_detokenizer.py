@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -13,7 +14,7 @@ from graphseq import (
     tokenize,
 )
 from graphseq.detokenizer import grid_from_prolonged_tokens
-from graphseq.tokenizer import TokenGrid
+from graphseq.tokenizer import LAYOUTS, TokenGrid
 from graphseq.vocab import build_vocab
 
 from conftest import random_graph, vocab_for
@@ -181,6 +182,47 @@ def test_leading_digit_in_prolonged_tokens_names_the_missing_marker():
     assert detokenize(grid, vocab).graph.node_attrs == ((3,), (0,))
 
 
+# --- lenient branches: kept first block, counts and warnings --------------
+
+
+def _lenient_vocab():
+    g = AttributedGraph(
+        num_nodes=3, edges=((0, 1), (1, 2)), node_attrs=[[3], [0], [0]], edge_attrs=[[2], [0]]
+    )
+    return vocab_for(g)
+
+
+def test_node_visits_with_different_blocks_keep_the_first():
+    vocab = _lenient_vocab()
+    tokens = ["0", "test#node#0#1", "<3>", "1", "0", "test#node#0#1", "<5>"]
+    report = detokenize(grid_from_prolonged_tokens(tokens, vocab), vocab)
+    assert report.graph.node_attrs == ((3,), (0,))
+    assert report.graph.edges == ((0, 1),)
+    assert (report.deduplicated_edges, report.dropped_jump_edges) == (1, 0)
+    assert report.warnings == ("conflicting attribute blocks for node 0; keeping the first",)
+
+
+def test_edge_traversals_with_different_blocks_keep_the_first():
+    vocab = _lenient_vocab()
+    tokens = ["0", "test#edge#0#1", "<2>", "1", "test#edge#0#1", "<4>", "0"]
+    report = detokenize(grid_from_prolonged_tokens(tokens, vocab), vocab)
+    assert report.graph.edges == ((0, 1),)
+    assert report.graph.edge_attrs == ((2,),)
+    assert (report.deduplicated_edges, report.dropped_jump_edges) == (1, 0)
+    assert report.warnings == ("conflicting attribute blocks for edge (0, 1); keeping the first",)
+
+
+def test_edge_block_on_a_jump_step_is_discarded():
+    vocab = _lenient_vocab()
+    tokens = ["0", "1", "[EDGE_JUMP]", "test#edge#0#1", "<2>", "2"]
+    report = detokenize(grid_from_prolonged_tokens(tokens, vocab), vocab)
+    assert report.graph.num_nodes == 3
+    assert report.graph.edges == ((0, 1),)
+    assert report.graph.edge_attrs == ((0,),)
+    assert (report.deduplicated_edges, report.dropped_jump_edges) == (0, 1)
+    assert report.warnings == ("attribute tokens on a jump edge were discarded",)
+
+
 def test_special_token_in_node_cell_rejected():
     vocab, g = _tiny_vocab()
     grid = TokenGrid(
@@ -255,6 +297,41 @@ def test_token_id_outside_the_vocabulary_is_rejected(bad_id):
     doc["tokens"][digit] = [bad_id]
     with pytest.raises(ValueError, match="outside the vocabulary"):
         detokenize(TokenGrid.from_json(doc), vocab)
+
+
+# SHA-256 of the decoded reports (graph, counts and warnings) of 150
+# random graphs in every layout, under all four attribute style pairs and,
+# for every other pair of draws, the widths and defaults roundtrip_report
+# passes. Any change to decoded node or edge order, attribute vectors,
+# defaults or counts changes it.
+DECODED_REPORTS_DIGEST = "56d8f34dd336d44dcbc85f46a41a2c9307cf83bab71c4e15cc6fc56e5535b3ec"
+
+
+def test_decoded_reports_are_pinned():
+    rng = random.Random(1919)
+    styles = ("digits", "inline")
+    kinds = set()
+    digest = hashlib.sha256()
+    for i in range(150):
+        g = random_graph(rng, n_max=16)
+        cfg = ReindexConfig(seed=i)
+        vocab = vocab_for(g, cfg=cfg, node_attr_style=styles[i % 2], edge_attr_style=styles[i // 2 % 2])
+        explicit = {}
+        if i // 4 % 2:
+            explicit = {
+                "node_attr_width": g.node_attr_width,
+                "edge_attr_width": g.edge_attr_width,
+                "node_defaults": g.node_defaults or None,
+                "edge_defaults": g.edge_defaults or None,
+            }
+        for layout in LAYOUTS:
+            report = detokenize(serialize_graph(g, vocab, layout, cfg, i), vocab, **explicit)
+            kinds.add((g.directed, report.deduplicated_edges > 0, report.dropped_jump_edges > 0))
+            digest.update(json.dumps(report.to_json()).encode() + b"\n")
+    assert {k[0] for k in kinds} == {False, True}
+    assert {k[1] for k in kinds} == {False, True}
+    assert {k[2] for k in kinds} == {False, True}
+    assert digest.hexdigest() == DECODED_REPORTS_DIGEST
 
 
 # --- isomorphism oracle ---------------------------------------------------
