@@ -1,5 +1,7 @@
 """Grid-to-graph reconstruction.
 
+A grid is read back into the four lists, indexed by walk position, that
+the tokenizer writes every layout from; the graph is then read off them.
 Consecutive node tokens define edges; jump-marked instances are dropped
 and repeat traversals collapse to one edge. The cyclic index shift is not
 inverted: decoded node k is the k-th distinct index token of the grid, so
@@ -7,7 +9,8 @@ reconstruction is up to relabeling, which is what the guarantee promises.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 
 from .graph import AttributedGraph
@@ -20,19 +23,6 @@ from .tokenizer import (
     TokenGrid,
 )
 from .vocab import CLASS_SEMANTIC, CLASS_SPECIAL, CLASS_STRUCTURAL, Vocabulary
-
-
-@dataclass
-class Step:
-    """One walk step read back from a grid: the node's index token, its
-    attribute block if attached at this visit, the edge-type token (jump
-    or direction) if any, and the attribute block of the edge taken next
-    if attached at this traversal."""
-
-    node: int
-    node_attrs: list[int] = field(default_factory=list)
-    edge_type: int | None = None
-    edge_attrs: list[int] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -78,19 +68,25 @@ def grid_from_prolonged_tokens(tokens: list[str], vocab: Vocabulary) -> TokenGri
     return TokenGrid(layout="prolonged", l=1, tokens=zip(ids), roles=zip(roles))
 
 
-def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[Step]:
-    """Group the grid's cells into walk steps by the role each cell claims.
+def _collect_steps(grid: TokenGrid, vocab: Vocabulary):
+    """The lists ``tokenize`` wrote the grid from: per walk position, the
+    node token, the node attribute block, the edge-type id (None when
+    untyped) and the edge attribute block, a list of ids or ``()``.
 
-    A cell's token must be a vocabulary id that fits its role, so a
-    relabelled cell fails here instead of being read back as a different
-    graph (a negative id would otherwise index from the vocabulary's end).
+    Each cell joins the position of the node cell before it, by the role
+    it claims. A cell's token must be a vocabulary id that fits its role,
+    so a relabelled cell fails here instead of being read back as a
+    different graph (a negative id would otherwise index from the
+    vocabulary's end).
     """
     size = len(vocab)
     num_indices = vocab.num_indices
     pad = vocab.pad_id
     edge_types = (vocab.jump_id, vocab.fwd_id, vocab.bwd_id)
-    steps: list[Step] = []
-    step = None
+    nodes: list[int] = []
+    node_blocks: list = []
+    types: list = []
+    edge_blocks: list = []
     cells = zip(chain.from_iterable(grid.tokens), chain.from_iterable(grid.roles))
     for tid, role in cells:
         if type(tid) is not int or not 0 <= tid < size:
@@ -98,8 +94,7 @@ def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[Step]:
         if role == ROLE_PAD:
             if tid != pad:
                 raise ValueError(f"token {vocab.token(tid)!r} in a pad cell")
-            continue
-        if role == ROLE_NODE:
+        elif role == ROLE_NODE:
             # Structural tokens are exactly the ids below num_indices.
             if tid >= num_indices:
                 raise ValueError(
@@ -107,21 +102,23 @@ def _collect_steps(grid: TokenGrid, vocab: Vocabulary) -> list[Step]:
                     if vocab.class_of(tid) == CLASS_SPECIAL
                     else f"non-structural token {vocab.token(tid)!r} in a node cell"
                 )
-            step = Step(tid)
-            steps.append(step)
-        elif step is None:
+            nodes.append(tid)
+            node_blocks.append(())
+            types.append(None)
+            edge_blocks.append(())
+        elif not nodes:
             raise ValueError("dangling attribute tokens before any node token")
         elif role == ROLE_TYPE:
             if tid not in edge_types:
                 raise ValueError(f"token {vocab.token(tid)!r} in an edge-type cell")
-            step.edge_type = tid
+            types[-1] = tid
         elif role == ROLE_NODE_ATTR:
-            step.node_attrs.append(tid)
+            node_blocks[-1] = [*node_blocks[-1], tid]
         elif role == ROLE_EDGE_ATTR:
-            step.edge_attrs.append(tid)
+            edge_blocks[-1] = [*edge_blocks[-1], tid]
         else:
             raise ValueError(f"unknown cell role {role!r}")
-    return steps
+    return nodes, node_blocks, types, edge_blocks
 
 
 def _parse_block(ids: tuple[int, ...], vocab: Vocabulary, kind: str, style: str):
@@ -149,9 +146,10 @@ def _parse_block(ids: tuple[int, ...], vocab: Vocabulary, kind: str, style: str)
             if i == start:
                 raise ValueError("malformed attribute run: dimension marker without digits")
             text = "".join([digit_chars[t] for t in ids[start:i]])
-            if "." in text:
-                raise ValueError(f"malformed attribute run: non-integer value {text!r}")
-            value = int(text)
+            try:
+                value = int(text)
+            except ValueError:
+                raise ValueError(f"malformed attribute run: non-integer value {text!r}") from None
         out.append((dim, value))
     dims = [dim for dim, _ in out]
     if len(set(dims)) < len(dims):
@@ -166,7 +164,7 @@ def _attr_vector(pairs, width, defaults, what):
         if dim >= width:
             raise ValueError(f"{what} attribute dimension {dim} outside width {width}")
         vec[dim] = value
-    return vec
+    return tuple(vec)
 
 
 def detokenize(
@@ -185,14 +183,13 @@ def detokenize(
     tokens, so a directed graph with no base edges reconstructs as
     undirected.
     """
-    steps = _collect_steps(grid, vocab)
-    if not steps:
+    nodes, node_blocks, types, edge_blocks = _collect_steps(grid, vocab)
+    if not nodes:
         raise ValueError("grid contains no node tokens")
     warnings: list[str] = []
 
     local: dict[int, int] = {}
-    for step in steps:
-        local.setdefault(step.node, len(local))
+    visits = [local.setdefault(tok, len(local)) for tok in nodes]
 
     n_width = node_attr_width if node_attr_width is not None else vocab.attr_width("node")
     e_width = edge_attr_width if edge_attr_width is not None else vocab.attr_width("edge")
@@ -200,87 +197,64 @@ def detokenize(
     e_defaults = tuple(edge_defaults) if edge_defaults is not None else (0,) * e_width
 
     # Blocks repeat (one per distinct attribute row), so each is parsed once.
-    parsed: dict[tuple[str, tuple[int, ...]], list] = {}
-
-    def parse(kind: str, ids: list[int], style: str) -> list:
-        key = (kind, tuple(ids))
-        pairs = parsed.get(key)
-        if pairs is None:
-            pairs = parsed[key] = _parse_block(key[1], vocab, kind, style)
-        return pairs
+    styles = {"node": vocab.node_attr_style, "edge": vocab.edge_attr_style}
+    parse = cache(lambda kind, ids: _parse_block(ids, vocab, kind, styles[kind]))
 
     node_attr_pairs: dict[int, list] = {}
-    for step in steps:
-        if not step.node_attrs:
-            continue
-        pairs = parse("node", step.node_attrs, vocab.node_attr_style)
-        v = local[step.node]
-        if v in node_attr_pairs and node_attr_pairs[v] != pairs:
-            warnings.append(f"conflicting attribute blocks for node {v}; keeping the first")
-        else:
-            node_attr_pairs.setdefault(v, pairs)
+    for v, block in zip(visits, node_blocks):
+        if block:
+            pairs = parse("node", tuple(block))
+            if node_attr_pairs.setdefault(v, pairs) != pairs:
+                warnings.append(f"conflicting attribute blocks for node {v}; keeping the first")
 
-    directed = any(
-        step.edge_type in (vocab.fwd_id, vocab.bwd_id) for step in steps if step.edge_type is not None
-    )
+    # Only a directed grid holds direction tokens.
+    directed = vocab.fwd_id in types or vocab.bwd_id in types
 
+    # Each decoded edge, in order of first traversal, with the attribute
+    # pairs of its first traversal that carries a block (None before one).
+    edges: dict[tuple[int, int], list | None] = {}
     dropped_jumps = 0
-    duplicates = 0
-    edge_order: list[tuple[int, int]] = []
-    edge_attr_pairs: dict[tuple[int, int], list] = {}
-    seen: set[tuple[int, int]] = set()
-    visits = [local[step.node] for step in steps]
-    for step, a, b in zip(steps, visits, visits[1:]):
-        if step.edge_type == vocab.jump_id:
+    for a, b, edge_type, block in zip(visits, visits[1:], types, edge_blocks):
+        if edge_type == vocab.jump_id:
             dropped_jumps += 1
-            if step.edge_attrs:
+            if block:
                 warnings.append("attribute tokens on a jump edge were discarded")
             continue
-        if directed and step.edge_type == vocab.bwd_id:
+        if edge_type == vocab.bwd_id:
             a, b = b, a
         key = (a, b) if directed or a < b else (b, a)
-        if key in seen:
-            duplicates += 1
-        else:
-            seen.add(key)
-            edge_order.append(key)
-        if step.edge_attrs:
-            pairs = parse("edge", step.edge_attrs, vocab.edge_attr_style)
-            if key in edge_attr_pairs and edge_attr_pairs[key] != pairs:
-                warnings.append(f"conflicting attribute blocks for edge {key}; keeping the first")
-            else:
-                edge_attr_pairs.setdefault(key, pairs)
-    if steps[-1].edge_type is not None or steps[-1].edge_attrs:
+        if not block:
+            edges.setdefault(key, None)
+            continue
+        pairs = parse("edge", tuple(block))
+        kept = edges.get(key)
+        if kept is None:
+            edges[key] = pairs
+        elif kept != pairs:
+            warnings.append(f"conflicting attribute blocks for edge {key}; keeping the first")
+    if types[-1] is not None or edge_blocks[-1]:
         raise ValueError("malformed attribute run: edge tokens after the final node")
 
-    node_attrs = (
-        tuple(
-            tuple(_attr_vector(node_attr_pairs.get(v, []), n_width, n_defaults, "node"))
-            for v in range(len(local))
-        )
-        if n_width
-        else ()
-    )
-    edge_attrs = (
-        tuple(
-            tuple(_attr_vector(edge_attr_pairs.get(e, []), e_width, e_defaults, "edge"))
-            for e in edge_order
-        )
-        if e_width
-        else ()
-    )
+    node_attrs = tuple(
+        _attr_vector(node_attr_pairs.get(v, ()), n_width, n_defaults, "node") for v in range(len(local))
+    ) if n_width else ()
+    edge_attrs = tuple(
+        _attr_vector(pairs or (), e_width, e_defaults, "edge") for pairs in edges.values()
+    ) if e_width else ()
     graph = AttributedGraph(
         num_nodes=len(local),
-        edges=tuple(edge_order),
+        edges=tuple(edges),
         directed=directed,
         node_attrs=node_attrs,
         edge_attrs=edge_attrs,
         node_defaults=n_defaults if n_width else (),
-        edge_defaults=e_defaults if e_width else (),
+        # Without edge rows a graph has no edge attribute width.
+        edge_defaults=e_defaults if edge_attrs else (),
     )
     return ReconstructionReport(
         graph=graph,
         dropped_jump_edges=dropped_jumps,
-        deduplicated_edges=duplicates,
+        # Every traversal past an edge's first collapses into it.
+        deduplicated_edges=len(visits) - 1 - dropped_jumps - len(edges),
         warnings=tuple(warnings),
     )

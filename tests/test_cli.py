@@ -159,6 +159,31 @@ def test_tokenize_detokenize_roundtrip(tmp_path, corpus):
     assert lines[2]["dropped_jump_edges"] == 1  # third corpus graph is disconnected
 
 
+def test_edgeless_graphs_decode_under_an_edge_attributed_vocabulary(tmp_path):
+    # The decoder gave graphs without edges the vocabulary's edge defaults,
+    # which a graph without edge rows cannot hold: a single atom, or two
+    # nodes joined only by a jump edge, failed to decode.
+    graphs = [
+        {"num_nodes": 2, "edges": [[0, 1]], "node_attrs": [[5], [3]], "edge_attrs": [[2]]},
+        {"num_nodes": 1, "node_attrs": [[4]]},
+        {"num_nodes": 2, "node_attrs": [[4], [1]]},
+    ]
+    path = tmp_path / "graphs.jsonl"
+    path.write_text("".join(json.dumps(g) + "\n" for g in graphs))
+    vocab = _vocab(tmp_path, path)
+    grids, back = tmp_path / "grids.jsonl", tmp_path / "back.jsonl"
+    assert main(["tokenize", "--graphs", str(path), "--vocab", str(vocab),
+                 "--output", str(grids)]) == 0
+    assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab),
+                 "--output", str(back)]) == 0
+    lines = [json.loads(line) for line in back.read_text().splitlines()]
+    assert [line["dropped_jump_edges"] for line in lines] == [0, 0, 1]
+    for doc, line in zip(graphs, lines, strict=True):
+        decoded = AttributedGraph.from_json(line["graph"])
+        assert isomorphic(decoded, AttributedGraph.from_json(doc))
+        assert decoded.edge_defaults == (() if decoded.num_edges == 0 else (0,))
+
+
 def test_tokenize_is_byte_deterministic(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

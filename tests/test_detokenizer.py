@@ -155,10 +155,11 @@ def _node_block_grid(vocab, block):
     return TokenGrid(layout="prolonged", l=1, tokens=zip(tokens), roles=zip(roles))
 
 
-def test_decimal_point_in_a_digit_run_is_rejected():
+@pytest.mark.parametrize("run", ["3.1", "-", "5-3", "--1"])
+def test_decimal_point_in_a_digit_run_is_rejected(run):
     vocab, g = _tiny_vocab()
-    grid = _node_block_grid(vocab, ["test#node#0#1", "<3>", "<.>", "<1>"])
-    with pytest.raises(ValueError, match="non-integer value '3.1'"):
+    grid = _node_block_grid(vocab, ["test#node#0#1", *(f"<{ch}>" for ch in run)])
+    with pytest.raises(ValueError, match=f"^malformed attribute run: non-integer value '{run}'$"):
         detokenize(grid, vocab)
 
 

@@ -11,9 +11,19 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphseq import AttributedGraph, ReindexConfig, Vocabulary, build_vocab, detokenize, serialize_graph
+from graphseq import (
+    AttributedGraph,
+    ReindexConfig,
+    Vocabulary,
+    build_multigraph,
+    build_vocab,
+    detokenize,
+    extract_path,
+    serialize_graph,
+)
 from graphseq.detokenizer import _collect_steps, _parse_block
-from graphseq.tokenizer import LAYOUTS
+from graphseq.pipeline import derive_seed
+from graphseq.tokenizer import LAYOUTS, _index_map, _placements, _visits
 from graphseq.vocab import (
     CLASS_DIGIT,
     CLASS_SEMANTIC,
@@ -62,9 +72,10 @@ def _parse_block_by_spelling(ids, vocab, kind, style):
             if not chars:
                 raise ValueError("malformed attribute run: dimension marker without digits")
             text = "".join(chars)
-            if "." in text:
-                raise ValueError(f"malformed attribute run: non-integer value {text!r}")
-            value = int(text)
+            try:
+                value = int(text)
+            except ValueError:
+                raise ValueError(f"malformed attribute run: non-integer value {text!r}") from None
         out.append((dim, value))
     return out
 
@@ -116,15 +127,31 @@ def test_table_grids_and_decoding_match_the_spellings(g, node_style, edge_style,
     # A '#' in the tag checks that the tables split semantic tokens from the right.
     cfg = ReindexConfig(num_indices=16, cyclic=cyclic, seed=seed)
     vocab = build_vocab([g], "h#t", cfg, node_attr_style=node_style, edge_attr_style=edge_style)
+    # The tokenizer's lists, under the sub-seeds serialize_graph derives.
+    mg = build_multigraph(g, derive_seed(seed, "jump"))
+    path = extract_path(mg, derive_seed(seed, "path"))
+    visits = _visits(path)
+    index = _index_map(visits, replace(cfg, seed=derive_seed(seed, "shift", cfg.seed)))
+    node_blocks, types, edge_blocks = _placements(path, mg, vocab, visits, derive_seed(seed, "attrs"))
+    # A row of defaults spells an empty block, which no cell records.
+    wrote = (
+        [index[v] for v in path.nodes],
+        [block or () for block in node_blocks],
+        types,
+        [block or () for block in edge_blocks],
+    )
     for layout in LAYOUTS:
         grid = serialize_graph(g, vocab, layout, cfg, seed)
         with _spelled_blocks(vocab):
             assert grid == serialize_graph(g, vocab, layout, cfg, seed)
-        for step in _collect_steps(grid, vocab):
-            for kind, block, style in (
-                ("node", step.node_attrs, node_style),
-                ("edge", step.edge_attrs, edge_style),
-            ):
+        # Decoding collects exactly the lists every layout was written from.
+        collected = _collect_steps(grid, vocab)
+        assert collected == wrote
+        for kind, blocks, style in (
+            ("node", collected[1], node_style),
+            ("edge", collected[3], edge_style),
+        ):
+            for block in blocks:
                 want = _parse_block_by_spelling(block, vocab, kind, style)
                 assert _parse_block(tuple(block), vocab, kind, style) == want
         report = detokenize(
