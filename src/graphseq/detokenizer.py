@@ -181,7 +181,7 @@ def detokenize(
     widths are inferred from the vocabulary's semantic tokens and omitted
     dimensions fall back to zero. Directedness is inferred from direction
     tokens, so a directed graph with no base edges reconstructs as
-    undirected.
+    undirected. A graph without decoded edges has no edge defaults.
     """
     nodes, node_blocks, types, edge_blocks = _collect_steps(grid, vocab)
     if not nodes:
@@ -248,7 +248,6 @@ def detokenize(
         node_attrs=node_attrs,
         edge_attrs=edge_attrs,
         node_defaults=n_defaults if n_width else (),
-        # Without edge rows a graph has no edge attribute width.
         edge_defaults=e_defaults if edge_attrs else (),
     )
     return ReconstructionReport(
