@@ -19,14 +19,13 @@ from .euler import (
     extract_path,
 )
 from .vocab import Vocabulary, build_vocab, digits
-from .tokenizer import ReindexConfig, TokenGrid, reindex, sequence_length, tokenize
-from .detokenizer import ReconstructionReport, detokenize, grid_from_prolonged_tokens
+from .tokenizer import ReindexConfig, TokenGrid, sequence_length, tokenize
+from .detokenizer import ReconstructionReport, detokenize
 from .sampler import SamplerConfig, draw_roots, sample
 from .identity import (
     NodeIdentityCodebook,
     build_codebook,
     codebook_from_partition,
-    decode_node,
     encode_node,
     load_partition,
     with_identity_attrs,

@@ -221,6 +221,9 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_taskfmt(args) -> int:
+    flag, inputs = ("--graphs", args.graphs) if args.task == "graph" else ("--samples", args.samples)
+    if not inputs:
+        raise ValueError(f"taskfmt --task {args.task} needs {flag}")
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args, vocab)
     # Identity tokens are spelled inline. Under digits, a value-1 identity
@@ -258,15 +261,14 @@ def cmd_taskfmt(args) -> int:
             return format_edge_task(grid, vocab, node_tokens(g, src), node_tokens(g, dst), label=label)
         return format_node_task(grid, vocab, node_tokens(g, sub.root_nodes[0]), label=label)
 
-    if args.task == "graph":
-        sequences = _per_record(
-            read_jsonl(args.graphs, graph_record),
-            lambda i, g: format_graph_task(grid_of(g, i), vocab),
-        )
-    else:
-        samples = read_jsonl(args.samples, lambda d: (SubgraphSample.from_json(d), d.get("label")))
-        sequences = _per_record(samples, sample_task)
-    write_jsonl(args.output, (ts.to_json() for ts in sequences))
+    def graph_task(i, record):
+        g, label = record
+        return format_graph_task(grid_of(g, i), vocab, label=label)
+
+    # Graph and sample records alike may carry a top-level label.
+    parse, step = (graph_record, graph_task) if args.task == "graph" else (SubgraphSample.from_json, sample_task)
+    records = read_jsonl(inputs, lambda d: (parse(d), d.get("label")))
+    write_jsonl(args.output, (ts.to_json() for ts in _per_record(records, step)))
     return 0
 
 

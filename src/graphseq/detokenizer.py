@@ -9,6 +9,7 @@ reconstruction is up to relabeling, which is what the guarantee promises.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain
@@ -22,7 +23,7 @@ from .tokenizer import (
     ROLE_TYPE,
     TokenGrid,
 )
-from .vocab import CLASS_SEMANTIC, CLASS_SPECIAL, CLASS_STRUCTURAL, Vocabulary
+from .vocab import CLASS_SPECIAL, Vocabulary
 
 
 @dataclass(frozen=True)
@@ -39,33 +40,6 @@ class ReconstructionReport:
             "deduplicated_edges": self.deduplicated_edges,
             "warnings": list(self.warnings),
         }
-
-
-def grid_from_prolonged_tokens(tokens: list[str], vocab: Vocabulary) -> TokenGrid:
-    """Lift a raw prolonged token list into a role-tagged grid.
-
-    Roles follow from token classes alone: structural tokens are node
-    visits, specials are edge-type markers, and semantic tokens (with any
-    digit tokens that follow) are node or edge attributes depending on
-    the kind embedded in the token itself.
-    """
-    ids = [vocab.id(tok) for tok in tokens]
-    roles = []
-    current = None
-    for tid in ids:
-        cls = vocab.class_of(tid)
-        if cls == CLASS_STRUCTURAL:
-            roles.append(ROLE_NODE)
-        elif cls == CLASS_SPECIAL:
-            roles.append(ROLE_TYPE)
-        elif cls == CLASS_SEMANTIC:
-            current = ROLE_NODE_ATTR if vocab.semantic[tid][0] == "node" else ROLE_EDGE_ATTR
-            roles.append(current)
-        elif current is None:  # a digit, with no marker yet to own it
-            raise ValueError(f"digit token {vocab.token(tid)!r} before any attribute marker")
-        else:
-            roles.append(current)
-    return TokenGrid(layout="prolonged", l=1, tokens=zip(ids), roles=zip(roles))
 
 
 def _collect_steps(grid: TokenGrid, vocab: Vocabulary):
@@ -149,6 +123,12 @@ def _parse_block(ids: tuple[int, ...], vocab: Vocabulary, kind: str, style: str)
             try:
                 value = int(text)
             except ValueError:
+                digits = text.removeprefix("-")
+                if digits.isdigit():  # well-formed, but past the integer-string limit
+                    raise ValueError(
+                        f"malformed attribute run: {len(digits)}-digit value exceeds Python's "
+                        f"{sys.get_int_max_str_digits()}-digit integer limit"
+                    ) from None
                 raise ValueError(f"malformed attribute run: non-integer value {text!r}") from None
         out.append((dim, value))
     dims = [dim for dim, _ in out]

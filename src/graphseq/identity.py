@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .graph import AttributedGraph, GraphFormatError, SubgraphSample, adjacency, int_row, read_int_pairs
-from .vocab import parse_semantic, semantic_token
+from .vocab import semantic_token
 
 STRATEGIES = ("given-labels", "bfs-partition")
 
@@ -61,18 +61,6 @@ class NodeIdentityCodebook:
             local //= self._local_base
         return (self.partition[node],) + tuple(reversed(rest))
 
-    @cached_property
-    def _decode_map(self) -> dict[tuple[int, ...], int]:
-        return {self.code(v): v for v in range(self.num_nodes)}
-
-    @cached_property
-    def slot_sizes(self) -> tuple[int, ...]:
-        values = [set() for _ in range(self.k)]
-        for v in range(self.num_nodes):
-            for slot, val in enumerate(self.code(v)):
-                values[slot].add(val)
-        return tuple(len(s) for s in values)
-
     def save(self, path: str | Path):
         lines = []
         for v in range(self.num_nodes):
@@ -87,21 +75,6 @@ def encode_node(cb: NodeIdentityCodebook, node: int) -> tuple[str, ...]:
         semantic_token(cb.dataset_tag, "node", slot, val)
         for slot, val in enumerate(cb.code(node))
     )
-
-
-def decode_node(cb: NodeIdentityCodebook, tokens: Sequence[str]) -> int:
-    """Invert ``encode_node``; unknown tuples are an error."""
-    values = []
-    for slot, token in enumerate(tokens):
-        tag, kind, dim, value = parse_semantic(token)
-        if tag != cb.dataset_tag or kind != "node" or dim != slot:
-            raise ValueError(f"token {token!r} does not fit identity slot {slot}")
-        values.append(value)
-    key = tuple(values)
-    try:
-        return cb._decode_map[key]
-    except KeyError:
-        raise ValueError(f"identity code {key} not in codebook") from None
 
 
 def _bfs_partition(g: AttributedGraph, max_cluster: int, seed: int) -> list[int]:

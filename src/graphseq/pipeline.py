@@ -10,7 +10,7 @@ from dataclasses import replace
 from .detokenizer import detokenize
 from .euler import EulerizedMultigraph, EulerPath, build_multigraph, extract_path
 from .graph import AttributedGraph, SubgraphSample
-from .sampler import SamplerConfig, draw_roots, sample
+from .sampler import SamplerConfig, sample
 from .tokenizer import ReindexConfig, TokenGrid, sequence_length, tokenize
 from .vocab import Vocabulary, build_vocab
 
@@ -197,34 +197,3 @@ def fit_sample(
     raise ValueError(
         f"sequence exceeds max_seq_len={cfg.max_seq_len} even at fanout 1"
     )
-
-
-def calibrate_fanout(
-    g: AttributedGraph,
-    cfg: SamplerConfig,
-    vocab: Vocabulary,
-    trials: int = 50,
-    seed: int = 0,
-    adj=None,
-) -> SamplerConfig:
-    """Largest fanout <= cfg.neighbors whose trial samples all fit.
-
-    Mirrors the preconfiguration step that keeps generated sequences
-    inside the context window. Each trial's prolonged length is counted
-    from its repaired multigraph without walking it; a trial with more
-    nodes than the vocabulary's index space does not fit.
-    """
-    reindex_cfg = ReindexConfig(num_indices=vocab.num_indices)
-    for fanout in range(cfg.neighbors, 0, -1):
-        candidate = replace(cfg, neighbors=fanout)
-        roots = draw_roots(g, cfg.mode, trials, derive_seed(seed, "roots", fanout))
-        ok = True
-        for i, r in enumerate(roots):
-            trial_cfg = replace(candidate, seed=derive_seed(seed, "trial", fanout, i))
-            sub = sample(g, r, trial_cfg, adj=adj)
-            if _prolonged_length(sub.graph, vocab, reindex_cfg, derive_seed(seed, i))[0] > cfg.max_seq_len:
-                ok = False
-                break
-        if ok:
-            return candidate
-    raise ValueError("no fanout fits the requested budget")

@@ -134,19 +134,12 @@ def _visits(path: EulerPath) -> dict[int, list[int]]:
 
 
 def _index_map(first_seen, cfg: ReindexConfig) -> dict[int, int]:
+    """Serialization index per node id: first appearance along the walk
+    gets 0, 1, 2, ...; with ``cfg.cyclic`` every index is shifted by one
+    offset drawn uniformly from ``0..num_indices-1`` under ``cfg.seed``."""
     _check_node_count(len(first_seen), cfg)
     offset = random.Random(cfg.seed).randrange(cfg.num_indices) if cfg.cyclic else 0
     return {v: (i + offset) % cfg.num_indices for i, v in enumerate(first_seen)}
-
-
-def reindex(path: EulerPath, cfg: ReindexConfig) -> dict[int, int]:
-    """Map node ids to serialization indices.
-
-    First appearance along the walk gets 0, 1, 2, ...; with ``cfg.cyclic``
-    every index is shifted by one offset drawn uniformly from
-    ``0..num_indices-1`` under ``cfg.seed``.
-    """
-    return _index_map(_visits(path), cfg)
 
 
 def _spelled(vocab: Vocabulary, kind: str, rows, defaults) -> dict:

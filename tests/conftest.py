@@ -15,6 +15,12 @@ def vocab_for(g: AttributedGraph, tag: str = "test", cfg: ReindexConfig | None =
     return build_vocab([g], tag, cfg or ReindexConfig(), **styles)
 
 
+def slot_sizes(cb) -> tuple[int, ...]:
+    """The number of distinct values in each identity slot of a codebook,
+    counted over every node's code."""
+    return tuple(len(set(values)) for values in zip(*map(cb.code, range(cb.num_nodes))))
+
+
 def power_law_graph(n, m, seed):
     """Preferential attachment: each new node links to ``m`` earlier ones,
     80% by degree, 20% uniformly."""

@@ -8,7 +8,9 @@ of that order, and exponential: it refuses graphs above
 ``ISO_NODE_LIMIT`` nodes.
 
 ``cell_roles`` derives every cell's role from the token ids alone, the
-reference for the roles the tokenizer records.
+reference for the roles the tokenizer records. ``prolonged_grid`` lifts
+a raw prolonged token list, such as a published sequence, into a grid
+with those roles.
 
 ``validate_path`` checks a walk against its multigraph edge by edge, the
 reference for ``extract_path``; ``edge_ends`` reads each edge id's
@@ -17,7 +19,7 @@ endpoints from the multigraph's fields.
 ``bfs_tree`` is a breadth-first search over a dict parent map, the
 reference for the shortest paths ``graph.bfs`` finds.
 """
-from graphseq import AttributedGraph, EulerizedMultigraph, EulerPath, Vocabulary
+from graphseq import AttributedGraph, EulerizedMultigraph, EulerPath, TokenGrid, Vocabulary
 from graphseq.vocab import CLASS_DIGIT, CLASS_SEMANTIC, CLASS_STRUCTURAL
 
 ISO_NODE_LIMIT = 12
@@ -132,6 +134,14 @@ def cell_roles(flat_ids, vocab: Vocabulary) -> list[str]:
         else:
             roles.append("pad" if tid == vocab.pad_id else "edge-type")
     return roles
+
+
+def prolonged_grid(tokens, vocab: Vocabulary) -> TokenGrid:
+    """The prolonged grid of a token list, each cell's role read from its
+    token by ``cell_roles``. A digit before any semantic token gets no
+    role, which the decoder refuses."""
+    ids = [vocab.id(tok) for tok in tokens]
+    return TokenGrid(layout="prolonged", l=1, tokens=zip(ids), roles=zip(cell_roles(ids, vocab)))
 
 
 def edge_ends(mg: EulerizedMultigraph) -> tuple[tuple[int, int], ...]:

@@ -380,6 +380,35 @@ def test_taskfmt_graph_edge_node(tmp_path, corpus):
     assert all(d["readout"] == len(d["tokens"]) - 1 for d in docs)
 
 
+@pytest.mark.parametrize(("task", "flag"), [
+    ("graph", "--graphs"), ("edge", "--samples"), ("node", "--samples"),
+])
+def test_taskfmt_names_its_missing_input_flag(tmp_path, corpus, capsys, task, flag):
+    vocab = _vocab(tmp_path, corpus)
+    capsys.readouterr()
+    out = tmp_path / "out.jsonl"
+    assert main(["taskfmt", "--task", task, "--vocab", str(vocab), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"taskfmt --task {task} needs {flag}"}
+    assert not out.exists()
+
+
+def test_taskfmt_graph_keeps_each_records_label(tmp_path, corpus):
+    vocab = _vocab(tmp_path, corpus)
+    labels = [4.5, 0, None]
+    labelled = tmp_path / "labelled.jsonl"
+    with open(corpus) as src, open(labelled, "w") as out:
+        for line, label in zip(src, labels):
+            doc = json.loads(line)
+            if label is not None:
+                doc["label"] = label
+            out.write(json.dumps(doc) + "\n")
+    ts = tmp_path / "ts.jsonl"
+    assert main(["taskfmt", "--task", "graph", "--graphs", str(labelled),
+                 "--vocab", str(vocab), "--output", str(ts)]) == 0
+    assert [json.loads(l)["label"] for l in ts.read_text().splitlines()] == labels
+
+
 def test_taskfmt_uses_the_vocab_files_tag(tmp_path):
     # suffix tokens must match the tag embedded in the vocabulary file even
     # when --dataset-tag is left at its default

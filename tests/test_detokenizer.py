@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -13,12 +14,11 @@ from graphseq import (
     serialize_graph,
     tokenize,
 )
-from graphseq.detokenizer import grid_from_prolonged_tokens
 from graphseq.tokenizer import LAYOUTS, TokenGrid
 from graphseq.vocab import build_vocab
 
 from conftest import random_graph, vocab_for
-from oracle import isomorphic
+from oracle import isomorphic, prolonged_grid
 
 
 def _roundtrip(g, layout, seed=0, cfg=None):
@@ -59,7 +59,7 @@ def test_jump_edges_are_dropped(two_triangles):
 def test_molecule_fixture_sequence(molpcba_fixture):
     expected = AttributedGraph.from_json(molpcba_fixture["graph"])
     vocab = build_vocab([expected], molpcba_fixture["dataset_tag"], ReindexConfig())
-    grid = grid_from_prolonged_tokens(molpcba_fixture["tokens"], vocab)
+    grid = prolonged_grid(molpcba_fixture["tokens"], vocab)
     report = detokenize(grid, vocab, node_attr_width=9, edge_attr_width=3)
     assert report.graph.num_nodes == 4
     assert report.graph.num_edges == 3
@@ -175,11 +175,23 @@ def test_repeated_dimension_in_a_block_is_rejected():
         detokenize(grid, vocab)
 
 
-def test_leading_digit_in_prolonged_tokens_names_the_missing_marker():
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_a_digit_run_past_the_integer_limit_is_named_by_its_length(sign):
     vocab, g = _tiny_vocab()
-    with pytest.raises(ValueError, match="digit token '<5>' before any attribute marker"):
-        grid_from_prolonged_tokens(["<5>", "0", "test#node#0#1", "<3>", "1"], vocab)
-    grid = grid_from_prolonged_tokens(["0", "test#node#0#1", "<3>", "1"], vocab)
+    limit = sys.get_int_max_str_digits()
+    grid = _node_block_grid(vocab, ["test#node#0#1", *(f"<{ch}>" for ch in sign + "7" * 5000)])
+    want = f"malformed attribute run: 5000-digit value exceeds Python's {limit}-digit integer limit"
+    with pytest.raises(ValueError) as exc:
+        detokenize(grid, vocab)
+    assert str(exc.value) == want
+
+
+def test_leading_digit_in_prolonged_tokens_is_refused():
+    vocab, g = _tiny_vocab()
+    grid = prolonged_grid(["<5>", "0", "test#node#0#1", "<3>", "1"], vocab)
+    with pytest.raises(ValueError, match="^dangling attribute tokens before any node token$"):
+        detokenize(grid, vocab)
+    grid = prolonged_grid(["0", "test#node#0#1", "<3>", "1"], vocab)
     assert detokenize(grid, vocab).graph.node_attrs == ((3,), (0,))
 
 
@@ -196,7 +208,7 @@ def _lenient_vocab():
 def test_node_visits_with_different_blocks_keep_the_first():
     vocab = _lenient_vocab()
     tokens = ["0", "test#node#0#1", "<3>", "1", "0", "test#node#0#1", "<5>"]
-    report = detokenize(grid_from_prolonged_tokens(tokens, vocab), vocab)
+    report = detokenize(prolonged_grid(tokens, vocab), vocab)
     assert report.graph.node_attrs == ((3,), (0,))
     assert report.graph.edges == ((0, 1),)
     assert (report.deduplicated_edges, report.dropped_jump_edges) == (1, 0)
@@ -206,7 +218,7 @@ def test_node_visits_with_different_blocks_keep_the_first():
 def test_edge_traversals_with_different_blocks_keep_the_first():
     vocab = _lenient_vocab()
     tokens = ["0", "test#edge#0#1", "<2>", "1", "test#edge#0#1", "<4>", "0"]
-    report = detokenize(grid_from_prolonged_tokens(tokens, vocab), vocab)
+    report = detokenize(prolonged_grid(tokens, vocab), vocab)
     assert report.graph.edges == ((0, 1),)
     assert report.graph.edge_attrs == ((2,),)
     assert (report.deduplicated_edges, report.dropped_jump_edges) == (1, 0)
@@ -216,7 +228,7 @@ def test_edge_traversals_with_different_blocks_keep_the_first():
 def test_edge_block_on_a_jump_step_is_discarded():
     vocab = _lenient_vocab()
     tokens = ["0", "1", "[EDGE_JUMP]", "test#edge#0#1", "<2>", "2"]
-    report = detokenize(grid_from_prolonged_tokens(tokens, vocab), vocab)
+    report = detokenize(prolonged_grid(tokens, vocab), vocab)
     assert report.graph.num_nodes == 3
     assert report.graph.edges == ((0, 1),)
     assert report.graph.edge_attrs == ((0,),)

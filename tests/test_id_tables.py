@@ -5,6 +5,7 @@ encoder and decoder that built and parsed token strings for every cell.
 They stay here as references: tokenizing through them must give the same
 grids, and decoding through them the same (dimension, value) pairs.
 """
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -75,6 +76,12 @@ def _parse_block_by_spelling(ids, vocab, kind, style):
             try:
                 value = int(text)
             except ValueError:
+                digits_only = text.removeprefix("-")
+                if digits_only.isdigit():
+                    raise ValueError(
+                        f"malformed attribute run: {len(digits_only)}-digit value exceeds "
+                        f"Python's {sys.get_int_max_str_digits()}-digit integer limit"
+                    ) from None
                 raise ValueError(f"malformed attribute run: non-integer value {text!r}") from None
         out.append((dim, value))
     return out

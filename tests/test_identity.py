@@ -14,7 +14,6 @@ from graphseq import (
     build_codebook,
     build_vocab,
     codebook_from_partition,
-    decode_node,
     detokenize,
     encode_node,
     load_partition,
@@ -23,7 +22,7 @@ from graphseq import (
     with_identity_attrs,
 )
 
-from conftest import power_law_graph, random_connected_graph, random_graph
+from conftest import power_law_graph, random_connected_graph, random_graph, slot_sizes
 from oracle import isomorphic
 
 
@@ -37,7 +36,7 @@ def test_nine_nodes_three_clusters():
     cb = build_codebook(g, k=2, strategy="given-labels", labels=labels, dataset_tag="t")
     codes = {cb.code(v) for v in range(9)}
     assert len(codes) == 9
-    assert cb.slot_sizes == (3, 3)
+    assert slot_sizes(cb) == (3, 3)
 
 
 def test_k1_gives_unique_token_per_node():
@@ -55,29 +54,8 @@ def test_species_style_labels_and_token_format():
     assert encode_node(cb, 0) == ("ogbl-ppa#node#0#17", "ogbl-ppa#node#1#0")
     # local indices run in ascending global-id order within a cluster
     assert encode_node(cb, 3) == ("ogbl-ppa#node#0#17", "ogbl-ppa#node#1#2")
-    assert cb.slot_sizes == (3, 3)
-    for v in range(6):
-        assert decode_node(cb, encode_node(cb, v)) == v
-
-
-def test_token_pair_decodes_to_a_single_node():
-    # a cluster large enough that local index 1959 exists
-    n = 2500
-    g = AttributedGraph(num_nodes=n)
-    labels = [17] * 2000 + [20] * 500
-    cb = build_codebook(g, k=2, strategy="given-labels", labels=labels, dataset_tag="ogbl-ppa")
-    node = decode_node(cb, ("ogbl-ppa#node#0#17", "ogbl-ppa#node#1#1959"))
-    assert node == 1959
-    assert encode_node(cb, node) == ("ogbl-ppa#node#0#17", "ogbl-ppa#node#1#1959")
-
-
-def test_decode_unknown_tuple_is_an_error():
-    g = _ring(4)
-    cb = build_codebook(g, k=2, strategy="given-labels", labels=[0, 0, 1, 1], dataset_tag="t")
-    with pytest.raises(ValueError, match="not in codebook"):
-        decode_node(cb, ("t#node#0#0", "t#node#1#9"))
-    with pytest.raises(ValueError, match="slot"):
-        decode_node(cb, ("t#node#1#0", "t#node#0#0"))
+    assert slot_sizes(cb) == (3, 3)
+    assert len({encode_node(cb, v) for v in range(6)}) == 6
 
 
 def test_capacity_check():
@@ -162,7 +140,7 @@ def test_codes_are_injective_and_slots_cover_every_node():
             cb = codebook_from_partition(partition, k=k)
             codes = {cb.code(v) for v in range(len(partition))}
             assert len(codes) == len(partition), (k, len(partition))
-            assert math.prod(cb.slot_sizes) >= len(partition)
+            assert math.prod(slot_sizes(cb)) >= len(partition)
 
 
 def test_local_base_is_exact_where_the_float_root_falls_short():
@@ -188,8 +166,6 @@ def test_k3_decomposition_is_injective():
     codes = {cb.code(v) for v in range(30)}
     assert len(codes) == 30
     assert all(len(c) == 3 for c in codes)
-    for v in range(30):
-        assert decode_node(cb, encode_node(cb, v)) == v
 
 
 def test_given_labels_requires_labels():
@@ -206,7 +182,7 @@ def test_partition_file_roundtrip(tmp_path):
     labels = load_partition(path)
     assert labels == [5, 5, 7]
     cb = codebook_from_partition(labels, k=2, dataset_tag="t")
-    assert cb.slot_sizes == (2, 2)
+    assert slot_sizes(cb) == (2, 2)
 
 
 def test_partition_file_must_be_dense(tmp_path):
@@ -268,9 +244,8 @@ def test_identity_encoded_sample_roundtrips_with_unique_nodes():
     grid = serialize_graph(sub.graph, vocab, "prolonged", rcfg, 2)
     report = detokenize(grid, vocab, node_attr_width=2, node_defaults=(-1, -1))
     assert isomorphic(report.graph, sub.graph)
-    # identity blocks stay decodable back to parent-graph node ids
-    decoded = {decode_node(cb, encode_node(cb, gid)) for gid in sub.origin_ids}
-    assert decoded == set(sub.origin_ids)
+    # every decoded node keeps its own identity block
+    assert len(set(report.graph.node_attrs)) == len(sub.origin_ids)
 
 
 def test_label_only_ablation_still_roundtrips_structure():
@@ -295,4 +270,4 @@ def test_label_only_ablation_still_roundtrips_structure():
 def test_slot_vocab_growth_is_bounded():
     g = _ring(64)
     cb = build_codebook(g, k=2, strategy="bfs-partition", max_cluster=8, seed=0, dataset_tag="t")
-    assert sum(cb.slot_sizes) <= 2 * 8 + 2 * (64 // 8)
+    assert sum(slot_sizes(cb)) <= 2 * 8 + 2 * (64 // 8)

@@ -28,7 +28,6 @@ from graphseq import (
     with_identity_attrs,
 )
 from graphseq import euler, pipeline
-from graphseq.pipeline import calibrate_fanout
 
 from conftest import power_law_graph, random_connected_graph
 
@@ -287,7 +286,6 @@ def test_budget_fit_uses_the_vocabulary_index_space():
     star = AttributedGraph(num_nodes=401, edges=tuple((0, i) for i in range(1, 401)))
     vocab = build_vocab([star], "star", ReindexConfig(num_indices=512))
     cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=300, max_seq_len=4096, seed=0)
-    assert calibrate_fanout(star, cfg, vocab, trials=3).neighbors == 300
     sub, length = fit_sample(star, (5,), cfg, vocab)
     assert sub.graph.num_nodes == 302
     grid = serialize_graph(sub.graph, vocab, "prolonged", ReindexConfig(num_indices=512), 0)
@@ -300,7 +298,6 @@ def test_budget_fit_retries_a_sample_that_overflows_the_index_space():
     star = AttributedGraph(num_nodes=401, edges=tuple((0, i) for i in range(1, 401)))
     vocab = build_vocab([star], "star", ReindexConfig())
     cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=300, max_seq_len=4096, seed=0)
-    assert calibrate_fanout(star, cfg, vocab, trials=3).neighbors == 254
     sub, length = fit_sample(star, (5,), cfg, vocab)
     assert sub.graph.num_nodes == 256
     assert serialize_graph(sub.graph, vocab, "prolonged", ReindexConfig(), 0).num_rows == length
@@ -382,8 +379,6 @@ def test_only_an_accepted_fit_fills_the_slot_and_serialization_empties_it():
     serialize_graph(g, vocab)  # empties the slot whatever earlier tests left
     assert pipeline._fitted == []
     cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=4, max_seq_len=4096, seed=0)
-    calibrate_fanout(g, cfg, vocab, trials=5)
-    assert pipeline._fitted == []
     with pytest.raises(ValueError, match="max_seq_len"):
         fit_sample(g, (0,), replace(cfg, max_seq_len=1), vocab)
     assert pipeline._fitted == []

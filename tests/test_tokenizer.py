@@ -15,7 +15,6 @@ from graphseq import (
     build_smtp,
     derive_seed,
     extract_path,
-    reindex,
     sequence_length,
     serialize_graph,
     tokenize,
@@ -29,6 +28,8 @@ from graphseq.tokenizer import (
     ROLE_PAD,
     ROLE_TYPE,
     TokenGrid,
+    _index_map,
+    _visits,
 )
 from graphseq.vocab import EDGE_BWD, EDGE_FWD, EDGE_JUMP
 
@@ -50,7 +51,7 @@ def _fake_path(nodes):
 
 def test_first_appearance_indices():
     path = _fake_path([5, 2, 5, 7])
-    idx = reindex(path, ReindexConfig(num_indices=16, cyclic=False))
+    idx = _index_map(_visits(path), ReindexConfig(num_indices=16, cyclic=False))
     assert idx == {5: 0, 2: 1, 7: 2}
 
 
@@ -58,7 +59,7 @@ def test_cyclic_shift_formula():
     path = _fake_path([0, 1, 2, 3])
     # find a seed whose drawn offset is 5
     seed = next(s for s in range(5000) if random.Random(s).randrange(256) == 5)
-    idx = reindex(path, ReindexConfig(num_indices=256, cyclic=True, seed=seed))
+    idx = _index_map(_visits(path), ReindexConfig(num_indices=256, cyclic=True, seed=seed))
     assert idx[3] == (3 + 5) % 256 == 8
 
 
@@ -66,14 +67,14 @@ def test_cyclic_shift_wraparound():
     nodes = list(range(251)) + [251]
     path = _fake_path(nodes)
     seed = next(s for s in range(5000) if random.Random(s).randrange(256) == 10)
-    idx = reindex(path, ReindexConfig(num_indices=256, cyclic=True, seed=seed))
+    idx = _index_map(_visits(path), ReindexConfig(num_indices=256, cyclic=True, seed=seed))
     assert idx[250] == (250 + 10) % 256 == 4
 
 
 def test_reindex_rejects_oversized_graphs():
     path = _fake_path(list(range(9)))
     with pytest.raises(ValueError, match="exceed"):
-        reindex(path, ReindexConfig(num_indices=8))
+        _index_map(_visits(path), ReindexConfig(num_indices=8))
 
 
 def test_config_with_more_indices_than_the_vocabulary_is_rejected():
