@@ -221,7 +221,11 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_taskfmt(args) -> int:
-    flag, inputs = ("--graphs", args.graphs) if args.task == "graph" else ("--samples", args.samples)
+    given = {"--graphs": args.graphs, "--samples": args.samples}
+    flag, other = ("--graphs", "--samples") if args.task == "graph" else ("--samples", "--graphs")
+    if given[other]:
+        raise ValueError(f"taskfmt --task {args.task} does not read {other}")
+    inputs = given[flag]
     if not inputs:
         raise ValueError(f"taskfmt --task {args.task} needs {flag}")
     vocab = _load_vocab(args)

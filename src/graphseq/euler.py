@@ -2,30 +2,29 @@
 
 A graph is first made connected by chaining its components with synthetic
 "jump" edges, then repaired to have at most two odd-degree nodes by
-duplicating existing edges along shortest paths: the route-inspection
-construction of Edmonds & Johnson, "Matching, Euler tours and the Chinese
-postman" (Math. Programming 5, 1973). Components, connectivity and both
-repairs' paths come from one search, ``graph.bfs``. Up to
-``EXACT_ODD_LIMIT`` odd nodes, one full search from each gives both the
-distance table of an exact DP over subsets of odd nodes and the repair
-paths of the pairs it picks. Above it, searches from all odd nodes
-advance together as bitsets for a one-pass nearest-pair greedy matching,
-each stopping once its node is matched, and each matched pair's path
-comes from one ``bfs`` stopped at the partner, over lists reused across
-pairs. Either way a pair's path is the one a full ``bfs`` from its
-lower-index node holds. ``extract_path`` samples one edge-covering walk
-of the resulting multigraph with seeded randomness, so repeated
-serialization of the same graph yields different but equally valid
-sequences. Its draws, and the tokenizer's, come from ``bounded_draws``.
+duplicating existing edges along paths between paired odd nodes: the
+route-inspection construction of Edmonds & Johnson, "Matching, Euler
+tours and the Chinese postman" (Math. Programming 5, 1973). Components,
+connectivity and both repairs' paths come from one search,
+``graph.bfs``. Up to ``EXACT_ODD_LIMIT`` odd nodes, one full search from
+each gives both the distance table of an exact DP over subsets of odd
+nodes and the repair paths of the pairs it picks, each the path a full
+``bfs`` from the pair's lower-index node holds. Above it, each round of
+``_nearest_pairs`` searches from all unmatched odd nodes at once and
+pairs them greedily along the edges between their regions (Mehlhorn's
+Voronoi construction), in memory linear in the graph. ``extract_path``
+samples one edge-covering walk of the resulting multigraph with seeded
+randomness, so repeated serialization of the same graph yields different
+but equally valid sequences. Its draws, and the tokenizer's, come from
+``bounded_draws``.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain, compress
-from operator import and_, invert, itemgetter, or_
-from typing import Generator, Iterator
+from itertools import chain
+from operator import itemgetter
 
 from .graph import (
     Adjacency,
@@ -122,7 +121,7 @@ class EulerizedMultigraph:
         adj = undirected_adjacency(n, self._endpoints)
         return Derived(
             adjacency=adj,
-            connected=n <= 1 or len(bfs(adj, 0, [-1] * n, [-1] * n)) == n,
+            connected=n <= 1 or len(bfs(adj, (0,), [-1] * n, [-1] * n)) == n,
             odd_nodes=tuple(v for v, d in enumerate(self.degrees()) if d % 2 == 1),
         )
 
@@ -189,7 +188,7 @@ def _odd_searches(adj: Adjacency, odd: tuple[int, ...], n: int) -> tuple[list[li
     w, vias = [], []
     for a in odd[:-1]:
         dist, via = [-1] * n, [-1] * n
-        bfs(adj, a, dist, via)
+        bfs(adj, (a,), dist, via)
         w.append([dist[b] for b in odd])
         vias.append(via)
     w.append([row[-1] for row in w] + [0])
@@ -208,53 +207,55 @@ def _path_edges(via: list[int], ends, start: int, goal: int) -> list[int]:
     return edges
 
 
-def _pair_paths(adj: Adjacency, ends, n: int, pairs) -> Iterator[list[int]]:
-    """Per (start, goal) pair, the edge ids of the path a full ``bfs``
-    from ``start`` finds to ``goal``: one search per pair, stopped at
-    ``goal``, over one pair of lists reset where each search reached."""
-    dist, via = [-1] * n, [-1] * n
-    for start, goal in pairs:
-        reached = bfs(adj, start, dist, via, goal)
-        yield _path_edges(via, ends, start, goal)
-        for v in reached:
-            dist[v] = -1
+def _nearest_pairs(adj: Adjacency, ends, odd: tuple[int, ...], n: int) -> list[tuple[int, int, int, list[int]]]:
+    """Greedy pairing of the odd nodes after Mehlhorn's Voronoi
+    construction ("A faster approximation algorithm for the Steiner
+    problem in graphs", IPL 27, 1988), as (length, a, b, path) per pair,
+    a < b, the path being the ids of ``length`` edges from a to b.
 
-
-def _odd_rings(adj, odd: tuple[int, ...], n: int) -> Generator[tuple[int, ...], int, None]:
-    """Distance rings between odd nodes, from all their BFS runs at once.
-
-    Yields, for d = 1, 2, ... until every search is exhausted, a tuple whose
-    entry i is the bitset of odd indices j at distance exactly d from
-    ``odd[i]``. Bit i of ``front[v]`` puts v on the level-d frontier of the
-    search from ``odd[i]``, so one pass over the edges advances all k
-    searches by a level: O(diameter * m) big-integer operations in place of
-    k separate BFS runs, with O(n) integers held. After each ring the
-    consumer sends the bitset of indices whose searches it still needs;
-    the others stop spreading, and later rings hold only the needed
-    indices j.
+    Each round runs one ``bfs`` from every unmatched odd node. A node
+    belongs to the region of the start its search tree leads back to, and
+    each edge between two regions proposes their starts at the length of
+    the path through it. Proposals are taken in (length, a, b) order
+    while both ends are unmatched. The least is a least distance between
+    unmatched odd nodes, so each round matches a pair; the odd nodes left
+    start the next. Memory is linear in the graph.
     """
-    nbrs = [[v for v, _ in lst] for lst in adj]
-    front = [0] * n
-    for i, a in enumerate(odd):
-        front[a] = 1 << i
-    seen = front
-    live = (1 << len(odd)) - 1
-    ring = itemgetter(*odd)
-    while True:
-        reach = [0] * n
-        for u in compress(range(n), front):
-            bits = front[u] & live
-            if bits:
-                for v in nbrs[u]:
-                    reach[v] |= bits
-        # Each list goes once read, so at most three are held at a time.
-        del front
-        front = list(map(and_, reach, map(invert, seen)))
-        del reach
-        if not any(front):
-            return
-        seen = list(map(or_, seen, front))
-        live = yield ring(front)
+    matched = bytearray(n)
+    pairs = []
+    todo = odd
+    while todo:
+        dist, via, owner = [-1] * n, [-1] * n, [-1] * n
+        order = bfs(adj, todo, dist, via)
+        # Per pair a * n + b, its shortest proposal (length, key, u, eid, v)
+        # with u in a's region and v in b's, the first found among equals.
+        best = {}
+        for u in order:
+            if dist[u]:
+                x, y = ends[via[u]]
+                a = owner[x ^ y ^ u]
+            else:
+                a = u
+            owner[u] = a
+            du = dist[u] + 1
+            # Neighbours discovered earlier already have an owner, so each
+            # edge between regions is proposed once.
+            for v, eid in adj[u]:
+                b = owner[v]
+                if b >= 0 and b != a:
+                    length = du + dist[v]
+                    key = a * n + b if a < b else b * n + a
+                    old = best.get(key)
+                    if old is None or length < old[0]:
+                        best[key] = (length, key, u, eid, v) if a < b else (length, key, v, eid, u)
+        for length, key, u, eid, v in sorted(best.values()):
+            a, b = divmod(key, n)
+            if not (matched[a] or matched[b]):
+                matched[a] = matched[b] = 1
+                path = _path_edges(via, ends, a, u)[::-1] + [eid] + _path_edges(via, ends, b, v)
+                pairs.append((length, a, b, path))
+        todo = [a for a in todo if not matched[a]]
+    return pairs
 
 
 @cache
@@ -348,51 +349,19 @@ def _exact_matching(w: list[list[int]]) -> list[tuple[int, int, int]]:
     return matching
 
 
-def _greedy_matching(rings: Generator[tuple[int, ...], int, None], k: int) -> list[tuple[int, int, int]]:
-    """Nearest-pair matching: repeatedly take the unmatched index pair
-    (i, j), i < j, least in (distance, i, j) order. Returns (distance, i, j)
-    triples in the order taken.
-
-    One pass over the rings in ascending distance: in each, every unmatched
-    i, lowest first, takes its lowest unmatched j > i at that distance. An
-    i passed over at a distance gains no partner there later, since matched
-    indices only accumulate. After each ring the unmatched bitset goes back
-    to ``rings``, so searches from matched indices stop.
-    """
-    unmatched = (1 << k) - 1
-    matched = bytearray(k)
-    todo = range(k)
-    matching = []
-    d, ring = 1, next(rings)
-    while True:
-        for i in todo:
-            bits = ring[i]
-            if bits and not matched[i]:
-                bits &= unmatched >> (i + 1) << (i + 1)
-                if bits:
-                    j = (bits & -bits).bit_length() - 1
-                    unmatched ^= 1 << i | 1 << j
-                    matched[i] = matched[j] = 1
-                    matching.append((d, i, j))
-        if not unmatched:
-            return matching
-        todo = [i for i in todo if not matched[i]]
-        d += 1
-        ring = rings.send(unmatched)
-
-
 def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
     """Duplicate edges until at most two nodes have odd degree.
 
     The odd nodes are paired and every pair but one is joined by a
-    duplicated shortest path. The pair left out is the one with the
-    largest shortest-path distance, so the result is semi-Eulerian and
-    saves that pair's duplications. Up to ``EXACT_ODD_LIMIT`` odd nodes
-    the pairing comes from an exact DP over subsets of odd nodes and the
-    duplication count is provably minimal; the BFS runs that fill its
-    distance table also give the paths. Beyond that a nearest-pair greedy
-    matching is used and ``minimality_guaranteed`` is cleared. Each path
-    is the one a full ``bfs`` from the pair's lower-index node holds.
+    duplicated path. The pair left out is the first with the longest
+    repair path, so the result is semi-Eulerian and saves that pair's
+    duplications. Up to ``EXACT_ODD_LIMIT`` odd nodes the pairing comes
+    from an exact DP over subsets of odd nodes and the duplication count
+    is provably minimal; the BFS runs that fill its distance table also
+    give the paths, each the one a full ``bfs`` from the pair's
+    lower-index node holds. Beyond that ``_nearest_pairs`` pairs them
+    greedily along the regions of multi-source searches, and
+    ``minimality_guaranteed`` is cleared.
     """
     if not mg.is_connected():
         raise ValueError("multigraph is disconnected; add jump edges first")
@@ -401,21 +370,17 @@ def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
         return mg
     adj = mg.simple_adjacency()
     ends = mg._endpoints
-    n, k = mg.base.num_nodes, len(odd)
-    exact = k <= EXACT_ODD_LIMIT
+    n = mg.base.num_nodes
+    exact = len(odd) <= EXACT_ODD_LIMIT
     if exact:
         w, vias = _odd_searches(adj, odd, n)
-        matching = _exact_matching(w)
+        pairs = [(d, odd[i], odd[j], _path_edges(vias[i], ends, odd[i], odd[j]))
+                 for d, i, j in _exact_matching(w)]
     else:
-        matching = _greedy_matching(_odd_rings(adj, odd, n), k)
-    weights = [d for d, _, _ in matching]
-    del matching[weights.index(max(weights))]
-    if exact:
-        paths = (_path_edges(vias[i], ends, odd[i], odd[j]) for _, i, j in matching)
-    else:
-        paths = _pair_paths(adj, ends, n, [(odd[i], odd[j]) for _, i, j in matching])
+        pairs = _nearest_pairs(adj, ends, odd, n)
+    pairs.remove(max(pairs, key=itemgetter(0)))
     duplicated: set[int] = set()
-    for path in paths:
+    for _, _, _, path in pairs:
         # Duplicating twice cancels parity-wise, so repair paths combine mod 2.
         duplicated.symmetric_difference_update(path)
     # Each duplicated copy flips the degree parity of both its endpoints.

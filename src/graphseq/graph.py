@@ -306,19 +306,21 @@ def adjacency(g: AttributedGraph) -> Adjacency:
     return g._adjacency
 
 
-def bfs(adj: Adjacency, start: int, dist: list[int], via: list[int], goal: int = -1) -> list[int]:
-    """Breadth-first search from ``start`` over ``adj``, stopped after
-    expanding the node that reaches ``goal`` when one is given.
+def bfs(adj: Adjacency, starts: Sequence[int], dist: list[int], via: list[int]) -> list[int]:
+    """Breadth-first search over ``adj`` from all of ``starts`` at once.
 
     ``dist`` must hold -1 at every node not yet reached. For each node it
-    reaches, the search writes the distance into ``dist`` and the id of
-    the edge that first reached the node into ``via``. It returns those
-    nodes in discovery order; setting ``dist`` back to -1 at them readies
-    both lists for the next search. Sorted adjacency makes the tree
-    deterministic.
+    reaches, the search writes the distance to the nearest start into
+    ``dist``, and at each node but the starts the id of the edge that
+    first reached it into ``via``; following those edges back leads to
+    the start whose search got there first. It returns the nodes reached
+    in discovery order, the starts first as given; setting ``dist`` back
+    to -1 at them readies both lists for the next search. Sorted
+    adjacency makes the search tree deterministic.
     """
-    dist[start] = 0
-    queue = [start]
+    queue = list(starts)
+    for v in queue:
+        dist[v] = 0
     for u in queue:
         du = dist[u] + 1
         for v, eid in adj[u]:
@@ -326,8 +328,6 @@ def bfs(adj: Adjacency, start: int, dist: list[int], via: list[int], goal: int =
                 dist[v] = du
                 via[v] = eid
                 queue.append(v)
-        if goal >= 0 and dist[goal] >= 0:
-            break
     return queue
 
 
@@ -339,7 +339,7 @@ def connected_components(g: AttributedGraph) -> list[set[int]]:
     """
     adj, n = adjacency(g), g.num_nodes
     dist, via = [-1] * n, [-1] * n
-    return [set(bfs(adj, v, dist, via)) for v in range(n) if dist[v] < 0]
+    return [set(bfs(adj, (v,), dist, via)) for v in range(n) if dist[v] < 0]
 
 
 def _quantize(value, scale: float, offset: int) -> int:

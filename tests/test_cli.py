@@ -393,6 +393,22 @@ def test_taskfmt_names_its_missing_input_flag(tmp_path, corpus, capsys, task, fl
     assert not out.exists()
 
 
+@pytest.mark.parametrize(("task", "flag", "other"), [
+    ("graph", "--graphs", "--samples"), ("edge", "--samples", "--graphs"),
+])
+def test_taskfmt_refuses_the_input_flag_its_task_does_not_read(tmp_path, corpus, capsys, task, flag, other):
+    # The unread flag names a file that does not exist: the refusal comes
+    # before any input is read.
+    vocab = _vocab(tmp_path, corpus)
+    capsys.readouterr()
+    out = tmp_path / "out.jsonl"
+    assert main(["taskfmt", "--task", task, flag, str(corpus), other, str(tmp_path / "missing.jsonl"),
+                 "--vocab", str(vocab), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"taskfmt --task {task} does not read {other}"}
+    assert not out.exists()
+
+
 def test_taskfmt_graph_keeps_each_records_label(tmp_path, corpus):
     vocab = _vocab(tmp_path, corpus)
     labels = [4.5, 0, None]

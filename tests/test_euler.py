@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -25,10 +26,8 @@ from graphseq.euler import (
     EXACT_ODD_LIMIT,
     EulerizedMultigraph,
     _exact_matching,
-    _greedy_matching,
-    _odd_rings,
+    _nearest_pairs,
     _odd_searches,
-    _pair_paths,
     _path_edges,
     bounded_draws,
 )
@@ -84,19 +83,18 @@ def exact_matching_bruteforce(odd, dist):
 
 
 def greedy_matching_rescan(odd, dist):
-    """Reference: rescan all remaining pairs for the nearest one, O(k^3)."""
-    remaining = list(odd)
+    """Reference: rescan all remaining pairs for the nearest one, the
+    first in (distance, i, j) order, O(k^3). ``np.argmin`` scans in row
+    order, so it returns the first least entry of the upper triangle."""
+    k = len(odd)
+    w = np.array([[dist[a][b] for b in odd] for a in odd], dtype=float)
+    w[np.tril_indices(k)] = np.inf
     pairing = []
-    while remaining:
-        best = None
-        for i in range(len(remaining)):
-            for j in range(i + 1, len(remaining)):
-                a, b = remaining[i], remaining[j]
-                if best is None or dist[a][b] < dist[best[0]][best[1]]:
-                    best = (a, b)
-        pairing.append(best)
-        remaining.remove(best[0])
-        remaining.remove(best[1])
+    for _ in range(k // 2):
+        i, j = divmod(int(np.argmin(w)), k)
+        pairing.append((odd[i], odd[j]))
+        w[[i, j], :] = np.inf
+        w[:, [i, j]] = np.inf
     return tuple(pairing)
 
 
@@ -107,17 +105,6 @@ def tie_heavy_table(rng: random.Random, k: int, top: int) -> list[list[int]]:
         for j in range(i + 1, k):
             w[i][j] = w[j][i] = rng.randint(1, top)
     return w
-
-
-def rings_of(w: list[list[int]]):
-    """Per distance 1..max, each row's bitset of columns at that distance,
-    as ``_odd_rings`` yields them: it takes the bitset of indices still
-    needed by ``send`` and clears the rows and columns of the others."""
-    k = len(w)
-    live = (1 << k) - 1
-    for d in range(1, max(map(max, w)) + 1):
-        ring = [sum(1 << j for j in range(k) if w[i][j] == d) & live for i in range(k)]
-        live = yield [bits if live >> i & 1 else 0 for i, bits in enumerate(ring)]
 
 
 def tree_path(adj, start: int, goal: int) -> list[int]:
@@ -281,16 +268,6 @@ def test_exact_matching_keeps_both_exemption_states():
     assert pairs_of(_exact_matching(w)) == expected
 
 
-def test_greedy_matching_returns_the_rescan_pairing():
-    rng = random.Random(7)
-    for k in range(4, 42, 2):
-        for top in (2, 3, 6):
-            w = tie_heavy_table(rng, k, top)
-            matching = _greedy_matching(rings_of(w), k)
-            assert pairs_of(matching) == greedy_matching_rescan(tuple(range(k)), w)
-            assert [d for d, i, j in matching] == [w[i][j] for _, i, j in matching]
-
-
 def test_odd_searches_give_bfs_distances():
     rng = random.Random(12)
     for _ in range(40):
@@ -308,54 +285,29 @@ def test_odd_searches_give_bfs_distances():
             # Each kept list is that of a full bfs from its odd node, whose
             # distances are the reference's at every node.
             dist, fresh = [-1] * g.num_nodes, [-1] * g.num_nodes
-            bfs(adj, a, dist, fresh)
+            bfs(adj, (a,), dist, fresh)
             assert dist == bfs_distances(mg, a) and via == fresh
             for b in odd[i + 1 :]:
                 assert _path_edges(via, ends, a, b) == tree_path(adj, a, b)
 
 
-def test_odd_rings_give_bfs_distances():
-    # Entry i of ring d holds the odd indices at distance d from odd[i].
-    # Indices sent back as no longer needed stop their searches; every
-    # entry of a needed index still holds every needed index.
-    rng = random.Random(12)
-    for _ in range(40):
-        g = random_graph(rng, n_min=2, n_max=60, max_node_width=0, max_edge_width=0)
-        mg = add_jump_edges(g, 0)
-        odd = mg.odd_nodes()
-        k = len(odd)
-        if k < 2:
-            continue
-        dist = [[bfs_distances(mg, a)[b] for b in odd] for a in odd]
-        rings = _odd_rings(mg.simple_adjacency(), odd, g.num_nodes)
-        live = (1 << k) - 1
-        d, ring = 1, next(rings)
-        while True:
-            for i in range(k):
-                if live >> i & 1:
-                    expected = sum(1 << j for j in range(k) if live >> j & 1 and dist[i][j] == d)
-                    assert ring[i] & live == expected
-            if rng.random() < 0.5:
-                live &= ~(1 << rng.randrange(k))
-            try:
-                ring = rings.send(live)
-            except StopIteration:
-                break
-            d += 1
-        needed = [i for i in range(k) if live >> i & 1]
-        assert all(dist[i][j] <= d for i in needed for j in needed)
-
-
 # SHA-256 of the prolonged and short grids of a seeded corpus of 200
-# graphs with 10-30 nodes, computed with the brute-force and rescan
-# matchings above in place of the library's. Any change to pairing or
+# graphs with 10-30 nodes. Its exact repairs are those of the brute-force
+# matching above; its greedy repairs come from ``_nearest_pairs``, which
+# no reference reproduces pair for pair. Any change to pairing or
 # tie-breaking on either the exact or the greedy path changes it.
-CORPUS_DIGEST = "5c8943d73c6b7bb2814a2387e2af05e16677f72e7932e8a10e6ebab803876391"
+CORPUS_DIGEST = "070993aed9130b5b0a04925ff104615f78fb8494a95c98c24ef8db30b908534d"
+
+
+def _digest_corpus() -> list[AttributedGraph]:
+    """The seeded corpus of 200 graphs with 10-30 nodes that
+    ``CORPUS_DIGEST`` pins."""
+    rng = random.Random(31337)
+    return [random_graph(rng, n_min=10, n_max=30) for _ in range(200)]
 
 
 def test_serialized_corpus_bytes_are_pinned():
-    rng = random.Random(31337)
-    graphs = [random_graph(rng, n_min=10, n_max=30) for _ in range(200)]
+    graphs = _digest_corpus()
     odd = [len(add_jump_edges(g, 0).odd_nodes()) for g in graphs]
     assert sum(2 < k <= EXACT_ODD_LIMIT for k in odd) > 100
     assert sum(k > EXACT_ODD_LIMIT for k in odd) > 50
@@ -400,9 +352,10 @@ def _large_graphs() -> list[AttributedGraph]:
 
 # SHA-256 of the duplicated edge ids, the minimality flag and the walk's
 # nodes and edge ids of every graph of _large_graphs, each repaired and
-# walked under its own seed. Taken from the bitset-ring repair with one
-# search per pair and the walk over shuffled (instance, node) lists.
-LARGE_REPAIR_DIGEST = "7750d5604a3830a4514681d47393c41e3fd2178e82cf692658a6d1ea0a8bc85e"
+# walked under its own seed. Taken from the greedy repair over the
+# regions of multi-source searches (``_nearest_pairs``) and the walk over
+# shuffled (instance, node) lists.
+LARGE_REPAIR_DIGEST = "cd9d580f3a75fd7a91e6b7f04bc31bb3f1ed50d5fcbd5aebff55d822f6a2fa96"
 
 
 def test_repairs_and_walks_of_large_graphs_are_pinned():
@@ -426,6 +379,74 @@ def test_repairs_and_walks_of_large_graphs_are_pinned():
     assert sum(g.directed for g in graphs) >= 5
     assert sum(len(connected_components(g)) > 1 for g in graphs) >= 5
     assert digest.hexdigest() == LARGE_REPAIR_DIGEST
+
+
+def _tree_plus_edges(n: int, seed: int) -> AttributedGraph:
+    """A seeded random tree on n nodes, each node after the first joined
+    to an earlier one, plus n // 2 further distinct edges."""
+    rng = random.Random(seed)
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 2:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return AttributedGraph(num_nodes=n, edges=tuple(sorted(edges)))
+
+
+@pytest.fixture(scope="module")
+def greedy_repairs():
+    """Per graph of both pinned corpora that takes greedy repair: its odd
+    nodes, their BFS distances to every node, and ``_nearest_pairs``."""
+    repairs = []
+    for g in _digest_corpus() + _large_graphs():
+        mg = add_jump_edges(g, 0)
+        odd = mg.odd_nodes()
+        if len(odd) <= EXACT_ODD_LIMIT:
+            continue
+        rows = csgraph.shortest_path(_scipy_graph(mg), directed=False, unweighted=True, indices=odd)
+        dist = dict(zip(odd, rows.astype(int).tolist()))
+        pairs = _nearest_pairs(mg.simple_adjacency(), mg._endpoints, odd, g.num_nodes)
+        repairs.append((mg, odd, dist, pairs))
+    assert len(repairs) == 61 + 16
+    return repairs
+
+
+def test_nearest_pairs_join_every_odd_node_along_a_path(greedy_repairs):
+    for mg, odd, dist, pairs in greedy_repairs:
+        assert sorted(x for _, a, b, _ in pairs for x in (a, b)) == list(odd)
+        ends = edge_ends(mg)
+        for length, a, b, path in pairs:
+            assert a < b and length == len(path) >= dist[a][b]
+            node = a
+            for eid in path:
+                u, v = ends[eid]
+                assert node in (u, v)
+                node ^= u ^ v
+            assert node == b
+        # The first pair taken is a nearest pair of odd nodes.
+        assert pairs[0][0] == min(dist[a][b] for a, b in combinations(odd, 2))
+
+
+def test_nearest_pairs_total_is_near_the_rescan_greedy(greedy_repairs):
+    ours = rescan = 0
+    for _, odd, dist, pairs in greedy_repairs:
+        ours += sum(length for length, _, _, _ in pairs)
+        rescan += sum(dist[a][b] for a, b in greedy_matching_rescan(odd, dist))
+    assert abs(ours - rescan) <= 0.02 * rescan
+
+
+def test_greedy_repair_memory_is_linear():
+    # 3 x 10^4 nodes with about 1.6 x 10^4 odd ones: a table or a bitset
+    # per node over the odd nodes would take hundreds of megabytes.
+    mg = add_jump_edges(_tree_plus_edges(30_000, 1), 0)
+    tracemalloc.start()
+    try:
+        repaired = eulerize(mg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(mg.odd_nodes()) > 10_000
+    assert len(repaired.odd_nodes()) == 2 and not repaired.minimality_guaranteed
+    assert peak < 64 * 2**20
 
 
 # --- path extraction ----------------------------------------------------
@@ -572,23 +593,14 @@ def test_traversal_agrees_with_scipy(seed):
         ends = edge_ends(mg)
         starts = rng.sample(range(n), 3)
         scipy_dist = csgraph.shortest_path(matrix, directed=False, unweighted=True, indices=starts)
-        # One pair of lists serves every stopped search, reset after each.
-        dist, via = [-1] * n, [-1] * n
         for row, a in zip(scipy_dist, starts):
-            full_dist, full_via = [-1] * n, [-1] * n
-            reached = bfs(adj, a, full_dist, full_via)
-            assert full_dist == [int(d) if np.isfinite(d) else -1 for d in row]
+            dist, via = [-1] * n, [-1] * n
+            reached = bfs(adj, (a,), dist, via)
+            assert dist == [int(d) if np.isfinite(d) else -1 for d in row]
             assert reached == list(bfs_tree(adj, a))
-            goals = rng.sample(reached, min(8, len(reached)))
-            for b in goals:
-                # A search stopped at b reaches a prefix of the full
-                # search's nodes, b among them, and the same path to b.
-                stopped = bfs(adj, a, dist, via, b)
-                assert stopped == reached[: len(stopped)] and b in stopped
+            for b in rng.sample(reached, min(8, len(reached))):
                 chain = _path_edges(via, ends, a, b)
-                for v in stopped:
-                    dist[v] = -1
-                assert chain == _path_edges(full_via, ends, a, b) == tree_path(adj, a, b)
+                assert chain == tree_path(adj, a, b)
                 assert len(chain) == row[b]
                 node = a
                 for eid in reversed(chain):
@@ -596,10 +608,15 @@ def test_traversal_agrees_with_scipy(seed):
                     assert node in (u, v)
                     node = v if node == u else u
                 assert node == b
-            assert dist == [-1] * n
-            # Greedy repair's per-pair paths are these paths.
-            pair_paths = _pair_paths(adj, ends, n, [(a, b) for b in goals])
-            assert list(pair_paths) == [tree_path(adj, a, b) for b in goals]
+        # From all starts at once: the least distance to any of them, each
+        # node reached over an edge from a node one closer.
+        dist, via = [-1] * n, [-1] * n
+        order = bfs(adj, starts, dist, via)
+        assert dist == [int(d) if np.isfinite(d) else -1 for d in scipy_dist.min(axis=0)]
+        assert order[: len(starts)] == starts
+        for v in order[len(starts) :]:
+            u, w = ends[via[v]]
+            assert v in (u, w) and dist[u ^ w ^ v] == dist[v] - 1
 
 
 # --- structure carried from the building function --------------------------

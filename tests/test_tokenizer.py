@@ -462,8 +462,9 @@ def test_recorded_roles_follow_from_the_tokens(style):
 # SHA-256 of the grids, with their roles, and of the SMTP and NTP examples
 # of 150 random graphs in every layout, under both attribute styles and,
 # for every other graph, explicit attribute widths wider than the blocks.
-# Any change to the cells, roles, attribute placement or masking changes it.
-GRIDS_AND_EXAMPLES_DIGEST = "5d750d4d48022de4cd954b2ea6093ac199d3423af9d9b833a6770866b09668b4"
+# Any change to the cells, roles, attribute placement or masking changes it,
+# and so does a change to the greedy repair some of the graphs take.
+GRIDS_AND_EXAMPLES_DIGEST = "9b59f78329ccdcec6ebd7c18ceef85cf2cd34b4c59b196afb395558ab0c7b9b0"
 
 
 def test_grids_and_examples_are_pinned():
