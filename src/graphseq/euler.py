@@ -11,18 +11,19 @@ each gives both the distance table of an exact DP over subsets of odd
 nodes and the repair paths of the pairs it picks, each the path a full
 ``bfs`` from the pair's lower-index node holds. Above it, each round of
 ``_nearest_pairs`` searches from all unmatched odd nodes at once and
-pairs them greedily along the edges between their regions (Mehlhorn's
-Voronoi construction), in memory linear in the graph. ``extract_path``
-samples one edge-covering walk of the resulting multigraph with seeded
-randomness, so repeated serialization of the same graph yields different
-but equally valid sequences. Its draws, and the tokenizer's, come from
-``bounded_draws``.
+pairs them greedily through the nodes where their regions meet
+(Mehlhorn's Voronoi construction), in memory linear in the graph.
+``extract_path`` samples one edge-covering walk of the resulting
+multigraph with seeded randomness, so repeated serialization of the same
+graph yields different but equally valid sequences. Its draws, and the
+tokenizer's, come from ``bounded_draws``.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
+from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import itemgetter
 
@@ -215,11 +216,15 @@ def _nearest_pairs(adj: Adjacency, ends, odd: tuple[int, ...], n: int) -> list[t
 
     Each round runs one ``bfs`` from every unmatched odd node. A node
     belongs to the region of the start its search tree leads back to, and
-    each edge between two regions proposes their starts at the length of
-    the path through it. Proposals are taken in (length, a, b) order
-    while both ends are unmatched. The least is a least distance between
-    unmatched odd nodes, so each round matches a pair; the odd nodes left
-    start the next. Memory is linear in the graph.
+    each neighbour in another region offers the path from that region's
+    start through the neighbour to the node. A node first proposes its
+    own start and its nearest offer. Proposals are taken in (length,
+    node) order while both starts are unmatched; a node whose proposal is
+    taken or blocked proposes the next two unmatched starts, its own then
+    its offers nearest first, so the leaves of a hub pair off in one
+    round. The least proposal is a least distance between unmatched odd
+    nodes, so each round matches a pair; the odd nodes left start the
+    next. Memory is linear in the graph.
     """
     matched = bytearray(n)
     pairs = []
@@ -227,35 +232,56 @@ def _nearest_pairs(adj: Adjacency, ends, odd: tuple[int, ...], n: int) -> list[t
     while todo:
         dist, via, owner = [-1] * n, [-1] * n, [-1] * n
         order = bfs(adj, todo, dist, via)
-        # Per pair a * n + b, its shortest proposal (length, key, u, eid, v)
-        # with u in a's region and v in b's, the first found among equals.
-        best = {}
         for u in order:
             if dist[u]:
                 x, y = ends[via[u]]
-                a = owner[x ^ y ^ u]
+                owner[u] = owner[x ^ y ^ u]
             else:
-                a = u
-            owner[u] = a
-            du = dist[u] + 1
-            # Neighbours discovered earlier already have an owner, so each
-            # edge between regions is proposed once.
-            for v, eid in adj[u]:
-                b = owner[v]
-                if b >= 0 and b != a:
-                    length = du + dist[v]
-                    key = a * n + b if a < b else b * n + a
-                    old = best.get(key)
-                    if old is None or length < old[0]:
-                        best[key] = (length, key, u, eid, v) if a < b else (length, key, v, eid, u)
-        for length, key, u, eid, v in sorted(best.values()):
-            a, b = divmod(key, n)
-            if not (matched[a] or matched[b]):
-                matched[a] = matched[b] = 1
-                path = _path_edges(via, ends, a, u)[::-1] + [eid] + _path_edges(via, ends, b, v)
-                pairs.append((length, a, b, path))
+                owner[u] = u
+        # A proposal is (length, node, start's entry, start's entry, the
+        # node's offers not yet read, or None), an entry being (length
+        # through the node, start, the node or the neighbour the start's
+        # tree reaches, the edge id from it or -1).
+        heap = []
+        for u in order:
+            a = owner[u]
+            offers = [(dist[v] + 1, owner[v], v, eid) for v, eid in adj[u] if owner[v] != a]
+            if offers:
+                offers.sort()
+                y = offers[0]
+                rest = iter(offers) if len(offers) > 1 else None
+                heap.append((dist[u] + y[0], u, (dist[u], a, u, -1), y, rest))
+        heapify(heap)
+        while heap:
+            length, u, x, y, rest = heappop(heap)
+            if x[1] > y[1]:
+                x, y = y, x
+            (_, a, p, ep), (_, b, q, eq) = x, y
+            if matched[a] or matched[b]:
+                if rest:
+                    _propose(heap, u, x if not matched[a] else y if not matched[b] else None, rest, matched)
+                continue
+            matched[a] = matched[b] = 1
+            path = _path_edges(via, ends, a, p)[::-1] + [e for e in (ep, eq) if e >= 0]
+            pairs.append((length, a, b, path + _path_edges(via, ends, b, q)))
+            if rest:
+                _propose(heap, u, None, rest, matched)
         todo = [a for a in todo if not matched[a]]
     return pairs
+
+
+def _propose(heap: list, u: int, held, rest, matched: bytearray) -> None:
+    """Push node u's proposal of the offer it holds (or None) and the
+    next offers of unmatched starts that the iterator ``rest`` yields,
+    skipping a second offer of the same start."""
+    for e in rest:
+        if matched[e[1]]:
+            continue
+        if held is None:
+            held = e
+        elif e[1] != held[1]:
+            heappush(heap, (held[0] + e[0], u, held, e, rest))
+            return
 
 
 @cache

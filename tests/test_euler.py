@@ -296,7 +296,7 @@ def test_odd_searches_give_bfs_distances():
 # matching above; its greedy repairs come from ``_nearest_pairs``, which
 # no reference reproduces pair for pair. Any change to pairing or
 # tie-breaking on either the exact or the greedy path changes it.
-CORPUS_DIGEST = "070993aed9130b5b0a04925ff104615f78fb8494a95c98c24ef8db30b908534d"
+CORPUS_DIGEST = "695d5fe297ec94116e83e3fcc71cc2b1b5d13e1a0b68abe361bcdab687bf9078"
 
 
 def _digest_corpus() -> list[AttributedGraph]:
@@ -355,7 +355,7 @@ def _large_graphs() -> list[AttributedGraph]:
 # walked under its own seed. Taken from the greedy repair over the
 # regions of multi-source searches (``_nearest_pairs``) and the walk over
 # shuffled (instance, node) lists.
-LARGE_REPAIR_DIGEST = "cd9d580f3a75fd7a91e6b7f04bc31bb3f1ed50d5fcbd5aebff55d822f6a2fa96"
+LARGE_REPAIR_DIGEST = "1facdeb2945ebc5e65bcc3000b508a758f08c6646a42381d71a789e0acfa9e7f"
 
 
 def test_repairs_and_walks_of_large_graphs_are_pinned():
@@ -447,6 +447,36 @@ def test_greedy_repair_memory_is_linear():
     assert len(mg.odd_nodes()) > 10_000
     assert len(repaired.odd_nodes()) == 2 and not repaired.minimality_guaranteed
     assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("embedded", [False, True], ids=["star", "embedded"])
+def test_hub_leaves_pair_off_in_few_rounds(embedded, monkeypatch):
+    # One search claims the hub for a single leaf, so its other leaves
+    # reach no other region over an edge and pair only through the hub.
+    # Pairing one of them per round would take 5 x 10^3 searches.
+    leaves = 10_000
+    edges = {(0, v) for v in range(1, leaves + 1)}
+    n = leaves + 1
+    if embedded:
+        tree = _tree_plus_edges(2 * leaves, 2)
+        edges |= {(u + n, v + n) for u, v in tree.edges} | {(0, n)}
+        n += tree.num_nodes
+    g = AttributedGraph(num_nodes=n, edges=tuple(sorted(edges)))
+    mg = add_jump_edges(g, 0)
+    odd = mg.odd_nodes()
+    starts = []
+
+    def counting_bfs(adj, todo, dist, via):
+        starts.append(len(todo))
+        return bfs(adj, todo, dist, via)
+
+    monkeypatch.setattr("graphseq.euler.bfs", counting_bfs)
+    pairs = _nearest_pairs(mg.simple_adjacency(), mg._endpoints, odd, n)
+    assert len(odd) >= leaves and starts[0] == len(odd)
+    assert sorted(x for _, a, b, _ in pairs for x in (a, b)) == list(odd)
+    hub_pairs = [length for length, a, b, _ in pairs if a <= leaves and b <= leaves]
+    assert len(hub_pairs) >= leaves // 2 - 1 and max(hub_pairs) == 2
+    assert len(starts) <= (1 if not embedded else 6)
 
 
 # --- path extraction ----------------------------------------------------

@@ -464,7 +464,7 @@ def test_recorded_roles_follow_from_the_tokens(style):
 # for every other graph, explicit attribute widths wider than the blocks.
 # Any change to the cells, roles, attribute placement or masking changes it,
 # and so does a change to the greedy repair some of the graphs take.
-GRIDS_AND_EXAMPLES_DIGEST = "9b59f78329ccdcec6ebd7c18ceef85cf2cd34b4c59b196afb395558ab0c7b9b0"
+GRIDS_AND_EXAMPLES_DIGEST = "ac31f6607106dd23c50229a50a603c0749d38e2d955c289dbf2a11f30243a311"
 
 
 def test_grids_and_examples_are_pinned():
