@@ -146,7 +146,13 @@ def _build_identity(args, g: AttributedGraph):
 
 
 def cmd_sample(args) -> int:
-    g = next(iter_graphs_jsonl(args.graph))
+    records = read_jsonl(args.graph, graph_record)
+    _, g = next(records, (None, None))
+    if g is None:
+        raise GraphFormatError(f"{args.graph} holds no graph")
+    extra = next(records, None)
+    if extra:
+        raise GraphFormatError("extra record: --graph holds one parent graph", line=extra[0])
     roots = draw_roots(
         g, args.mode, args.count, derive_seed(args.seed, "roots"), negatives=args.negatives
     )

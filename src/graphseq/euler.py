@@ -15,8 +15,8 @@ pairs them greedily through the nodes where their regions meet
 (Mehlhorn's Voronoi construction), in memory linear in the graph.
 ``extract_path`` samples one edge-covering walk of the resulting
 multigraph with seeded randomness, so repeated serialization of the same
-graph yields different but equally valid sequences. Its draws, and the
-tokenizer's, come from ``bounded_draws``.
+graph yields different but equally valid sequences. Its draws, the jump
+edges' and the tokenizer's come from ``bounded_draws``.
 """
 from __future__ import annotations
 
@@ -162,11 +162,8 @@ def add_jump_edges(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     jumps = []
     if len(comps) > 1:
         # A connected graph draws nothing, so it skips seeding a generator.
-        rng = random.Random(seed)
-        for a, b in zip(comps, comps[1:]):
-            u = rng.choice(sorted(a))
-            v = rng.choice(sorted(b))
-            jumps.append((u, v))
+        _, choice = bounded_draws(random.Random(seed))
+        jumps = [(choice(sorted(a)), choice(sorted(b))) for a, b in zip(comps, comps[1:])]
         lists = list(adj)
         for eid, (u, v) in enumerate(jumps, start=g.num_edges):
             lists[u] = tuple(sorted(lists[u] + ((v, eid),)))
@@ -445,7 +442,8 @@ def check_walkable(mg: EulerizedMultigraph) -> tuple[int, ...]:
 def bounded_draws(rng: random.Random):
     """``shuffle`` and ``choice`` functions that consume ``rng`` exactly as
     ``rng.shuffle`` and ``rng.choice`` do, drawing from its public
-    ``getrandbits`` alone.
+    ``getrandbits`` alone, except that ``choice`` of a single candidate
+    returns it and draws nothing.
 
     A draw below n is that of CPython's ``_randbelow_with_getrandbits``
     (the same on 3.10 through 3.13): take ``n.bit_length()`` bits and draw
@@ -464,8 +462,8 @@ def bounded_draws(rng: random.Random):
 
     def choice(seq):
         n = len(seq)
-        if not n:
-            raise IndexError("cannot choose from an empty sequence")
+        if n < 2:
+            return seq[0]  # an empty sequence raises IndexError, as in random
         k = n.bit_length()
         r = getrandbits(k)
         while r >= n:

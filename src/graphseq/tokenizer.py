@@ -55,6 +55,10 @@ class ReindexConfig:
     cyclic: bool = True
     seed: int = 0
 
+    def __post_init__(self):
+        if self.num_indices < 1:
+            raise ValueError(f"num_indices must be >= 1, not {self.num_indices}")
+
 
 @dataclass(frozen=True)
 class TokenGrid:
@@ -153,9 +157,8 @@ def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, vis
 
     Under ``seed``, each node's block goes to one of its visits (one draw
     per node, in node id order), then each base edge's block to one of
-    its traversals (one draw per edge, in edge id order). The node draws
-    are made without node attributes too, so edge placement does not
-    depend on them.
+    its traversals (one draw per edge, in edge id order). A node visited
+    once or an edge traversed once takes its only position and no draw.
     """
     g = mg.base
     nodes, edges = path.nodes, path.edges
@@ -166,9 +169,6 @@ def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, vis
         spelled = _spelled(vocab, "node", rows, g.node_defaults)
         for v in sorted(visits):
             node_blocks[choice(visits[v])] = spelled[rows[v]]
-    elif g.edge_attrs:
-        for v in sorted(visits):
-            choice(visits[v])
 
     # Jump edges follow the base edges in the multigraph's edge ids.
     num_base = mg.num_base_edges

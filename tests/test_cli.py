@@ -315,6 +315,28 @@ def test_sample_command(tmp_path):
         assert doc["root_nodes"] == [0]
 
 
+def test_sample_of_an_empty_graph_file_fails(tmp_path, capsys):
+    parent = tmp_path / "parent.jsonl"
+    parent.write_text("\n")
+    out = tmp_path / "samples.jsonl"
+    assert main(["sample", "--graph", str(parent), "--mode", "node-ego", "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GraphFormatError", "message": f"{parent} holds no graph"}
+    assert not out.exists()
+
+
+def test_sample_of_a_second_parent_graph_names_its_line(tmp_path, capsys):
+    parent = tmp_path / "parent.jsonl"
+    record = json.dumps({"num_nodes": 3, "edges": [[0, 1], [1, 2]]})
+    parent.write_text(f"{record}\n{record}\n")
+    out = tmp_path / "samples.jsonl"
+    assert main(["sample", "--graph", str(parent), "--mode", "node-ego", "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GraphFormatError" and err["line"] == 2
+    assert err["message"] == "line 2: extra record: --graph holds one parent graph"
+    assert not out.exists()
+
+
 def test_sample_with_identity_and_codebook(tmp_path):
     parent = tmp_path / "parent.jsonl"
     n = 24
@@ -761,15 +783,15 @@ def test_inline_vocabulary_round_trips_without_style_flags(tmp_path):
                      "--layout", layout, "--seed", "5", "--output", str(grids)]) == 0
         assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab),
                      "--output", str(back)]) == 0
-        digest.update(grids.read_bytes())
+        for line in grids.read_text().splitlines():
+            doc = json.loads(line)
+            digest.update(json.dumps([doc["layout"], doc["l"], doc["tokens"]]).encode() + b"\n")
         for doc, original in zip(map(json.loads, back.read_text().splitlines()), _INLINE_CORPUS):
             assert isomorphic(AttributedGraph.from_json(doc["graph"]),
                               AttributedGraph.from_json(original))
-    # The grids that tokenize wrote when it still took the styles as flags,
-    # given --node-attr-style inline --edge-attr-style inline (without them
-    # it wrote digit-spelled grids and exited 0), less the "m" key grids
-    # no longer carry.
-    assert digest.hexdigest() == "fc32d29203554094025bb2d0448c8e9acebb4ec4a5049c0613a556b5aa46a351"
+    # Layout, row width and tokens of each grid line, the cells the two
+    # styles spell, and nothing else a grid file stores (roles, say).
+    assert digest.hexdigest() == "be21b644f1b0fd083d44060368bbb70cfb36847bfa7d284b041b06bdc3871eb5"
 
 
 def test_headerless_vocabulary_is_rejected(tmp_path, corpus, capsys):
@@ -781,6 +803,16 @@ def test_headerless_vocabulary_is_rejected(tmp_path, corpus, capsys):
                  "--output", str(tmp_path / "grids.jsonl")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["message"].startswith("vocab line 1: ")
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_vocab_refuses_an_index_space_below_one(tmp_path, corpus, capsys, count):
+    vocab = tmp_path / "vocab.tsv"
+    assert main(["vocab", "--graphs", str(corpus), "--num-indices", count,
+                 "--output", str(vocab)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": f"num_indices must be >= 1, not {count}"}
+    assert not vocab.exists()
 
 
 def test_num_indices_defaults_to_the_vocabulary_and_must_match_it(tmp_path, corpus, capsys):

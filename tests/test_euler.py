@@ -168,6 +168,17 @@ def test_jump_endpoints_vary_with_seed(two_triangles):
     assert len(endpoints) > 1
 
 
+def test_a_one_node_component_takes_no_jump_draw():
+    # Components {0}, {1, 2, 3}, {4}, {5, 6, 7}: the isolated nodes are
+    # their own endpoints, and only the other two components draw, as
+    # Random.choice draws, in chain order.
+    g = AttributedGraph(num_nodes=8, edges=((1, 2), (2, 3), (5, 6), (6, 7)))
+    for seed in range(30):
+        rng = random.Random(seed)
+        a, b, c = rng.choice((1, 2, 3)), rng.choice((1, 2, 3)), rng.choice((5, 6, 7))
+        assert add_jump_edges(g, seed).jump_edges == ((0, a), (b, 4), (4, c))
+
+
 # --- eulerization -------------------------------------------------------
 
 
@@ -296,7 +307,7 @@ def test_odd_searches_give_bfs_distances():
 # matching above; its greedy repairs come from ``_nearest_pairs``, which
 # no reference reproduces pair for pair. Any change to pairing or
 # tie-breaking on either the exact or the greedy path changes it.
-CORPUS_DIGEST = "695d5fe297ec94116e83e3fcc71cc2b1b5d13e1a0b68abe361bcdab687bf9078"
+CORPUS_DIGEST = "d90d487cf65b062df22e7ffa077b1463120c7a4f63a130d0953d4ba8de15115e"
 
 
 def _digest_corpus() -> list[AttributedGraph]:
@@ -355,7 +366,7 @@ def _large_graphs() -> list[AttributedGraph]:
 # walked under its own seed. Taken from the greedy repair over the
 # regions of multi-source searches (``_nearest_pairs``) and the walk over
 # shuffled (instance, node) lists.
-LARGE_REPAIR_DIGEST = "1facdeb2945ebc5e65bcc3000b508a758f08c6646a42381d71a789e0acfa9e7f"
+LARGE_REPAIR_DIGEST = "43608026cd111f5847a067c1568e365cdd8887fe7c4f36502903a8b60a3b265e"
 
 
 def test_repairs_and_walks_of_large_graphs_are_pinned():
@@ -494,16 +505,20 @@ def test_bounded_draws_consume_the_generator_as_random_does():
             shuffle(a)
             theirs.shuffle(b)
             assert a == b
-            if n:
+            if n > 1:
                 assert choice(a) == theirs.choice(b)
                 assert choice(range(n)) == theirs.choice(range(n))
+            elif n:
+                # A single candidate is returned without a draw.
+                state = ours.getstate()
+                assert choice(a) == choice(range(n)) == 0
+                assert ours.getstate() == state
             else:
                 with pytest.raises(IndexError):
                     choice(a)
                 with pytest.raises(IndexError):
                     theirs.choice(b)
             assert ours.getstate() == theirs.getstate()
-
 
 
 def test_walk_of_a_disconnected_multigraph_is_rejected(two_triangles):

@@ -223,4 +223,4 @@ def test_reference_search_output_and_errors_are_pinned():
     misses = [o for o in outcomes if o.endswith("do not occur in the sequence")]
     assert (len(outcomes), len(misses)) == (600, 360)
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
-    assert digest == "461b7e1ea9e2ebf3267e0c1b238db72b343af35faa34c1ab46d9d77bce27a5bc"
+    assert digest == "6c9a1fa0edf13074bc9399e23629fb44d228a95f275c30c3ac9518c1d63dc2ce"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,7 @@ from graphseq import (
     serialize_graph,
     tokenize,
 )
-from graphseq.euler import EulerPath
+from graphseq.euler import EulerizedMultigraph, EulerPath
 from graphseq.tokenizer import (
     LAYOUTS,
     ROLE_EDGE_ATTR,
@@ -29,6 +30,7 @@ from graphseq.tokenizer import (
     ROLE_TYPE,
     TokenGrid,
     _index_map,
+    _placements,
     _visits,
 )
 from graphseq.vocab import EDGE_BWD, EDGE_FWD, EDGE_JUMP
@@ -194,6 +196,35 @@ def test_attr_attachment_position_varies_with_seed():
         grid = tokenize(path, mg, vocab, "prolonged", ReindexConfig(cyclic=False), seed)
         layouts.add(tuple(r for (r,) in grid.roles))
     assert len(layouts) > 1
+
+
+def test_only_a_node_visited_twice_draws_its_placement():
+    # A 4-cycle walked from h back to h: h is the only node with two
+    # visits, so its block lands where a fresh generator's first choice
+    # puts it, whatever the ids of the nodes visited once.
+    for h, *rest in permutations(range(4)):
+        cycle = (h, *rest, h)
+        g = AttributedGraph(
+            num_nodes=4, edges=tuple(zip(cycle, cycle[1:])), node_attrs=[[v + 1] for v in range(4)]
+        )
+        path = EulerPath(nodes=cycle, edges=(0, 1, 2, 3))
+        vocab = vocab_for(g)
+        for seed in range(10):
+            node_blocks, _, _ = _placements(path, EulerizedMultigraph(base=g), vocab, _visits(path), seed)
+            assert [pos for pos in (0, 4) if node_blocks[pos]] == [random.Random(seed).choice((0, 4))]
+
+
+def test_edge_placement_draws_first_without_node_attributes():
+    # Edge (0, 1) is traversed twice along 2-1-0-1, the others once; with
+    # no node attributes its traversal is the first draw of the generator.
+    g = AttributedGraph(num_nodes=3, edges=((0, 1), (1, 2)), edge_attrs=[[1], [2]])
+    mg = EulerizedMultigraph(base=g, duplications=(0,))
+    path = EulerPath(nodes=(2, 1, 0, 1), edges=(1, 0, 0))
+    vocab = vocab_for(g)
+    for seed in range(20):
+        _, _, edge_blocks = _placements(path, mg, vocab, _visits(path), seed)
+        assert [step for step in (1, 2) if edge_blocks[step]] == [random.Random(seed).choice((1, 2))]
+        assert edge_blocks[0]
 
 
 def test_jump_edges_carry_the_jump_token(two_triangles):
@@ -464,7 +495,7 @@ def test_recorded_roles_follow_from_the_tokens(style):
 # for every other graph, explicit attribute widths wider than the blocks.
 # Any change to the cells, roles, attribute placement or masking changes it,
 # and so does a change to the greedy repair some of the graphs take.
-GRIDS_AND_EXAMPLES_DIGEST = "ac31f6607106dd23c50229a50a603c0749d38e2d955c289dbf2a11f30243a311"
+GRIDS_AND_EXAMPLES_DIGEST = "7ffdb716952965b2a76829197a116ae07075d2b4a3b609daceed4650745a7bb8"
 
 
 def test_grids_and_examples_are_pinned():
