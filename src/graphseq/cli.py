@@ -1,7 +1,7 @@
 """Command-line pipeline: ingest, vocab, tokenize, detokenize, sample,
 pretrain, taskfmt, and verify.
 
-A single JSON config document may supply any flag value; explicit flags
+A JSON config file may supply any optional flag's value; explicit flags
 override it. Each command takes only the flags it reads, except that
 ``detokenize`` accepts ``--seed`` and ignores it. The vocabulary file
 carries the encoding: ``vocab`` records the dataset tag, both attribute
@@ -81,27 +81,17 @@ def _per_record(records, step):
 
 
 def cmd_ingest(args) -> int:
-    g = load_graph(
-        args.input,
-        format=args.format,
-        node_scale=args.node_scale,
-        node_offset=args.node_offset,
-        edge_scale=args.edge_scale,
-        edge_offset=args.edge_offset,
-    )
+    g = load_graph(args.input, format=args.format, node_scale=args.node_scale, node_offset=args.node_offset,
+                   edge_scale=args.edge_scale, edge_offset=args.edge_offset)
     write_jsonl(args.output, [g.to_json()])
     log.info("ingested %s: %d nodes, %d edges", args.input, g.num_nodes, g.num_edges)
     return 0
 
 
 def cmd_vocab(args) -> int:
-    vocab = build_vocab(
-        iter_graphs_jsonl(args.graphs),
-        args.dataset_tag,
-        ReindexConfig() if args.num_indices is None else ReindexConfig(num_indices=args.num_indices),
-        node_attr_style=args.node_attr_style,
-        edge_attr_style=args.edge_attr_style,
-    )
+    vocab = build_vocab(iter_graphs_jsonl(args.graphs), args.dataset_tag,
+                        ReindexConfig(num_indices=args.num_indices),
+                        node_attr_style=args.node_attr_style, edge_attr_style=args.edge_attr_style)
     vocab.save(args.output)
     log.info("vocabulary of %d tokens written to %s", len(vocab), args.output)
     return 0
@@ -128,21 +118,11 @@ def cmd_detokenize(args) -> int:
 
 def _build_identity(args, g: AttributedGraph):
     if args.partition_file:
-        return build_codebook(
-            g,
-            k=args.identity_k,
-            strategy="given-labels",
-            labels=load_partition(args.partition_file),
-            dataset_tag=args.dataset_tag,
-        )
-    return build_codebook(
-        g,
-        k=args.identity_k,
-        strategy="bfs-partition",
-        max_cluster=args.max_cluster,
-        seed=derive_seed(args.seed, "partition"),
-        dataset_tag=args.dataset_tag,
-    )
+        partition = dict(strategy="given-labels", labels=load_partition(args.partition_file))
+    else:
+        partition = dict(strategy="bfs-partition", max_cluster=args.max_cluster,
+                         seed=derive_seed(args.seed, "partition"))
+    return build_codebook(g, k=args.identity_k, dataset_tag=args.dataset_tag, **partition)
 
 
 def cmd_sample(args) -> int:
@@ -162,13 +142,8 @@ def cmd_sample(args) -> int:
 
     def docs():
         for i, r in enumerate(roots):
-            cfg = SamplerConfig(
-                mode=args.mode,
-                depth=args.depth,
-                neighbors=args.neighbors,
-                max_seq_len=args.max_seq_len,
-                seed=derive_seed(args.seed, "sample", i),
-            )
+            cfg = SamplerConfig(mode=args.mode, depth=args.depth, neighbors=args.neighbors,
+                                seed=derive_seed(args.seed, "sample", i))
             sub = sample(g, r, cfg)
             if codebook is not None:
                 sub = with_identity_attrs(sub, codebook)
@@ -200,6 +175,8 @@ def _widest_blocks(records, vocab: Vocabulary) -> dict[str, int]:
 
 
 def cmd_pretrain(args) -> int:
+    if args.pack_context < 0:
+        raise ValueError(f"--pack-context must be >= 0, not {args.pack_context}")
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args, vocab)
     # Packed rows share one width, so short and long grids take the corpus's widest blocks.
@@ -283,6 +260,8 @@ def cmd_taskfmt(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.random < 1:
+        raise ValueError(f"--random must be >= 1, not {args.random}")
     if args.graphs:
         graphs = list(iter_graphs_jsonl(args.graphs))
     else:
@@ -306,38 +285,21 @@ def cmd_verify(args) -> int:
     return 0 if ok_count == len(graphs) else 1
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "dataset_tag": "data",
-    "cyclic": True,
-    "node_attr_style": "digits",
-    "edge_attr_style": "digits",
-    "layout": "prolonged",
-    "format": "json",
-    "depth": 1,
-    "neighbors": 1,
-    "count": 1,
-    "max_seq_len": 1024,
-    "identity_k": 0,
-    "max_cluster": 1024,
-    "pack_context": 0,
-    "random": 100,
-}
-
 # Flags several commands read; each command names the ones it takes.
 _SHARED_FLAGS = {
-    "--seed": dict(type=int, help="master seed (default 0)"),
-    "--dataset-tag": dict(help="tag for semantic tokens (default data)"),
+    "--seed": dict(type=int, default=0, help="master seed (default %(default)s)"),
+    "--dataset-tag": dict(default="data", help="tag for semantic tokens (default %(default)s)"),
     "--num-indices": dict(type=int, help="structural index space; must equal the vocabulary's"),
-    "--cyclic": dict(action=argparse.BooleanOptionalAction, help="cyclic re-indexing (default on)"),
-    "--layout": dict(choices=LAYOUTS, help="grid layout (default prolonged)"),
+    "--cyclic": dict(action=argparse.BooleanOptionalAction, default=True,
+                     help="cyclic re-indexing (default %(default)s)"),
+    "--layout": dict(choices=LAYOUTS, default="prolonged", help="grid layout (default %(default)s)"),
 }
 
 
 def _command(sub, name: str, func, help: str, *shared: str) -> argparse.ArgumentParser:
     p = sub.add_parser(name, help=help)
-    p.set_defaults(func=func)
-    p.add_argument("--config", help="JSON config file; flags override its values")
+    p.set_defaults(func=func, parser=p)
+    p.add_argument("--config", help="JSON config file of optional flag values; flags override them")
     for flag in shared:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
     return p
@@ -354,19 +316,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "ingest", cmd_ingest, "normalize a graph file to graph JSON")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", choices=("json", "edge-tsv"))
-    p.add_argument("--node-scale", type=float,
-                   help="quantize node attrs: round(v * scale) + offset (scale default 1)")
-    p.add_argument("--node-offset", type=int, help="offset for node attr quantization (default 0)")
-    p.add_argument("--edge-scale", type=float,
-                   help="quantize edge attrs: round(v * scale) + offset (scale default 1)")
-    p.add_argument("--edge-offset", type=int, help="offset for edge attr quantization (default 0)")
+    p.add_argument("--format", choices=("json", "edge-tsv"), default="json",
+                   help="input format (default %(default)s)")
+    p.add_argument("--node-scale", type=float, help="quantize node attrs: round(v * scale) + offset")
+    p.add_argument("--node-offset", type=int, help="node attr offset; either flag alone quantizes")
+    p.add_argument("--edge-scale", type=float, help="quantize edge attrs: round(v * scale) + offset")
+    p.add_argument("--edge-offset", type=int, help="edge attr offset; either flag alone quantizes")
     p.add_argument("--output", required=True)
 
     p = _command(sub, "vocab", cmd_vocab, "build a vocabulary over a graph corpus", "--dataset-tag")
-    p.add_argument("--num-indices", type=int, help="structural index space (default 256)")
-    p.add_argument("--node-attr-style", choices=ATTR_STYLES, help="node attribute spelling (default digits)")
-    p.add_argument("--edge-attr-style", choices=ATTR_STYLES, help="edge attribute spelling (default digits)")
+    p.add_argument("--num-indices", type=int, default=ReindexConfig.num_indices,
+                   help="structural index space (default %(default)s)")
+    p.add_argument("--node-attr-style", choices=ATTR_STYLES, default="digits",
+                   help="node attribute spelling (default %(default)s)")
+    p.add_argument("--edge-attr-style", choices=ATTR_STYLES, default="digits",
+                   help="edge attribute spelling (default %(default)s)")
     p.add_argument("--graphs", required=True, help="graph JSONL corpus")
     p.add_argument("--output", required=True)
 
@@ -383,15 +347,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _command(sub, "sample", cmd_sample, "extract ego subgraphs from a large graph",
                  "--seed", "--dataset-tag")
-    p.add_argument("--graph", required=True, help="parent graph JSON/JSONL")
+    p.add_argument("--graph", required=True,
+                   help="file holding one parent graph as one JSONL record, as `graphseq ingest` writes")
     p.add_argument("--mode", choices=("node-ego", "edge-ego"), required=True)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--neighbors", type=int)
-    p.add_argument("--count", type=int)
-    p.add_argument("--max-seq-len", type=int)
+    p.add_argument("--depth", type=int, default=1, help="hops from the roots (default %(default)s)")
+    p.add_argument("--neighbors", type=int, default=1,
+                   help="neighbours drawn per node and hop (default %(default)s)")
+    p.add_argument("--count", type=int, default=1, help="roots to draw (default %(default)s)")
     p.add_argument("--negatives", action="store_true", help="add equal non-edge roots (edge-ego)")
-    p.add_argument("--identity-k", type=int, help="encode node identity with k tokens")
-    p.add_argument("--max-cluster", type=int)
+    p.add_argument("--identity-k", type=int, default=0,
+                   help="encode node identity with k tokens (default %(default)s)")
+    p.add_argument("--max-cluster", type=int, default=1024,
+                   help="largest partition region (default %(default)s)")
     p.add_argument("--partition-file", help="node<TAB>cluster TSV overriding the partitioner")
     p.add_argument("--codebook-out", help="write the identity codebook TSV here")
     p.add_argument("--output", required=True)
@@ -400,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--task", choices=("ntp", "smtp"), required=True)
-    p.add_argument("--pack-context", type=int, help="pack examples into entries of this many rows")
+    p.add_argument("--pack-context", type=int, default=0,
+                   help="pack examples into entries of this many rows; 0 packs none (default %(default)s)")
     p.add_argument("--output", required=True)
 
     p = _command(sub, "taskfmt", cmd_taskfmt, "format fine-tuning task sequences", *serializing)
@@ -411,21 +379,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
 
     p = _command(sub, "verify", cmd_verify, "round-trip check; prints one JSON line per graph", "--seed")
-    p.add_argument("--layout", choices=(*LAYOUTS, "all"), help="layout to check, or all (default prolonged)")
+    p.add_argument("--layout", choices=(*LAYOUTS, "all"), default="prolonged",
+                   help="layout to check, or all (default %(default)s)")
     p.add_argument("--graphs", help="graph JSONL to verify; omit to generate random graphs")
-    p.add_argument("--random", type=int, help="number of random graphs (default 100)")
+    p.add_argument("--random", type=int, default=100, help="number of random graphs (default %(default)s)")
 
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    config = {}
-    if args.config:
-        config = json.loads(Path(args.config).read_text())
-    for key, value in list(vars(args).items()):
-        if value is None:
-            setattr(args, key, config.get(key, _DEFAULTS.get(key)))
-    return args
+def _config_value(action: argparse.Action, given):
+    """A config file's value for ``action``'s flag, checked as the flag
+    checks its text; a switch takes true or false."""
+    try:
+        # A switch (no argument) keeps its bool; any other value is read as the flag's text.
+        value = given if action.nargs == 0 else (action.type or str)(str(given))
+        if isinstance(value, bool) == (action.nargs == 0) and value in (action.choices or [value]):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"config {action.dest}: {json.dumps(given)} is not a value of {action.option_strings[0]}")
 
 
 def main(argv=None) -> int:
@@ -433,7 +405,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        if args.config:
+            # The file's values for the command's flags become their defaults; given flags still win.
+            config = json.loads(Path(args.config).read_text())
+            if not isinstance(config, dict):
+                raise ValueError(f"config {args.config} holds no JSON object")
+            flags = {a.dest: a for a in args.parser._actions if a.option_strings}
+            args.parser.set_defaults(**{k: _config_value(flags[k], v) for k, v in config.items() if k in flags})
+            args = parser.parse_args(argv)
         return args.func(args)
     except Exception as exc:  # contract: machine-readable error, nonzero exit
         err = {"error": type(exc).__name__, "message": str(exc)}

@@ -26,7 +26,7 @@ class SamplerConfig:
     mode: str
     depth: int
     neighbors: int
-    max_seq_len: int
+    max_seq_len: int = 1024
     seed: int = 0
 
     def __post_init__(self):

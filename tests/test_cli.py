@@ -57,6 +57,18 @@ def test_ingest_names_the_line_of_a_negative_node_id(tmp_path, capsys):
     assert err["message"] == "line 3: negative node id in edge (1, -2)"
 
 
+def test_ingest_skips_blank_and_comment_lines_and_names_a_misshapen_one(tmp_path, capsys):
+    raw = tmp_path / "edges.tsv"
+    raw.write_text("# src\tdst\n\n0\t1\n   \n1 2\n")
+    out = tmp_path / "g.jsonl"
+    assert main(["ingest", "--input", str(raw), "--format", "edge-tsv", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["edges"] == [[0, 1], [1, 2]]
+    raw.write_text("0\t1\n# a comment\n1\t2\t5\n")
+    assert main(["ingest", "--input", str(raw), "--format", "edge-tsv", "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GraphFormatError", "message": "line 3: expected 'src<TAB>dst'", "line": 3}
+
+
 def test_ingest_quantizes_edge_attrs(tmp_path):
     raw = tmp_path / "g.json"
     raw.write_text(json.dumps({
@@ -869,6 +881,7 @@ def test_each_command_takes_only_the_shared_flags_it_reads(capsys):
     ["verify", "--num-indices", "64"],
     ["sample", "--graph", "g.jsonl", "--mode", "node-ego", "--output", "o",
      "--identity-strategy", "bfs-partition"],
+    ["sample", "--graph", "g.jsonl", "--mode", "node-ego", "--output", "o", "--max-seq-len", "96"],
     ["ingest", "--input", "g.tsv", "--output", "o", "--seed", "1"],
     ["vocab", "--graphs", "g.jsonl", "--output", "v.tsv", "--seed", "1"],
 ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
@@ -908,6 +921,80 @@ def test_config_file_with_flag_override(tmp_path, corpus):
     assert main(["vocab", "--graphs", str(corpus), "--config", str(cfg),
                  "--dataset-tag", "flagwins", "--output", str(vocab2)]) == 0
     assert "flagwins#node#0#1" in vocab2.read_text()
+
+
+def _edge_samples(tmp_path, *flags):
+    parent = tmp_path / "ring.jsonl"
+    edges = [[i, (i + 1) % 30] for i in range(30)] + [[0, 15], [4, 22], [9, 27], [13, 20]]
+    parent.write_text(json.dumps({"num_nodes": 30, "edges": edges}) + "\n")
+    out = tmp_path / "samples.jsonl"
+    assert main(["sample", "--graph", str(parent), "--mode", "edge-ego", *flags, "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_config_file_sets_switches_as_the_flag_does(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"negatives": True, "count": 3, "identity_k": 2, "max_cluster": 8}))
+    from_file = _edge_samples(tmp_path, "--config", str(cfg))
+    assert len(from_file.splitlines()) == 6
+    assert from_file == _edge_samples(
+        tmp_path, "--count", "3", "--negatives", "--identity-k", "2", "--max-cluster", "8")
+    # Explicit flags still win over the file.
+    assert from_file != _edge_samples(tmp_path, "--config", str(cfg), "--max-cluster", "4")
+    assert len(_edge_samples(tmp_path, "--config", str(cfg), "--count", "2").splitlines()) == 4
+
+
+def test_config_string_values_go_through_the_flag_type(tmp_path, corpus):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"num_indices": "32"}))
+    vocab = tmp_path / "v.tsv"
+    assert main(["vocab", "--graphs", str(corpus), "--config", str(cfg), "--output", str(vocab)]) == 0
+    assert Vocabulary.load(vocab).num_indices == 32
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"negatives": "false"}, 'config negatives: "false" is not a value of --negatives'),
+    ({"count": 2.5}, "config count: 2.5 is not a value of --count"),
+    ({"count": True}, "config count: true is not a value of --count"),
+    ({"seed": "x"}, 'config seed: "x" is not a value of --seed'),
+    ([{"count": 2}], "holds no JSON object"),
+], ids=["switch-text", "fraction", "bool-count", "text-seed", "list"])
+def test_config_values_the_flag_would_refuse_are_errors(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "samples.jsonl"
+    assert main(["sample", "--graph", str(tmp_path / "absent.jsonl"), "--mode", "edge-ego",
+                 "--config", str(cfg), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and message in err["message"]
+    assert not out.exists()
+
+
+def test_a_config_layout_outside_the_flags_choices_is_an_error(tmp_path, corpus, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"layout": "wide"}))
+    vocab = _vocab(tmp_path, corpus)
+    assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab), "--config", str(cfg),
+                 "--output", str(tmp_path / "grids.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["message"] == 'config layout: "wide" is not a value of --layout'
+
+
+@pytest.mark.parametrize("count", ["0", "-5"])
+def test_verify_refuses_fewer_than_one_random_graph(capsys, count):
+    assert main(["verify", "--random", count]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "ValueError", "message": f"--random must be >= 1, not {count}"}
+
+
+def test_pretrain_refuses_a_negative_pack_context_before_reading(tmp_path, capsys):
+    out = tmp_path / "pt.jsonl"
+    assert main(["pretrain", "--graphs", str(tmp_path / "absent.jsonl"), "--vocab", str(tmp_path / "absent.tsv"),
+                 "--task", "ntp", "--pack-context", "-1", "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "--pack-context must be >= 0, not -1"}
+    assert not out.exists()
 
 
 def test_console_script_entrypoint():

@@ -175,6 +175,15 @@ def test_repeated_dimension_in_a_block_is_rejected():
         detokenize(grid, vocab)
 
 
+def test_an_attribute_dimension_past_the_given_width_is_rejected():
+    g = AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[3, 4], [0, 0]])
+    vocab = vocab_for(g)
+    grid = _node_block_grid(vocab, ["test#node#1#1", "<4>"])
+    assert detokenize(grid, vocab).graph.node_attrs == ((0, 4), (0, 0))
+    with pytest.raises(ValueError, match="^node attribute dimension 1 outside width 1$"):
+        detokenize(grid, vocab, node_attr_width=1)
+
+
 @pytest.mark.parametrize("sign", ["", "-"])
 def test_a_digit_run_past_the_integer_limit_is_named_by_its_length(sign):
     vocab, g = _tiny_vocab()

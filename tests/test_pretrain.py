@@ -222,6 +222,16 @@ def test_pack_oversized_example_fails():
         pack([_dummy_example(vocab, 33)], 32, vocab)
 
 
+@pytest.mark.parametrize("other", ["short", "prolonged"])
+def test_pack_refuses_mixed_layouts_or_widths(other):
+    g, vocab, grid = _star_grid("short")
+    narrow = AttributedGraph(num_nodes=2, edges=((0, 1),))
+    mixed = serialize_graph(narrow, vocab, other, ReindexConfig(), 0)
+    assert (mixed.layout, mixed.l) != (grid.layout, grid.l)
+    with pytest.raises(ValueError, match="^cannot pack mixed layouts or widths$"):
+        pack([build_ntp(grid, vocab), build_ntp(mixed, vocab)], 64, vocab)
+
+
 def test_pack_empty_stream():
     vocab = vocab_for(AttributedGraph(num_nodes=1))
     assert pack([], 32, vocab) == []
