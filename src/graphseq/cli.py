@@ -354,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--neighbors", type=int, default=1,
                    help="neighbours drawn per node and hop (default %(default)s)")
     p.add_argument("--count", type=int, default=1, help="roots to draw (default %(default)s)")
-    p.add_argument("--negatives", action="store_true", help="add equal non-edge roots (edge-ego)")
+    p.add_argument("--negatives", action=argparse.BooleanOptionalAction, default=False,
+                   help="add equal non-edge roots (edge-ego; default %(default)s)")
     p.add_argument("--identity-k", type=int, default=0,
                    help="encode node identity with k tokens (default %(default)s)")
     p.add_argument("--max-cluster", type=int, default=1024,

@@ -28,15 +28,18 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tuple[i
     """Yield ``(line number, parse(doc))`` for each non-blank line of a
     JSONL file; the number lets later per-item errors name the line too.
 
-    Bad JSON, a missing key, or a record ``parse`` rejects raises
-    ``GraphFormatError`` naming the file line.
+    Bad JSON, a value that is not an object, a missing key, or a record
+    ``parse`` rejects raises ``GraphFormatError`` naming the file line.
     """
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.isspace():
                 continue
             try:
-                item = parse(json.loads(line))
+                doc = json.loads(line)
+                if not isinstance(doc, dict):
+                    raise TypeError(f"expected a JSON object, not {type(doc).__name__}")
+                item = parse(doc)
             except json.JSONDecodeError as exc:
                 raise GraphFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
             except KeyError as exc:
@@ -398,6 +401,8 @@ def load_graph(
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+        if not isinstance(doc, dict):
+            raise GraphFormatError(f"expected a JSON object, not {type(doc).__name__}")
         for key, scale, offset in (
             ("node_attrs", node_scale, node_offset),
             ("edge_attrs", edge_scale, edge_offset),

@@ -4,7 +4,6 @@ verification, per-item seed derivation, and the sequence-budget fit rule.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import replace
 
 from .detokenizer import detokenize
@@ -21,32 +20,14 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
-# The repaired multigraph of ``fit_sample``'s accepted attempt and its jump
-# seed. A data loader fits a sample, attaches identity attributes, then
-# serializes the same nodes and edges under the same seed; the repair
-# depends on nothing else, so that serialization reuses it. The next
-# ``_serialize`` empties the slot whether or not it matches. The key is
-# the whole input of the repair, so an entry another thread left is at
-# worst a miss.
-_fitted: list[tuple[int, EulerizedMultigraph]] = []
-
-
-def _multigraph(g: AttributedGraph, jump_seed: int) -> EulerizedMultigraph:
-    """``build_multigraph(g, jump_seed)``, taken from the fit slot when
-    its graph has the same nodes and edges and its seed is ``jump_seed``."""
-    try:
-        fitted_seed, mg = _fitted.pop()  # atomic, unlike a test then a pop
-    except IndexError:
-        return build_multigraph(g, jump_seed)
-    if fitted_seed != jump_seed or mg.base.num_nodes != g.num_nodes or mg.base.edges != g.edges:
-        return build_multigraph(g, jump_seed)
-    return EulerizedMultigraph._built(
-        mg._derived,
-        base=g,
-        jump_edges=mg.jump_edges,
-        duplications=mg.duplications,
-        minimality_guaranteed=mg.minimality_guaranteed,
-    )
+# The repaired multigraph of ``fit_sample``'s accepted attempt, its walk
+# and the seed they were made under. A data loader fits a sample,
+# attaches identity attributes, then serializes the same nodes and edges
+# under the same seed; the repair and the walk depend on nothing else, so
+# that serialization reuses both. The next ``_serialize`` empties the
+# slot whether or not it matches. The key is the whole input of the
+# repair and the walk, so an entry another thread left is at worst a miss.
+_fitted: list[tuple[int, EulerizedMultigraph, EulerPath]] = []
 
 
 def _serialize(
@@ -58,20 +39,24 @@ def _serialize(
     edge_attr_width: int | None = None,
     node_attr_width: int | None = None,
 ) -> tuple[TokenGrid, EulerPath]:
-    """``serialize_graph``'s grid together with the walk it spells."""
-    mg = _multigraph(g, derive_seed(seed, "jump"))
-    path = extract_path(mg, derive_seed(seed, "path"))
+    """``serialize_graph``'s grid together with the walk it spells.
+
+    When the fit slot holds ``seed`` and a multigraph of ``g``'s nodes
+    and edges, its repair and walk are tokenized over ``g``'s attributes;
+    otherwise ``g`` is repaired and walked here.
+    """
+    try:
+        fitted_seed, mg, path = _fitted.pop()  # atomic, unlike a test then a pop
+    except IndexError:
+        fitted_seed = None
+    if fitted_seed == seed and mg.base.num_nodes == g.num_nodes and mg.base.edges == g.edges:
+        mg = replace(mg, base=g)
+    else:
+        mg = build_multigraph(g, derive_seed(seed, "jump"))
+        path = extract_path(mg, derive_seed(seed, "path"))
     step_cfg = replace(cfg, seed=derive_seed(seed, "shift", cfg.seed))
-    grid = tokenize(
-        path,
-        mg,
-        vocab,
-        layout,
-        step_cfg,
-        derive_seed(seed, "attrs"),
-        edge_attr_width=edge_attr_width,
-        node_attr_width=node_attr_width,
-    )
+    grid = tokenize(path, mg, vocab, layout, step_cfg, derive_seed(seed, "attrs"),
+                    edge_attr_width=edge_attr_width, node_attr_width=node_attr_width)
     return grid, path
 
 
@@ -151,20 +136,6 @@ def roundtrip_report(
     }
 
 
-def _prolonged_length(
-    g: AttributedGraph, vocab: Vocabulary, cfg: ReindexConfig, seed: int
-) -> tuple[float, EulerizedMultigraph | None]:
-    """``serialize_graph(g, vocab, "prolonged", cfg, seed).num_rows``,
-    counted from the repaired multigraph without walking or tokenizing,
-    and that multigraph. A graph with more nodes than a valid index space
-    holds is infinitely long, with no multigraph: an oversized attempt,
-    not an error."""
-    if g.num_nodes > cfg.num_indices and cfg.num_indices <= vocab.num_indices:
-        return math.inf, None
-    mg = build_multigraph(g, derive_seed(seed, "jump"))
-    return sequence_length(mg, vocab, cfg), mg
-
-
 def fit_sample(
     g: AttributedGraph,
     roots,
@@ -179,21 +150,24 @@ def fit_sample(
 
     Each attempt is measured by counting the prolonged tokens of its
     repaired multigraph, without walking it. An attempt over the budget,
-    or with more nodes than the index space holds, is rejected and the
-    draw retried with the fanout decremented (never truncated);
+    or with more nodes than a valid index space holds, is rejected and
+    the draw retried with the fanout decremented (never truncated);
     exhausting fanout 1 is an error. Without ``reindex_cfg`` the
-    vocabulary's index space is used. The accepted attempt's multigraph
-    is kept for the next serialization, which reuses it when it
-    serializes the same nodes and edges under ``seed``.
+    vocabulary's index space is used. Only the accepted attempt is
+    walked; its multigraph and walk are kept for the next serialization,
+    which reuses them when it serializes the same nodes and edges under
+    ``seed``.
     """
     reindex_cfg = reindex_cfg or ReindexConfig(num_indices=vocab.num_indices)
     for attempt, fanout in enumerate(range(cfg.neighbors, 0, -1)):
         attempt_cfg = replace(cfg, neighbors=fanout, seed=derive_seed(cfg.seed, "retry", attempt))
         sub = sample(g, roots, attempt_cfg, adj=adj)
-        length, mg = _prolonged_length(sub.graph, vocab, reindex_cfg, seed)
+        n, space = sub.graph.num_nodes, reindex_cfg.num_indices
+        if n > space and space <= vocab.num_indices:
+            continue  # oversized; an invalid space is ``sequence_length``'s error
+        mg = build_multigraph(sub.graph, derive_seed(seed, "jump"))
+        length = sequence_length(mg, vocab, reindex_cfg)
         if length <= cfg.max_seq_len:
-            _fitted[:] = [(derive_seed(seed, "jump"), mg)]
+            _fitted[:] = [(seed, mg, extract_path(mg, derive_seed(seed, "path")))]
             return sub, length
-    raise ValueError(
-        f"sequence exceeds max_seq_len={cfg.max_seq_len} even at fanout 1"
-    )
+    raise ValueError(f"sequence exceeds max_seq_len={cfg.max_seq_len} even at fanout 1")

@@ -7,6 +7,10 @@ nothing uses: give it a caller or delete it. A reference is a ``Name``, an
 ``Attribute`` or a name in a ``from ... import``; a definition does not
 reference itself.
 
+No module of the package names a private (``_``-prefixed) definition of
+another: a function, class, method or module-level variable. A decision
+two modules share goes behind a public name of the module that owns it.
+
 The README's library example runs as written, so a deleted or renamed
 export cannot leave it stale.
 """
@@ -19,6 +23,19 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _referenced(tree: ast.Module) -> set[str]:
+    """Every ``Name``, ``Attribute`` and ``from ... import`` name in ``tree``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
 
 
 def caller_less(root: Path) -> list[str]:
@@ -40,21 +57,47 @@ def caller_less(root: Path) -> list[str]:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
     }
-    referenced = set()
-    for tree in modules + bench:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
+    referenced = set().union(*map(_referenced, modules + bench))
     return sorted((exported | public) - referenced)
 
 
 def test_every_public_name_has_a_caller():
     unused = caller_less(ROOT)
     assert not unused, f"no caller in src/graphseq or perfbench: {', '.join(unused)}"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """``_``-prefixed, non-dunder module-level functions, classes and
+    variables of ``tree``, and methods of its classes."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.update(n.name for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def foreign_private_names(root: Path) -> dict[str, list[str]]:
+    """Per module of ``root``'s package, the private names it references
+    that another module defines and it does not."""
+    trees = {p.stem: _parse(p) for p in sorted((root / "src" / "graphseq").glob("*.py"))}
+    defined = {stem: _private_definitions(tree) for stem, tree in trees.items()}
+    found = {}
+    for stem, tree in trees.items():
+        others = set().union(*(d for s, d in defined.items() if s != stem)) - defined[stem]
+        if foreign := _referenced(tree) & others:
+            found[stem] = sorted(foreign)
+    return found
+
+
+def test_no_module_names_another_modules_private_definition():
+    found = foreign_private_names(ROOT)
+    assert not found, f"private names of other modules: {found}"
 
 
 def test_readme_library_example_runs():

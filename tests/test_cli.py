@@ -541,6 +541,26 @@ def test_errors_are_machine_readable(tmp_path, capsys):
     assert err["error"] == "FileNotFoundError"
 
 
+def test_ingest_of_a_json_value_that_is_no_object_fails(tmp_path, capsys):
+    raw = tmp_path / "list.json"
+    raw.write_text("[1, 2]\n")
+    assert main(["ingest", "--input", str(raw), "--output", str(tmp_path / "g.jsonl")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "GraphFormatError", "message": "expected a JSON object, not list"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["vocab", "--graphs"],
+    ["sample", "--mode", "edge-ego", "--graph"],
+], ids=["vocab", "sample"])
+def test_a_jsonl_line_that_is_no_object_fails_with_its_line(tmp_path, capsys, argv):
+    raw = tmp_path / "list.jsonl"
+    raw.write_text("[1, 2]\n")
+    assert main([*argv, str(raw), "--output", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "GraphFormatError", "message": "line 1: expected a JSON object, not list", "line": 1}
+
+
 @pytest.fixture
 def jsonl_inputs(tmp_path, corpus):
     """A graphs, a grids and an edge-sample file of at least three lines,
@@ -942,6 +962,14 @@ def test_config_file_sets_switches_as_the_flag_does(tmp_path):
     # Explicit flags still win over the file.
     assert from_file != _edge_samples(tmp_path, "--config", str(cfg), "--max-cluster", "4")
     assert len(_edge_samples(tmp_path, "--config", str(cfg), "--count", "2").splitlines()) == 4
+
+
+def test_a_flag_turns_off_a_switch_the_config_file_set(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"negatives": True, "count": 3, "identity_k": 2, "max_cluster": 8}))
+    positives = _edge_samples(tmp_path, "--config", str(cfg), "--no-negatives")
+    assert len(positives.splitlines()) == 3
+    assert positives == _edge_samples(tmp_path, "--count", "3", "--identity-k", "2", "--max-cluster", "8")
 
 
 def test_config_string_values_go_through_the_flag_type(tmp_path, corpus):

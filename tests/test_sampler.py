@@ -327,7 +327,8 @@ def _count_calls(monkeypatch, module, name, calls):
 
 def test_serialization_reuses_the_fitted_repair(monkeypatch):
     # fit -> identity attributes -> serialize, as a data loader runs it:
-    # one parity repair per fit attempt, none more for the serialization.
+    # one parity repair per fit attempt and one walk per fit, neither
+    # more for the serialization.
     parent = power_law_graph(2000, 3, seed=5)
     cb = build_codebook(parent, k=2, strategy="bfs-partition", max_cluster=64, dataset_tag="ppa")
     everyone = SubgraphSample(graph=parent, root_nodes=(0,), origin_ids=range(parent.num_nodes))
@@ -336,6 +337,7 @@ def test_serialization_reuses_the_fitted_repair(monkeypatch):
     cfg = ReindexConfig(seed=3)
     calls = Counter()
     _count_calls(monkeypatch, euler, "eulerize", calls)
+    _count_calls(monkeypatch, pipeline, "extract_path", calls)
     _count_calls(monkeypatch, pipeline, "sample", calls)
     rng = random.Random(8)
     written = []
@@ -345,9 +347,12 @@ def test_serialization_reuses_the_fitted_repair(monkeypatch):
         sub, _ = fit_sample(parent, roots, scfg, vocab, cfg, seed=i)
         coded = with_identity_attrs(sub, cb).graph
         layout = ("prolonged", "short", "long")[i % 3]
+        fitted = calls.copy()
         written.append((coded, layout, i, serialize_graph(coded, vocab, layout, cfg, i)))
+        assert calls == fitted  # neither a repair nor a walk
     assert calls["sample"] > len(written)  # the tight budget makes some fits retry
     assert calls["eulerize"] == calls["sample"]
+    assert calls["extract_path"] == len(written)
     monkeypatch.undo()
     for coded, layout, i, grid in written:
         assert grid == _layer_grid(coded, vocab, layout, cfg, i)
@@ -383,8 +388,9 @@ def test_only_an_accepted_fit_fills_the_slot_and_serialization_empties_it():
         fit_sample(g, (0,), replace(cfg, max_seq_len=1), vocab)
     assert pipeline._fitted == []
     sub, _ = fit_sample(g, (0,), cfg, vocab)
-    [(jump_seed, mg)] = pipeline._fitted
-    assert mg.base is sub.graph and jump_seed == derive_seed(0, "jump")
+    [(seed, mg, path)] = pipeline._fitted
+    assert mg.base is sub.graph and seed == 0
+    assert path == extract_path(mg, derive_seed(0, "path"))
     serialize_graph(g, vocab, seed=5)
     assert pipeline._fitted == []
 
