@@ -31,6 +31,7 @@ from .graph import (
     AttributedGraph,
     GraphFormatError,
     SubgraphSample,
+    decode_json,
     graph_record,
     iter_graphs_jsonl,
     load_graph,
@@ -80,7 +81,16 @@ def _per_record(records, step):
         yield out
 
 
+def _refuse_unread(args, what: str, *dests: str) -> None:
+    """Refuse the first flag of ``dests`` that holds a value: ``what`` does not read it."""
+    if given := [dest for dest in dests if getattr(args, dest) is not None]:
+        raise ValueError(f"{what} does not read --{given[0].replace('_', '-')}")
+
+
 def cmd_ingest(args) -> int:
+    if args.format == "edge-tsv":  # its graphs have no attributes to quantize
+        _refuse_unread(args, "ingest --format edge-tsv",
+                       "node_scale", "node_offset", "edge_scale", "edge_offset")
     g = load_graph(args.input, format=args.format, node_scale=args.node_scale, node_offset=args.node_offset,
                    edge_scale=args.edge_scale, edge_offset=args.edge_offset)
     write_jsonl(args.output, [g.to_json()])
@@ -117,15 +127,15 @@ def cmd_detokenize(args) -> int:
 
 
 def _build_identity(args, g: AttributedGraph):
-    if args.partition_file:
-        partition = dict(strategy="given-labels", labels=load_partition(args.partition_file))
-    else:
-        partition = dict(strategy="bfs-partition", max_cluster=args.max_cluster,
-                         seed=derive_seed(args.seed, "partition"))
-    return build_codebook(g, k=args.identity_k, dataset_tag=args.dataset_tag, **partition)
+    labels = load_partition(args.partition_file) if args.partition_file else None
+    strategy = "bfs-partition" if labels is None else "given-labels"
+    return build_codebook(g, k=args.identity_k, strategy=strategy, max_cluster=args.max_cluster,
+                          seed=derive_seed(args.seed, "partition"), labels=labels, dataset_tag=args.dataset_tag)
 
 
 def cmd_sample(args) -> int:
+    if not args.identity_k:
+        _refuse_unread(args, "sample without --identity-k", "partition_file", "codebook_out")
     records = read_jsonl(args.graph, graph_record)
     _, g = next(records, (None, None))
     if g is None:
@@ -204,13 +214,11 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_taskfmt(args) -> int:
-    given = {"--graphs": args.graphs, "--samples": args.samples}
-    flag, other = ("--graphs", "--samples") if args.task == "graph" else ("--samples", "--graphs")
-    if given[other]:
-        raise ValueError(f"taskfmt --task {args.task} does not read {other}")
-    inputs = given[flag]
+    flag, other = ("graphs", "samples") if args.task == "graph" else ("samples", "graphs")
+    _refuse_unread(args, f"taskfmt --task {args.task}", other)
+    inputs = getattr(args, flag)
     if not inputs:
-        raise ValueError(f"taskfmt --task {args.task} needs {flag}")
+        raise ValueError(f"taskfmt --task {args.task} needs --{flag}")
     vocab = _load_vocab(args)
     cfg = _reindex_cfg(args, vocab)
     # Identity tokens are spelled inline. Under digits, a value-1 identity
@@ -408,9 +416,11 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # The file's values for the command's flags become their defaults; given flags still win.
-            config = json.loads(Path(args.config).read_text())
-            if not isinstance(config, dict):
-                raise ValueError(f"config {args.config} holds no JSON object")
+            try:
+                config = decode_json(Path(args.config).read_text(), dict)
+            except GraphFormatError as exc:
+                exc.args = (f"config {args.config}: {exc}",)
+                raise
             flags = {a.dest: a for a in args.parser._actions if a.option_strings}
             args.parser.set_defaults(**{k: _config_value(flags[k], v) for k, v in config.items() if k in flags})
             args = parser.parse_args(argv)

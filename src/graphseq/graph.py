@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import operator
 import random
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -24,29 +25,31 @@ class GraphFormatError(ValueError):
         self.line = line
 
 
+def decode_json(text: str, parse: Callable[[dict], T], line: int | None = None) -> T:
+    """``parse`` of the JSON object in ``text``; every JSON input is read here.
+    Bad JSON, a non-object, a missing key or a value ``parse`` rejects raises
+    ``GraphFormatError`` at ``line`` if given, else at bad JSON's own line."""
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, not {type(doc).__name__}")
+        return parse(doc)
+    except json.JSONDecodeError as exc:
+        raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno if line is None else line) from exc
+    except KeyError as exc:
+        raise GraphFormatError(f"missing required key {exc}", line=line) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise GraphFormatError(str(exc), line=line) from exc
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield ``(line number, parse(doc))`` for each non-blank line of a
-    JSONL file; the number lets later per-item errors name the line too.
-
-    Bad JSON, a value that is not an object, a missing key, or a record
-    ``parse`` rejects raises ``GraphFormatError`` naming the file line.
-    """
+    JSONL file, decoded by ``decode_json``; the number lets later per-item
+    errors name the line too."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            if line.isspace():
-                continue
-            try:
-                doc = json.loads(line)
-                if not isinstance(doc, dict):
-                    raise TypeError(f"expected a JSON object, not {type(doc).__name__}")
-                item = parse(doc)
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"invalid JSON: {exc.msg}", line=lineno) from exc
-            except KeyError as exc:
-                raise GraphFormatError(f"missing required key {exc}", line=lineno) from exc
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise GraphFormatError(str(exc), line=lineno) from exc
-            yield lineno, item
+            if not line.isspace():
+                yield lineno, decode_json(line, parse, lineno)
 
 
 def write_jsonl(path: str | Path, docs: Iterable[dict]) -> None:
@@ -75,10 +78,12 @@ def int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
     return tuple(out)
 
 
-def check_edges(num_nodes: int, edges: tuple[tuple[int, int], ...], directed: bool) -> None:
+def check_edges(num_nodes: int, edges: Sequence[tuple[int, int]], directed: bool,
+                lines: Sequence[int] = ()) -> None:
     """Raise ``GraphFormatError`` naming the first edge that is out of
     range, a self-loop or a duplicate (on undirected graphs, (v, u) after
-    (u, v) is one).
+    (u, v) is one), and with ``lines`` its file line: ``lines[i]`` is
+    the line of ``edges[i]``.
 
     The checks run in bulk: min and max of the endpoints, one pairwise
     comparison, the size of the edge set and, undirected, its overlap
@@ -100,14 +105,15 @@ def check_edges(num_nodes: int, edges: tuple[tuple[int, int], ...], directed: bo
     ):
         return
     seen = set()
-    for src, dst in edges:
+    for i, (src, dst) in enumerate(edges):
+        line = lines[i] if lines else None
         if not (0 <= src < num_nodes and 0 <= dst < num_nodes):
-            raise GraphFormatError(f"node id out of range in edge ({src}, {dst})")
+            raise GraphFormatError(f"node id out of range in edge ({src}, {dst})", line)
         if src == dst:
-            raise GraphFormatError(f"self-loop at node {src}")
+            raise GraphFormatError(f"self-loop at node {src}", line)
         key = (src, dst) if directed else (min(src, dst), max(src, dst))
         if key in seen:
-            raise GraphFormatError(f"duplicate edge ({src}, {dst})")
+            raise GraphFormatError(f"duplicate edge ({src}, {dst})", line)
         seen.add(key)
 
 
@@ -239,18 +245,15 @@ class AttributedGraph:
         and ``directed`` a JSON boolean; anything else is an error, never
         truncated or coerced."""
         defaults = doc.get("attr_defaults") or {}
-        try:
-            return cls(
-                num_nodes=doc["num_nodes"],
-                edges=doc.get("edges", ()),
-                directed=doc.get("directed", False),
-                node_attrs=doc.get("node_attrs") or (),
-                edge_attrs=doc.get("edge_attrs") or (),
-                node_defaults=defaults.get("node") or (),
-                edge_defaults=defaults.get("edge") or (),
-            )
-        except KeyError as exc:
-            raise GraphFormatError(f"missing required key {exc}") from exc
+        return cls(
+            num_nodes=doc["num_nodes"],
+            edges=doc.get("edges", ()),
+            directed=doc.get("directed", False),
+            node_attrs=doc.get("node_attrs") or (),
+            edge_attrs=doc.get("edge_attrs") or (),
+            node_defaults=defaults.get("node") or (),
+            edge_defaults=defaults.get("edge") or (),
+        )
 
 
 @dataclass(frozen=True)
@@ -345,15 +348,9 @@ def connected_components(g: AttributedGraph) -> list[set[int]]:
     return [set(bfs(adj, (v,), dist, via)) for v in range(n) if dist[v] < 0]
 
 
-def _quantize(value, scale: float, offset: int) -> int:
-    return int(round(float(value) * scale)) + offset
-
-
-def quantize_attrs(
-    rows: Sequence[Sequence[float]], scale: float = 1.0, offset: int = 0
-) -> list[list[int]]:
+def quantize_attrs(rows: Sequence[Sequence[float]], scale: float = 1.0, offset: int = 0) -> list[list[int]]:
     """Map continuous attribute values to integers: round(v * scale) + offset."""
-    return [[_quantize(v, scale, offset) for v in row] for row in rows]
+    return [[int(round(float(v) * scale)) + offset for v in row] for row in rows]
 
 
 def read_int_pairs(path: str | Path, fields: str, not_int: str = "") -> Iterator[tuple[int, int, int]]:
@@ -397,35 +394,27 @@ def load_graph(
     """
     path = Path(path)
     if format == "json":
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
-        if not isinstance(doc, dict):
-            raise GraphFormatError(f"expected a JSON object, not {type(doc).__name__}")
-        for key, scale, offset in (
-            ("node_attrs", node_scale, node_offset),
-            ("edge_attrs", edge_scale, edge_offset),
-        ):
-            if (scale, offset) != (None, None) and doc.get(key):
-                doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0)
-        return AttributedGraph.from_json(doc)
+        def parse(doc: dict) -> AttributedGraph:
+            for key, scale, offset in (
+                ("node_attrs", node_scale, node_offset),
+                ("edge_attrs", edge_scale, edge_offset),
+            ):
+                if (scale, offset) != (None, None) and doc.get(key):
+                    doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0)
+            return AttributedGraph.from_json(doc)
+
+        return decode_json(path.read_text(), parse)
     if format == "edge-tsv":
-        edges = []
-        seen = set()
-        max_node = -1
+        lines, edges = array("q"), []  # 8 bytes a line number, not a 36-byte int in a list
         for lineno, src, dst in read_int_pairs(path, "src<TAB>dst", "node ids must be integers"):
-            if src < 0 or dst < 0:
-                raise GraphFormatError(f"negative node id in edge ({src}, {dst})", line=lineno)
-            if src == dst:
-                raise GraphFormatError(f"self-loop at node {src}", line=lineno)
-            key = (min(src, dst), max(src, dst))
-            if key in seen:
-                raise GraphFormatError(f"duplicate edge ({src}, {dst})", line=lineno)
-            seen.add(key)
+            lines.append(lineno)
             edges.append((src, dst))
-            max_node = max(max_node, src, dst)
-        return AttributedGraph(num_nodes=max_node + 1, edges=tuple(edges))
+        num_nodes = max(max(chain.from_iterable(edges), default=-1) + 1, 0)
+        try:
+            return AttributedGraph(num_nodes=num_nodes, edges=edges)
+        except GraphFormatError:  # only check_edges can fail here; run it again to name the line
+            check_edges(num_nodes, edges, False, lines)
+            raise
     raise ValueError(f"unknown graph format: {format!r}")
 
 

@@ -73,9 +73,9 @@ def serialize_graph(
 
     Sub-seeds for jump placement, walk extraction, the cyclic shift, and
     attribute placement are derived from ``seed``, so equal inputs give
-    byte-identical grids.
+    byte-identical grids. Without ``cfg`` the vocabulary's index space is used.
     """
-    cfg = cfg or ReindexConfig()
+    cfg = cfg or ReindexConfig(num_indices=vocab.num_indices)
     return _serialize(g, vocab, layout, cfg, seed, edge_attr_width, node_attr_width)[0]
 
 

@@ -11,6 +11,9 @@ No module of the package names a private (``_``-prefixed) definition of
 another: a function, class, method or module-level variable. A decision
 two modules share goes behind a public name of the module that owns it.
 
+Only ``graph.py`` decodes JSON, so every JSON input meets one rule for
+bad JSON and for a value that is not an object.
+
 The README's library example runs as written, so a deleted or renamed
 export cannot leave it stale.
 """
@@ -98,6 +101,29 @@ def foreign_private_names(root: Path) -> dict[str, list[str]]:
 def test_no_module_names_another_modules_private_definition():
     found = foreign_private_names(ROOT)
     assert not found, f"private names of other modules: {found}"
+
+
+def json_decoders(root: Path) -> list[str]:
+    """Modules of ``root``'s package, ``graph`` aside, that call
+    ``json.loads`` or ``json.load``."""
+    return [
+        path.stem
+        for path in sorted((root / "src" / "graphseq").glob("*.py"))
+        if path.stem != "graph"
+        and any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("loads", "load")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+            for node in ast.walk(_parse(path))
+        )
+    ]
+
+
+def test_only_graph_decodes_json():
+    found = json_decoders(ROOT)
+    assert not found, f"json.loads or json.load outside graph.py: {found}"
 
 
 def test_readme_library_example_runs():

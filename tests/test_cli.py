@@ -54,7 +54,7 @@ def test_ingest_names_the_line_of_a_negative_node_id(tmp_path, capsys):
                  "--output", str(tmp_path / "g.jsonl")]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["line"] == 3
-    assert err["message"] == "line 3: negative node id in edge (1, -2)"
+    assert err["message"] == "line 3: node id out of range in edge (1, -2)"
 
 
 def test_ingest_skips_blank_and_comment_lines_and_names_a_misshapen_one(tmp_path, capsys):
@@ -155,6 +155,24 @@ def test_negative_partition_cluster_fails_before_sampling(tmp_path, capsys):
     assert err == {"error": "ValueError",
                    "message": "node 0 has negative cluster -1; clusters must be >= 0"}
     assert not out.exists()
+
+
+def test_a_partition_file_keeps_the_max_cluster_cap(tmp_path, capsys):
+    # Before, --max-cluster was dropped for label partitions, so one
+    # 30-node cluster passed a cap of 8.
+    parent = tmp_path / "ring.jsonl"
+    parent.write_text(json.dumps({"num_nodes": 30, "edges": [[i, (i + 1) % 30] for i in range(30)]}) + "\n")
+    part = tmp_path / "part.tsv"
+    part.write_text("".join(f"{v}\t0\n" for v in range(30)))
+    out = tmp_path / "s.jsonl"
+    argv = ["sample", "--graph", str(parent), "--mode", "edge-ego", "--count", "3", "--identity-k", "2",
+            "--partition-file", str(part), "--output", str(out)]
+    assert main([*argv, "--max-cluster", "8"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ValueError", "message": "label cluster of 30 nodes exceeds max_cluster=8"}
+    assert not out.exists()
+    assert main([*argv, "--max-cluster", "30"]) == 0
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_tokenize_detokenize_roundtrip(tmp_path, corpus):
@@ -980,22 +998,76 @@ def test_config_string_values_go_through_the_flag_type(tmp_path, corpus):
     assert Vocabulary.load(vocab).num_indices == 32
 
 
-@pytest.mark.parametrize("config, message", [
-    ({"negatives": "false"}, 'config negatives: "false" is not a value of --negatives'),
-    ({"count": 2.5}, "config count: 2.5 is not a value of --count"),
-    ({"count": True}, "config count: true is not a value of --count"),
-    ({"seed": "x"}, 'config seed: "x" is not a value of --seed'),
-    ([{"count": 2}], "holds no JSON object"),
+@pytest.mark.parametrize("config, error, message", [
+    ({"negatives": "false"}, "ValueError", 'config negatives: "false" is not a value of --negatives'),
+    ({"count": 2.5}, "ValueError", "config count: 2.5 is not a value of --count"),
+    ({"count": True}, "ValueError", "config count: true is not a value of --count"),
+    ({"seed": "x"}, "ValueError", 'config seed: "x" is not a value of --seed'),
+    ([{"count": 2}], "GraphFormatError", "cfg.json: expected a JSON object, not list"),
 ], ids=["switch-text", "fraction", "bool-count", "text-seed", "list"])
-def test_config_values_the_flag_would_refuse_are_errors(tmp_path, capsys, config, message):
+def test_config_values_the_flag_would_refuse_are_errors(tmp_path, capsys, config, error, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "samples.jsonl"
     assert main(["sample", "--graph", str(tmp_path / "absent.jsonl"), "--mode", "edge-ego",
                  "--config", str(cfg), "--output", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and message in err["message"]
+    assert err["error"] == error and message in err["message"]
     assert not out.exists()
+
+
+def test_a_config_that_is_no_json_object_fails_as_a_graph_file_does(tmp_path, capsys):
+    # Before, a syntax error escaped as a bare JSONDecodeError with no line,
+    # and a list as a ValueError worded unlike the graph readers' error.
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "samples.jsonl"
+    for text, message, line in [
+        ("[1, 2]", "expected a JSON object, not list", None),
+        ('{"count": 2,\n "seed": }\n', "line 2: invalid JSON: Expecting value", 2),
+    ]:
+        cfg.write_text(text)
+        assert main(["sample", "--graph", str(tmp_path / "absent.jsonl"), "--mode", "edge-ego",
+                     "--config", str(cfg), "--output", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GraphFormatError"
+        assert err["message"] == f"config {cfg}: {message}"
+        assert err.get("line") == line
+        assert not out.exists()
+
+
+def test_a_non_numeric_value_under_a_scale_flag_fails_as_a_graph_file_error(tmp_path, capsys):
+    # Before, float("high") escaped as a bare ValueError.
+    raw = tmp_path / "g.json"
+    raw.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]], "node_attrs": [[0.5], ["high"]]}))
+    out = tmp_path / "g.jsonl"
+    assert main(["ingest", "--input", str(raw), "--node-scale", "10", "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GraphFormatError", "message": "could not convert string to float: 'high'"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [
+    (["ingest", "--format", "edge-tsv", "--input", "{tsv}"], "--node-scale"),
+    (["ingest", "--format", "edge-tsv", "--input", "{tsv}"], "--node-offset"),
+    (["ingest", "--format", "edge-tsv", "--input", "{tsv}"], "--edge-scale"),
+    (["ingest", "--format", "edge-tsv", "--input", "{tsv}"], "--edge-offset"),
+    (["sample", "--graph", "{absent}", "--mode", "edge-ego"], "--partition-file"),
+    (["sample", "--graph", "{absent}", "--mode", "edge-ego"], "--codebook-out"),
+], ids=["ingest-node-scale", "ingest-node-offset", "ingest-edge-scale", "ingest-edge-offset",
+        "sample-partition-file", "sample-codebook-out"])
+def test_a_flag_the_command_would_not_read_fails_before_any_input(tmp_path, capsys, command, flag):
+    # Before, each exited 0: ingest ignored the scale flags of an edge list,
+    # and sample without --identity-k never opened the partition file.
+    tsv = tmp_path / "edges.tsv"
+    tsv.write_text("0\t1\n")
+    paths = {"tsv": tsv, "absent": tmp_path / "absent.jsonl"}
+    out = tmp_path / "out.jsonl"
+    value = "3" if flag.endswith(("scale", "offset")) else str(tmp_path / "absent.tsv")
+    argv = [arg.format(**paths) for arg in command] + [flag, value, "--output", str(out)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and err["message"].endswith(f"does not read {flag}")
+    assert not out.exists() and not (tmp_path / "absent.tsv").exists()
 
 
 def test_a_config_layout_outside_the_flags_choices_is_an_error(tmp_path, corpus, capsys):

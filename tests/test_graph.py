@@ -261,6 +261,32 @@ def test_bulk_edge_check_matches_the_per_edge_loop(case):
     assert _verdict(AttributedGraph, n, edges, directed) == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists(), st.data())
+def test_edge_tsv_faults_name_their_file_line(tmp_path_factory, case, data):
+    # An edge list's faults come from check_edges, under the node count its
+    # largest id implies; blank and comment lines move each edge's file line.
+    _, _, edges = case
+    text, lines = [], []
+    for src, dst in edges:
+        text += data.draw(st.lists(st.sampled_from(["", "   ", "# src\tdst"]), max_size=2))
+        text.append(f"{src}\t{dst}")
+        lines.append(len(text))
+    path = tmp_path_factory.getbasetemp() / "edges.tsv"
+    path.write_text("".join(line + "\n" for line in text))
+    n = max(max((max(e) for e in edges), default=-1) + 1, 0)
+    first_bad = next((i for i in range(len(edges)) if _verdict(_per_edge_check, n, edges[: i + 1], False)), None)
+    if first_bad is None:
+        g = load_graph(path, format="edge-tsv")
+        assert (g.num_nodes, g.edges) == (n, tuple(edges))
+        return
+    with pytest.raises(GraphFormatError) as info:
+        load_graph(path, format="edge-tsv")
+    line = lines[first_bad]
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {_verdict(_per_edge_check, n, edges, False)}"
+
+
 # --- values must be integers ----------------------------------------------
 
 

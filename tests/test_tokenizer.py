@@ -91,6 +91,17 @@ def test_config_with_more_indices_than_the_vocabulary_is_rejected():
     assert max(tok for row in grid.tokens for tok in row) < 64
 
 
+@pytest.mark.parametrize("num_nodes, num_indices", [(300, 2048), (5, 64)])
+def test_without_a_config_the_vocabularys_index_space_is_used(num_nodes, num_indices):
+    # Before, a missing config meant 256 indices whatever the vocabulary
+    # held: 300 nodes exceeded them under 2,048, and 256 exceeded 64.
+    path = AttributedGraph(num_nodes=num_nodes, edges=tuple((i, i + 1) for i in range(num_nodes - 1)))
+    cfg = ReindexConfig(num_indices=num_indices)
+    vocab = vocab_for(path, cfg=cfg)
+    for seed in range(3):
+        assert serialize_graph(path, vocab, seed=seed) == serialize_graph(path, vocab, "prolonged", cfg, seed)
+
+
 def test_disabled_cyclic_always_starts_at_zero(c3):
     cfg = ReindexConfig(num_indices=256, cyclic=False)
     vocab = vocab_for(c3, cfg=cfg)
