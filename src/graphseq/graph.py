@@ -117,17 +117,35 @@ def check_edges(num_nodes: int, edges: Sequence[tuple[int, int]], directed: bool
         seen.add(key)
 
 
-def _check_rows(rows: tuple[tuple[int, ...], ...], expected: int, what: str) -> None:
-    """One attribute row per node or edge, all of the same width."""
-    if len(rows) != expected:
-        raise GraphFormatError(f"expected {expected} {what} attribute rows, got {len(rows)}")
-    width = len(rows[0])
-    if {*map(len, rows)} != {width}:
-        i = next(i for i, row in enumerate(rows) if len(row) != width)
-        raise GraphFormatError(f"inconsistent {what} attribute width at {what} {i}")
-
-
 _QUANTIZE_HINT = "; quantize continuous attributes with `graphseq ingest --{0}-scale/--{0}-offset`"
+
+
+def _attr_rows(kind: str, rows, defaults, expected: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``kind``'s attribute rows and defaults as int tuples, checked: every
+    value an integer, one row per node or edge (``expected``), all of one
+    width, and as many defaults as the rows are wide. No defaults mean a
+    zero per dimension."""
+    # Rows become tuples at C speed. One scan of the value types then
+    # confirms that every value is already an int, as from JSON or from
+    # this package; only when one is not do values get converted one by
+    # one, which names the first that is not an integer.
+    rows = tuple(map(tuple, rows))
+    defaults = tuple(defaults)
+    if not {*map(type, chain.from_iterable(rows)), *map(type, defaults)} <= {int}:
+        rows = tuple(
+            int_row(row, f"{kind} {i}: attribute", _QUANTIZE_HINT.format(kind)) for i, row in enumerate(rows)
+        )
+        defaults = int_row(defaults, f"{kind} attr_defaults: value")
+    width = len(rows[0]) if rows else 0
+    if rows and len(rows) != expected:
+        raise GraphFormatError(f"expected {expected} {kind} attribute rows, got {len(rows)}")
+    if not {*map(len, rows)} <= {width}:
+        i = next(i for i, row in enumerate(rows) if len(row) != width)
+        raise GraphFormatError(f"inconsistent {kind} attribute width at {kind} {i}")
+    defaults = defaults or (0,) * width
+    if len(defaults) != width:
+        raise GraphFormatError(f"{kind} attr_defaults width mismatch")
+    return rows, defaults
 
 
 @dataclass(frozen=True)
@@ -150,48 +168,33 @@ class AttributedGraph:
     edge_defaults: tuple[int, ...] = ()
 
     def __post_init__(self):
-        # Rows become tuples at C speed. One scan of the value types then
-        # confirms that every value is already an int, as from JSON or
-        # from this package; only when one is not do values get converted
-        # one by one, which names the first that is not an integer.
         edges = tuple([(s, d) for s, d in self.edges])
-        node_attrs = tuple(map(tuple, self.node_attrs))
-        edge_attrs = tuple(map(tuple, self.edge_attrs))
-        node_defaults = tuple(self.node_defaults)
-        edge_defaults = tuple(self.edge_defaults)
-        types = {
-            type(self.num_nodes),
-            *map(type, chain.from_iterable(edges)),
-            *map(type, chain.from_iterable(node_attrs)),
-            *map(type, chain.from_iterable(edge_attrs)),
-            *map(type, node_defaults),
-            *map(type, edge_defaults),
-        }
-        if types != {int}:
+        if not {type(self.num_nodes), *map(type, chain.from_iterable(edges))} <= {int}:
             object.__setattr__(self, "num_nodes", int_row((self.num_nodes,), "num_nodes")[0])
             edges = tuple(int_row(e, f"edge {i}: node id") for i, e in enumerate(edges))
-            node_attrs = tuple(
-                int_row(row, f"node {i}: attribute", _QUANTIZE_HINT.format("node"))
-                for i, row in enumerate(node_attrs)
-            )
-            edge_attrs = tuple(
-                int_row(row, f"edge {i}: attribute", _QUANTIZE_HINT.format("edge"))
-                for i, row in enumerate(edge_attrs)
-            )
-            node_defaults = int_row(node_defaults, "node attr_defaults: value")
-            edge_defaults = int_row(edge_defaults, "edge attr_defaults: value")
         if type(self.directed) is not bool:
             raise GraphFormatError(f"directed must be true or false, got {self.directed!r}")
-        if not node_defaults and node_attrs:
-            node_defaults = (0,) * len(node_attrs[0])
-        if not edge_defaults and edge_attrs:
-            edge_defaults = (0,) * len(edge_attrs[0])
+        if self.num_nodes < 0:
+            raise GraphFormatError("num_nodes must be non-negative")
+        check_edges(self.num_nodes, edges, self.directed)
+        node_attrs, node_defaults = _attr_rows("node", self.node_attrs, self.node_defaults, self.num_nodes)
+        edge_attrs, edge_defaults = _attr_rows("edge", self.edge_attrs, self.edge_defaults, len(edges))
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "node_attrs", node_attrs)
         object.__setattr__(self, "edge_attrs", edge_attrs)
         object.__setattr__(self, "node_defaults", node_defaults)
         object.__setattr__(self, "edge_defaults", edge_defaults)
-        self._validate()
+
+    def with_node_attrs(self, rows, defaults) -> "AttributedGraph":
+        """This graph with node attribute ``rows`` and ``defaults`` in place
+        of its own. Only they are checked, under the rules and messages of
+        construction; the edges, the edge attributes and defaults, and the
+        adjacency if built, are this graph's own objects, shared and not
+        checked again."""
+        node_attrs, node_defaults = _attr_rows("node", rows, defaults, self.num_nodes)
+        g = object.__new__(type(self))
+        vars(g).update(vars(self), node_attrs=node_attrs, node_defaults=node_defaults)
+        return g
 
     @property
     def node_attr_width(self) -> int:
@@ -206,23 +209,11 @@ class AttributedGraph:
         return len(self.edges)
 
     # The fields are frozen, so the cached value never goes stale; a graph
-    # from ``dataclasses.replace`` is a new instance and builds its own.
+    # from ``dataclasses.replace`` is a new instance and builds its own,
+    # while one from ``with_node_attrs`` keeps this one's.
     @cached_property
     def _adjacency(self) -> Adjacency:
         return undirected_adjacency(self.num_nodes, self.edges)
-
-    def _validate(self):
-        if self.num_nodes < 0:
-            raise GraphFormatError("num_nodes must be non-negative")
-        check_edges(self.num_nodes, self.edges, self.directed)
-        if self.node_attrs:
-            _check_rows(self.node_attrs, self.num_nodes, "node")
-        if self.edge_attrs:
-            _check_rows(self.edge_attrs, len(self.edges), "edge")
-        if len(self.node_defaults) != self.node_attr_width:
-            raise GraphFormatError("node attr_defaults width mismatch")
-        if len(self.edge_defaults) != self.edge_attr_width:
-            raise GraphFormatError("edge attr_defaults width mismatch")
 
     def to_json(self) -> dict:
         doc = {
@@ -348,9 +339,20 @@ def connected_components(g: AttributedGraph) -> list[set[int]]:
     return [set(bfs(adj, (v,), dist, via)) for v in range(n) if dist[v] < 0]
 
 
-def quantize_attrs(rows: Sequence[Sequence[float]], scale: float = 1.0, offset: int = 0) -> list[list[int]]:
-    """Map continuous attribute values to integers: round(v * scale) + offset."""
-    return [[int(round(float(v) * scale)) + offset for v in row] for row in rows]
+def quantize_attrs(
+    rows: Sequence[Sequence[float]], scale: float = 1.0, offset: int = 0, what: str = "row"
+) -> list[list[int]]:
+    """Map continuous attribute values to integers: round(v * scale) + offset.
+    A boolean or a numeric string is no number, though ``float`` reads it
+    as one: it raises ``GraphFormatError`` naming ``what``, its row and value."""
+    out = []
+    for i, row in enumerate(rows):
+        values = [float(v) for v in row]  # a string that is no numeral fails here
+        for v in row:
+            if isinstance(v, (bool, str)):
+                raise GraphFormatError(f"{what} {i}: attribute {v!r} is not a number")
+        out.append([int(round(v * scale)) + offset for v in values])
+    return out
 
 
 def read_int_pairs(path: str | Path, fields: str, not_int: str = "") -> Iterator[tuple[int, int, int]]:
@@ -395,12 +397,13 @@ def load_graph(
     path = Path(path)
     if format == "json":
         def parse(doc: dict) -> AttributedGraph:
-            for key, scale, offset in (
-                ("node_attrs", node_scale, node_offset),
-                ("edge_attrs", edge_scale, edge_offset),
+            for kind, scale, offset in (
+                ("node", node_scale, node_offset),
+                ("edge", edge_scale, edge_offset),
             ):
+                key = f"{kind}_attrs"
                 if (scale, offset) != (None, None) and doc.get(key):
-                    doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0)
+                    doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0, kind)
             return AttributedGraph.from_json(doc)
 
         return decode_json(path.read_text(), parse)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Sequence
@@ -198,7 +198,8 @@ def load_partition(path: str | Path) -> list[int]:
                 )
             rows[node] = (cluster, lineno)
     except GraphFormatError as exc:
-        raise ValueError(f"partition {exc}") from None
+        exc.args = (f"partition {exc}",)
+        raise
     if sorted(rows) != list(range(len(rows))):
         raise ValueError("partition file must cover node ids 0..n-1 exactly once")
     return [rows[v][0] for v in range(len(rows))]
@@ -208,11 +209,8 @@ def with_identity_attrs(sample: SubgraphSample, cb: NodeIdentityCodebook) -> Sub
     """Replace a sample's node attributes with its nodes' identity codes.
 
     Identity slots use a -1 default so every slot token is always emitted.
+    The coded graph shares the sample graph's edges and adjacency.
     """
-    attrs = tuple(cb.code(gid) for gid in sample.origin_ids)
-    graph = replace(
-        sample.graph,
-        node_attrs=attrs,
-        node_defaults=(-1,) * cb.k,
-    )
+    attrs = tuple(map(cb.code, sample.origin_ids))
+    graph = sample.graph.with_node_attrs(attrs, (-1,) * cb.k)
     return SubgraphSample(graph=graph, root_nodes=sample.root_nodes, origin_ids=sample.origin_ids)

@@ -237,15 +237,18 @@ def build_vocab(
     observed in the corpus. Rebuilding from the same corpus is
     byte-identical.
     """
-    # Distinct (kind, dim, value) triples first, so each is spelled once.
+    # Distinct (kind, dim, value) triples first, so each is spelled once;
+    # a graph's values are collected one column at a time.
     triples: set[tuple[str, int, int]] = set()
     for g in corpus:
         for kind, rows, defaults in (
             ("node", g.node_attrs, g.node_defaults),
             ("edge", g.edge_attrs, g.edge_defaults),
         ):
-            for row in set(rows):
-                triples.update((kind, dim, v) for dim, v in enumerate(row) if v != defaults[dim])
+            for dim, default in enumerate(defaults):
+                values = set(map(operator.itemgetter(dim), rows))
+                values.discard(default)
+                triples.update((kind, dim, v) for v in values)
     styles = {"node": node_attr_style, "edge": edge_attr_style}
     return Vocabulary(
         num_indices=cfg.num_indices,

@@ -18,9 +18,13 @@ endpoints from the multigraph's fields.
 
 ``bfs_tree`` is a breadth-first search over a dict parent map, the
 reference for the shortest paths ``graph.bfs`` finds.
+
+``semantic_tokens`` spells every non-default value of every attribute row,
+one row and one dimension at a time, the reference for the semantic
+tokens ``build_vocab`` collects.
 """
 from graphseq import AttributedGraph, EulerizedMultigraph, EulerPath, TokenGrid, Vocabulary
-from graphseq.vocab import CLASS_DIGIT, CLASS_SEMANTIC, CLASS_STRUCTURAL
+from graphseq.vocab import CLASS_DIGIT, CLASS_SEMANTIC, CLASS_STRUCTURAL, marker_token, semantic_token
 
 ISO_NODE_LIMIT = 12
 
@@ -178,3 +182,20 @@ def bfs_tree(adj, start: int) -> dict:
                 parent[v] = (u, eid)
                 queue.append(v)
     return parent
+
+
+def semantic_tokens(corpus, tag: str, node_attr_style: str, edge_attr_style: str) -> set[str]:
+    """The semantic token of each (kind, dimension, value) that some row of
+    some graph holds where its default differs: the value's own token
+    in the ``inline`` style, the dimension marker in the ``digits`` style."""
+    styles = {"node": node_attr_style, "edge": edge_attr_style}
+    tokens = set()
+    for g in corpus:
+        for kind, rows, defaults in (("node", g.node_attrs, g.node_defaults),
+                                     ("edge", g.edge_attrs, g.edge_defaults)):
+            for row in rows:
+                for dim, value in enumerate(row):
+                    if value != defaults[dim]:
+                        tokens.add(semantic_token(tag, kind, dim, value) if styles[kind] == "inline"
+                                   else marker_token(tag, kind, dim))
+    return tokens

@@ -125,6 +125,23 @@ def test_repeated_partition_node_fails_naming_both_lines(tmp_path, capsys):
     assert err["message"] == "partition line 3: node 0 is already assigned on line 1"
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("0\t1\n1\t1\n0\t2\n2\t2\n", 3, "node 0 is already assigned on line 1"),
+    ("0\t1\n1\tx\n2\t2\n", 2, "invalid literal for int() with base 10: 'x'"),
+    ("0\t1\n\n# c\n1\t1\t1\n", 4, "expected 'global_id<TAB>cluster'"),
+], ids=["repeated-node", "non-integer", "three-fields"])
+def test_partition_file_errors_carry_their_line(tmp_path, capsys, text, line, message):
+    # Before, they were ValueErrors whose error object had no "line".
+    parent = tmp_path / "parent.jsonl"
+    parent.write_text(json.dumps({"num_nodes": 3, "edges": [[0, 1], [1, 2]]}) + "\n")
+    part = tmp_path / "part.tsv"
+    part.write_text(text)
+    assert main(["sample", "--graph", str(parent), "--mode", "node-ego", "--identity-k", "2",
+                 "--partition-file", str(part), "--output", str(tmp_path / "s.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GraphFormatError", "message": f"partition line {line}: {message}", "line": line}
+
+
 @pytest.mark.parametrize("lines", [2, 9])
 def test_partition_file_of_the_wrong_size_fails_before_sampling(tmp_path, capsys, lines):
     # Too few lines would fail mid-run at the first node left out; too many
@@ -1033,6 +1050,22 @@ def test_a_config_that_is_no_json_object_fails_as_a_graph_file_does(tmp_path, ca
         assert err["message"] == f"config {cfg}: {message}"
         assert err.get("line") == line
         assert not out.exists()
+
+
+@pytest.mark.parametrize("key, rows, flag, message", [
+    ("node_attrs", [[True], [2]], "--node-scale", "node 0: attribute True is not a number"),
+    ("node_attrs", [[1], ["2.5"]], "--node-scale", "node 1: attribute '2.5' is not a number"),
+    ("edge_attrs", [[0.5, False]], "--edge-offset", "edge 0: attribute False is not a number"),
+], ids=["boolean", "numeric-string", "edge-boolean-after-a-float"])
+def test_a_boolean_or_numeric_string_under_a_scale_flag_is_refused(tmp_path, capsys, key, rows, flag, message):
+    # Before, float() read true as 1 and "2.5" as 2.5, and ingest exited 0.
+    raw = tmp_path / "g.json"
+    raw.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]], key: rows}))
+    out = tmp_path / "g.jsonl"
+    assert main(["ingest", "--input", str(raw), flag, "1", "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GraphFormatError", "message": message}
+    assert not out.exists()
 
 
 def test_a_non_numeric_value_under_a_scale_flag_fails_as_a_graph_file_error(tmp_path, capsys):

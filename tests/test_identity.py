@@ -8,9 +8,12 @@ import pytest
 
 from graphseq import (
     AttributedGraph,
+    GraphFormatError,
     NodeIdentityCodebook,
     ReindexConfig,
     SamplerConfig,
+    SubgraphSample,
+    adjacency,
     build_codebook,
     build_vocab,
     codebook_from_partition,
@@ -232,6 +235,63 @@ def test_identity_attrs_replace_node_attrs():
     assert sub.graph.node_defaults == (-1, -1)
     for local, gid in enumerate(sub.origin_ids):
         assert sub.graph.node_attrs[local] == cb.code(gid)
+
+
+def test_identity_attrs_share_the_sample_graphs_edges_and_adjacency():
+    rng = random.Random(5)
+    for built in (False, True):
+        g = random_connected_graph(rng, n_min=6, n_max=20, max_edge_width=3)
+        cb = codebook_from_partition([v // 4 for v in range(g.num_nodes)], k=2, dataset_tag="t")
+        if built:
+            adj = adjacency(g)
+        sub = SubgraphSample(g, (0,), tuple(range(g.num_nodes)))
+        coded = with_identity_attrs(sub, cb).graph
+        assert coded.edges is g.edges
+        assert coded.edge_attrs is g.edge_attrs
+        assert coded.edge_defaults is g.edge_defaults
+        assert ("_adjacency" in vars(coded)) is built
+        if built:
+            assert adjacency(coded) is adj
+        # The same graph as building it from scratch.
+        assert coded == AttributedGraph(
+            num_nodes=g.num_nodes, edges=g.edges, directed=g.directed,
+            node_attrs=[cb.code(v) for v in range(g.num_nodes)], edge_attrs=g.edge_attrs,
+            node_defaults=(-1, -1), edge_defaults=g.edge_defaults,
+        )
+
+
+def _construction_error(**fields) -> str:
+    with pytest.raises(GraphFormatError) as info:
+        AttributedGraph(**fields)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("rows, defaults", [
+    ([(0, 1), (0, 2), (1,)], (-1, -1)),  # a row of the wrong width
+    ([(0, 1), (0, 2)], (-1, -1)),  # a row short
+    ([(0, 1), (0, 2.0), (1, 0)], (-1, -1)),  # a float
+    ([(0, 1), (0, True), (1, 0)], (-1, -1)),  # a boolean
+    ([(0, 1), (0, 2), (1, 0)], (-1,)),  # defaults of the wrong width
+    ([(0, 1), (0, 2), (1, 0)], (-1, "-1")),  # a string default
+])
+def test_bad_node_rows_fail_as_construction_fails(rows, defaults):
+    g = AttributedGraph(num_nodes=3, edges=((0, 1), (1, 2)), edge_attrs=[[4], [5]])
+    with pytest.raises(GraphFormatError) as info:
+        g.with_node_attrs(rows, defaults)
+    assert str(info.value) == _construction_error(
+        num_nodes=3, edges=g.edges, edge_attrs=g.edge_attrs, node_attrs=rows, node_defaults=defaults
+    )
+
+
+def test_identity_rows_from_a_non_integer_cluster_fail_as_construction_fails():
+    cb = NodeIdentityCodebook(dataset_tag="t", k=2, partition=(0, 0, 1.5), local_index=(0, 1, 0))
+    sub = SubgraphSample(_ring(3), (0,), (0, 1, 2))
+    with pytest.raises(GraphFormatError) as info:
+        with_identity_attrs(sub, cb)
+    assert str(info.value) == _construction_error(
+        num_nodes=3, edges=sub.graph.edges, node_attrs=[(0, 0), (0, 1), (1.5, 0)], node_defaults=(-1, -1)
+    )
+    assert str(info.value).startswith("node 2: attribute 1.5 is not an integer")
 
 
 def test_identity_encoded_sample_roundtrips_with_unique_nodes():

@@ -1,8 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from graphseq import AttributedGraph, ReindexConfig, Vocabulary, build_vocab, digits
+from graphseq import (
+    AttributedGraph,
+    ReindexConfig,
+    SubgraphSample,
+    Vocabulary,
+    build_codebook,
+    build_vocab,
+    digits,
+    with_identity_attrs,
+)
 from graphseq.vocab import (
     CLASS_DIGIT,
     CLASS_SEMANTIC,
@@ -13,6 +24,9 @@ from graphseq.vocab import (
     parse_semantic,
     semantic_token,
 )
+
+from conftest import random_connected_graph
+from oracle import semantic_tokens
 
 
 def test_digits_of_decimal_string():
@@ -118,6 +132,43 @@ def test_vocab_save_load_roundtrip(tmp_path):
     for i in range(len(vocab)):
         assert loaded.token(i) == vocab.token(i)
         assert loaded.class_of(i) == vocab.class_of(i)
+
+
+def _vocab_corpus(rng: random.Random) -> list[AttributedGraph]:
+    """Graphs with zero and non-zero defaults, undirected and directed,
+    and identity-coded samples of one parent (default -1 per slot)."""
+    corpus = []
+    for directed in (False, True, None):
+        g = random_connected_graph(rng, directed=directed)
+        corpus.append(g)
+        corpus.append(AttributedGraph(
+            num_nodes=g.num_nodes, edges=g.edges, directed=g.directed,
+            node_attrs=g.node_attrs, edge_attrs=g.edge_attrs,
+            node_defaults=[rng.randint(0, 5) for _ in range(g.node_attr_width)],
+            edge_defaults=[rng.randint(0, 5) for _ in range(g.edge_attr_width)],
+        ))
+    parent = random_connected_graph(rng, n_min=8, n_max=40)
+    cb = build_codebook(parent, k=rng.randint(1, 3), strategy="bfs-partition",
+                        max_cluster=rng.randint(1, 6), seed=rng.randrange(100), dataset_tag="t")
+    for _ in range(2):
+        origin = rng.sample(range(parent.num_nodes), parent.num_nodes)
+        corpus.append(with_identity_attrs(SubgraphSample(parent, (0,), origin), cb).graph)
+    return corpus
+
+
+@pytest.mark.parametrize("node_style", ["digits", "inline"])
+@pytest.mark.parametrize("edge_style", ["digits", "inline"])
+def test_build_vocab_matches_the_row_wise_spelling(tmp_path, node_style, edge_style):
+    cfg = ReindexConfig(num_indices=16)
+    for seed in range(30):
+        corpus = _vocab_corpus(random.Random(seed))
+        vocab = build_vocab(corpus, "t", cfg, node_attr_style=node_style, edge_attr_style=edge_style)
+        expected = semantic_tokens(corpus, "t", node_style, edge_style)
+        assert {vocab.token(i) for i in range(len(vocab)) if vocab.class_of(i) == CLASS_SEMANTIC} == expected
+        got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
+        vocab.save(got)
+        Vocabulary(16, expected, "t", node_style, edge_style).save(want)
+        assert got.read_bytes() == want.read_bytes(), seed
 
 
 def test_unknown_token_lookup_is_an_error():
