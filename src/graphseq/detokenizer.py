@@ -61,7 +61,7 @@ def _collect_steps(grid: TokenGrid, vocab: Vocabulary):
     node_blocks: list = []
     types: list = []
     edge_blocks: list = []
-    cells = zip(chain.from_iterable(grid.tokens), chain.from_iterable(grid.roles))
+    cells = zip(grid.cells, chain.from_iterable(grid.roles))
     for tid, role in cells:
         if type(tid) is not int or not 0 <= tid < size:
             raise ValueError(f"token id {tid!r} outside the vocabulary's {size} ids")

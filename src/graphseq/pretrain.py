@@ -16,7 +16,7 @@ from itertools import chain, compress, repeat
 from operator import eq
 from typing import Iterable
 
-from .tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid
+from .tokenizer import ROLE_NODE, ROLE_NODE_ATTR, ROLE_PAD, TokenGrid, rows_of
 from .vocab import Vocabulary
 
 
@@ -34,8 +34,9 @@ class PretrainExample:
     mask_rate_drawn: float | None = None
 
     def to_json(self) -> dict:
-        """The example as a JSON document of shared tuples; copy before
-        editing. Roles are left out: the token classes give them back.
+        """The example as a JSON document of shared tuples and the input
+        rows built for this call; copy before editing. Roles are left out:
+        the token classes give them back.
         Only ``smtp`` examples carry the drawn mask fraction ``r``."""
         doc = {"task": self.task, "inputs": self.inputs.tokens, "targets": self.targets}
         if self.task == "smtp":
@@ -51,9 +52,11 @@ def build_ntp(grid: TokenGrid, vocab: Vocabulary) -> PretrainExample:
     Each row index t gets one target per non-padding token of row t+1;
     padding cells never contribute targets.
     """
+    cells, l = grid.cells, grid.l
     targets = []
-    for t in range(grid.num_rows - 1):
-        for tok, role in zip(grid.tokens[t + 1], grid.roles[t + 1]):
+    for t, roles in enumerate(grid.roles[1:]):
+        start = (t + 1) * l
+        for tok, role in zip(cells[start : start + l], roles):
             if role != ROLE_PAD:
                 targets.append((t, tok))
     return PretrainExample(inputs=grid, targets=tuple(targets), task="ntp")
@@ -71,7 +74,7 @@ def build_smtp(
     """
     if not 0.0 < schedule_draw <= 1.0:
         raise ValueError("mask fraction must lie in (0, 1]")
-    cells = grid.flat()
+    cells = list(grid.cells)
     roles = list(chain.from_iterable(grid.roles))
     nodes = set(compress(cells, map(eq, roles, repeat(ROLE_NODE))))
     if not nodes:
@@ -91,8 +94,7 @@ def build_smtp(
         if masking:
             targets.append((pos, cells[pos]))
             cells[pos] = mask_id
-    rows = list(zip(*[iter(cells)] * grid.l))
-    inputs = TokenGrid(layout=grid.layout, l=grid.l, tokens=rows, roles=grid.roles)
+    inputs = TokenGrid(layout=grid.layout, l=grid.l, cells=cells, roles=grid.roles)
     return PretrainExample(
         inputs=inputs,
         targets=tuple(targets),
@@ -105,6 +107,8 @@ def build_smtp(
 class PackedBatch:
     """Several examples in one context window, separated by ``<eos>`` rows.
 
+    ``cells`` holds the token ids row-major, like ``TokenGrid.cells``,
+    and ``tokens`` cuts them into rows of width ``l`` on each access.
     ``boundaries`` are [start, end) row spans of the member sequences.
     Members never attend across them, and separator rows belong to no
     span.
@@ -112,13 +116,18 @@ class PackedBatch:
 
     layout: str
     l: int
-    tokens: tuple[tuple[int, ...], ...]
+    cells: tuple[int, ...]
     boundaries: tuple[tuple[int, int], ...]
     tasks: tuple[str, ...]
     targets: tuple[tuple[tuple[int, int], ...], ...]
 
+    @property
+    def tokens(self) -> tuple[tuple[int, ...], ...]:
+        return rows_of(self.cells, self.l)
+
     def to_json(self) -> dict:
-        """The batch as a JSON document of shared tuples; copy before editing."""
+        """The batch as a JSON document of shared tuples and the rows built
+        for this call; copy before editing."""
         return {
             "layout": self.layout,
             "l": self.l,
@@ -167,27 +176,28 @@ def pack(
             bins.append([ex])
             used.append(rows)
 
-    sep_row = (vocab.eos_id,) + (vocab.pad_id,) * ((width or 1) - 1)
+    width = width or 1
+    sep_row = (vocab.eos_id,) + (vocab.pad_id,) * (width - 1)
     batches = []
     for members in bins:
-        tokens: list[tuple[int, ...]] = []
+        cells: list[int] = []
         boundaries = []
         tasks = []
         targets = []
         for ex in members:
-            if tokens:
-                tokens.append(sep_row)
-            start = len(tokens)
-            tokens.extend(ex.inputs.tokens)
-            boundaries.append((start, len(tokens)))
+            if cells:
+                cells += sep_row
+            start = len(cells) // width
+            cells += ex.inputs.cells
+            boundaries.append((start, len(cells) // width))
             tasks.append(ex.task)
-            offset = start if ex.task == "ntp" else start * (width or 1)
+            offset = start if ex.task == "ntp" else start * width
             targets.append(tuple((pos + offset, tok) for pos, tok in ex.targets))
         batches.append(
             PackedBatch(
                 layout=layout or "prolonged",
-                l=width or 1,
-                tokens=tuple(tokens),
+                l=width,
+                cells=tuple(cells),
                 boundaries=tuple(boundaries),
                 tasks=tuple(tasks),
                 targets=tuple(targets),

@@ -46,7 +46,7 @@ def _with_suffix(flat: list[int], l: int, suffix_ids: Sequence[int], task: str, 
 
 def format_graph_task(grid: TokenGrid, vocab: Vocabulary, label=None) -> TaskSequence:
     """Graph-level readout: append the summary token."""
-    if not grid.tokens:
+    if not grid.cells:
         raise ValueError("cannot format an empty grid")
     return _with_suffix(grid.flat(), grid.l, [vocab.id(GSUM)], "graph", label, vocab)
 
@@ -88,7 +88,7 @@ def format_edge_task(
     can bind them to their in-graph occurrences. Positive and negative
     pairs format identically; only the label differs.
     """
-    if not grid.tokens:
+    if not grid.cells:
         raise ValueError("cannot format an empty grid")
     if tuple(src_tokens) == tuple(dst_tokens):
         raise ValueError("source and destination nodes must differ")
@@ -101,7 +101,7 @@ def format_node_task(
     grid: TokenGrid, vocab: Vocabulary, target_tokens: Sequence[str], label=None
 ) -> TaskSequence:
     """Node-level readout: append the target node's tokens."""
-    if not grid.tokens:
+    if not grid.cells:
         raise ValueError("cannot format an empty grid")
     flat = grid.flat()
     ids = _resolve(flat, vocab, target_tokens, "target")

@@ -60,41 +60,77 @@ class ReindexConfig:
             raise ValueError(f"num_indices must be >= 1, not {self.num_indices}")
 
 
+def rows_of(cells: tuple[int, ...], l: int) -> tuple[tuple[int, ...], ...]:
+    """Row-major ``cells`` cut into rows of width ``l``."""
+    return tuple(zip(*[iter(cells)] * l))
+
+
 @dataclass(frozen=True)
 class TokenGrid:
     """Token ids in grid form; ``l`` is the row width: 1 for prolonged,
-    at least 2 for short and long."""
+    at least 2 for short and long.
+
+    ``cells`` holds every token id once, row-major, and ``roles`` one
+    tuple of ``l`` roles per row. Emitters share equal role rows, so
+    roles cost one reference per row; ``tokens`` cuts the cells into
+    rows on each access and keeps none of them.
+    """
 
     layout: str
     l: int
-    tokens: tuple[tuple[int, ...], ...]
+    cells: tuple[int, ...]
     roles: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(map(tuple, self.tokens)))
-        object.__setattr__(self, "roles", tuple(map(tuple, self.roles)))
+        object.__setattr__(self, "cells", tuple(self.cells))
+        object.__setattr__(self, "roles", tuple(self.roles))
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}")
         # Each short or long row holds at least a node and an edge-type cell.
         if type(self.l) is not int or (self.l != 1 if self.layout == "prolonged" else self.l < 2):
             raise ValueError(f"a {self.layout} grid cannot have row width l={self.l!r}")
-        if len(self.tokens) != len(self.roles):
+        # Role rows are stored as given, so they must already be tuples.
+        if not set(map(type, self.roles)) <= {tuple}:
+            i, row = next((i, r) for i, r in enumerate(self.roles) if type(r) is not tuple)
+            raise TypeError(f"role row {i} is a {type(row).__name__}, not a tuple")
+        if not set(map(len, self.roles)) <= {self.l}:
+            i, row = next((i, r) for i, r in enumerate(self.roles) if len(r) != self.l)
+            raise ValueError(f"role row {i} has width {len(row)}, not l={self.l}")
+        if len(self.cells) != self.l * len(self.roles):
             raise ValueError(
-                f"grid has {len(self.tokens)} token rows but {len(self.roles)} role rows"
+                f"grid has {len(self.cells)} cells but {len(self.roles)} role rows"
+                f" of width l={self.l} hold {self.l * len(self.roles)}"
             )
-        if not {*map(len, self.tokens), *map(len, self.roles)} <= {self.l}:
-            raise ValueError("grid rows must all have width l")
+
+    @classmethod
+    def from_rows(cls, layout: str, l: int, tokens, roles) -> "TokenGrid":
+        """The grid of token rows and role rows, each row of width ``l``.
+
+        Only the rules of rows are checked here; the init checks the rest.
+        """
+        tokens, roles = tuple(tokens), tuple(map(tuple, roles))
+        if len(tokens) != len(roles):
+            raise ValueError(f"grid has {len(tokens)} token rows but {len(roles)} role rows")
+        if not set(map(len, tokens)) <= {l}:
+            i, row = next((i, r) for i, r in enumerate(tokens) if len(r) != l)
+            raise ValueError(f"token row {i} has width {len(row)}, not l={l!r}")
+        return cls(layout=layout, l=l, cells=tuple(chain.from_iterable(tokens)), roles=roles)
+
+    @property
+    def tokens(self) -> tuple[tuple[int, ...], ...]:
+        return rows_of(self.cells, self.l)
 
     @property
     def num_rows(self) -> int:
-        return len(self.tokens)
+        return len(self.roles)
 
     def flat(self) -> list[int]:
-        return list(chain.from_iterable(self.tokens))
+        return list(self.cells)
 
     def to_json(self) -> dict:
-        """The grid as a JSON document. Its rows are the grid's own tuples,
-        which ``json.dumps`` writes as arrays: copy before editing."""
+        """The grid as a JSON document. Its token rows are built for this
+        call; its role rows are the grid's own tuples, which ``json.dumps``
+        writes as arrays: copy before editing."""
         return {
             "layout": self.layout,
             "l": self.l,
@@ -104,12 +140,7 @@ class TokenGrid:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TokenGrid":
-        return cls(
-            layout=doc["layout"],
-            l=doc["l"],
-            tokens=doc["tokens"],
-            roles=doc["roles"],
-        )
+        return cls.from_rows(doc["layout"], doc["l"], doc["tokens"], doc["roles"])
 
 
 def _check_vocab_indices(cfg: ReindexConfig, vocab: Vocabulary) -> None:
@@ -204,21 +235,21 @@ _EDGE_ATTR_CELL = (ROLE_EDGE_ATTR,)
 
 
 def _emit_prolonged(node_toks, node_blocks, types, edge_blocks):
-    tokens: list[int] = []
+    cells: list[int] = []
     roles: list[tuple[str]] = []
     for tok, nb, et, eb in zip(node_toks, node_blocks, types, edge_blocks):
-        tokens.append(tok)
+        cells.append(tok)
         roles.append(_NODE_CELL)
         if nb:
-            tokens += nb
+            cells += nb
             roles += [_NODE_ATTR_CELL] * len(nb)
         if et is not None:
-            tokens.append(et)
+            cells.append(et)
             roles.append(_TYPE_CELL)
         if eb:
-            tokens += eb
+            cells += eb
             roles += [_EDGE_ATTR_CELL] * len(eb)
-    return list(zip(tokens)), roles
+    return cells, roles
 
 
 def _spelled_cells(vocab, kind, rows, defaults) -> int:
@@ -272,11 +303,11 @@ def _emit_short(node_toks, node_blocks, types, edge_blocks, pad, we, wn):
     pads = [(pad,) * k for k in range(max(we, wn) + 1)]
     # Few distinct role rows exist: one per (typed, edge cells, node cells).
     role_rows: dict[tuple[bool, int, int], tuple[str, ...]] = {}
-    rows, roles = [], []
+    cells, roles = [], []
     for tok, nb, et, eb in zip(node_toks, node_blocks, types, edge_blocks):
         typed = et is not None
         ne, nn = len(eb), len(nb)
-        rows.append((tok, et if typed else pad, *eb, *pads[we - ne], *nb, *pads[wn - nn]))
+        cells += (tok, et if typed else pad, *eb, *pads[we - ne], *nb, *pads[wn - nn])
         key = (typed, ne, nn)
         role = role_rows.get(key)
         if role is None:
@@ -286,7 +317,7 @@ def _emit_short(node_toks, node_blocks, types, edge_blocks, pad, we, wn):
                 + (ROLE_NODE_ATTR,) * nn + (ROLE_PAD,) * (wn - nn)
             )
         roles.append(role)
-    return rows, roles
+    return cells, roles
 
 
 def _emit_long(node_toks, node_blocks, types, edge_blocks, pad, width):
@@ -295,21 +326,21 @@ def _emit_long(node_toks, node_blocks, types, edge_blocks, pad, width):
     typed_role = (ROLE_NODE, ROLE_TYPE) + (ROLE_PAD,) * (width - 2)
     node_attr_roles = [(ROLE_NODE_ATTR,) * k + (ROLE_PAD,) * (width - k) for k in range(width + 1)]
     edge_attr_roles = [(ROLE_EDGE_ATTR,) * k + (ROLE_PAD,) * (width - k) for k in range(width + 1)]
-    rows, roles = [], []
+    cells, roles = [], []
     for tok, nb, et, eb in zip(node_toks, node_blocks, types, edge_blocks):
         if et is None:
-            rows.append((tok, *pads[width - 1]))
+            cells += (tok, *pads[width - 1])
             roles.append(node_role)
         else:
-            rows.append((tok, et, *pads[width - 2]))
+            cells += (tok, et, *pads[width - 2])
             roles.append(typed_role)
         if nb:
-            rows.append((*nb, *pads[width - len(nb)]))
+            cells += (*nb, *pads[width - len(nb)])
             roles.append(node_attr_roles[len(nb)])
         if eb:
-            rows.append((*eb, *pads[width - len(eb)]))
+            cells += (*eb, *pads[width - len(eb)])
             roles.append(edge_attr_roles[len(eb)])
-    return rows, roles
+    return cells, roles
 
 
 def tokenize(
@@ -337,13 +368,13 @@ def tokenize(
     node_toks = list(map(_index_map(visits, cfg).__getitem__, path.nodes))
     placements = _placements(path, mg, vocab, visits, seed)
     if layout == "prolonged":
-        tokens, roles = _emit_prolonged(node_toks, *placements)
-        return TokenGrid(layout=layout, l=1, tokens=tokens, roles=roles)
+        cells, roles = _emit_prolonged(node_toks, *placements)
+        return TokenGrid(layout=layout, l=1, cells=cells, roles=roles)
     node_blocks, _, edge_blocks = placements
     we = _fit_width(edge_blocks, edge_attr_width, "edge attribute")
     wn = _fit_width(node_blocks, node_attr_width, "node attribute")
     if layout == "short":
-        tokens, roles = _emit_short(node_toks, *placements, vocab.pad_id, we, wn)
+        cells, roles = _emit_short(node_toks, *placements, vocab.pad_id, we, wn)
     else:
-        tokens, roles = _emit_long(node_toks, *placements, vocab.pad_id, 2 + we + wn)
-    return TokenGrid(layout=layout, l=2 + we + wn, tokens=tokens, roles=roles)
+        cells, roles = _emit_long(node_toks, *placements, vocab.pad_id, 2 + we + wn)
+    return TokenGrid(layout=layout, l=2 + we + wn, cells=cells, roles=roles)

@@ -145,7 +145,7 @@ def prolonged_grid(tokens, vocab: Vocabulary) -> TokenGrid:
     token by ``cell_roles``. A digit before any semantic token gets no
     role, which the decoder refuses."""
     ids = [vocab.id(tok) for tok in tokens]
-    return TokenGrid(layout="prolonged", l=1, tokens=zip(ids), roles=zip(cell_roles(ids, vocab)))
+    return TokenGrid.from_rows("prolonged", 1, zip(ids), zip(cell_roles(ids, vocab)))
 
 
 def edge_ends(mg: EulerizedMultigraph) -> tuple[tuple[int, int], ...]:

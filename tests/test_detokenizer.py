@@ -125,11 +125,11 @@ def _tiny_vocab():
 def test_dangling_attribute_tokens_rejected():
     vocab, g = _tiny_vocab()
     marker = vocab.id("test#node#0#1")
-    grid = TokenGrid(
-        layout="prolonged",
-        l=1,
-        tokens=((marker,), (vocab.id("0"),)),
-        roles=(("node-attr",), ("node",)),
+    grid = TokenGrid.from_rows(
+        "prolonged",
+        1,
+        ((marker,), (vocab.id("0"),)),
+        (("node-attr",), ("node",)),
     )
     with pytest.raises(ValueError, match="dangling"):
         detokenize(grid, vocab)
@@ -138,11 +138,11 @@ def test_dangling_attribute_tokens_rejected():
 def test_marker_without_digits_rejected():
     vocab, g = _tiny_vocab()
     marker = vocab.id("test#node#0#1")
-    grid = TokenGrid(
-        layout="prolonged",
-        l=1,
-        tokens=((vocab.id("0"),), (marker,), (vocab.id("1"),)),
-        roles=(("node",), ("node-attr",), ("node",)),
+    grid = TokenGrid.from_rows(
+        "prolonged",
+        1,
+        ((vocab.id("0"),), (marker,), (vocab.id("1"),)),
+        (("node",), ("node-attr",), ("node",)),
     )
     with pytest.raises(ValueError, match="marker without digits"):
         detokenize(grid, vocab)
@@ -152,7 +152,7 @@ def _node_block_grid(vocab, block):
     """Prolonged grid 0, block, 1 with ``block`` the first node's attribute run."""
     tokens = [vocab.id("0"), *map(vocab.id, block), vocab.id("1")]
     roles = ["node"] + ["node-attr"] * len(block) + ["node"]
-    return TokenGrid(layout="prolonged", l=1, tokens=zip(tokens), roles=zip(roles))
+    return TokenGrid.from_rows("prolonged", 1, zip(tokens), zip(roles))
 
 
 @pytest.mark.parametrize("run", ["3.1", "-", "5-3", "--1"])
@@ -247,11 +247,11 @@ def test_edge_block_on_a_jump_step_is_discarded():
 
 def test_special_token_in_node_cell_rejected():
     vocab, g = _tiny_vocab()
-    grid = TokenGrid(
-        layout="prolonged",
-        l=1,
-        tokens=((vocab.jump_id,),),
-        roles=(("node",),),
+    grid = TokenGrid.from_rows(
+        "prolonged",
+        1,
+        ((vocab.jump_id,),),
+        (("node",),),
     )
     with pytest.raises(ValueError, match="edge-type token"):
         detokenize(grid, vocab)
@@ -259,11 +259,11 @@ def test_special_token_in_node_cell_rejected():
 
 def test_trailing_edge_tokens_rejected():
     vocab, g = _tiny_vocab()
-    grid = TokenGrid(
-        layout="prolonged",
-        l=1,
-        tokens=((vocab.id("0"),), (vocab.jump_id,)),
-        roles=(("node",), ("edge-type",)),
+    grid = TokenGrid.from_rows(
+        "prolonged",
+        1,
+        ((vocab.id("0"),), (vocab.jump_id,)),
+        (("node",), ("edge-type",)),
     )
     with pytest.raises(ValueError, match="after the final node"):
         detokenize(grid, vocab)

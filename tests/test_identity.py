@@ -237,6 +237,14 @@ def test_identity_attrs_replace_node_attrs():
         assert sub.graph.node_attrs[local] == cb.code(gid)
 
 
+def test_identity_rows_refuse_an_origin_id_outside_the_codebook():
+    cb = codebook_from_partition([0, 0, 1, 1], k=2, dataset_tag="t")
+    for ids, bad in (((0, 4, 1), 4), ((2, 7, 5), 7), ((3, 9, 2, 8), 9), ((1, -1), -1)):
+        sub = SubgraphSample(AttributedGraph(num_nodes=len(ids)), (0,), ids)
+        with pytest.raises(ValueError, match=f"^node {bad} not in codebook$"):
+            with_identity_attrs(sub, cb)
+
+
 def test_identity_attrs_share_the_sample_graphs_edges_and_adjacency():
     rng = random.Random(5)
     for built in (False, True):

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -11,6 +13,7 @@ from graphseq import (
     ReindexConfig,
     build_ntp,
     build_smtp,
+    build_vocab,
     draw_mask_fraction,
     pack,
     serialize_graph,
@@ -23,11 +26,11 @@ from oracle import cell_roles
 
 
 def _prolonged_example(tokens, vocab):
-    grid = TokenGrid(
-        layout="prolonged",
-        l=1,
-        tokens=tuple((t,) for t in tokens),
-        roles=tuple(("node",) for _ in tokens),
+    grid = TokenGrid.from_rows(
+        "prolonged",
+        1,
+        tuple((t,) for t in tokens),
+        tuple(("node",) for _ in tokens),
     )
     return grid
 
@@ -180,6 +183,45 @@ def test_smtp_full_mask_leaves_structure_only():
     assert all(t == vocab.mask_id for t, r in zip(flat, roles) if r == ROLE_NODE)
 
 
+def test_smtp_inputs_share_the_grids_roles():
+    rng = random.Random(19)
+    for i in range(12):
+        g = random_graph(rng, n_max=16)
+        vocab = vocab_for(g)
+        for layout in LAYOUTS:
+            grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
+            inputs = build_smtp(grid, 0.5, i, vocab).inputs
+            assert inputs.roles is grid.roles
+            assert type(inputs.cells) is tuple and len(inputs.cells) == len(grid.cells)
+
+
+# Bytes that a kept prolonged SMTP example of a 10-30 node attributed graph
+# may hold, its roles shared with the grid's: 7.2-7.3 KB with cells held
+# in one tuple, 16.5-16.6 KB with a 1-tuple per cell (Python 3.10, 3.11
+# and 3.13).
+SMTP_EXAMPLE_BYTES_BOUND = 10_000
+
+
+def test_kept_smtp_examples_hold_no_tuple_per_cell():
+    rng = random.Random(300)
+    graphs = [random_graph(rng, n_min=10, n_max=30) for _ in range(300)]
+    vocab = build_vocab(graphs, "test", ReindexConfig())
+    # A first pass fills each graph's own caches, which no example holds.
+    for i, g in enumerate(graphs):
+        serialize_graph(g, vocab, "prolonged", ReindexConfig(), i)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        examples = [
+            build_smtp(serialize_graph(g, vocab, "prolonged", ReindexConfig(), i), 0.5, i, vocab)
+            for i, g in enumerate(graphs)
+        ]
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept / len(examples) < SMTP_EXAMPLE_BYTES_BOUND
+
+
 def test_smtp_rejects_out_of_range_fraction():
     g, vocab, grid = _star_grid()
     with pytest.raises(ValueError):
@@ -202,7 +244,7 @@ def test_linear_schedule_statistics():
 def _dummy_example(vocab, length):
     tokens = tuple((vocab.id("0"),) for _ in range(length))
     roles = tuple(("node",) for _ in range(length))
-    grid = TokenGrid(layout="prolonged", l=1, tokens=tokens, roles=roles)
+    grid = TokenGrid.from_rows("prolonged", 1, tokens, roles)
     return PretrainExample(inputs=grid, targets=((0, vocab.id("0")),), task="ntp")
 
 
@@ -276,8 +318,9 @@ def test_pack_conserves_tokens(lengths, context):
 
 
 def test_to_json_writes_the_bytes_of_list_copies():
-    # Examples and batches hand json.dumps their own tuples; the bytes must
-    # be those of the list copies they once made.
+    # Examples and batches hand json.dumps tuples, their token rows cut
+    # from the cells for the call; the bytes must be those of the list
+    # copies they once made.
     rng = random.Random(22)
     examples = []
     for i in range(12):
@@ -307,3 +350,67 @@ def test_to_json_writes_the_bytes_of_list_copies():
             "targets": [[list(t) for t in seq] for seq in b.targets],
         }
         assert json.dumps(b.to_json()) == json.dumps(copied)
+
+
+def _seeded_packing_corpus():
+    """SMTP examples of 120 seeded graphs in the prolonged layout and NTP
+    examples of the same graphs in the short layout, at attribute widths
+    one wider than the corpus's widest blocks, under one vocabulary."""
+    rng = random.Random(2026)
+    graphs = [random_graph(rng, n_max=12) for _ in range(120)]
+    vocab = build_vocab(graphs, "test", ReindexConfig())
+    smtp = [
+        build_smtp(serialize_graph(g, vocab, "prolonged", ReindexConfig(), i), max(rng.random(), 1e-6), i, vocab)
+        for i, g in enumerate(graphs)
+    ]
+    widths = {
+        "edge_attr_width": 1 + max(
+            len(vocab.block_ids("edge", row, g.edge_defaults)) for g in graphs for row in g.edge_attrs
+        ),
+        "node_attr_width": 1 + max(
+            len(vocab.block_ids("node", row, g.node_defaults)) for g in graphs for row in g.node_attrs
+        ),
+    }
+    ntp = [
+        build_ntp(serialize_graph(g, vocab, "short", ReindexConfig(), i, **widths), vocab)
+        for i, g in enumerate(graphs)
+    ]
+    return vocab, ((smtp, 256), (ntp, 64))
+
+
+# SHA-256 of the packed batches of ``_seeded_packing_corpus``: 29 batches of
+# prolonged SMTP examples, then 23 of short NTP examples. Any change to the
+# member rows, separator rows, spans or target re-basing changes it.
+PACKED_BATCHES_DIGEST = "ca3cad108680f444f743fe0d97e33a0f1453600f8a357d16dec941aab0db5c0c"
+
+
+def test_packed_batches_are_pinned():
+    vocab, corpora = _seeded_packing_corpus()
+    digest = hashlib.sha256()
+    counts = []
+    for examples, context in corpora:
+        batches = pack(examples, context, vocab)
+        counts.append(len(batches))
+        for b in batches:
+            digest.update(json.dumps(b.to_json()).encode() + b"\n")
+    assert counts == [29, 23]
+    assert digest.hexdigest() == PACKED_BATCHES_DIGEST
+
+
+def test_packed_rows_are_the_members_rows_between_separator_rows():
+    vocab, corpora = _seeded_packing_corpus()
+    for examples, context in corpora:
+        batches = pack(examples, context, vocab)
+        width = examples[0].inputs.l
+        sep_row = (vocab.eos_id,) + (vocab.pad_id,) * (width - 1)
+        spans = []
+        for b in batches:
+            rows = b.tokens
+            assert b.l == width and len(b.cells) == width * len(rows)
+            assert rows == tuple(zip(*[iter(b.cells)] * width))
+            ends = [0] + [e + 1 for _, e in b.boundaries]
+            assert [s for s, _ in b.boundaries] == ends[:-1]
+            assert ends[-1] == len(rows) + 1
+            assert all(rows[e] == sep_row for _, e in b.boundaries[:-1])
+            spans += [rows[s:e] for s, e in b.boundaries]
+        assert sorted(spans) == sorted(ex.inputs.tokens for ex in examples)

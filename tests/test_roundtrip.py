@@ -94,7 +94,7 @@ def _swap_repeated_node_tokens(grid: TokenGrid) -> TokenGrid | None:
         return None
     (r2, c2) = later[0]
     tokens[r1][c1], tokens[r2][c2] = tokens[r2][c2], tokens[r1][c1]
-    return replace(grid, tokens=tokens)
+    return TokenGrid.from_rows(grid.layout, grid.l, tokens, grid.roles)
 
 
 def _serialized(g, layout, seed):

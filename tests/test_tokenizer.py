@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from itertools import permutations
 
@@ -469,9 +470,63 @@ def test_row_width_must_be_one_the_layout_can_have():
         assert TokenGrid.from_json(doc).to_json() == doc
 
 
+def test_grids_keep_flat_cells_and_cut_them_into_rows():
+    # Every layout, and the inputs of SMTP and NTP examples.
+    rng = random.Random(61)
+    for i in range(30):
+        g = random_graph(rng, n_max=16)
+        vocab = vocab_for(g)
+        for layout in LAYOUTS:
+            grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
+            for got in (grid, build_smtp(grid, 0.5, i, vocab).inputs, build_ntp(grid, vocab).inputs):
+                assert type(got.cells) is tuple and {type(c) for c in got.cells} == {int}
+                l = got.l
+                assert got.tokens == tuple(got.cells[r * l : (r + 1) * l] for r in range(got.num_rows))
+                assert got.flat() == list(got.cells)
+                assert TokenGrid.from_rows(got.layout, l, got.tokens, got.roles) == got
+
+
+ROLE_ROWS = ((ROLE_NODE, ROLE_TYPE),) * 3
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(layout="short", l=2, cells=(0,) * 5, roles=ROLE_ROWS),
+     "grid has 5 cells but 3 role rows of width l=2 hold 6"),
+    (dict(layout="short", l=2, cells=(0,) * 7, roles=ROLE_ROWS),
+     "grid has 7 cells but 3 role rows of width l=2 hold 6"),
+    (dict(layout="long", l=2, cells=(0,) * 6, roles=ROLE_ROWS[:2] + ((ROLE_NODE,),)),
+     "role row 2 has width 1, not l=2"),
+    (dict(layout="diagonal", l=2, cells=(0,) * 6, roles=ROLE_ROWS), "unknown layout 'diagonal'"),
+    (dict(layout="long", l=1, cells=(0,) * 3, roles=((ROLE_NODE,),) * 3),
+     "a long grid cannot have row width l=1"),
+    (dict(layout="prolonged", l=2, cells=(0,) * 6, roles=ROLE_ROWS),
+     "a prolonged grid cannot have row width l=2"),
+])
+def test_grid_refuses_cells_and_roles_that_do_not_fit(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TokenGrid(**fields)
+
+
+def test_grid_refuses_role_rows_that_are_not_tuples():
+    # A list row would make the grid unhashable and unequal to from_rows'.
+    roles = [ROLE_ROWS[0], list(ROLE_ROWS[1]), ROLE_ROWS[2]]
+    with pytest.raises(TypeError, match="^role row 1 is a list, not a tuple$"):
+        TokenGrid(layout="short", l=2, cells=(0,) * 6, roles=roles)
+    grid = TokenGrid.from_rows("short", 2, [(0, 0)] * 3, roles)
+    assert grid.roles == ROLE_ROWS and hash(grid) == hash(TokenGrid("short", 2, (0,) * 6, ROLE_ROWS))
+
+
+def test_from_rows_names_the_token_row_of_another_width():
+    doc = {"layout": "long", "l": 3, "tokens": [[1, 2, 3], [4, 5, 6, 7], [8, 9]],
+           "roles": [[ROLE_NODE, ROLE_TYPE, ROLE_PAD]] * 3}
+    with pytest.raises(ValueError, match=r"^token row 1 has width 4, not l=3$"):
+        TokenGrid.from_json(doc)
+
+
 def test_to_json_writes_the_bytes_of_list_rows():
-    # to_json hands json.dumps the grid's own tuples; the bytes must be
-    # those of the list copies it once made.
+    # to_json hands json.dumps tuples: token rows cut from the cells for
+    # the call and the grid's own role rows. The bytes must be those of
+    # the list copies it once made.
     rng = random.Random(21)
     for i in range(30):
         g = random_graph(rng)
