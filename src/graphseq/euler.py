@@ -27,14 +27,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from operator import itemgetter
 
-from .graph import (
-    Adjacency,
-    AttributedGraph,
-    adjacency,
-    bfs,
-    connected_components,
-    undirected_adjacency,
-)
+from .graph import Adjacency, AttributedGraph, bfs, connected_components, undirected_adjacency
 
 # Odd-node counts up to this bound get the exact pairing. The subset DP
 # takes about 0.13 ms per graph at 12 odd nodes, 0.37 ms at 14, 1.1 ms at
@@ -157,8 +150,8 @@ def add_jump_edges(g: AttributedGraph, seed: int) -> EulerizedMultigraph:
     linked consecutively (first to second, second to third, ...), with the
     endpoint inside each component drawn uniformly from that component.
     """
-    adj = adjacency(g)
-    comps = connected_components(g)
+    adj = undirected_adjacency(g.num_nodes, g.edges)
+    comps = connected_components(g, adj)
     jumps = []
     if len(comps) > 1:
         # A connected graph draws nothing, so it skips seeding a generator.

@@ -6,9 +6,10 @@ import json
 import operator
 import random
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, compress
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -117,6 +118,13 @@ def check_edges(num_nodes: int, edges: Sequence[tuple[int, int]], directed: bool
         seen.add(key)
 
 
+# Equal attribute rows share one tuple when a graph has this many rows
+# of a kind or more, so a parent with few distinct rows keeps few. A
+# small graph's rows are left as they are: interning every molecule
+# raised mol-pretrain's peak RSS by 7%, the memo's table costing more
+# than sharing saves.
+_INTERN_MIN_ROWS = 1024
+
 _QUANTIZE_HINT = "; quantize continuous attributes with `graphseq ingest --{0}-scale/--{0}-offset`"
 
 
@@ -145,6 +153,9 @@ def _attr_rows(kind: str, rows, defaults, expected: int) -> tuple[tuple[tuple[in
     defaults = defaults or (0,) * width
     if len(defaults) != width:
         raise GraphFormatError(f"{kind} attr_defaults width mismatch")
+    # Interned only after the checks, so each refusal names the row as given.
+    if len(rows) >= _INTERN_MIN_ROWS:
+        rows = tuple(map({}.setdefault, rows, rows))
     return rows, defaults
 
 
@@ -189,8 +200,8 @@ class AttributedGraph:
         """This graph with node attribute ``rows`` and ``defaults`` in place
         of its own. Only they are checked, under the rules and messages of
         construction; the edges, the edge attributes and defaults, and the
-        adjacency if built, are this graph's own objects, shared and not
-        checked again."""
+        neighbour index if built, are this graph's own objects, shared and
+        not checked again."""
         node_attrs, node_defaults = _attr_rows("node", rows, defaults, self.num_nodes)
         g = object.__new__(type(self))
         vars(g).update(vars(self), node_attrs=node_attrs, node_defaults=node_defaults)
@@ -212,8 +223,8 @@ class AttributedGraph:
     # from ``dataclasses.replace`` is a new instance and builds its own,
     # while one from ``with_node_attrs`` keeps this one's.
     @cached_property
-    def _adjacency(self) -> Adjacency:
-        return undirected_adjacency(self.num_nodes, self.edges)
+    def _adjacency(self) -> NeighborIndex:
+        return _neighbor_index(self.num_nodes, self.edges)
 
     def to_json(self) -> dict:
         doc = {
@@ -284,23 +295,96 @@ class SubgraphSample:
         )
 
 
+@dataclass(frozen=True)
+class NeighborIndex:
+    """A parent graph's neighbours in compressed sparse rows, ignoring
+    direction. Node u's run is ``offsets[u]:offsets[u + 1]``: its
+    neighbours in ``neighbors`` and the ids of the edges to them in
+    ``edge_ids``, sorted by (neighbour, edge id), so a neighbour linked
+    by two antiparallel edges appears twice, in edge-id order. An edge's
+    id is its position in the graph's edges."""
+
+    offsets: array
+    neighbors: array
+    edge_ids: array
+
+    def run(self, u: int) -> array:
+        """Node u's neighbours in order, one per edge to it."""
+        return self.neighbors[self.offsets[u] : self.offsets[u + 1]]
+
+    def linked(self, u: int, v: int) -> bool:
+        """Whether an edge joins u and v, in either direction: v is
+        searched for by bisection into u's run."""
+        hi = self.offsets[u + 1]
+        i = bisect_left(self.neighbors, v, self.offsets[u], hi)
+        return i < hi and self.neighbors[i] == v
+
+    def induced_edge_ids(self, nodes: set[int]) -> list[int]:
+        """The sorted ids of the edges with both ends in ``nodes``.
+
+        A node's run up to twice the size of ``nodes`` is scanned; a
+        longer one, a hub's, is searched by bisection for each node of
+        ``nodes`` instead, so a hub's whole run is never read.
+        """
+        neighbors, edge_ids = self.neighbors, self.edge_ids
+        found: set[int] = set()
+        for u in nodes:
+            lo, hi = self.offsets[u], self.offsets[u + 1]
+            if hi - lo <= 2 * len(nodes):
+                found.update(compress(edge_ids[lo:hi], map(nodes.__contains__, neighbors[lo:hi])))
+                continue
+            for v in nodes:
+                i = bisect_left(neighbors, v, lo, hi)
+                while i < hi and neighbors[i] == v:
+                    found.add(edge_ids[i])
+                    i += 1
+        return sorted(found)
+
+
+def _neighbor_index(num_nodes: int, edges: Sequence[tuple[int, int]]) -> NeighborIndex:
+    """The ``NeighborIndex`` of ``edges`` over ``num_nodes`` nodes.
+
+    Each run is first a list of ``neighbour * m + edge id`` keys (m edges),
+    one int per edge end; sorting a run's keys sorts it by (neighbour,
+    edge id), and division splits them into the two arrays at C speed.
+    Neighbours and edge ids take 4 bytes each, so 16 bytes an edge; a
+    graph of 2**31 nodes or edges overflows them and raises.
+    """
+    m = len(edges)
+    runs: list[list[int]] = [[] for _ in range(num_nodes)]
+    for ei, (src, dst) in enumerate(edges):
+        runs[src].append(dst * m + ei)
+        runs[dst].append(src * m + ei)
+    for run in runs:
+        run.sort()
+    offsets = array("q", [0])
+    offsets.extend(accumulate(map(len, runs)))
+    return NeighborIndex(
+        offsets=offsets,
+        neighbors=array("i", map(m.__rfloordiv__, chain.from_iterable(runs))),  # key // m
+        edge_ids=array("i", map(m.__rmod__, chain.from_iterable(runs))),  # key % m
+    )
+
+
+def adjacency(g: AttributedGraph) -> NeighborIndex:
+    """The graph's ``NeighborIndex``, built on first use and kept by the
+    graph; the index a parent's readers (sampler, BFS partitioner) share."""
+    return g._adjacency
+
+
 Adjacency = tuple[tuple[tuple[int, int], ...], ...]
 
 
 def undirected_adjacency(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Adjacency:
     """Per node, sorted (neighbor, edge index) pairs, ignoring direction;
-    an edge's index is its position in ``edges``."""
+    an edge's index is its position in ``edges``. The searches of a
+    walk-sized graph run over these pairs; a repaired multigraph keeps
+    its own, and no graph caches them."""
     lists: list[list[tuple[int, int]]] = [[] for _ in range(num_nodes)]
     for ei, (src, dst) in enumerate(edges):
         lists[src].append((dst, ei))
         lists[dst].append((src, ei))
     return tuple(tuple(sorted(l)) for l in lists)
-
-
-def adjacency(g: AttributedGraph) -> Adjacency:
-    """Undirected adjacency: per node, sorted (neighbor, edge index) pairs.
-    Built on first use and kept by the graph."""
-    return g._adjacency
 
 
 def bfs(adj: Adjacency, starts: Sequence[int], dist: list[int], via: list[int]) -> list[int]:
@@ -328,13 +412,17 @@ def bfs(adj: Adjacency, starts: Sequence[int], dist: list[int], via: list[int]) 
     return queue
 
 
-def connected_components(g: AttributedGraph) -> list[set[int]]:
+def connected_components(g: AttributedGraph, adj: Adjacency | None = None) -> list[set[int]]:
     """Partition nodes into maximal connected sets, ignoring edge direction.
 
     Components are ordered by their smallest node id. One pair of lists
     serves every search, so the cost is linear in the graph's size.
+    ``adj``, when given, must be ``undirected_adjacency(g.num_nodes,
+    g.edges)``; without it the search builds its own.
     """
-    adj, n = adjacency(g), g.num_nodes
+    n = g.num_nodes
+    if adj is None:
+        adj = undirected_adjacency(n, g.edges)
     dist, via = [-1] * n, [-1] * n
     return [set(bfs(adj, (v,), dist, via)) for v in range(n) if dist[v] < 0]
 

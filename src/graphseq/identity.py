@@ -99,7 +99,7 @@ def _bfs_partition(g: AttributedGraph, max_cluster: int, seed: int) -> list[int]
         queue = deque([start])
         while queue and size < max_cluster:
             u = queue.popleft()
-            fresh = sorted({v for v, _ in adj[u] if cluster[v] < 0})
+            fresh = sorted({v for v in adj.run(u) if cluster[v] < 0})
             rng.shuffle(fresh)
             fresh = fresh[: max_cluster - size]
             for v in fresh:
@@ -209,7 +209,8 @@ def with_identity_attrs(sample: SubgraphSample, cb: NodeIdentityCodebook) -> Sub
     """Replace a sample's node attributes with its nodes' identity codes.
 
     Identity slots use a -1 default so every slot token is always emitted.
-    The coded graph shares the sample graph's edges and adjacency.
+    The coded graph shares the sample graph's edges and, if built, its
+    neighbour index.
     """
     attrs = tuple(map(cb.code, sample.origin_ids))
     graph = sample.graph.with_node_attrs(attrs, (-1,) * cb.k)

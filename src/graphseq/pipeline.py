@@ -156,7 +156,8 @@ def fit_sample(
     vocabulary's index space is used. Only the accepted attempt is
     walked; its multigraph and walk are kept for the next serialization,
     which reuses them when it serializes the same nodes and edges under
-    ``seed``.
+    ``seed``. ``adj``, when given, must be ``adjacency(g)``, the
+    neighbour index the parent keeps; every attempt samples over it.
     """
     reindex_cfg = reindex_cfg or ReindexConfig(num_indices=vocab.num_indices)
     for attempt, fanout in enumerate(range(cfg.neighbors, 0, -1)):

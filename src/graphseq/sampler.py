@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import Adjacency, AttributedGraph, SubgraphSample, adjacency, int_row
+from .graph import AttributedGraph, NeighborIndex, SubgraphSample, adjacency, int_row
 
 MODES = ("node-ego", "edge-ego")
 
@@ -54,10 +54,11 @@ def sample(
     g: AttributedGraph,
     roots,
     cfg: SamplerConfig,
-    adj: Adjacency | None = None,
+    adj: NeighborIndex | None = None,
 ) -> SubgraphSample:
     """Extract one ego subgraph. Deterministic for a fixed config seed.
-    ``adj``, when given, must be ``adjacency(g)``, which the graph keeps."""
+    ``adj``, when given, must be ``adjacency(g)``, the neighbour index
+    the graph keeps."""
     roots = _roots_for_mode(cfg.mode, roots)
     for r in roots:
         if not 0 <= r < g.num_nodes:
@@ -75,7 +76,7 @@ def sample(
         new: list[int] = []
         for u in frontier:
             # antiparallel directed edges list a neighbor twice; draw per node
-            fresh = sorted({v for v, _ in adj[u] if v not in visited})
+            fresh = sorted(set(adj.run(u)).difference(visited))
             if not fresh:
                 continue
             picked = rng.sample(fresh, min(cfg.neighbors, len(fresh)))
@@ -86,9 +87,7 @@ def sample(
         frontier = new
 
     local = {v: i for i, v in enumerate(order)}
-    edge_ids = sorted(
-        {ei for u in order for v, ei in adj[u] if v in visited}
-    )
+    edge_ids = adj.induced_edge_ids(visited)
     edges = tuple((local[g.edges[ei][0]], local[g.edges[ei][1]]) for ei in edge_ids)
     sub = AttributedGraph(
         num_nodes=len(order),
@@ -137,12 +136,13 @@ def draw_roots(
     positives = [tuple(g.edges[i]) for i in rng.sample(range(g.num_edges), count)]
     roots = list(positives)
     if negatives:
-        # Either orientation counts as linked, on directed parents too.
-        linked = set(g.edges)
+        # Either orientation counts as linked, on directed parents too: the
+        # head's run in the neighbour index lists both.
+        adj = adjacency(g)
         for head, _ in positives:
             for _ in range(64):
                 tail = rng.randrange(g.num_nodes)
-                if tail != head and (head, tail) not in linked and (tail, head) not in linked:
+                if tail != head and not adj.linked(head, tail):
                     roots.append((head, tail))
                     break
             else:

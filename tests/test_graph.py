@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +20,7 @@ from graphseq.graph import (
     write_jsonl,
 )
 
-from conftest import random_graph
+from conftest import power_law_graph, random_graph
 
 
 def test_load_json_path_graph(tmp_path):
@@ -110,15 +111,92 @@ def test_components_partition_property():
         assert union == set(range(g.num_nodes))
 
 
+def csr_runs(index) -> tuple:
+    """A neighbour index as per-node tuples of (neighbour, edge id) pairs,
+    the shape of ``undirected_adjacency``."""
+    off = index.offsets
+    return tuple(
+        tuple(zip(index.neighbors[off[u] : off[u + 1]], index.edge_ids[off[u] : off[u + 1]]))
+        for u in range(len(off) - 1)
+    )
+
+
 def test_adjacency_is_built_once_per_graph(two_triangles):
     adj = adjacency(two_triangles)
     assert adj is adjacency(two_triangles)
-    assert adj == undirected_adjacency(6, two_triangles.edges)
+    assert csr_runs(adj) == undirected_adjacency(6, two_triangles.edges)
     # replace() makes a new graph, which builds its own adjacency.
     chained = replace(two_triangles, edges=two_triangles.edges + ((2, 3),))
-    assert adjacency(chained) == undirected_adjacency(6, chained.edges)
+    assert csr_runs(adjacency(chained)) == undirected_adjacency(6, chained.edges)
     assert adjacency(chained) is not adj
     assert connected_components(chained) == [set(range(6))]
+
+
+def _antiparallel_graph(rng: random.Random) -> AttributedGraph:
+    """A random directed or undirected graph, perhaps with no edges or
+    isolated nodes; on a directed one some pairs are linked both ways."""
+    n = rng.randint(0, 30)
+    directed = rng.random() < 0.5
+    edges = set()
+    for _ in range(rng.randint(0, 3 * n) if n > 1 else 0):
+        u, v = rng.sample(range(n), 2)
+        if directed:
+            edges.add((u, v))
+            if rng.random() < 0.3:
+                edges.add((v, u))
+        else:
+            edges.add((min(u, v), max(u, v)))
+    edges = list(edges)
+    rng.shuffle(edges)  # edge ids in no order of their endpoints
+    return AttributedGraph(num_nodes=n, edges=tuple(edges), directed=directed)
+
+
+def test_neighbor_index_runs_equal_the_tuple_adjacency():
+    rng = random.Random(28)
+    graphs = [AttributedGraph(num_nodes=0), AttributedGraph(num_nodes=4)]
+    graphs += [_antiparallel_graph(rng) for _ in range(300)]
+    twice = isolated = 0
+    for g in graphs:
+        runs = csr_runs(adjacency(g))
+        assert runs == undirected_adjacency(g.num_nodes, g.edges)
+        assert adjacency(g).offsets[-1] == 2 * g.num_edges
+        # A pair linked both ways lists the neighbour twice, in edge-id order.
+        twice += sum(len(run) != len({v for v, _ in run}) for run in runs)
+        isolated += sum(not run for run in runs)
+    assert twice >= 20 and isolated >= 20
+
+
+def test_neighbor_index_keeps_a_bounded_number_of_bytes_per_edge():
+    g = power_law_graph(20_000, 2, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        adjacency(g)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # Tuples of (neighbour, edge id) pairs kept about 171 bytes an edge.
+    assert kept / g.num_edges <= 64
+
+
+def test_equal_attribute_rows_of_a_large_graph_share_one_tuple():
+    n = 3000
+    edges = tuple((v, v + 1) for v in range(n - 1))
+    doc = {
+        "num_nodes": n,
+        "edges": [list(e) for e in edges],
+        "node_attrs": [[v % 3, 1] for v in range(n)],
+        "edge_attrs": [[v % 4] for v in range(n - 1)],
+    }
+    g = AttributedGraph.from_json(doc)
+    assert len({id(row) for row in g.node_attrs}) == 3
+    assert len({id(row) for row in g.edge_attrs}) == 4
+    assert g.node_attrs == tuple(map(tuple, doc["node_attrs"]))
+    assert g.edge_attrs == tuple(map(tuple, doc["edge_attrs"]))
+    # A refusal still names the row as given, though it equals another as a tuple.
+    doc["edge_attrs"][2000] = [True]
+    with pytest.raises(GraphFormatError, match="^edge 2000: attribute True is not an integer"):
+        AttributedGraph.from_json(doc)
 
 
 def test_cached_adjacency_leaves_equality_hash_and_repr_alone():

@@ -28,8 +28,9 @@ from graphseq import (
     with_identity_attrs,
 )
 from graphseq import euler, pipeline
+from graphseq.graph import undirected_adjacency
 
-from conftest import power_law_graph, random_connected_graph
+from conftest import power_law_graph, random_connected_graph, random_graph
 
 
 def _chain(n=5):
@@ -187,6 +188,92 @@ def test_negative_roots_are_pinned():
         draw_roots(dense, "edge-ego", 30, 7, negatives=True),
     ]
     assert hashlib.sha256(json.dumps(roots).encode()).hexdigest()[:16] == "5d27a739f28dbe07"
+
+
+def _hub_parent(seed: int) -> AttributedGraph:
+    """A directed parent of 300 nodes: three hubs linked with about 70% of
+    the nodes, many of those links both ways, and sparse random edges with
+    attributes, so runs hold neighbours twice and a hub's run is long."""
+    rng = random.Random(seed)
+    n = 300
+    edges = set()
+    for hub in range(3):
+        for v in range(3, n):
+            if rng.random() < 0.7:
+                edges.add((hub, v) if rng.random() < 0.5 else (v, hub))
+                if rng.random() < 0.4:
+                    edges.add((v, hub) if (hub, v) in edges else (hub, v))
+    while len(edges) < 1500:
+        u, v = rng.sample(range(3, n), 2)
+        edges.add((u, v))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return AttributedGraph(num_nodes=n, edges=tuple(edges), directed=True,
+                           edge_attrs=[(rng.randrange(4),) for _ in edges])
+
+
+def _set_rule_roots(g: AttributedGraph, count: int, seed: int) -> list:
+    """``draw_roots``' edge-ego draws with negatives, linked pairs looked
+    up in a set of both orientations."""
+    rng = random.Random(seed)
+    positives = [tuple(g.edges[i]) for i in rng.sample(range(g.num_edges), count)]
+    linked = set(g.edges)
+    roots = list(positives)
+    for head, _ in positives:
+        for _ in range(64):
+            tail = rng.randrange(g.num_nodes)
+            if tail != head and (head, tail) not in linked and (tail, head) not in linked:
+                roots.append((head, tail))
+                break
+    return roots
+
+
+def test_negatives_by_bisection_equal_the_set_rule():
+    g = _hub_parent(1)
+    hub_heads = 0
+    for seed in range(30):
+        roots = draw_roots(g, "edge-ego", 40, seed, negatives=True)
+        assert roots == _set_rule_roots(g, 40, seed)
+        hub_heads += sum(head < 3 for head, _ in roots[40:])
+    assert hub_heads >= 100
+
+
+def _scan_rule_sample(g: AttributedGraph, roots, cfg: SamplerConfig) -> tuple[list, list]:
+    """``sample``'s nodes and induced edge ids over ``undirected_adjacency``
+    pairs, every sampled node's whole run scanned for induced edges."""
+    adj = undirected_adjacency(g.num_nodes, g.edges)
+    rng = random.Random(cfg.seed)
+    order, visited, frontier = list(roots), set(roots), list(roots)
+    for _ in range(cfg.depth):
+        new = []
+        for u in frontier:
+            fresh = sorted({v for v, _ in adj[u] if v not in visited})
+            if fresh:
+                for v in sorted(rng.sample(fresh, min(cfg.neighbors, len(fresh)))):
+                    visited.add(v)
+                    order.append(v)
+                    new.append(v)
+        frontier = new
+    return order, sorted({ei for u in order for v, ei in adj[u] if v in visited})
+
+
+def test_induced_edges_from_hub_runs_equal_a_full_scan():
+    g = _hub_parent(2)
+    adj = adjacency(g)
+    degree = [adj.offsets[u + 1] - adj.offsets[u] for u in range(g.num_nodes)]
+    rng = random.Random(3)
+    searched = 0
+    for i in range(200):
+        mode = ("node-ego", "edge-ego")[i % 2]
+        roots = (rng.randrange(g.num_nodes),) if mode == "node-ego" else g.edges[rng.randrange(g.num_edges)]
+        cfg = _cfg(mode=mode, depth=rng.randint(1, 2), neighbors=rng.randint(1, 4), seed=i)
+        sub = sample(g, roots, cfg, adj=adj)
+        order, edge_ids = _scan_rule_sample(g, roots, cfg)
+        assert list(sub.origin_ids) == order
+        assert [(order[a], order[b]) for a, b in sub.graph.edges] == [g.edges[e] for e in edge_ids]
+        assert sub.graph.edge_attrs == tuple(g.edge_attrs[e] for e in edge_ids)
+        searched += any(degree[u] > 2 * len(order) for u in order)
+    assert searched >= 100  # most samples hold a hub whose run is searched
 
 
 def test_draw_more_than_available_fails(c3):
@@ -356,6 +443,33 @@ def test_serialization_reuses_the_fitted_repair(monkeypatch):
     monkeypatch.undo()
     for coded, layout, i, grid in written:
         assert grid == _layer_grid(coded, vocab, layout, cfg, i)
+
+
+def test_serialized_graphs_keep_no_adjacency():
+    # Only a parent keeps its neighbour index. Jump and parity repair
+    # build the tuple adjacency of a walk-sized graph on the multigraph,
+    # so no serialized graph keeps one after its grid is written.
+    rng = random.Random(12)
+    graphs = [random_graph(rng) for _ in range(40)]
+    vocab = build_vocab(graphs, "t", ReindexConfig())
+    for i, g in enumerate(graphs):
+        serialize_graph(g, vocab, "prolonged", ReindexConfig(), i)
+        assert "_adjacency" not in vars(g)
+    assert sum(len(connected_components(g)) > 1 for g in graphs) >= 3
+
+    parent = power_law_graph(2000, 3, seed=5)
+    cb = build_codebook(parent, k=2, strategy="bfs-partition", max_cluster=64, dataset_tag="ppa")
+    everyone = SubgraphSample(graph=parent, root_nodes=(0,), origin_ids=range(parent.num_nodes))
+    vocab = build_vocab([with_identity_attrs(everyone, cb).graph], "ppa", ReindexConfig(),
+                        node_attr_style="inline")
+    for i in range(20):
+        roots = parent.edges[rng.randrange(parent.num_edges)]
+        scfg = SamplerConfig(mode="edge-ego", depth=1, neighbors=10, max_seq_len=30, seed=i)
+        sub, _ = fit_sample(parent, roots, scfg, vocab, seed=i)
+        coded = with_identity_attrs(sub, cb)
+        serialize_graph(coded.graph, vocab, "prolonged", seed=i)
+        for g in (sub.graph, coded.graph):
+            assert "_adjacency" not in vars(g)
 
 
 def test_fitted_repair_is_not_reused_for_other_edges_or_seeds(monkeypatch):
