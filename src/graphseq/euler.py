@@ -92,9 +92,10 @@ class EulerizedMultigraph:
 
     # The fields are frozen, so values cached per instance never go stale.
     @cached_property
-    def _endpoints(self) -> tuple[tuple[int, int], ...]:
-        """Endpoints per edge id: the base edges, then the jump edges."""
-        return self.base.edges + self.jump_edges
+    def endpoints(self) -> tuple[tuple[int, int], ...]:
+        """Endpoints per edge id: the base edges, then the jump edges; a
+        tuple even when the base graph keeps its edges in columns."""
+        return tuple(self.base.edges) + self.jump_edges
 
     def edge_instances(self) -> tuple[int, ...]:
         """The edge id of every edge instance (each edge, then each of its
@@ -103,7 +104,7 @@ class EulerizedMultigraph:
 
     def degrees(self) -> list[int]:
         deg = [0] * self.base.num_nodes
-        ends = self._endpoints
+        ends = self.endpoints
         for u, v in chain(ends, map(ends.__getitem__, self.duplications)):
             deg[u] += 1
             deg[v] += 1
@@ -112,7 +113,7 @@ class EulerizedMultigraph:
     @cached_property
     def _derived(self) -> Derived:
         n = self.base.num_nodes
-        adj = undirected_adjacency(n, self._endpoints)
+        adj = undirected_adjacency(n, self.endpoints)
         return Derived(
             adjacency=adj,
             connected=n <= 1 or len(bfs(adj, (0,), [-1] * n, [-1] * n)) == n,
@@ -385,7 +386,7 @@ def eulerize(mg: EulerizedMultigraph) -> EulerizedMultigraph:
     if len(odd) <= 2:
         return mg
     adj = mg.simple_adjacency()
-    ends = mg._endpoints
+    ends = mg.endpoints
     n = mg.base.num_nodes
     exact = len(odd) <= EXACT_ODD_LIMIT
     if exact:
@@ -483,7 +484,7 @@ def extract_path(mg: EulerizedMultigraph, seed: int) -> EulerPath:
     # reversed so that pop() takes them in that order; an instance's far
     # end is the XOR of its endpoints with the near one.
     instances = mg.edge_instances()
-    pairs = list(map(mg._endpoints.__getitem__, instances))
+    pairs = list(map(mg.endpoints.__getitem__, instances))
     incident: list[list[int]] = [[] for _ in range(n)]
     for idx, (u, v) in enumerate(pairs):
         incident[u].append(idx)

@@ -79,6 +79,97 @@ def int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
     return tuple(out)
 
 
+class EdgeList:
+    """A large graph's edges in two ``array('q')`` columns, ``src`` and
+    ``dst``: 16 bytes an edge, where a tuple of pairs keeps about 126 (a
+    2-tuple and two int objects). It reads as that tuple of ``(src, dst)``
+    pairs: indexes (negative too), iteration, ``in``, equality, hash and
+    repr match it, and a slice is the ``EdgeList`` of the sliced columns.
+    The columns are read-only; readers that map many edge ids go through
+    them at C speed, as ``map(edges.src.__getitem__, ids)``. No abstract
+    base class: ``isinstance`` against one took 0.5 µs, paid by every
+    graph built."""
+
+    __slots__ = ("src", "dst")
+
+    def __init__(self, src: array, dst: array):
+        self.src, self.dst = src, dst
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return EdgeList(self.src[i], self.dst[i])
+        return self.src[i], self.dst[i]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return zip(self.src, self.dst)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, EdgeList):
+            return self.src == other.src and self.dst == other.dst
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+# A graph of this many edges or more keeps them in an ``EdgeList``, and a
+# smaller one its tuple of pairs, at the measured crossover in speed. Per
+# edge, ``graph_record`` of a freshly decoded record took 1.38 times as
+# long in columns at 8,192 edges, 1.04-1.19 at 12,288-16,384, 0.99-1.06
+# from 20,000 to 40,000 and 0.82-0.92 from 49,152 up (one process per
+# size, Python 3.11, 2 vCPUs): a set of existing tuples is the cheapest
+# duplicate check while the tuples stay in cache. Built from a tuple of
+# Python pairs, columns took 1.2-1.3 times as long at every size measured,
+# up to 65,536; they keep an eighth of the memory at any size.
+_COLUMN_MIN_EDGES = 20_000
+
+_FIRST, _SECOND = operator.itemgetter(0), operator.itemgetter(1)
+
+
+def _edge_columns(pairs) -> EdgeList | None:
+    """``pairs`` as columns when there are ``_COLUMN_MIN_EDGES`` of them or
+    more and each is two ints; else None, and ``pairs`` is left to the
+    tuple path, which converts other integer types and names the first
+    value that is no integer. Ids beyond 64 bits keep the tuple too."""
+    try:
+        if (
+            len(pairs) < _COLUMN_MIN_EDGES
+            or not {*map(len, pairs)} <= {2}
+            or not {*map(type, chain.from_iterable(pairs))} <= {int}  # a bool is an int to array()
+        ):
+            return None
+        # Straight into the arrays: a list of ids first was a little faster,
+        # but its freed buffer raised ego-edge-task's peak RSS by 10 MB.
+        return EdgeList(array("q", map(_FIRST, pairs)), array("q", map(_SECOND, pairs)))
+    except (TypeError, OverflowError):
+        return None
+
+
+def _stored_edges(edges) -> tuple[tuple[int, int], ...] | EdgeList:
+    """``edges`` as a graph keeps them: an ``EdgeList`` from
+    ``_COLUMN_MIN_EDGES`` edges up, else a tuple of int pairs. A value
+    that is not an int is converted by ``int_row`` or refused, naming
+    its edge."""
+    if isinstance(edges, EdgeList):  # its arrays hold ints only
+        return edges if len(edges) >= _COLUMN_MIN_EDGES else tuple(edges)
+    columns = _edge_columns(edges)
+    if columns is not None:
+        return columns
+    edges = tuple([(s, d) for s, d in edges])
+    if not {*map(type, chain.from_iterable(edges))} <= {int}:
+        edges = tuple(int_row(e, f"edge {i}: node id") for i, e in enumerate(edges))
+        columns = _edge_columns(edges)
+    return edges if columns is None else columns
+
+
 def check_edges(num_nodes: int, edges: Sequence[tuple[int, int]], directed: bool,
                 lines: Sequence[int] = ()) -> None:
     """Raise ``GraphFormatError`` naming the first edge that is out of
@@ -88,21 +179,29 @@ def check_edges(num_nodes: int, edges: Sequence[tuple[int, int]], directed: bool
 
     The checks run in bulk: min and max of the endpoints, one pairwise
     comparison, the size of the edge set and, undirected, its overlap
-    with the swapped pairs. Only when one fails does the per-edge loop
-    run, to find the first bad edge.
+    with the swapped pairs. An ``EdgeList`` is checked on its columns,
+    and its set holds ``src * num_nodes + dst`` keys. Only when one fails
+    does the per-edge loop run, to find the first bad edge.
     """
     if not edges:
         return
-    srcs, dsts = zip(*edges)
-    pairs = set(edges)
+    if isinstance(edges, EdgeList):
+        # One int a pair, no tuple; a key names one pair once in range.
+        srcs, dsts = edges.src, edges.dst
+        times_n = num_nodes.__mul__
+        pairs = map(operator.add, map(times_n, srcs), dsts)
+        swapped = map(operator.add, map(times_n, dsts), srcs)
+    else:
+        srcs, dsts = zip(*edges)
+        pairs, swapped = edges, zip(dsts, srcs)
     if (
         min(srcs) >= 0
         and min(dsts) >= 0
         and max(srcs) < num_nodes
         and max(dsts) < num_nodes
         and not any(map(operator.eq, srcs, dsts))
-        and len(pairs) == len(edges)
-        and (directed or pairs.isdisjoint(zip(dsts, srcs)))
+        and len(unique := set(pairs)) == len(edges)
+        and (directed or unique.isdisjoint(swapped))
     ):
         return
     seen = set()
@@ -167,11 +266,13 @@ class AttributedGraph:
     directed graphs may contain both (u, v) and (v, u). Self loops and
     duplicate edges are rejected, and so is any value that is not an
     integer. ``node_defaults`` / ``edge_defaults`` give, per dimension,
-    the value that serialization omits.
+    the value that serialization omits. ``edges`` is an ``EdgeList`` from
+    ``_COLUMN_MIN_EDGES`` edges up and a tuple of pairs below, whatever
+    was given; both read, compare and hash alike.
     """
 
     num_nodes: int
-    edges: tuple[tuple[int, int], ...] = ()
+    edges: tuple[tuple[int, int], ...] | EdgeList = ()
     directed: bool = False
     node_attrs: tuple[tuple[int, ...], ...] = ()
     edge_attrs: tuple[tuple[int, ...], ...] = ()
@@ -179,10 +280,9 @@ class AttributedGraph:
     edge_defaults: tuple[int, ...] = ()
 
     def __post_init__(self):
-        edges = tuple([(s, d) for s, d in self.edges])
-        if not {type(self.num_nodes), *map(type, chain.from_iterable(edges))} <= {int}:
+        if type(self.num_nodes) is not int:
             object.__setattr__(self, "num_nodes", int_row((self.num_nodes,), "num_nodes")[0])
-            edges = tuple(int_row(e, f"edge {i}: node id") for i, e in enumerate(edges))
+        edges = _stored_edges(self.edges)
         if type(self.directed) is not bool:
             raise GraphFormatError(f"directed must be true or false, got {self.directed!r}")
         if self.num_nodes < 0:
@@ -243,9 +343,9 @@ class AttributedGraph:
 
     @classmethod
     def from_json(cls, doc: dict) -> "AttributedGraph":
-        """The graph of a JSON document. Every value must be a JSON integer
-        and ``directed`` a JSON boolean; anything else is an error, never
-        truncated or coerced."""
+        """The graph of a JSON document, which is left unchanged. Every value
+        must be a JSON integer and ``directed`` a JSON boolean; anything
+        else is an error, never truncated or coerced."""
         defaults = doc.get("attr_defaults") or {}
         return cls(
             num_nodes=doc["num_nodes"],
@@ -492,15 +592,21 @@ def load_graph(
                 key = f"{kind}_attrs"
                 if (scale, offset) != (None, None) and doc.get(key):
                     doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0, kind)
-            return AttributedGraph.from_json(doc)
+            return _owned_graph(doc)
 
         return decode_json(path.read_text(), parse)
     if format == "edge-tsv":
-        lines, edges = array("q"), []  # 8 bytes a line number, not a 36-byte int in a list
+        # 8 bytes a line number and an endpoint, not a pair and int objects.
+        lines, srcs, dsts = array("q"), array("q"), array("q")
         for lineno, src, dst in read_int_pairs(path, "src<TAB>dst", "node ids must be integers"):
+            try:
+                srcs.append(src)
+                dsts.append(dst)
+            except OverflowError:
+                raise GraphFormatError(f"node id of edge ({src}, {dst}) does not fit in 64 bits", lineno) from None
             lines.append(lineno)
-            edges.append((src, dst))
-        num_nodes = max(max(chain.from_iterable(edges), default=-1) + 1, 0)
+        edges = EdgeList(srcs, dsts)
+        num_nodes = max(max(srcs, default=-1) + 1, max(dsts, default=-1) + 1, 0)
         try:
             return AttributedGraph(num_nodes=num_nodes, edges=edges)
         except GraphFormatError:  # only check_edges can fail here; run it again to name the line
@@ -509,9 +615,26 @@ def load_graph(
     raise ValueError(f"unknown graph format: {format!r}")
 
 
+def _owned_graph(doc: dict) -> AttributedGraph:
+    """The graph of a decoded JSON graph object that the caller owns and
+    drops. A large graph's per-edge lists are replaced in ``doc`` first,
+    the edges by columns and the edge attribute rows by tuples, so they
+    are freed before construction checks and copies anything. Lists with
+    a value that is no int stay, for construction to refuse as usual."""
+    columns = _edge_columns(doc.get("edges", ()))
+    if columns is not None:
+        doc["edges"] = columns
+        try:
+            doc["edge_attrs"] = tuple(map(tuple, doc.get("edge_attrs") or ()))
+        except TypeError:  # a row that is no list; construction names it
+            pass
+    return AttributedGraph.from_json(doc)
+
+
 def graph_record(doc: dict) -> AttributedGraph:
-    """The graph of a JSONL record, which may be a bare graph or a sample."""
-    return AttributedGraph.from_json(doc.get("graph", doc))
+    """The graph of a decoded JSONL record, which may be a bare graph or a
+    sample; the record is the caller's to drop, and is changed."""
+    return _owned_graph(doc.get("graph", doc))
 
 
 def iter_graphs_jsonl(path: str | Path) -> Iterator[AttributedGraph]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import AttributedGraph, NeighborIndex, SubgraphSample, adjacency, int_row
+from .graph import AttributedGraph, EdgeList, NeighborIndex, SubgraphSample, adjacency, int_row
 
 MODES = ("node-ego", "edge-ego")
 
@@ -88,10 +88,13 @@ def sample(
 
     local = {v: i for i, v in enumerate(order)}
     edge_ids = adj.induced_edge_ids(visited)
-    edges = tuple((local[g.edges[ei][0]], local[g.edges[ei][1]]) for ei in edge_ids)
+    if isinstance(g.edges, EdgeList):  # through the columns at C speed
+        ends = zip(map(g.edges.src.__getitem__, edge_ids), map(g.edges.dst.__getitem__, edge_ids))
+    else:
+        ends = map(g.edges.__getitem__, edge_ids)
     sub = AttributedGraph(
         num_nodes=len(order),
-        edges=edges,
+        edges=tuple((local[src], local[dst]) for src, dst in ends),
         directed=g.directed,
         node_attrs=tuple(g.node_attrs[v] for v in order) if g.node_attrs else (),
         edge_attrs=tuple(g.edge_attrs[ei] for ei in edge_ids) if g.edge_attrs else (),

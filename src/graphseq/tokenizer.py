@@ -205,7 +205,7 @@ def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, vis
     num_base = mg.num_base_edges
     jump = vocab.jump_id
     if g.directed:
-        fwd, bwd, ends = vocab.fwd_id, vocab.bwd_id, g.edges
+        fwd, bwd, ends = vocab.fwd_id, vocab.bwd_id, mg.endpoints
         types = [
             jump if eid >= num_base else fwd if v == ends[eid][0] else bwd
             for v, eid in zip(nodes, edges)

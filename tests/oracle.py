@@ -150,7 +150,7 @@ def prolonged_grid(tokens, vocab: Vocabulary) -> TokenGrid:
 
 def edge_ends(mg: EulerizedMultigraph) -> tuple[tuple[int, int], ...]:
     """Endpoints per edge id: the base edges, then the jump edges."""
-    return mg.base.edges + mg.jump_edges
+    return tuple(mg.base.edges) + mg.jump_edges
 
 
 def validate_path(mg: EulerizedMultigraph, path: EulerPath) -> bool:

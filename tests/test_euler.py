@@ -415,7 +415,7 @@ def greedy_repairs():
             continue
         rows = csgraph.shortest_path(_scipy_graph(mg), directed=False, unweighted=True, indices=odd)
         dist = dict(zip(odd, rows.astype(int).tolist()))
-        pairs = _nearest_pairs(mg.simple_adjacency(), mg._endpoints, odd, g.num_nodes)
+        pairs = _nearest_pairs(mg.simple_adjacency(), mg.endpoints, odd, g.num_nodes)
         repairs.append((mg, odd, dist, pairs))
     assert len(repairs) == 61 + 16
     return repairs
@@ -482,7 +482,7 @@ def test_hub_leaves_pair_off_in_few_rounds(embedded, monkeypatch):
         return bfs(adj, todo, dist, via)
 
     monkeypatch.setattr("graphseq.euler.bfs", counting_bfs)
-    pairs = _nearest_pairs(mg.simple_adjacency(), mg._endpoints, odd, n)
+    pairs = _nearest_pairs(mg.simple_adjacency(), mg.endpoints, odd, n)
     assert len(odd) >= leaves and starts[0] == len(odd)
     assert sorted(x for _, a, b, _ in pairs for x in (a, b)) == list(odd)
     hub_pairs = [length for length, a, b, _ in pairs if a <= leaves and b <= leaves]

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from graphseq import AttributedGraph, GraphFormatError, adjacency, connected_components, load_graph
 from graphseq.graph import (
+    _COLUMN_MIN_EDGES,
+    EdgeList,
     check_edges,
     graph_record,
     iter_graphs_jsonl,
@@ -39,6 +41,13 @@ def test_load_edge_tsv(tmp_path):
     g = load_graph(path, format="edge-tsv")
     assert g.num_nodes == 4
     assert g.edges == ((0, 1), (1, 2), (2, 3))
+
+
+def test_edge_tsv_id_beyond_64_bits_is_an_error(tmp_path):
+    path = tmp_path / "big.tsv"
+    path.write_text(f"0\t1\n1\t{2**63}\n")
+    with pytest.raises(GraphFormatError, match=f"^line 2: node id of edge \\(1, {2**63}\\) does not fit in 64 bits$"):
+        load_graph(path, format="edge-tsv")
 
 
 def test_edge_tsv_duplicate_row_is_an_error(tmp_path):
@@ -411,3 +420,138 @@ def test_integer_types_convert_and_floats_fail_from_python():
     assert {type(v) for v in (g.num_nodes, *g.edges[0], *g.node_attrs[0])} == {int}
     with pytest.raises(GraphFormatError, match="node 0: attribute 3.0 is not an integer"):
         AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[3.0], [4]])
+
+
+# --- edges in columns -------------------------------------------------------
+
+# One size below the column threshold and one at it; a graph of the
+# second keeps an EdgeList, of the first a tuple, and both must read,
+# compare and refuse alike.
+EDGE_STORAGE = [(_COLUMN_MIN_EDGES - 1, tuple), (_COLUMN_MIN_EDGES, EdgeList)]
+
+
+def _path_with(size: int, fault: tuple) -> list:
+    """A path over ``size`` nodes with ``fault`` put in at the middle:
+    ``size`` edges in all, the fault's index ``size // 2``."""
+    edges = [(v, v + 1) for v in range(size - 1)]
+    edges.insert(size // 2, fault)
+    return edges
+
+
+# (fault edge over a path of n nodes, message of the refusal, whether an
+# edge-TSV refuses it alike: there a bool or a float is no integer to
+# parse, and an id past the largest only adds nodes)
+EDGE_FAULTS = [
+    pytest.param(lambda n: (0, True), "edge {i}: node id True is not an integer", False, id="bool"),
+    pytest.param(lambda n: (0, 1.5), "edge {i}: node id 1.5 is not an integer", False, id="float"),
+    pytest.param(lambda n: (0, n), "node id out of range in edge (0, {n})", False, id="too-large"),
+    pytest.param(lambda n: (-1, 0), "node id out of range in edge (-1, 0)", True, id="negative"),
+    pytest.param(lambda n: (2, 2), "self-loop at node 2", True, id="self-loop"),
+    pytest.param(lambda n: (0, 1), "duplicate edge (0, 1)", True, id="duplicate"),
+    pytest.param(lambda n: (1, 0), "duplicate edge (1, 0)", True, id="antiparallel"),
+]
+
+
+@pytest.mark.parametrize("size", [5] + [size for size, _ in EDGE_STORAGE])
+@pytest.mark.parametrize("fault, message, in_tsv", EDGE_FAULTS)
+def test_edge_refusals_read_alike_in_tuples_and_columns(tmp_path, size, fault, message, in_tsv):
+    edges = _path_with(size, fault(size))
+    message = message.format(i=size // 2, n=size)
+    with pytest.raises(GraphFormatError) as direct:
+        AttributedGraph(num_nodes=size, edges=edges)
+    assert (str(direct.value), direct.value.line) == (message, None)
+
+    path = tmp_path / "g.jsonl"
+    path.write_text(json.dumps({"num_nodes": 1}) + "\n" + json.dumps({"num_nodes": size, "edges": edges}) + "\n")
+    with pytest.raises(GraphFormatError) as record:
+        list(read_jsonl(path, graph_record))
+    assert (str(record.value), record.value.line) == (f"line 2: {message}", 2)
+
+    if in_tsv:
+        path = tmp_path / "g.tsv"
+        path.write_text("# src\tdst\n" + "".join(f"{src}\t{dst}\n" for src, dst in edges))
+        with pytest.raises(GraphFormatError) as tsv:
+            load_graph(path, format="edge-tsv")
+        line = size // 2 + 2
+        assert (str(tsv.value), tsv.value.line) == (f"line {line}: {message}", line)
+
+
+@pytest.mark.parametrize("size, stored", EDGE_STORAGE)
+def test_directed_antiparallel_edges_pass_in_tuples_and_columns(size, stored):
+    g = AttributedGraph(num_nodes=size, edges=_path_with(size, (1, 0)), directed=True)
+    assert type(g.edges) is stored and g.edges[size // 2] == (1, 0)
+
+
+@pytest.mark.parametrize("size, stored", EDGE_STORAGE)
+def test_column_stored_graphs_behave_as_tuple_stored_ones(size, stored):
+    rng = random.Random(size)
+    n = size // 2
+    pairs = set()
+    while len(pairs) < size:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    pairs = list(pairs)
+    rng.shuffle(pairs)
+    pairs = tuple(pairs)
+    doc = {
+        "directed": False,
+        "num_nodes": n,
+        "edges": [list(e) for e in pairs],
+        "node_attrs": [],
+        "edge_attrs": [[rng.randint(0, 3)] for _ in pairs],
+        "attr_defaults": {"node": [], "edge": [0]},
+    }
+    text = json.dumps(doc)
+    g = AttributedGraph.from_json(doc)
+    assert json.dumps(doc) == text  # from_json leaves its argument alone
+    assert type(g.edges) is stored and len(g.edges) == size
+    # The same graph keeping a tuple of pairs, built as with_node_attrs does.
+    twin = object.__new__(AttributedGraph)
+    vars(twin).update(vars(g), edges=pairs)
+
+    assert g.edges == pairs and pairs == g.edges and not g.edges != pairs
+    assert g.edges != pairs[:-1] and pairs[:-1] != g.edges and g.edges != list(pairs)
+    assert hash(g.edges) == hash(pairs)
+    assert g == twin and twin == g and hash(g) == hash(twin)
+    assert g == graph_record(json.loads(text)) and hash(g) == hash(graph_record(json.loads(text)))
+    assert g != replace(g, edges=pairs[:-1], edge_attrs=g.edge_attrs[:-1])
+    for i in (0, 1, size // 2, size - 1, -1, -size):
+        assert g.edges[i] == pairs[i] and type(g.edges[i]) is tuple
+    with pytest.raises(IndexError):
+        g.edges[size]
+    for cut in (slice(3, 10), slice(None, None, -1), slice(-5, None), slice(7, 7)):
+        assert g.edges[cut] == pairs[cut] and tuple(g.edges[cut]) == pairs[cut]
+    assert tuple(g.edges) == pairs and list(iter(g.edges)) == list(pairs)
+    assert pairs[5] in g.edges and (n, 0) not in g.edges
+    assert repr(g.edges) == repr(pairs) and repr(g) == repr(twin)
+
+    assert json.dumps(g.to_json()) == json.dumps(twin.to_json()) == text
+    same = replace(g)  # keeps the columns as they are, where a tuple is rebuilt
+    assert same == g and (same.edges is g.edges) == (stored is EdgeList)
+    coded = g.with_node_attrs([[v % 5] for v in range(n)], [0])
+    assert coded.edges is g.edges and coded.edge_attrs is g.edge_attrs
+    assert csr_runs(adjacency(g)) == undirected_adjacency(n, pairs)
+
+
+def test_a_record_owned_by_the_reader_is_freed_before_the_checks(tmp_path):
+    # A preferential-attachment parent with one edge attribute, as perfbench's
+    # ego parent. Tuples of pairs kept 123 bytes an edge, and the decoded
+    # document's per-edge lists, alive through the checks, peaked at 407.
+    g = power_law_graph(20_000, 2, 29)
+    assert g.num_edges >= _COLUMN_MIN_EDGES
+    rng = random.Random(29)
+    doc = g.to_json()
+    doc["edge_attrs"] = [[rng.randint(0, 3)] for _ in range(g.num_edges)]
+    path = tmp_path / "parent.jsonl"
+    write_jsonl(path, [doc])
+    del doc
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        (parsed,) = iter_graphs_jsonl(path)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert parsed.edges == g.edges and type(parsed.edges) is EdgeList
+    assert (kept - before) / g.num_edges <= 48
+    assert (peak - before) / g.num_edges <= 320
