@@ -42,9 +42,9 @@ from .graph import (
 from .identity import build_codebook, load_partition, with_identity_attrs
 from .pipeline import derive_seed, roundtrip_report, serialize_graph
 from .pretrain import build_ntp, build_smtp, check_fits, draw_mask_fraction, pack
-from .sampler import SamplerConfig, draw_roots, sample
+from .sampler import MODE_ROOTS, SamplerConfig, draw_roots, sample
 from .taskfmt import format_edge_task, format_graph_task, format_node_task
-from .tokenizer import LAYOUTS, ReindexConfig, TokenGrid
+from .tokenizer import LAYOUTS, ReindexConfig, TokenGrid, widest_blocks
 from .vocab import ATTR_STYLES, Vocabulary, build_vocab
 
 log = logging.getLogger("graphseq")
@@ -166,24 +166,6 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def _widest_blocks(records, vocab: Vocabulary) -> dict[str, int]:
-    """The widest edge and node attribute blocks of a graph corpus, as
-    ``serialize_graph``'s width keywords, so every short or long grid of
-    it has one row width. Blocks are spelled from the rows; no walk."""
-
-    def widest(kind, rows, defaults):
-        return max((len(vocab.block_ids(kind, row, defaults)) for row in set(rows)), default=0)
-
-    def widths(_, g):
-        return widest("edge", g.edge_attrs, g.edge_defaults), widest("node", g.node_attrs, g.node_defaults)
-
-    per_graph = list(_per_record(records, widths))
-    return {
-        "edge_attr_width": max((e for e, _ in per_graph), default=0),
-        "node_attr_width": max((n for _, n in per_graph), default=0),
-    }
-
-
 def cmd_pretrain(args) -> int:
     if args.pack_context < 0:
         raise ValueError(f"--pack-context must be >= 0, not {args.pack_context}")
@@ -192,7 +174,8 @@ def cmd_pretrain(args) -> int:
     # Packed rows share one width, so short and long grids take the corpus's widest blocks.
     widths = {}
     if args.pack_context and args.layout != "prolonged":
-        widths = _widest_blocks(read_jsonl(args.graphs, graph_record), vocab)
+        per_graph = _per_record(read_jsonl(args.graphs, graph_record), lambda _, g: widest_blocks(g, vocab))
+        widths = dict(zip(("edge_attr_width", "node_attr_width"), map(max, zip(*per_graph))))
 
     def example(i, g):
         grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i), **widths)
@@ -240,7 +223,9 @@ def cmd_taskfmt(args) -> int:
             )
         return [vocab.token(t) for t in vocab.block_ids("node", g.node_attrs[local], g.node_defaults)]
 
-    roots, mode = (2, "edge-ego") if args.task == "edge" else (1, "node-ego")
+    # A node or edge task reads the samples of the mode named after it.
+    mode = f"{args.task}-ego"
+    roots = MODE_ROOTS.get(mode)
 
     def sample_task(i, record):
         sub, label = record
@@ -357,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "--seed", "--dataset-tag")
     p.add_argument("--graph", required=True,
                    help="file holding one parent graph as one JSONL record, as `graphseq ingest` writes")
-    p.add_argument("--mode", choices=("node-ego", "edge-ego"), required=True)
+    p.add_argument("--mode", choices=tuple(MODE_ROOTS), required=True)
     p.add_argument("--depth", type=int, default=1, help="hops from the roots (default %(default)s)")
     p.add_argument("--neighbors", type=int, default=1,
                    help="neighbours drawn per node and hop (default %(default)s)")
@@ -417,7 +402,7 @@ def main(argv=None) -> int:
         if args.config:
             # The file's values for the command's flags become their defaults; given flags still win.
             try:
-                config = decode_json(Path(args.config).read_text(), dict)
+                config = decode_json(Path(args.config).read_text(encoding="utf-8-sig"), dict)
             except GraphFormatError as exc:
                 exc.args = (f"config {args.config}: {exc}",)
                 raise

@@ -46,8 +46,9 @@ def decode_json(text: str, parse: Callable[[dict], T], line: int | None = None) 
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield ``(line number, parse(doc))`` for each non-blank line of a
     JSONL file, decoded by ``decode_json``; the number lets later per-item
-    errors name the line too."""
-    with open(path) as fh:
+    errors name the line too. The file is UTF-8, with or without a
+    byte-order mark, whatever the locale."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isspace():
                 yield lineno, decode_json(line, parse, lineno)
@@ -55,8 +56,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tuple[i
 
 def write_jsonl(path: str | Path, docs: Iterable[dict]) -> None:
     """Write one JSON line per doc as ``docs`` yields it; a failure part
-    way leaves the complete lines written before it."""
-    with open(path, "w") as fh:
+    way leaves the complete lines written before it. The file is UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
             fh.write(json.dumps(doc) + "\n")
 
@@ -85,10 +86,8 @@ class EdgeList:
     2-tuple and two int objects). It reads as that tuple of ``(src, dst)``
     pairs: indexes (negative too), iteration, ``in``, equality, hash and
     repr match it, and a slice is the ``EdgeList`` of the sliced columns.
-    The columns are read-only; readers that map many edge ids go through
-    them at C speed, as ``map(edges.src.__getitem__, ids)``. No abstract
-    base class: ``isinstance`` against one took 0.5 µs, paid by every
-    graph built."""
+    The columns are read-only. No abstract base class: ``isinstance``
+    against one took 0.5 µs, paid by every graph built."""
 
     __slots__ = ("src", "dst")
 
@@ -531,24 +530,28 @@ def quantize_attrs(
     rows: Sequence[Sequence[float]], scale: float = 1.0, offset: int = 0, what: str = "row"
 ) -> list[list[int]]:
     """Map continuous attribute values to integers: round(v * scale) + offset.
-    A boolean or a numeric string is no number, though ``float`` reads it
-    as one: it raises ``GraphFormatError`` naming ``what``, its row and value."""
-    out = []
-    for i, row in enumerate(rows):
-        values = [float(v) for v in row]  # a string that is no numeral fails here
-        for v in row:
-            if isinstance(v, (bool, str)):
-                raise GraphFormatError(f"{what} {i}: attribute {v!r} is not a number")
-        out.append([int(round(v * scale)) + offset for v in values])
-    return out
+    Each value must be an int or a float, never a boolean, and ``v * scale``
+    finite; anything else raises ``GraphFormatError`` naming ``what``, the
+    row and the value."""
+
+    def quantized(i: int, v) -> int:
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise GraphFormatError(f"{what} {i}: attribute {v!r} is not a number")
+        try:
+            return int(round(v * scale)) + offset
+        except (ValueError, OverflowError):  # nan, infinity, or an int past the float range
+            raise GraphFormatError(f"{what} {i}: attribute {v!r} times scale {scale} is not finite") from None
+
+    return [[quantized(i, v) for v in row] for i, row in enumerate(rows)]
 
 
 def read_int_pairs(path: str | Path, fields: str, not_int: str = "") -> Iterator[tuple[int, int, int]]:
     """Yield ``(line number, a, b)`` per "a<TAB>b" line of a text file,
     skipping blank and ``#`` lines; whitespace splits a line with no tab.
     Another shape raises ``GraphFormatError`` ``expected '<fields>'`` with
-    the line, a non-integer field ``not_int`` (default: what int says)."""
-    with open(path, encoding="utf-8") as fh:
+    the line, a non-integer field ``not_int`` (default: what int says).
+    The file is UTF-8; a leading byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -594,7 +597,7 @@ def load_graph(
                     doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0, kind)
             return _owned_graph(doc)
 
-        return decode_json(path.read_text(), parse)
+        return decode_json(path.read_text(encoding="utf-8-sig"), parse)
     if format == "edge-tsv":
         # 8 bytes a line number and an endpoint, not a pair and int objects.
         lines, srcs, dsts = array("q"), array("q"), array("q")

@@ -10,9 +10,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import AttributedGraph, EdgeList, NeighborIndex, SubgraphSample, adjacency, int_row
+from .graph import AttributedGraph, NeighborIndex, SubgraphSample, adjacency, int_row
 
-MODES = ("node-ego", "edge-ego")
+# Each sampling mode and the roots it grows from: one node, or the two
+# ends of an edge (or, for a negative, of a non-edge).
+MODE_ROOTS = {"node-ego": 1, "edge-ego": 2}
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,8 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
+        if self.mode not in MODE_ROOTS:
+            raise ValueError(f"mode must be one of {tuple(MODE_ROOTS)}")
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
         if self.neighbors < 1:
@@ -42,7 +44,7 @@ class SamplerConfig:
 
 def _roots_for_mode(mode: str, roots) -> tuple[int, ...]:
     roots = int_row(roots, "root node")
-    expected = 1 if mode == "node-ego" else 2
+    expected = MODE_ROOTS[mode]
     if len(roots) != expected:
         raise ValueError(f"{mode} sampling takes {expected} root(s), got {len(roots)}")
     if mode == "edge-ego" and roots[0] == roots[1]:
@@ -88,13 +90,9 @@ def sample(
 
     local = {v: i for i, v in enumerate(order)}
     edge_ids = adj.induced_edge_ids(visited)
-    if isinstance(g.edges, EdgeList):  # through the columns at C speed
-        ends = zip(map(g.edges.src.__getitem__, edge_ids), map(g.edges.dst.__getitem__, edge_ids))
-    else:
-        ends = map(g.edges.__getitem__, edge_ids)
     sub = AttributedGraph(
         num_nodes=len(order),
-        edges=tuple((local[src], local[dst]) for src, dst in ends),
+        edges=tuple((local[src], local[dst]) for src, dst in map(g.edges.__getitem__, edge_ids)),
         directed=g.directed,
         node_attrs=tuple(g.node_attrs[v] for v in order) if g.node_attrs else (),
         edge_attrs=tuple(g.edge_attrs[ei] for ei in edge_ids) if g.edge_attrs else (),
@@ -122,8 +120,8 @@ def draw_roots(
     by keeping a positive edge's head and redrawing the tail uniformly, at
     most 64 times. Negatives exist for edge-ego only.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
+    if mode not in MODE_ROOTS:
+        raise ValueError(f"mode must be one of {tuple(MODE_ROOTS)}")
     if negatives and mode != "edge-ego":
         raise ValueError(f"negatives are drawn for edge-ego roots only, not {mode}")
     if count < 0:

@@ -44,11 +44,16 @@ def _with_suffix(flat: list[int], l: int, suffix_ids: Sequence[int], task: str, 
     return TaskSequence(tokens=tuple(flat), readout_position=readout, task=task, label=label)
 
 
-def format_graph_task(grid: TokenGrid, vocab: Vocabulary, label=None) -> TaskSequence:
-    """Graph-level readout: append the summary token."""
+def _flat(grid: TokenGrid) -> list[int]:
+    """The cells of a grid, which must not be empty, as a new list."""
     if not grid.cells:
         raise ValueError("cannot format an empty grid")
-    return _with_suffix(grid.flat(), grid.l, [vocab.id(GSUM)], "graph", label, vocab)
+    return grid.flat()
+
+
+def format_graph_task(grid: TokenGrid, vocab: Vocabulary, label=None) -> TaskSequence:
+    """Graph-level readout: append the summary token."""
+    return _with_suffix(_flat(grid), grid.l, [vocab.id(GSUM)], "graph", label, vocab)
 
 
 def _resolve(flat: list[int], vocab: Vocabulary, tokens: Sequence[str], what: str) -> list[int]:
@@ -88,11 +93,9 @@ def format_edge_task(
     can bind them to their in-graph occurrences. Positive and negative
     pairs format identically; only the label differs.
     """
-    if not grid.cells:
-        raise ValueError("cannot format an empty grid")
+    flat = _flat(grid)
     if tuple(src_tokens) == tuple(dst_tokens):
         raise ValueError("source and destination nodes must differ")
-    flat = grid.flat()
     ids = _resolve(flat, vocab, src_tokens, "source") + _resolve(flat, vocab, dst_tokens, "destination")
     return _with_suffix(flat, grid.l, ids, "edge", label, vocab)
 
@@ -101,8 +104,6 @@ def format_node_task(
     grid: TokenGrid, vocab: Vocabulary, target_tokens: Sequence[str], label=None
 ) -> TaskSequence:
     """Node-level readout: append the target node's tokens."""
-    if not grid.cells:
-        raise ValueError("cannot format an empty grid")
-    flat = grid.flat()
+    flat = _flat(grid)
     ids = _resolve(flat, vocab, target_tokens, "target")
     return _with_suffix(flat, grid.l, ids, "node", label, vocab)

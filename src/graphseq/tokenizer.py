@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .euler import EulerPath, EulerizedMultigraph, bounded_draws, check_walkable
+from .graph import AttributedGraph
 from .vocab import Vocabulary
 
 LAYOUTS = ("short", "long", "prolonged")
@@ -288,8 +289,17 @@ def sequence_length(mg: EulerizedMultigraph, vocab: Vocabulary, cfg: ReindexConf
     )
 
 
-def _fit_width(blocks, configured, what):
-    needed = max(map(len, blocks), default=0)
+def widest_blocks(g: AttributedGraph, vocab: Vocabulary) -> tuple[int, int]:
+    """Cells of ``g``'s widest edge and node attribute blocks, each distinct
+    row spelled once: the widths ``tokenize`` fits short and long grids to,
+    since every walk of ``g`` places every row's block."""
+    return (
+        max(map(len, _spelled(vocab, "edge", g.edge_attrs, g.edge_defaults).values()), default=0),
+        max(map(len, _spelled(vocab, "node", g.node_attrs, g.node_defaults).values()), default=0),
+    )
+
+
+def _fit_width(needed, configured, what):
     if configured is None:
         return needed
     if needed > configured:
@@ -358,7 +368,7 @@ def tokenize(
     ``cfg.seed`` drives the cyclic index offset; ``seed`` drives the
     per-node / per-edge attribute placement draws. Explicit attribute
     widths cap the grid sections (overflow is an error, never a
-    truncation); by default they fit the widest block in the walk.
+    truncation); by default they fit ``widest_blocks`` of the graph.
     """
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
@@ -370,9 +380,9 @@ def tokenize(
     if layout == "prolonged":
         cells, roles = _emit_prolonged(node_toks, *placements)
         return TokenGrid(layout=layout, l=1, cells=cells, roles=roles)
-    node_blocks, _, edge_blocks = placements
-    we = _fit_width(edge_blocks, edge_attr_width, "edge attribute")
-    wn = _fit_width(node_blocks, node_attr_width, "node attribute")
+    widest_edge, widest_node = widest_blocks(mg.base, vocab)
+    we = _fit_width(widest_edge, edge_attr_width, "edge attribute")
+    wn = _fit_width(widest_node, node_attr_width, "node attribute")
     if layout == "short":
         cells, roles = _emit_short(node_toks, *placements, vocab.pad_id, we, wn)
     else:

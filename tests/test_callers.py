@@ -12,7 +12,9 @@ another: a function, class, method or module-level variable. A decision
 two modules share goes behind a public name of the module that owns it.
 
 Only ``graph.py`` decodes JSON, so every JSON input meets one rule for
-bad JSON and for a value that is not an object.
+bad JSON and for a value that is not an object. Only ``graph.py`` names
+``EdgeList``: how a graph stores its edges is its own decision, and every
+other module reads them as a sequence of ``(src, dst)`` pairs.
 
 The README's library example runs as written, so a deleted or renamed
 export cannot leave it stale.
@@ -124,6 +126,20 @@ def json_decoders(root: Path) -> list[str]:
 def test_only_graph_decodes_json():
     found = json_decoders(ROOT)
     assert not found, f"json.loads or json.load outside graph.py: {found}"
+
+
+def edge_store_readers(root: Path) -> list[str]:
+    """Modules of ``root``'s package, ``graph`` aside, that name ``EdgeList``."""
+    return [
+        path.stem
+        for path in sorted((root / "src" / "graphseq").glob("*.py"))
+        if path.stem != "graph" and "EdgeList" in _referenced(_parse(path))
+    ]
+
+
+def test_only_graph_names_the_edge_store():
+    found = edge_store_readers(ROOT)
+    assert not found, f"EdgeList named outside graph.py: {found}"
 
 
 def test_readme_library_example_runs():

@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -1069,13 +1071,39 @@ def test_a_boolean_or_numeric_string_under_a_scale_flag_is_refused(tmp_path, cap
 
 
 def test_a_non_numeric_value_under_a_scale_flag_fails_as_a_graph_file_error(tmp_path, capsys):
-    # Before, float("high") escaped as a bare ValueError.
+    # Before, float("high") escaped as a bare ValueError, then as Python's
+    # own message, which named no row.
     raw = tmp_path / "g.json"
     raw.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]], "node_attrs": [[0.5], ["high"]]}))
     out = tmp_path / "g.jsonl"
     assert main(["ingest", "--input", str(raw), "--node-scale", "10", "--output", str(out)]) == 1
     err = json.loads(capsys.readouterr().err)
-    assert err == {"error": "GraphFormatError", "message": "could not convert string to float: 'high'"}
+    assert err == {"error": "GraphFormatError", "message": "node 1: attribute 'high' is not a number"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value, scale, message", [
+    ("Infinity", "2", "node 1: attribute inf times scale 2.0 is not finite"),
+    ("1e400", "2", "node 1: attribute inf times scale 2.0 is not finite"),
+    ("-Infinity", "2", "node 1: attribute -inf times scale 2.0 is not finite"),
+    ("NaN", "2", "node 1: attribute nan times scale 2.0 is not finite"),
+    ("1" + "0" * 400, "2", f"node 1: attribute {10 ** 400} times scale 2.0 is not finite"),
+    ("null", "2", "node 1: attribute None is not a number"),
+    ("[2]", "2", "node 1: attribute [2] is not a number"),
+    ('"abc"', "2", "node 1: attribute 'abc' is not a number"),
+    ("3", "inf", "node 0: attribute 0.5 times scale inf is not finite"),
+    ("3", "nan", "node 0: attribute 0.5 times scale nan is not finite"),
+], ids=["infinity", "float-past-range", "minus-infinity", "nan", "int-past-float-range",
+        "null", "list", "string", "scale-inf", "scale-nan"])
+def test_a_value_that_does_not_quantize_is_refused_by_row(tmp_path, capsys, value, scale, message):
+    # Before, an infinity exited as a bare OverflowError, and a NaN, a null,
+    # a list or a string failed with Python's own message, naming no row.
+    raw = tmp_path / "g.json"
+    raw.write_text('{"num_nodes": 2, "edges": [[0, 1]], "node_attrs": [[0.5], [%s]]}' % value)
+    out = tmp_path / "g.jsonl"
+    assert main(["ingest", "--input", str(raw), "--node-scale", scale, "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GraphFormatError", "message": message}
     assert not out.exists()
 
 
@@ -1138,3 +1166,50 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert "graphseq" in proc.stdout
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    # Under the C locale with UTF-8 mode off, open() without an encoding
+    # reads ASCII: before, `vocab` on a record labelled "café" exited with
+    # a UnicodeDecodeError, and an edge list saved with a byte-order mark
+    # failed at "line 1: node ids must be integers". EncodingWarning, made
+    # an error, catches any open() that leaves the encoding to the locale.
+    bom = "\ufeff"
+    graphs = tmp_path / "graphs.jsonl"
+    graphs.write_text(bom + "".join(json.dumps(doc, ensure_ascii=False) + "\n" for doc in [
+        {"num_nodes": 3, "edges": [[0, 1], [1, 2]], "node_attrs": [[1], [2], [1]], "label": "café"},
+        {"num_nodes": 2, "edges": [[0, 1]], "edge_attrs": [[3]], "label": "naïve"},
+    ]), encoding="utf-8")
+    raw = tmp_path / "raw.json"
+    raw.write_text(bom + '{"num_nodes": 2, "edges": [[0, 1]], "node_attrs": [[0.5], [1.5]], "note": "é"}',
+                   encoding="utf-8")
+    (tmp_path / "edges.tsv").write_text(bom + "0\t1\n1\t2\n2\t3\n3\t0\n0\t2\n", encoding="utf-8")
+    (tmp_path / "config.json").write_text(bom + '{"dataset_tag": "é"}', encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def graphseq(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "graphseq.cli", *argv],
+            capture_output=True, text=True, encoding="utf-8", cwd=tmp_path, env=env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+    graphseq("ingest", "--input", "raw.json", "--node-scale", "2", "--output", "ingested.jsonl")
+    graphseq("ingest", "--format", "edge-tsv", "--input", "edges.tsv", "--output", "parent.jsonl")
+    graphseq("vocab", "--graphs", "graphs.jsonl", "--config", "config.json", "--output", "vocab.tsv")
+    graphseq("tokenize", "--graphs", "graphs.jsonl", "--vocab", "vocab.tsv", "--output", "grids.jsonl")
+    graphseq("detokenize", "--grids", "grids.jsonl", "--vocab", "vocab.tsv", "--output", "decoded.jsonl")
+    graphseq("pretrain", "--task", "smtp", "--graphs", "graphs.jsonl", "--vocab", "vocab.tsv", "--output", "smtp.jsonl")
+    graphseq("sample", "--graph", "parent.jsonl", "--mode", "edge-ego", "--count", "2", "--output", "samples.jsonl")
+    graphseq("taskfmt", "--task", "graph", "--graphs", "graphs.jsonl", "--vocab", "vocab.tsv",
+             "--output", "tasks.jsonl")
+    ingested = json.loads((tmp_path / "ingested.jsonl").read_text(encoding="utf-8"))
+    assert ingested["node_attrs"] == [[1], [3]]
+    parent = json.loads((tmp_path / "parent.jsonl").read_text(encoding="utf-8"))
+    assert parent["edges"] == [[0, 1], [1, 2], [2, 3], [3, 0], [0, 2]]
+    assert Vocabulary.load(tmp_path / "vocab.tsv").dataset_tag == "é"
+    with open(tmp_path / "tasks.jsonl", encoding="utf-8") as fh:
+        assert [json.loads(line)["label"] for line in fh] == ["café", "naïve"]
