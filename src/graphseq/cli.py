@@ -23,7 +23,6 @@ import logging
 import os
 import random
 import sys
-from pathlib import Path
 
 from . import __version__
 from .detokenizer import detokenize
@@ -37,6 +36,7 @@ from .graph import (
     load_graph,
     random_graph,
     read_jsonl,
+    read_lines,
     write_jsonl,
 )
 from .identity import build_codebook, load_partition, with_identity_attrs
@@ -402,7 +402,7 @@ def main(argv=None) -> int:
         if args.config:
             # The file's values for the command's flags become their defaults; given flags still win.
             try:
-                config = decode_json(Path(args.config).read_text(encoding="utf-8-sig"), dict)
+                config = decode_json("".join(line for _, line in read_lines(args.config)), dict)
             except GraphFormatError as exc:
                 exc.args = (f"config {args.config}: {exc}",)
                 raise

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import operator
 import random
+import re
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -43,15 +44,26 @@ def decode_json(text: str, parse: Callable[[dict], T], line: int | None = None) 
         raise GraphFormatError(str(exc), line=line) from exc
 
 
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` per line of an input file, the one place
+    graphseq opens one: UTF-8 whatever the locale, a leading byte-order mark
+    skipped, lines ending as in text mode. A byte that is not UTF-8 reads as
+    a lone surrogate, which no ASCII line holds (``isascii`` is O(1)), and
+    raises ``GraphFormatError`` at its line."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii() and (bad := re.search("[\udc80-\udcff]", line)):
+                raise GraphFormatError(f"byte {ord(bad[0]) - 0xDC00:#04x} is not UTF-8", lineno)
+            yield lineno, line
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Yield ``(line number, parse(doc))`` for each non-blank line of a
-    JSONL file, decoded by ``decode_json``; the number lets later per-item
-    errors name the line too. The file is UTF-8, with or without a
-    byte-order mark, whatever the locale."""
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.isspace():
-                yield lineno, decode_json(line, parse, lineno)
+    JSONL file read by ``read_lines`` and decoded by ``decode_json``; the
+    number lets later per-item errors name the line too."""
+    for lineno, line in read_lines(path):
+        if not line.isspace():
+            yield lineno, decode_json(line, parse, lineno)
 
 
 def write_jsonl(path: str | Path, docs: Iterable[dict]) -> None:
@@ -78,6 +90,23 @@ def int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
         except TypeError:
             raise GraphFormatError(f"{what} {value!r} is not an integer{hint}") from None
     return tuple(out)
+
+
+def _refuse_entry(what: str, entries, shape: str, fits: Callable) -> None:
+    """Raise ``GraphFormatError`` naming the first of ``entries`` on which
+    ``fits`` raises ``TypeError`` or ``ValueError``, by its index: ``edge 1:
+    expected a [src, dst] pair, not 5``. Called once converting all the
+    entries failed; finding none, it returns, and the caller re-raises."""
+    for i, entry in enumerate(entries):
+        try:
+            fits(entry)
+        except (TypeError, ValueError):
+            raise GraphFormatError(f"{what} {i}: expected {shape}, not {entry!r}") from None
+
+
+def _pair(edge) -> tuple:
+    src, dst = edge
+    return src, dst
 
 
 class EdgeList:
@@ -162,7 +191,11 @@ def _stored_edges(edges) -> tuple[tuple[int, int], ...] | EdgeList:
     columns = _edge_columns(edges)
     if columns is not None:
         return columns
-    edges = tuple([(s, d) for s, d in edges])
+    try:
+        edges = tuple([(s, d) for s, d in edges])
+    except (TypeError, ValueError):
+        _refuse_entry("edge", edges, "a [src, dst] pair", _pair)
+        raise
     if not {*map(type, chain.from_iterable(edges))} <= {int}:
         edges = tuple(int_row(e, f"edge {i}: node id") for i, e in enumerate(edges))
         columns = _edge_columns(edges)
@@ -235,7 +268,11 @@ def _attr_rows(kind: str, rows, defaults, expected: int) -> tuple[tuple[tuple[in
     # confirms that every value is already an int, as from JSON or from
     # this package; only when one is not do values get converted one by
     # one, which names the first that is not an integer.
-    rows = tuple(map(tuple, rows))
+    try:
+        rows = tuple(map(tuple, rows))
+    except TypeError:
+        _refuse_entry(kind, rows, "a list of attribute values", iter)
+        raise
     defaults = tuple(defaults)
     if not {*map(type, chain.from_iterable(rows)), *map(type, defaults)} <= {int}:
         rows = tuple(
@@ -542,28 +579,30 @@ def quantize_attrs(
         except (ValueError, OverflowError):  # nan, infinity, or an int past the float range
             raise GraphFormatError(f"{what} {i}: attribute {v!r} times scale {scale} is not finite") from None
 
-    return [[quantized(i, v) for v in row] for i, row in enumerate(rows)]
+    try:
+        return [[quantized(i, v) for v in row] for i, row in enumerate(rows)]
+    except TypeError:  # a row that is no list of values
+        _refuse_entry(what, rows, "a list of attribute values", iter)
+        raise
 
 
 def read_int_pairs(path: str | Path, fields: str, not_int: str = "") -> Iterator[tuple[int, int, int]]:
     """Yield ``(line number, a, b)`` per "a<TAB>b" line of a text file,
     skipping blank and ``#`` lines; whitespace splits a line with no tab.
     Another shape raises ``GraphFormatError`` ``expected '<fields>'`` with
-    the line, a non-integer field ``not_int`` (default: what int says).
-    The file is UTF-8; a leading byte-order mark is skipped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t") if "\t" in line else line.split()
-            if len(parts) != 2:
-                raise GraphFormatError(f"expected '{fields}'", line=lineno)
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise GraphFormatError(not_int or str(exc), line=lineno) from None
-            yield lineno, a, b
+    the line, a non-integer field ``not_int`` (default: what int says)."""
+    for lineno, raw in read_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t") if "\t" in line else line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"expected '{fields}'", line=lineno)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError as exc:
+            raise GraphFormatError(not_int or str(exc), line=lineno) from None
+        yield lineno, a, b
 
 
 def load_graph(
@@ -585,7 +624,6 @@ def load_graph(
     defaulting to scale 1 or offset 0 (so ``node_scale=1`` rounds). With
     neither set, the values must already be integers.
     """
-    path = Path(path)
     if format == "json":
         def parse(doc: dict) -> AttributedGraph:
             for kind, scale, offset in (
@@ -597,7 +635,7 @@ def load_graph(
                     doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0, kind)
             return _owned_graph(doc)
 
-        return decode_json(path.read_text(encoding="utf-8-sig"), parse)
+        return decode_json("".join(line for _, line in read_lines(path)), parse)
     if format == "edge-tsv":
         # 8 bytes a line number and an endpoint, not a pair and int objects.
         lines, srcs, dsts = array("q"), array("q"), array("q")

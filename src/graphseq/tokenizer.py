@@ -25,7 +25,6 @@ example files leave roles out.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
@@ -178,12 +177,20 @@ def _index_map(first_seen, cfg: ReindexConfig) -> dict[int, int]:
     return {v: (i + offset) % cfg.num_indices for i, v in enumerate(first_seen)}
 
 
-def _spelled(vocab: Vocabulary, kind: str, rows, defaults) -> dict:
-    """``vocab.block_ids`` of each distinct row, spelled in row order."""
-    return {row: vocab.block_ids(kind, row, defaults) for row in dict.fromkeys(rows)}
+def _spelled(g: AttributedGraph, vocab: Vocabulary) -> tuple[dict, dict]:
+    """``vocab.block_ids`` of each distinct node row, then of each distinct
+    edge row of ``g``, in row order: the blocks a serialization reads."""
+    kinds = ("node", g.node_attrs, g.node_defaults), ("edge", g.edge_attrs, g.edge_defaults)
+    return tuple({row: vocab.block_ids(kind, row, defaults) for row in dict.fromkeys(rows)}
+                 for kind, rows, defaults in kinds)
 
 
-def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, visits, seed: int):
+def _widest(spelled: dict) -> int:
+    return max(map(len, spelled.values()), default=0)
+
+
+def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, visits, seed: int,
+                node_spelled: dict, edge_spelled: dict):
     """Node attribute block, edge-type id (or None) and edge attribute
     block per walk position; a position without a block holds ``()``.
 
@@ -191,16 +198,15 @@ def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, vis
     per node, in node id order), then each base edge's block to one of
     its traversals (one draw per edge, in edge id order). A node visited
     once or an edge traversed once takes its only position and no draw.
+    ``node_spelled`` and ``edge_spelled`` are ``_spelled(mg.base, vocab)``.
     """
     g = mg.base
     nodes, edges = path.nodes, path.edges
     _, choice = bounded_draws(random.Random(seed))
     node_blocks: list = [()] * len(nodes)
-    if g.node_attrs:
-        rows = g.node_attrs
-        spelled = _spelled(vocab, "node", rows, g.node_defaults)
+    if node_spelled:
         for v in sorted(visits):
-            node_blocks[choice(visits[v])] = spelled[rows[v]]
+            node_blocks[choice(visits[v])] = node_spelled[g.node_attrs[v]]
 
     # Jump edges follow the base edges in the multigraph's edge ids.
     num_base = mg.num_base_edges
@@ -216,16 +222,14 @@ def _placements(path: EulerPath, mg: EulerizedMultigraph, vocab: Vocabulary, vis
     types.append(None)
 
     edge_blocks: list = [()] * len(nodes)
-    if g.edge_attrs:
+    if edge_spelled:
         steps_of_edge: list[list[int]] = [[] for _ in range(num_base)]
         for step, eid in enumerate(edges):
             if eid < num_base:
                 steps_of_edge[eid].append(step)
-        rows = g.edge_attrs
-        spelled = _spelled(vocab, "edge", rows, g.edge_defaults)
         for eid, steps in enumerate(steps_of_edge):
             if steps:
-                edge_blocks[choice(steps)] = spelled[rows[eid]]
+                edge_blocks[choice(steps)] = edge_spelled[g.edge_attrs[eid]]
     return node_blocks, types, edge_blocks
 
 
@@ -253,15 +257,6 @@ def _emit_prolonged(node_toks, node_blocks, types, edge_blocks):
     return cells, roles
 
 
-def _spelled_cells(vocab, kind, rows, defaults) -> int:
-    """Cells holding every row's attribute block, each distinct row spelled
-    once, in the order ``tokenize`` first spells them."""
-    return sum(
-        count * len(vocab.block_ids(kind, row, defaults))
-        for row, count in Counter(rows).items()
-    )
-
-
 def sequence_length(mg: EulerizedMultigraph, vocab: Vocabulary, cfg: ReindexConfig) -> int:
     """Prolonged token count of any walk of a repaired multigraph.
 
@@ -282,21 +277,17 @@ def sequence_length(mg: EulerizedMultigraph, vocab: Vocabulary, cfg: ReindexConf
     else:
         num_base = mg.num_base_edges
         typed = len(mg.jump_edges) + sum(eid >= num_base for eid in mg.duplications)
-    return (
-        m + 1 + typed
-        + _spelled_cells(vocab, "node", g.node_attrs, g.node_defaults)
-        + _spelled_cells(vocab, "edge", g.edge_attrs, g.edge_defaults)
+    return m + 1 + typed + sum(
+        len(spelled[row]) for spelled, rows in zip(_spelled(g, vocab), (g.node_attrs, g.edge_attrs)) for row in rows
     )
 
 
 def widest_blocks(g: AttributedGraph, vocab: Vocabulary) -> tuple[int, int]:
-    """Cells of ``g``'s widest edge and node attribute blocks, each distinct
-    row spelled once: the widths ``tokenize`` fits short and long grids to,
-    since every walk of ``g`` places every row's block."""
-    return (
-        max(map(len, _spelled(vocab, "edge", g.edge_attrs, g.edge_defaults).values()), default=0),
-        max(map(len, _spelled(vocab, "node", g.node_attrs, g.node_defaults).values()), default=0),
-    )
+    """Cells of ``g``'s widest edge and node attribute blocks: the widths
+    ``tokenize`` fits short and long grids to, since every walk of ``g``
+    places every row's block."""
+    node_spelled, edge_spelled = _spelled(g, vocab)
+    return _widest(edge_spelled), _widest(node_spelled)
 
 
 def _fit_width(needed, configured, what):
@@ -376,13 +367,13 @@ def tokenize(
     visits = _visits(path)
     # Structural index i is vocabulary id i, so an index is its node token.
     node_toks = list(map(_index_map(visits, cfg).__getitem__, path.nodes))
-    placements = _placements(path, mg, vocab, visits, seed)
+    node_spelled, edge_spelled = _spelled(mg.base, vocab)
+    placements = _placements(path, mg, vocab, visits, seed, node_spelled, edge_spelled)
     if layout == "prolonged":
         cells, roles = _emit_prolonged(node_toks, *placements)
         return TokenGrid(layout=layout, l=1, cells=cells, roles=roles)
-    widest_edge, widest_node = widest_blocks(mg.base, vocab)
-    we = _fit_width(widest_edge, edge_attr_width, "edge attribute")
-    wn = _fit_width(widest_node, node_attr_width, "node attribute")
+    we = _fit_width(_widest(edge_spelled), edge_attr_width, "edge attribute")
+    wn = _fit_width(_widest(node_spelled), node_attr_width, "node attribute")
     if layout == "short":
         cells, roles = _emit_short(node_toks, *placements, vocab.pad_id, we, wn)
     else:

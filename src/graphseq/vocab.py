@@ -16,7 +16,7 @@ from itertools import zip_longest
 from pathlib import Path
 from typing import Iterable
 
-from .graph import AttributedGraph
+from .graph import AttributedGraph, GraphFormatError, read_lines
 
 PAD = "[p]"
 EDGE_JUMP = "[EDGE_JUMP]"
@@ -200,26 +200,31 @@ class Vocabulary:
         encoding. The header gives the tag and the attribute styles, the
         structural lines the index count and the semantic lines the rest;
         every line must then equal the rebuilt vocabulary's. A style passed
-        here is a check: it must equal the file's."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        header = lines[0].split("\t") if lines else []
-        settings = dict(field.partition("=")[::2] for field in header[1:])
-        if header[:1] != [VOCAB_HEADER] or sorted(settings) != sorted(_HEADER_KEYS):
-            raise ValueError(f"vocab line 1: expected a {VOCAB_HEADER} header with {', '.join(_HEADER_KEYS)}")
-        for key, wanted in (("node_attr_style", node_attr_style), ("edge_attr_style", edge_attr_style)):
-            if settings[key] not in ATTR_STYLES:
-                raise ValueError(f"vocab line 1: {key} must be one of {ATTR_STYLES}, not {settings[key]!r}")
-            if wanted is not None and wanted != settings[key]:
-                raise ValueError(f"vocabulary {path} has {key} {settings[key]!r}, not {wanted!r}")
-        rows = [raw.split("\t") for raw in lines[1:]]
-        vocab = cls(
-            sum(row[-1] == CLASS_STRUCTURAL for row in rows),
-            [row[0] for row in rows if row[-1] == CLASS_SEMANTIC],
-            **settings,
-        )
-        for lineno, (got, want) in enumerate(zip_longest(lines, vocab._lines()), 1):
-            if got != want:
-                raise ValueError(f"vocab line {lineno}: expected {want!r}, found {got!r}")
+        here is a check: it must equal the file's. A file line that breaks
+        these rules raises ``GraphFormatError`` ``vocab line N: ...``."""
+        try:
+            lines = [line.rstrip("\n") for _, line in read_lines(path)]
+            header = lines[0].split("\t") if lines else []
+            settings = dict(field.partition("=")[::2] for field in header[1:])
+            if header[:1] != [VOCAB_HEADER] or sorted(settings) != sorted(_HEADER_KEYS):
+                raise GraphFormatError(f"expected a {VOCAB_HEADER} header with {', '.join(_HEADER_KEYS)}", 1)
+            for key, wanted in (("node_attr_style", node_attr_style), ("edge_attr_style", edge_attr_style)):
+                if settings[key] not in ATTR_STYLES:
+                    raise GraphFormatError(f"{key} must be one of {ATTR_STYLES}, not {settings[key]!r}", 1)
+                if wanted is not None and wanted != settings[key]:
+                    raise ValueError(f"vocabulary {path} has {key} {settings[key]!r}, not {wanted!r}")
+            rows = [raw.split("\t") for raw in lines[1:]]
+            vocab = cls(
+                sum(row[-1] == CLASS_STRUCTURAL for row in rows),
+                [row[0] for row in rows if row[-1] == CLASS_SEMANTIC],
+                **settings,
+            )
+            for lineno, (got, want) in enumerate(zip_longest(lines, vocab._lines()), 1):
+                if got != want:
+                    raise GraphFormatError(f"expected {want!r}, found {got!r}", lineno)
+        except GraphFormatError as exc:
+            exc.args = (f"vocab {exc}",)
+            raise
         return vocab
 
 

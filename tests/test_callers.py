@@ -12,7 +12,10 @@ another: a function, class, method or module-level variable. A decision
 two modules share goes behind a public name of the module that owns it.
 
 Only ``graph.py`` decodes JSON, so every JSON input meets one rule for
-bad JSON and for a value that is not an object. Only ``graph.py`` names
+bad JSON and for a value that is not an object. Only ``graph.py`` opens
+an input file, through ``read_lines``, so every file meets one rule for
+its encoding, a byte-order mark and a byte that is not UTF-8; writers may
+still call ``write_text``. Only ``graph.py`` names
 ``EdgeList``: how a graph stores its edges is its own decision, and every
 other module reads them as a sequence of ``(src, dst)`` pairs.
 
@@ -126,6 +129,29 @@ def json_decoders(root: Path) -> list[str]:
 def test_only_graph_decodes_json():
     found = json_decoders(ROOT)
     assert not found, f"json.loads or json.load outside graph.py: {found}"
+
+
+def file_openers(root: Path) -> list[str]:
+    """Modules of ``root``'s package, ``graph`` aside, that call ``open``,
+    ``read_text`` or ``read_bytes``, as a function or a method."""
+    return [
+        path.stem
+        for path in sorted((root / "src" / "graphseq").glob("*.py"))
+        if path.stem != "graph"
+        and any(
+            isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Name) and node.func.id == "open"
+                or isinstance(node.func, ast.Attribute) and node.func.attr in ("open", "read_text", "read_bytes")
+            )
+            for node in ast.walk(_parse(path))
+        )
+    ]
+
+
+def test_only_graph_opens_input_files():
+    found = file_openers(ROOT)
+    assert not found, f"open, read_text or read_bytes outside graph.py: {found}"
 
 
 def edge_store_readers(root: Path) -> list[str]:

@@ -1168,6 +1168,20 @@ def test_console_script_entrypoint():
     assert "graphseq" in proc.stdout
 
 
+def _graphseq_c_locale(cwd, *argv) -> subprocess.CompletedProcess:
+    """The CLI run as a process under the C locale with UTF-8 mode off, where
+    open() without an encoding reads ASCII; EncodingWarning, made an error,
+    catches any open() that leaves the encoding to the locale."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-m", "graphseq.cli", *argv],
+        capture_output=True, text=True, encoding="utf-8", cwd=cwd, env=env,
+    )
+
+
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     # Under the C locale with UTF-8 mode off, open() without an encoding
     # reads ASCII: before, `vocab` on a record labelled "café" exited with
@@ -1185,16 +1199,9 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
                    encoding="utf-8")
     (tmp_path / "edges.tsv").write_text(bom + "0\t1\n1\t2\n2\t3\n3\t0\n0\t2\n", encoding="utf-8")
     (tmp_path / "config.json").write_text(bom + '{"dataset_tag": "é"}', encoding="utf-8")
-    src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
 
     def graphseq(*argv):
-        proc = subprocess.run(
-            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
-             "-m", "graphseq.cli", *argv],
-            capture_output=True, text=True, encoding="utf-8", cwd=tmp_path, env=env,
-        )
+        proc = _graphseq_c_locale(tmp_path, *argv)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
 
     graphseq("ingest", "--input", "raw.json", "--node-scale", "2", "--output", "ingested.jsonl")
@@ -1213,3 +1220,82 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert Vocabulary.load(tmp_path / "vocab.tsv").dataset_tag == "é"
     with open(tmp_path / "tasks.jsonl", encoding="utf-8") as fh:
         assert [json.loads(line)["label"] for line in fh] == ["café", "naïve"]
+
+
+# Per input kind: the file given a byte that is not UTF-8 on its line 2,
+# and the command reading it.
+_NOT_UTF8_INPUTS = {
+    "vocab-graphs": ("graphs", ["vocab", "--graphs", "BAD", "--output", "out.tsv"]),
+    "taskfmt-samples": ("samples", ["taskfmt", "--task", "edge", "--samples", "BAD", "--vocab", "sv.tsv",
+                                    "--output", "out.jsonl"]),
+    "detokenize-grids": ("grids", ["detokenize", "--grids", "BAD", "--vocab", "vocab.tsv",
+                                   "--output", "out.jsonl"]),
+    "ingest-edge-tsv": (b"0\t1\n1\t2\xff\n", ["ingest", "--format", "edge-tsv", "--input", "BAD",
+                                              "--output", "out.jsonl"]),
+    "sample-partition-file": (b"0\t0\n1\t\xff0\n", ["sample", "--graph", "parent.jsonl", "--mode", "edge-ego",
+                                                  "--identity-k", "2", "--partition-file", "BAD",
+                                                  "--output", "out.jsonl"]),
+    "tokenize-vocab": ("vocab", ["tokenize", "--graphs", "graphs.jsonl", "--vocab", "BAD",
+                                 "--output", "out.jsonl"]),
+    "config": (b'{"dataset_tag":\n "\xff"}\n', ["vocab", "--graphs", "graphs.jsonl", "--config", "BAD",
+                                            "--output", "out.tsv"]),
+    "ingest-json": (b'{"num_nodes": 2,\n "note": "\xff"}\n', ["ingest", "--input", "BAD",
+                                                          "--output", "out.jsonl"]),
+}
+
+
+@pytest.mark.parametrize("kind", _NOT_UTF8_INPUTS)
+def test_a_line_that_is_not_utf8_fails_with_its_number(tmp_path, jsonl_inputs, kind):
+    # Before, each exited with a bare UnicodeDecodeError (or, for the
+    # vocabulary, a ValueError) that named no line.
+    source, argv = _NOT_UTF8_INPUTS[kind]
+    if isinstance(source, str):  # line 1 of a good file, then a line holding \xff
+        first = jsonl_inputs[source].read_bytes().splitlines(keepends=True)[0]
+        source = first + b"\xff" + first
+    (tmp_path / "bad").write_bytes(source)
+    proc = _graphseq_c_locale(tmp_path, *[a.replace("BAD", "bad") for a in argv])
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    err = json.loads(line)
+    assert err["error"] == "GraphFormatError" and err["line"] == 2
+    assert err["message"].endswith("line 2: byte 0xff is not UTF-8")
+
+
+def test_a_vocabulary_error_carries_its_line(tmp_path, corpus, capsys):
+    # Before, {"error": "ValueError", "message": "vocab line 1: ..."}, with no "line".
+    vocab = _vocab(tmp_path, corpus)
+    vocab.write_text(vocab.read_text().replace("#graphseq-vocab", "#vocab", 1))
+    capsys.readouterr()
+    assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab),
+                 "--output", str(tmp_path / "grids.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "GraphFormatError" and err["line"] == 1
+    assert err["message"].startswith("vocab line 1: expected a #graphseq-vocab header")
+
+
+@pytest.mark.parametrize("doc, flag, message", [
+    ({"num_nodes": 3, "edges": [[0, 1], 5]}, None, "edge 1: expected a [src, dst] pair, not 5"),
+    ({"num_nodes": 3, "edges": [[0, 1], [1, 2, 0]]}, None, "edge 1: expected a [src, dst] pair, not [1, 2, 0]"),
+    ({"num_nodes": 3, "node_attrs": [[1], 2, [3]]}, None, "node 1: expected a list of attribute values, not 2"),
+    ({"num_nodes": 2, "edges": [[0, 1]], "edge_attrs": [7]}, None,
+     "edge 0: expected a list of attribute values, not 7"),
+    ({"num_nodes": 3, "node_attrs": [[1], 2, [3]]}, "--node-scale",
+     "node 1: expected a list of attribute values, not 2"),
+    ({"num_nodes": 2, "edges": [[0, 1]], "edge_attrs": [7]}, "--edge-scale",
+     "edge 0: expected a list of attribute values, not 7"),
+], ids=["edge-not-a-list", "edge-of-three-ids", "node-row-not-a-list", "edge-row-not-a-list",
+        "node-row-not-a-list-under-node-scale", "edge-row-not-a-list-under-edge-scale"])
+def test_a_malformed_edge_or_attribute_row_is_refused_by_index(tmp_path, capsys, doc, flag, message):
+    # Before, Python's own message: "cannot unpack non-iterable int object",
+    # "too many values to unpack (expected 2)", "'int' object is not iterable".
+    raw, graphs = tmp_path / "g.json", tmp_path / "graphs.jsonl"
+    raw.write_text(json.dumps(doc))
+    graphs.write_text(json.dumps({"num_nodes": 1}) + "\n" + json.dumps(doc) + "\n")
+    scale = [flag, "2"] if flag else []
+    assert main(["ingest", "--input", str(raw), *scale, "--output", str(tmp_path / "g.jsonl")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "GraphFormatError", "message": message}
+    if flag is None:  # in JSONL, the error names the line too
+        assert main(["vocab", "--graphs", str(graphs), "--output", str(tmp_path / "v.tsv")]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "GraphFormatError", "message": f"line 2: {message}", "line": 2
+        }

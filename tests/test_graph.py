@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphseq import AttributedGraph, GraphFormatError, adjacency, connected_components, load_graph
+from graphseq import (
+    AttributedGraph,
+    GraphFormatError,
+    adjacency,
+    connected_components,
+    load_graph,
+    load_partition,
+)
 from graphseq.graph import (
     _COLUMN_MIN_EDGES,
     EdgeList,
@@ -243,6 +250,27 @@ def test_jsonl_roundtrip_counts_blank_lines(tmp_path):
     path.write_text(path.read_text().replace("\n", "\n\n", 1) + '{"edges": []}\n')
     with pytest.raises(GraphFormatError, match="line 5: missing required key 'num_nodes'"):
         list(read_jsonl(path, AttributedGraph.from_json))
+
+
+def test_crlf_jsonl_and_tsv_files_read_as_their_lf_twins(tmp_path):
+    rng = random.Random(9)
+    graphs = [random_graph(rng) for _ in range(3)]
+    jsonl = tmp_path / "g.jsonl"
+    write_jsonl(jsonl, (g.to_json() for g in graphs))
+    jsonl.write_bytes(jsonl.read_bytes().replace(b"\n", b"\r\n"))
+    assert list(iter_graphs_jsonl(jsonl)) == graphs
+    edges, partition = tmp_path / "edges.tsv", tmp_path / "partition.tsv"
+    edges.write_bytes(b"0\t1\r\n1\t2\r\n# note\r\n\r\n2\t3\r\n")
+    assert load_graph(edges, format="edge-tsv").edges == ((0, 1), (1, 2), (2, 3))
+    partition.write_bytes(b"0\t0\r\n1\t0\r\n2\t1\r\n")
+    assert load_partition(partition) == [0, 0, 1]
+
+
+def test_a_malformed_edge_of_a_column_graph_is_refused_by_index():
+    edges = [[i, i + 1] for i in range(_COLUMN_MIN_EDGES)] + [7]
+    with pytest.raises(GraphFormatError) as info:
+        graph_record({"num_nodes": _COLUMN_MIN_EDGES + 1, "edges": edges})
+    assert str(info.value) == f"edge {_COLUMN_MIN_EDGES}: expected a [src, dst] pair, not 7"
 
 
 def test_ingest_quantization():

@@ -24,7 +24,7 @@ from graphseq import (
 )
 from graphseq.detokenizer import _collect_steps, _parse_block
 from graphseq.pipeline import derive_seed
-from graphseq.tokenizer import LAYOUTS, _index_map, _placements, _visits
+from graphseq.tokenizer import LAYOUTS, _index_map, _placements, _spelled, _visits
 from graphseq.vocab import (
     CLASS_DIGIT,
     CLASS_SEMANTIC,
@@ -139,7 +139,9 @@ def test_table_grids_and_decoding_match_the_spellings(g, node_style, edge_style,
     path = extract_path(mg, derive_seed(seed, "path"))
     visits = _visits(path)
     index = _index_map(visits, replace(cfg, seed=derive_seed(seed, "shift", cfg.seed)))
-    node_blocks, types, edge_blocks = _placements(path, mg, vocab, visits, derive_seed(seed, "attrs"))
+    node_blocks, types, edge_blocks = _placements(
+        path, mg, vocab, visits, derive_seed(seed, "attrs"), *_spelled(g, vocab)
+    )
     # A row of defaults spells an empty block, which no cell records.
     wrote = (
         [index[v] for v in path.nodes],

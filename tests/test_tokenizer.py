@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from graphseq import (
     AttributedGraph,
     ReindexConfig,
+    Vocabulary,
     build_multigraph,
     build_ntp,
     build_smtp,
@@ -32,6 +33,7 @@ from graphseq.tokenizer import (
     TokenGrid,
     _index_map,
     _placements,
+    _spelled,
     _visits,
 )
 from graphseq.vocab import EDGE_BWD, EDGE_FWD, EDGE_JUMP
@@ -220,9 +222,9 @@ def test_only_a_node_visited_twice_draws_its_placement():
             num_nodes=4, edges=tuple(zip(cycle, cycle[1:])), node_attrs=[[v + 1] for v in range(4)]
         )
         path = EulerPath(nodes=cycle, edges=(0, 1, 2, 3))
-        vocab = vocab_for(g)
+        vocab, mg = vocab_for(g), EulerizedMultigraph(base=g)
         for seed in range(10):
-            node_blocks, _, _ = _placements(path, EulerizedMultigraph(base=g), vocab, _visits(path), seed)
+            node_blocks, _, _ = _placements(path, mg, vocab, _visits(path), seed, *_spelled(g, vocab))
             assert [pos for pos in (0, 4) if node_blocks[pos]] == [random.Random(seed).choice((0, 4))]
 
 
@@ -234,9 +236,31 @@ def test_edge_placement_draws_first_without_node_attributes():
     path = EulerPath(nodes=(2, 1, 0, 1), edges=(1, 0, 0))
     vocab = vocab_for(g)
     for seed in range(20):
-        _, _, edge_blocks = _placements(path, mg, vocab, _visits(path), seed)
+        _, _, edge_blocks = _placements(path, mg, vocab, _visits(path), seed, *_spelled(g, vocab))
         assert [step for step in (1, 2) if edge_blocks[step]] == [random.Random(seed).choice((1, 2))]
         assert edge_blocks[0]
+
+
+def test_tokenize_spells_each_distinct_row_once(monkeypatch):
+    # Two node rows and two edge rows repeat. Before, short and long grids
+    # spelled every distinct row a second time to fit their widths.
+    g = AttributedGraph(num_nodes=4, edges=((0, 1), (1, 2), (2, 3), (3, 0)),
+                        node_attrs=[[1], [2], [1], [0]], edge_attrs=[[3], [3], [4], [0]])
+    vocab = vocab_for(g)
+    mg, path = _walk(g)
+    calls = []
+    block_ids = Vocabulary.block_ids
+
+    def counted(self, kind, row, defaults):
+        calls.append((kind, row))
+        return block_ids(self, kind, row, defaults)
+
+    monkeypatch.setattr(Vocabulary, "block_ids", counted)
+    for layout in LAYOUTS:
+        calls.clear()
+        tokenize(path, mg, vocab, layout, ReindexConfig(), 0)
+        assert sorted(calls) == [("edge", (0,)), ("edge", (3,)), ("edge", (4,)),
+                                 ("node", (0,)), ("node", (1,)), ("node", (2,))], layout
 
 
 def test_jump_edges_carry_the_jump_token(two_triangles):

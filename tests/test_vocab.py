@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from graphseq import (
     AttributedGraph,
+    GraphFormatError,
     ReindexConfig,
     SubgraphSample,
     Vocabulary,
@@ -253,3 +254,27 @@ def test_vocab_load_rejects_a_wrong_special_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"^vocab line {n + 1}: "):
         Vocabulary.load(path)
+
+
+def test_vocab_saved_with_a_byte_order_mark_loads(tmp_path):
+    # Before, the mark stayed on the header: "vocab line 1: expected a
+    # #graphseq-vocab header".
+    vocab, path = _mixed_vocab(tmp_path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert Vocabulary.load(path)._lines() == vocab._lines()
+
+
+def test_vocab_with_crlf_line_ends_loads(tmp_path):
+    vocab, path = _mixed_vocab(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert Vocabulary.load(path)._lines() == vocab._lines()
+
+
+def test_vocab_load_errors_are_graph_format_errors_at_their_line(tmp_path):
+    _, path = _mixed_vocab(tmp_path)
+    lines = path.read_text().splitlines()
+    lines[3] += "x"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(GraphFormatError, match="^vocab line 4: expected ") as info:
+        Vocabulary.load(path)
+    assert info.value.line == 4
