@@ -406,6 +406,11 @@ def main(argv=None) -> int:
             except GraphFormatError as exc:
                 exc.args = (f"config {args.config}: {exc}",)
                 raise
+            # A key of another command's flag is ignored, so one file can serve several commands.
+            commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+            known = {a.dest for p in commands.values() for a in p._actions}
+            if typo := next((k for k in config if k not in known), None):
+                raise ValueError(f"config {typo}: no graphseq command has a --{typo.replace('_', '-')} flag")
             flags = {a.dest: a for a in args.parser._actions if a.option_strings}
             args.parser.set_defaults(**{k: _config_value(flags[k], v) for k, v in config.items() if k in flags})
             args = parser.parse_args(argv)

@@ -79,7 +79,7 @@ def int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
     (numpy integers, say) pass, after one scan of the value types when all
     are ints. The first float, string or boolean raises, named after ``what``."""
     row = tuple(row)
-    if {*map(type, row)} <= {int}:
+    if not row or {*map(type, row)} <= {int}:  # empty: most graphs have no attribute defaults
         return row
     out = []
     for value in row:
@@ -92,21 +92,40 @@ def int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
     return tuple(out)
 
 
-def _refuse_entry(what: str, entries, shape: str, fits: Callable) -> None:
-    """Raise ``GraphFormatError`` naming the first of ``entries`` on which
-    ``fits`` raises ``TypeError`` or ``ValueError``, by its index: ``edge 1:
-    expected a [src, dst] pair, not 5``. Called once converting all the
-    entries failed; finding none, it returns, and the caller re-raises."""
-    for i, entry in enumerate(entries):
-        try:
-            fits(entry)
-        except (TypeError, ValueError):
-            raise GraphFormatError(f"{what} {i}: expected {shape}, not {entry!r}") from None
+def _expect(kind: str, key: str, value):
+    """``value`` when it is a JSON ``kind``: an "array" a list (or a tuple,
+    as this package builds), an "object" a dict; else ``GraphFormatError``
+    naming ``key``: ``edges must be a JSON array, not 5``."""
+    if isinstance(value, dict if kind == "object" else (list, tuple)):
+        return value
+    raise GraphFormatError(f"{key} must be a JSON {kind}, not {value!r}")
 
 
-def _pair(edge) -> tuple:
-    src, dst = edge
-    return src, dst
+def _row_tuples(key: str, rows, what: str, shape: str, width: int | None = None) -> tuple[tuple, ...]:
+    """The array ``rows`` under ``key`` as tuples, each ``width`` long if
+    given, made at C speed; else the first row that is not iterable or not
+    that long is refused by index: ``edge 1: expected a [src, dst] pair, not 5``."""
+    rows = _expect("array", key, rows)
+    try:
+        out = tuple(map(tuple, rows))
+        if width is None or {*map(len, out)} <= {width}:
+            return out
+    except TypeError:
+        pass
+    for i, row in enumerate(rows):
+        if not isinstance(row, Iterable) or width not in (None, len(tuple(row))):
+            raise GraphFormatError(f"{what} {i}: expected {shape}, not {row!r}")
+
+
+def _int_rows(key: str, rows, what: str, shape: str, value: str, hint: str = "",
+              width: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The array ``rows`` under ``key`` as ``_row_tuples`` of ints: one scan
+    of the value types passes ints, as from JSON or this package, and else
+    ``int_row`` converts row by row, naming ``{what} {i}``, ``hint`` formatted by ``what``."""
+    rows = _row_tuples(key, rows, what, shape, width)
+    if {*map(type, chain.from_iterable(rows))} <= {int}:
+        return rows
+    return tuple(int_row(row, f"{what} {i}: {value}", hint.format(what)) for i, row in enumerate(rows))
 
 
 class EdgeList:
@@ -189,16 +208,9 @@ def _stored_edges(edges) -> tuple[tuple[int, int], ...] | EdgeList:
     if isinstance(edges, EdgeList):  # its arrays hold ints only
         return edges if len(edges) >= _COLUMN_MIN_EDGES else tuple(edges)
     columns = _edge_columns(edges)
-    if columns is not None:
-        return columns
-    try:
-        edges = tuple([(s, d) for s, d in edges])
-    except (TypeError, ValueError):
-        _refuse_entry("edge", edges, "a [src, dst] pair", _pair)
-        raise
-    if not {*map(type, chain.from_iterable(edges))} <= {int}:
-        edges = tuple(int_row(e, f"edge {i}: node id") for i, e in enumerate(edges))
-        columns = _edge_columns(edges)
+    if columns is None:
+        edges = _int_rows("edges", edges, "edge", "a [src, dst] pair", "node id", width=2)
+        columns = _edge_columns(edges)  # values converted from other integer types may fill them
     return edges if columns is None else columns
 
 
@@ -256,6 +268,7 @@ def check_edges(num_nodes: int, edges: Sequence[tuple[int, int]], directed: bool
 # than sharing saves.
 _INTERN_MIN_ROWS = 1024
 
+_ATTR_ROW = "a list of attribute values"
 _QUANTIZE_HINT = "; quantize continuous attributes with `graphseq ingest --{0}-scale/--{0}-offset`"
 
 
@@ -264,21 +277,8 @@ def _attr_rows(kind: str, rows, defaults, expected: int) -> tuple[tuple[tuple[in
     value an integer, one row per node or edge (``expected``), all of one
     width, and as many defaults as the rows are wide. No defaults mean a
     zero per dimension."""
-    # Rows become tuples at C speed. One scan of the value types then
-    # confirms that every value is already an int, as from JSON or from
-    # this package; only when one is not do values get converted one by
-    # one, which names the first that is not an integer.
-    try:
-        rows = tuple(map(tuple, rows))
-    except TypeError:
-        _refuse_entry(kind, rows, "a list of attribute values", iter)
-        raise
-    defaults = tuple(defaults)
-    if not {*map(type, chain.from_iterable(rows)), *map(type, defaults)} <= {int}:
-        rows = tuple(
-            int_row(row, f"{kind} {i}: attribute", _QUANTIZE_HINT.format(kind)) for i, row in enumerate(rows)
-        )
-        defaults = int_row(defaults, f"{kind} attr_defaults: value")
+    rows = _int_rows(f"{kind}_attrs", rows, kind, _ATTR_ROW, "attribute", _QUANTIZE_HINT)
+    defaults = int_row(_expect("array", f"{kind} attr_defaults", defaults), f"{kind} attr_defaults: value")
     width = len(rows[0]) if rows else 0
     if rows and len(rows) != expected:
         raise GraphFormatError(f"expected {expected} {kind} attribute rows, got {len(rows)}")
@@ -382,15 +382,15 @@ class AttributedGraph:
         """The graph of a JSON document, which is left unchanged. Every value
         must be a JSON integer and ``directed`` a JSON boolean; anything
         else is an error, never truncated or coerced."""
-        defaults = doc.get("attr_defaults") or {}
+        defaults = _expect("object", "attr_defaults", doc.get("attr_defaults", {}))
         return cls(
             num_nodes=doc["num_nodes"],
             edges=doc.get("edges", ()),
             directed=doc.get("directed", False),
-            node_attrs=doc.get("node_attrs") or (),
-            edge_attrs=doc.get("edge_attrs") or (),
-            node_defaults=defaults.get("node") or (),
-            edge_defaults=defaults.get("edge") or (),
+            node_attrs=doc.get("node_attrs", ()),
+            edge_attrs=doc.get("edge_attrs", ()),
+            node_defaults=defaults.get("node", ()),
+            edge_defaults=defaults.get("edge", ()),
         )
 
 
@@ -425,9 +425,9 @@ class SubgraphSample:
     @classmethod
     def from_json(cls, doc: dict) -> "SubgraphSample":
         return cls(
-            graph=AttributedGraph.from_json(doc["graph"]),
-            root_nodes=tuple(doc["root_nodes"]),
-            origin_ids=tuple(doc["origin_ids"]),
+            graph=AttributedGraph.from_json(_expect("object", "graph", doc["graph"])),
+            root_nodes=_expect("array", "root_nodes", doc["root_nodes"]),
+            origin_ids=_expect("array", "origin_ids", doc["origin_ids"]),
         )
 
 
@@ -579,11 +579,8 @@ def quantize_attrs(
         except (ValueError, OverflowError):  # nan, infinity, or an int past the float range
             raise GraphFormatError(f"{what} {i}: attribute {v!r} times scale {scale} is not finite") from None
 
-    try:
-        return [[quantized(i, v) for v in row] for i, row in enumerate(rows)]
-    except TypeError:  # a row that is no list of values
-        _refuse_entry(what, rows, "a list of attribute values", iter)
-        raise
+    rows = _row_tuples(f"{what}_attrs", rows, what, _ATTR_ROW)
+    return [[quantized(i, v) for v in row] for i, row in enumerate(rows)]
 
 
 def read_int_pairs(path: str | Path, fields: str, not_int: str = "") -> Iterator[tuple[int, int, int]]:
@@ -631,7 +628,7 @@ def load_graph(
                 ("edge", edge_scale, edge_offset),
             ):
                 key = f"{kind}_attrs"
-                if (scale, offset) != (None, None) and doc.get(key):
+                if (scale, offset) != (None, None) and key in doc:
                     doc[key] = quantize_attrs(doc[key], 1.0 if scale is None else scale, offset or 0, kind)
             return _owned_graph(doc)
 
@@ -660,22 +657,20 @@ def _owned_graph(doc: dict) -> AttributedGraph:
     """The graph of a decoded JSON graph object that the caller owns and
     drops. A large graph's per-edge lists are replaced in ``doc`` first,
     the edges by columns and the edge attribute rows by tuples, so they
-    are freed before construction checks and copies anything. Lists with
-    a value that is no int stay, for construction to refuse as usual."""
+    are freed before construction checks and copies anything. A value
+    that is no int stays, for construction to refuse as usual."""
     columns = _edge_columns(doc.get("edges", ()))
     if columns is not None:
         doc["edges"] = columns
-        try:
-            doc["edge_attrs"] = tuple(map(tuple, doc.get("edge_attrs") or ()))
-        except TypeError:  # a row that is no list; construction names it
-            pass
+        # Held by no local name, the decoded rows are freed here, not after construction.
+        doc["edge_attrs"] = _row_tuples("edge_attrs", doc.get("edge_attrs", ()), "edge", _ATTR_ROW)
     return AttributedGraph.from_json(doc)
 
 
 def graph_record(doc: dict) -> AttributedGraph:
     """The graph of a decoded JSONL record, which may be a bare graph or a
     sample; the record is the caller's to drop, and is changed."""
-    return _owned_graph(doc.get("graph", doc))
+    return _owned_graph(_expect("object", "graph", doc["graph"]) if "graph" in doc else doc)
 
 
 def iter_graphs_jsonl(path: str | Path) -> Iterator[AttributedGraph]:

@@ -695,6 +695,25 @@ def test_bad_record_fails_with_its_line(tmp_path, jsonl_inputs, capsys, command,
         assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("graph", 5, "graph must be a JSON object, not 5"),
+    ("root_nodes", 0, "root_nodes must be a JSON array, not 0"),
+    ("origin_ids", 7, "origin_ids must be a JSON array, not 7"),
+])
+def test_a_sample_field_of_another_json_kind_is_refused_by_its_key(
+    tmp_path, jsonl_inputs, capsys, key, value, message
+):
+    # Before, Python's own message: "'int' object has no attribute 'get'" or "is not iterable".
+    lines = jsonl_inputs["samples"].read_text().splitlines(keepends=True)
+    samples = tmp_path / "bad-samples.jsonl"
+    samples.write_text(lines[0] + json.dumps({**json.loads(lines[1]), key: value}) + "\n")
+    assert main(["taskfmt", "--task", "edge", "--samples", str(samples),
+                 "--vocab", str(jsonl_inputs["svocab"]), "--output", str(tmp_path / "ts.jsonl")]) == 1
+    assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+        "error": "GraphFormatError", "message": f"line 2: {message}", "line": 2
+    }
+
+
 @pytest.mark.parametrize(("key", "index", "value", "text"), [
     ("root_nodes", 1, 1.7, "root node 1.7"),
     ("root_nodes", 1, True, "root node True"),
@@ -1009,6 +1028,18 @@ def test_a_flag_turns_off_a_switch_the_config_file_set(tmp_path):
     assert positives == _edge_samples(tmp_path, "--count", "3", "--identity-k", "2", "--max-cluster", "8")
 
 
+def test_a_config_key_of_another_commands_flag_is_ignored(tmp_path, corpus):
+    # One file can serve several commands; a key naming no flag of any command is refused.
+    vocab = _vocab(tmp_path, corpus)
+    cfg, short, from_file = tmp_path / "cfg.json", tmp_path / "short.jsonl", tmp_path / "from-file.jsonl"
+    cfg.write_text(json.dumps({"layout": "short", "identity_k": 2, "negatives": True, "task": "smtp"}))
+    assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab), "--layout", "short",
+                 "--output", str(short)]) == 0
+    assert main(["tokenize", "--graphs", str(corpus), "--vocab", str(vocab), "--config", str(cfg),
+                 "--output", str(from_file)]) == 0
+    assert from_file.read_bytes() == short.read_bytes()
+
+
 def test_config_string_values_go_through_the_flag_type(tmp_path, corpus):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"num_indices": "32"}))
@@ -1023,7 +1054,8 @@ def test_config_string_values_go_through_the_flag_type(tmp_path, corpus):
     ({"count": True}, "ValueError", "config count: true is not a value of --count"),
     ({"seed": "x"}, "ValueError", 'config seed: "x" is not a value of --seed'),
     ([{"count": 2}], "GraphFormatError", "cfg.json: expected a JSON object, not list"),
-], ids=["switch-text", "fraction", "bool-count", "text-seed", "list"])
+    ({"seeed": 5, "layuot": "short"}, "ValueError", "config seeed: no graphseq command has a --seeed flag"),
+], ids=["switch-text", "fraction", "bool-count", "text-seed", "list", "typo"])
 def test_config_values_the_flag_would_refuse_are_errors(tmp_path, capsys, config, error, message):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -1283,11 +1315,23 @@ def test_a_vocabulary_error_carries_its_line(tmp_path, corpus, capsys):
      "node 1: expected a list of attribute values, not 2"),
     ({"num_nodes": 2, "edges": [[0, 1]], "edge_attrs": [7]}, "--edge-scale",
      "edge 0: expected a list of attribute values, not 7"),
+    *[({"num_nodes": 2, "edges": value}, None, f"edges must be a JSON array, not {value!r}")
+      for value in (5, "", {}, None)],
+    *[({"num_nodes": 2, "node_attrs": value}, None, f"node_attrs must be a JSON array, not {value!r}")
+      for value in (0, False, "")],
+    ({"num_nodes": 2, "edge_attrs": {}}, None, "edge_attrs must be a JSON array, not {}"),
+    *[({"num_nodes": 2, "attr_defaults": value}, None, f"attr_defaults must be a JSON object, not {value!r}")
+      for value in (5, [])],
+    ({"num_nodes": 2, "attr_defaults": {"node": 0}}, None, "node attr_defaults must be a JSON array, not 0"),
 ], ids=["edge-not-a-list", "edge-of-three-ids", "node-row-not-a-list", "edge-row-not-a-list",
-        "node-row-not-a-list-under-node-scale", "edge-row-not-a-list-under-edge-scale"])
+        "node-row-not-a-list-under-node-scale", "edge-row-not-a-list-under-edge-scale",
+        "edges-5", "edges-empty-string", "edges-object", "edges-null",
+        "node-attrs-0", "node-attrs-false", "node-attrs-empty-string", "edge-attrs-object",
+        "attr-defaults-5", "attr-defaults-array", "node-defaults-0"])
 def test_a_malformed_edge_or_attribute_row_is_refused_by_index(tmp_path, capsys, doc, flag, message):
     # Before, Python's own message: "cannot unpack non-iterable int object",
-    # "too many values to unpack (expected 2)", "'int' object is not iterable".
+    # "too many values to unpack (expected 2)", "'int' object is not iterable";
+    # a key holding "", {}, 0, false or null for an array read as empty.
     raw, graphs = tmp_path / "g.json", tmp_path / "graphs.jsonl"
     raw.write_text(json.dumps(doc))
     graphs.write_text(json.dumps({"num_nodes": 1}) + "\n" + json.dumps(doc) + "\n")

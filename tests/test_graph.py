@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from graphseq import (
     AttributedGraph,
     GraphFormatError,
+    SubgraphSample,
     adjacency,
     connected_components,
     load_graph,
@@ -21,6 +22,7 @@ from graphseq.graph import (
     _COLUMN_MIN_EDGES,
     EdgeList,
     check_edges,
+    decode_json,
     graph_record,
     iter_graphs_jsonl,
     quantize_attrs,
@@ -583,3 +585,67 @@ def test_a_record_owned_by_the_reader_is_freed_before_the_checks(tmp_path):
     assert parsed.edges == g.edges and type(parsed.edges) is EdgeList
     assert (kept - before) / g.num_edges <= 48
     assert (peak - before) / g.num_edges <= 320
+
+
+# --- a value of the wrong JSON kind ------------------------------------------
+
+# Attribute rows two wide, so neither [1] nor [[1.5]] is a valid value of
+# any array key below; a sample's root_nodes of [1] stays valid, with its
+# graph unchanged.
+_GRAPH_DOC = {
+    "num_nodes": 3, "edges": [[0, 1], [1, 2]], "node_attrs": [[1, 0], [2, 0], [3, 0]],
+    "edge_attrs": [[4, 1], [5, 1]], "attr_defaults": {"node": [0, 0], "edge": [0, 1]},
+}
+_SAMPLE_DOC = {"graph": _GRAPH_DOC, "root_nodes": [0, 1], "origin_ids": [7, 8, 9]}
+_MUTANTS = (0, False, "", {}, 5, "x", None, [1], [[1.5]])
+# Per array key, the word every refusal of a mutant there must hold: the
+# key itself, or the name of the row or value at fault.
+_NAMED_BY = {"edges": "edge", "node_attrs": "node", "edge_attrs": "edge", "node": "node attr_defaults",
+             "edge": "edge attr_defaults", "root_nodes": "root", "origin_ids": "origin"}
+
+
+def _array_paths(doc: dict, path: tuple = ()):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _array_paths(value, (*path, key))
+        elif isinstance(value, list):
+            yield (*path, key)
+
+
+def _mutated(doc: dict, path: tuple, value) -> str:
+    """``doc`` as JSON text with ``value`` at ``path``."""
+    doc = json.loads(json.dumps(doc))
+    inner = doc
+    for key in path[:-1]:
+        inner = inner[key]
+    inner[path[-1]] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("doc, readers", [
+    (_GRAPH_DOC, (AttributedGraph.from_json, graph_record)),
+    (_SAMPLE_DOC, (SubgraphSample.from_json, graph_record)),
+], ids=["graph", "sample"])
+def test_every_array_key_refuses_a_value_of_another_kind_by_name(doc, readers):
+    original = AttributedGraph.from_json(_GRAPH_DOC)
+    paths = list(_array_paths(doc))
+    assert len(paths) == (5 if doc is _GRAPH_DOC else 7)
+    for path in paths:
+        for value in _MUTANTS:
+            for read in readers:
+                try:
+                    got = decode_json(_mutated(doc, path, value), read, line=2)
+                except GraphFormatError as exc:
+                    assert exc.line == 2 and _NAMED_BY[path[-1]] in str(exc), (path, value, str(exc))
+                else:
+                    assert getattr(got, "graph", got) == original, (path, value)
+
+
+def test_a_large_records_edge_attrs_of_another_kind_are_refused_by_name():
+    # graph_record swaps a large record's edge attribute rows for tuples
+    # before construction; before, {} and "" swapped to no rows at all.
+    n = _COLUMN_MIN_EDGES
+    for value in _MUTANTS:
+        doc = {"num_nodes": n + 1, "edges": [[v, v + 1] for v in range(n)], "edge_attrs": value}
+        with pytest.raises(GraphFormatError, match="^edge"):
+            graph_record(doc)
