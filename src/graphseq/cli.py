@@ -4,9 +4,9 @@ pretrain, taskfmt, and verify.
 A JSON config file may supply any optional flag's value; explicit flags
 override it. Each command takes only the flags it reads, except that
 ``detokenize`` accepts ``--seed`` and ignores it. The vocabulary file
-carries the encoding: ``vocab`` records the dataset tag, both attribute
-styles and the index count in it, and every later command takes them from
-there, so a grid can only be read back under the vocabulary that wrote it.
+carries the encoding: ``vocab`` records the dataset tag, attribute styles,
+index count and attribute defaults in it, and every later command takes them
+from there, so a grid can only be read back under the vocabulary that wrote it.
 All randomness flows through ``--seed`` with per-item seeds derived from
 the item index, so outputs are byte-stable. Errors exit non-zero with one
 machine-readable JSON object on stderr; a malformed input record is
@@ -99,9 +99,15 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_vocab(args) -> int:
-    vocab = build_vocab(iter_graphs_jsonl(args.graphs), args.dataset_tag,
-                        ReindexConfig(num_indices=args.num_indices),
-                        node_attr_style=args.node_attr_style, edge_attr_style=args.edge_attr_style)
+    cfg = ReindexConfig(num_indices=args.num_indices)
+    line = [None]  # each graph's line as build_vocab reads it, to name when it refuses its defaults
+    try:
+        vocab = build_vocab((g for line[0], g in read_jsonl(args.graphs, graph_record)), args.dataset_tag, cfg,
+                            node_attr_style=args.node_attr_style, edge_attr_style=args.edge_attr_style)
+    except GraphFormatError:
+        raise
+    except ValueError as exc:
+        raise GraphFormatError(str(exc), line=line[0]) from exc
     vocab.save(args.output)
     log.info("vocabulary of %d tokens written to %s", len(vocab), args.output)
     return 0
@@ -206,7 +212,7 @@ def cmd_taskfmt(args) -> int:
     cfg = _reindex_cfg(args, vocab)
     # Identity tokens are spelled inline. Under digits, a value-1 identity
     # token would resolve to a dimension marker, so refuse before any item.
-    if args.task != "graph" and vocab.node_attr_style != "inline" and vocab.attr_width("node"):
+    if args.task != "graph" and vocab.node_attr_style != "inline" and vocab.node_defaults:
         raise ValueError(
             f"{args.task} tasks append inline node identity tokens, but the vocabulary spells "
             "node attributes as digits; build it with `graphseq vocab --node-attr-style inline`"

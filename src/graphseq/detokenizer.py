@@ -138,30 +138,21 @@ def _parse_block(ids: tuple[int, ...], vocab: Vocabulary, kind: str, style: str)
     return out
 
 
-def _attr_vector(pairs, width, defaults, what):
-    vec = list(defaults) if defaults else [0] * width
+def _attr_vector(pairs, defaults):
+    vec = list(defaults)
     for dim, value in pairs:
-        if dim >= width:
-            raise ValueError(f"{what} attribute dimension {dim} outside width {width}")
         vec[dim] = value
     return tuple(vec)
 
 
-def detokenize(
-    grid: TokenGrid,
-    vocab: Vocabulary,
-    node_attr_width: int | None = None,
-    edge_attr_width: int | None = None,
-    node_defaults: tuple[int, ...] | None = None,
-    edge_defaults: tuple[int, ...] | None = None,
-) -> ReconstructionReport:
+def detokenize(grid: TokenGrid, vocab: Vocabulary) -> ReconstructionReport:
     """Rebuild an attributed graph from a token grid.
 
-    Attribute widths and defaults may be supplied by the caller; otherwise
-    widths are inferred from the vocabulary's semantic tokens and omitted
-    dimensions fall back to zero. Directedness is inferred from direction
-    tokens, so a directed graph with no base edges reconstructs as
-    undirected. A graph without decoded edges has no edge defaults.
+    Attribute rows are as wide as the vocabulary's defaults, which fill
+    every omitted dimension; a semantic token names a dimension within
+    them. Directedness is inferred from direction tokens, so a directed
+    graph with no base edges reconstructs as undirected. A graph without
+    decoded edges has no edge defaults.
     """
     nodes, node_blocks, types, edge_blocks = _collect_steps(grid, vocab)
     if not nodes:
@@ -170,11 +161,6 @@ def detokenize(
 
     local: dict[int, int] = {}
     visits = [local.setdefault(tok, len(local)) for tok in nodes]
-
-    n_width = node_attr_width if node_attr_width is not None else vocab.attr_width("node")
-    e_width = edge_attr_width if edge_attr_width is not None else vocab.attr_width("edge")
-    n_defaults = tuple(node_defaults) if node_defaults is not None else (0,) * n_width
-    e_defaults = tuple(edge_defaults) if edge_defaults is not None else (0,) * e_width
 
     # Blocks repeat (one per distinct attribute row), so each is parsed once.
     styles = {"node": vocab.node_attr_style, "edge": vocab.edge_attr_style}
@@ -215,20 +201,16 @@ def detokenize(
     if types[-1] is not None or edge_blocks[-1]:
         raise ValueError("malformed attribute run: edge tokens after the final node")
 
-    node_attrs = tuple(
-        _attr_vector(node_attr_pairs.get(v, ()), n_width, n_defaults, "node") for v in range(len(local))
-    ) if n_width else ()
-    edge_attrs = tuple(
-        _attr_vector(pairs or (), e_width, e_defaults, "edge") for pairs in edges.values()
-    ) if e_width else ()
+    n_defaults, e_defaults = vocab.node_defaults, (vocab.edge_defaults if edges else ())
     graph = AttributedGraph(
         num_nodes=len(local),
         edges=tuple(edges),
         directed=directed,
-        node_attrs=node_attrs,
-        edge_attrs=edge_attrs,
-        node_defaults=n_defaults if n_width else (),
-        edge_defaults=e_defaults if edge_attrs else (),
+        node_attrs=tuple(_attr_vector(node_attr_pairs.get(v, ()), n_defaults) for v in range(len(local)))
+        if n_defaults else (),
+        edge_attrs=tuple(_attr_vector(pairs or (), e_defaults) for pairs in edges.values()) if e_defaults else (),
+        node_defaults=n_defaults,
+        edge_defaults=e_defaults,
     )
     return ReconstructionReport(
         graph=graph,

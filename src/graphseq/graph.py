@@ -92,7 +92,7 @@ def int_row(row, what: str, hint: str = "") -> tuple[int, ...]:
     return tuple(out)
 
 
-def _expect(kind: str, key: str, value):
+def expect_json(kind: str, key: str, value):
     """``value`` when it is a JSON ``kind``: an "array" a list (or a tuple,
     as this package builds), an "object" a dict; else ``GraphFormatError``
     naming ``key``: ``edges must be a JSON array, not 5``."""
@@ -101,28 +101,27 @@ def _expect(kind: str, key: str, value):
     raise GraphFormatError(f"{key} must be a JSON {kind}, not {value!r}")
 
 
-def _row_tuples(key: str, rows, what: str, shape: str, width: int | None = None) -> tuple[tuple, ...]:
-    """The array ``rows`` under ``key`` as tuples, each ``width`` long if
-    given, made at C speed; else the first row that is not iterable or not
-    that long is refused by index: ``edge 1: expected a [src, dst] pair, not 5``."""
-    rows = _expect("array", key, rows)
-    try:
+def row_tuples(key: str, rows, what: str, shape: str, width: int | None = None) -> tuple[tuple, ...]:
+    """The array ``rows`` under ``key`` as tuples, each row an array (a list
+    or tuple) and ``width`` long if given, checked at C speed; else the first
+    row that is not is refused by index: ``edge 1: expected a [src, dst] pair, not 5``."""
+    rows = expect_json("array", key, rows)
+    if {*map(type, rows)} <= {list, tuple}:
         out = tuple(map(tuple, rows))
         if width is None or {*map(len, out)} <= {width}:
             return out
-    except TypeError:
-        pass
     for i, row in enumerate(rows):
-        if not isinstance(row, Iterable) or width not in (None, len(tuple(row))):
+        if not isinstance(row, (list, tuple)) or width not in (None, len(row)):
             raise GraphFormatError(f"{what} {i}: expected {shape}, not {row!r}")
+    return tuple(map(tuple, rows))
 
 
 def _int_rows(key: str, rows, what: str, shape: str, value: str, hint: str = "",
               width: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """The array ``rows`` under ``key`` as ``_row_tuples`` of ints: one scan
+    """The array ``rows`` under ``key`` as ``row_tuples`` of ints: one scan
     of the value types passes ints, as from JSON or this package, and else
     ``int_row`` converts row by row, naming ``{what} {i}``, ``hint`` formatted by ``what``."""
-    rows = _row_tuples(key, rows, what, shape, width)
+    rows = row_tuples(key, rows, what, shape, width)
     if {*map(type, chain.from_iterable(rows))} <= {int}:
         return rows
     return tuple(int_row(row, f"{what} {i}: {value}", hint.format(what)) for i, row in enumerate(rows))
@@ -278,7 +277,7 @@ def _attr_rows(kind: str, rows, defaults, expected: int) -> tuple[tuple[tuple[in
     width, and as many defaults as the rows are wide. No defaults mean a
     zero per dimension."""
     rows = _int_rows(f"{kind}_attrs", rows, kind, _ATTR_ROW, "attribute", _QUANTIZE_HINT)
-    defaults = int_row(_expect("array", f"{kind} attr_defaults", defaults), f"{kind} attr_defaults: value")
+    defaults = int_row(expect_json("array", f"{kind} attr_defaults", defaults), f"{kind} attr_defaults: value")
     width = len(rows[0]) if rows else 0
     if rows and len(rows) != expected:
         raise GraphFormatError(f"expected {expected} {kind} attribute rows, got {len(rows)}")
@@ -344,14 +343,6 @@ class AttributedGraph:
         return g
 
     @property
-    def node_attr_width(self) -> int:
-        return len(self.node_attrs[0]) if self.node_attrs else 0
-
-    @property
-    def edge_attr_width(self) -> int:
-        return len(self.edge_attrs[0]) if self.edge_attrs else 0
-
-    @property
     def num_edges(self) -> int:
         return len(self.edges)
 
@@ -382,7 +373,7 @@ class AttributedGraph:
         """The graph of a JSON document, which is left unchanged. Every value
         must be a JSON integer and ``directed`` a JSON boolean; anything
         else is an error, never truncated or coerced."""
-        defaults = _expect("object", "attr_defaults", doc.get("attr_defaults", {}))
+        defaults = expect_json("object", "attr_defaults", doc.get("attr_defaults", {}))
         return cls(
             num_nodes=doc["num_nodes"],
             edges=doc.get("edges", ()),
@@ -425,9 +416,9 @@ class SubgraphSample:
     @classmethod
     def from_json(cls, doc: dict) -> "SubgraphSample":
         return cls(
-            graph=AttributedGraph.from_json(_expect("object", "graph", doc["graph"])),
-            root_nodes=_expect("array", "root_nodes", doc["root_nodes"]),
-            origin_ids=_expect("array", "origin_ids", doc["origin_ids"]),
+            graph=AttributedGraph.from_json(expect_json("object", "graph", doc["graph"])),
+            root_nodes=expect_json("array", "root_nodes", doc["root_nodes"]),
+            origin_ids=expect_json("array", "origin_ids", doc["origin_ids"]),
         )
 
 
@@ -579,7 +570,7 @@ def quantize_attrs(
         except (ValueError, OverflowError):  # nan, infinity, or an int past the float range
             raise GraphFormatError(f"{what} {i}: attribute {v!r} times scale {scale} is not finite") from None
 
-    rows = _row_tuples(f"{what}_attrs", rows, what, _ATTR_ROW)
+    rows = row_tuples(f"{what}_attrs", rows, what, _ATTR_ROW)
     return [[quantized(i, v) for v in row] for i, row in enumerate(rows)]
 
 
@@ -663,14 +654,14 @@ def _owned_graph(doc: dict) -> AttributedGraph:
     if columns is not None:
         doc["edges"] = columns
         # Held by no local name, the decoded rows are freed here, not after construction.
-        doc["edge_attrs"] = _row_tuples("edge_attrs", doc.get("edge_attrs", ()), "edge", _ATTR_ROW)
+        doc["edge_attrs"] = row_tuples("edge_attrs", doc.get("edge_attrs", ()), "edge", _ATTR_ROW)
     return AttributedGraph.from_json(doc)
 
 
 def graph_record(doc: dict) -> AttributedGraph:
     """The graph of a decoded JSONL record, which may be a bare graph or a
     sample; the record is the caller's to drop, and is changed."""
-    return _owned_graph(_expect("object", "graph", doc["graph"]) if "graph" in doc else doc)
+    return _owned_graph(expect_json("object", "graph", doc["graph"]) if "graph" in doc else doc)
 
 
 def iter_graphs_jsonl(path: str | Path) -> Iterator[AttributedGraph]:

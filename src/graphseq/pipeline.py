@@ -111,7 +111,8 @@ def roundtrip_report(
     cfg: ReindexConfig | None = None,
 ) -> dict:
     """Serialize, reconstruct, and compare against the input graph, under
-    a vocabulary built from ``g`` alone.
+    a vocabulary built from ``g`` alone and decoded as ``graphseq
+    detokenize`` decodes, by the vocabulary's widths and defaults.
 
     The walk names the bijection to check: the detokenizer numbers nodes
     by first appearance, so decoded node k is the k-th distinct node of
@@ -121,14 +122,7 @@ def roundtrip_report(
     cfg = cfg or ReindexConfig(num_indices=max(256, g.num_nodes))
     vocab = build_vocab([g], "roundtrip", cfg)
     grid, path = _serialize(g, vocab, layout, cfg, seed)
-    report = detokenize(
-        grid,
-        vocab,
-        node_attr_width=g.node_attr_width,
-        edge_attr_width=g.edge_attr_width,
-        node_defaults=g.node_defaults or None,
-        edge_defaults=g.edge_defaults or None,
-    )
+    report = detokenize(grid, vocab)
     return {
         "ok": _matches_witness(report.graph, g, tuple(dict.fromkeys(path.nodes))),
         "dedup": report.deduplicated_edges,

@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .euler import EulerPath, EulerizedMultigraph, bounded_draws, check_walkable
-from .graph import AttributedGraph
-from .vocab import Vocabulary
+from .graph import AttributedGraph, row_tuples
+from .vocab import Vocabulary, agreed_defaults
 
 LAYOUTS = ("short", "long", "prolonged")
 
@@ -140,7 +140,10 @@ class TokenGrid:
 
     @classmethod
     def from_json(cls, doc: dict) -> "TokenGrid":
-        return cls.from_rows(doc["layout"], doc["l"], doc["tokens"], doc["roles"])
+        # Rows of token ids and of roles meet the rule of a graph record's rows.
+        return cls.from_rows(doc["layout"], doc["l"],
+                             row_tuples("tokens", doc["tokens"], "token row", "an array of token ids"),
+                             row_tuples("roles", doc["roles"], "role row", "an array of roles"))
 
 
 def _check_vocab_indices(cfg: ReindexConfig, vocab: Vocabulary) -> None:
@@ -179,7 +182,10 @@ def _index_map(first_seen, cfg: ReindexConfig) -> dict[int, int]:
 
 def _spelled(g: AttributedGraph, vocab: Vocabulary) -> tuple[dict, dict]:
     """``vocab.block_ids`` of each distinct node row, then of each distinct
-    edge row of ``g``, in row order: the blocks a serialization reads."""
+    edge row of ``g``, in row order: the blocks a serialization reads.
+    ``g``'s defaults must begin the vocabulary's, which its grid decodes under."""
+    agreed_defaults("node", vocab.node_defaults, g.node_defaults)
+    agreed_defaults("edge", vocab.edge_defaults, g.edge_defaults)
     kinds = ("node", g.node_attrs, g.node_defaults), ("edge", g.edge_attrs, g.edge_defaults)
     return tuple({row: vocab.block_ids(kind, row, defaults) for row in dict.fromkeys(rows)}
                  for kind, rows, defaults in kinds)

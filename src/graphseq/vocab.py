@@ -38,7 +38,7 @@ ATTR_STYLES = ("digits", "inline")
 
 # First line of a vocabulary file: this marker, then key=value fields.
 VOCAB_HEADER = "#graphseq-vocab"
-_HEADER_KEYS = ("dataset_tag", "node_attr_style", "edge_attr_style")
+_HEADER_KEYS = ("dataset_tag", "node_attr_style", "edge_attr_style", "node_defaults", "edge_defaults")
 
 _DIGIT_FOR_CHAR = {"-": "<->", ".": "<.>", **{d: f"<{d}>" for d in "0123456789"}}
 
@@ -76,6 +76,19 @@ def _semantic_entry(token: str) -> tuple[str, int, int]:
         raise ValueError(f"semantic token {token!r} is not TAG#KIND#DIM#VALUE") from None
 
 
+def agreed_defaults(kind: str, known: tuple, defaults: tuple, extend: bool = False) -> tuple[int, ...]:
+    """``known``, a vocabulary's ``kind`` attribute defaults, when a graph's
+    ``defaults`` begin them; with ``extend``, also ``defaults`` when ``known``
+    begin them. A graph with any other defaults would decode under the
+    vocabulary's into another graph, so ValueError refuses it."""
+    if known[:len(defaults)] == defaults:
+        return known
+    if extend and defaults[:len(known)] == known:
+        return defaults
+    raise ValueError(f"{kind} attr_defaults {list(defaults)} do not begin the vocabulary's {list(known)}; "
+                     "graphs that share a vocabulary share their defaults")
+
+
 class Vocabulary:
     """Bidirectional token<->id map with dense ids and disjoint classes.
 
@@ -89,6 +102,10 @@ class Vocabulary:
     ``attr_ids`` memoises the ids spelling each attribute value and
     ``block_ids`` spells a whole attribute row. ``pad_id`` and the other
     special-token ids the pipeline writes are attributes.
+
+    ``node_defaults`` and ``edge_defaults``, one per dimension, are the
+    corpus's attribute defaults and widths, which every decoded graph takes
+    and no semantic token's dimension may reach.
     """
 
     def __init__(
@@ -98,6 +115,8 @@ class Vocabulary:
         dataset_tag: str = "",
         node_attr_style: str = "digits",
         edge_attr_style: str = "digits",
+        node_defaults: tuple[int, ...] = (),
+        edge_defaults: tuple[int, ...] = (),
     ):
         if node_attr_style not in ATTR_STYLES or edge_attr_style not in ATTR_STYLES:
             raise ValueError(f"attribute style must be one of {ATTR_STYLES}")
@@ -105,6 +124,7 @@ class Vocabulary:
         self.dataset_tag = dataset_tag
         self.node_attr_style = node_attr_style
         self.edge_attr_style = edge_attr_style
+        self.node_defaults, self.edge_defaults = tuple(node_defaults), tuple(edge_defaults)
         tokens: list[tuple[str, str]] = []
         tokens += [(str(i), CLASS_STRUCTURAL) for i in range(num_indices)]
         tokens += [(t, CLASS_SPECIAL) for t in SPECIAL_TOKENS]
@@ -126,11 +146,11 @@ class Vocabulary:
         self.digit_chars: dict[int, str] = {
             i: char_of[t] for i, (t, c) in enumerate(tokens) if c == CLASS_DIGIT
         }
-        self._attr_width: dict[str, int] = {}
-        for entry in self.semantic:
-            if entry is not None:
-                kind, dim, _ = entry
-                self._attr_width[kind] = max(self._attr_width.get(kind, 0), dim + 1)
+        widths = {"node": len(self.node_defaults), "edge": len(self.edge_defaults)}
+        for token, entry in zip(self._id_to_token, self.semantic):
+            if entry is not None and not 0 <= entry[1] < widths.get(entry[0], 0):
+                raise ValueError(f"semantic token {token!r} is past the vocabulary's "
+                                 f"{widths.get(entry[0], 0)} {entry[0]} attribute dimensions, one per default")
         self._attr_ids: dict[tuple[str, int, int], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -150,10 +170,6 @@ class Vocabulary:
 
     def class_of(self, token_id: int) -> str:
         return self._id_to_class[token_id]
-
-    def attr_width(self, kind: str) -> int:
-        """1 + highest attribute dimension mentioned by semantic tokens."""
-        return self._attr_width.get(kind, 0)
 
     def attr_ids(self, kind: str, dim: int, value: int) -> tuple[int, ...]:
         """Ids spelling ``value`` at dimension ``dim`` in ``kind``'s style:
@@ -180,7 +196,9 @@ class Vocabulary:
         return ids
 
     def _lines(self) -> list[str]:
-        header = "\t".join([VOCAB_HEADER] + [f"{key}={getattr(self, key)}" for key in _HEADER_KEYS])
+        values = [getattr(self, key) for key in _HEADER_KEYS]
+        texts = [v if isinstance(v, str) else ",".join(map(str, v)) for v in values]  # defaults: "5,0", or ""
+        header = "\t".join([VOCAB_HEADER] + [f"{key}={text}" for key, text in zip(_HEADER_KEYS, texts)])
         return [header] + [
             f"{tok}\t{i}\t{cls}"
             for i, (tok, cls) in enumerate(zip(self._id_to_token, self._id_to_class))
@@ -197,17 +215,23 @@ class Vocabulary:
         edge_attr_style: str | None = None,
     ) -> "Vocabulary":
         """Rebuild a saved vocabulary; the file is the only source of its
-        encoding. The header gives the tag and the attribute styles, the
-        structural lines the index count and the semantic lines the rest;
-        every line must then equal the rebuilt vocabulary's. A style passed
-        here is a check: it must equal the file's. A file line that breaks
-        these rules raises ``GraphFormatError`` ``vocab line N: ...``."""
+        encoding. The header gives the tag, the attribute styles and the
+        defaults, the structural lines the index count and the semantic
+        lines the rest; every line must then equal the rebuilt one. A style
+        passed here is a check: it must equal the file's. A file line that
+        breaks these rules raises ``GraphFormatError`` ``vocab line N: ...``."""
         try:
             lines = [line.rstrip("\n") for _, line in read_lines(path)]
             header = lines[0].split("\t") if lines else []
             settings = dict(field.partition("=")[::2] for field in header[1:])
             if header[:1] != [VOCAB_HEADER] or sorted(settings) != sorted(_HEADER_KEYS):
-                raise GraphFormatError(f"expected a {VOCAB_HEADER} header with {', '.join(_HEADER_KEYS)}", 1)
+                raise GraphFormatError(f"expected a {VOCAB_HEADER} header with {', '.join(_HEADER_KEYS)}, "
+                                       "as `graphseq vocab` writes", 1)
+            for key, text in [(key, settings[key]) for key in ("node_defaults", "edge_defaults")]:
+                try:
+                    settings[key] = tuple(map(int, text.split(","))) if text else ()
+                except ValueError:
+                    raise GraphFormatError(f"{key} must be comma-separated integers, not {text!r}", 1) from None
             for key, wanted in (("node_attr_style", node_attr_style), ("edge_attr_style", edge_attr_style)):
                 if settings[key] not in ATTR_STYLES:
                     raise GraphFormatError(f"{key} must be one of {ATTR_STYLES}, not {settings[key]!r}", 1)
@@ -239,17 +263,20 @@ def build_vocab(
 
     Structural and special/digit tokens are fixed by ``cfg.num_indices``;
     semantic tokens are collected from every non-default attribute value
-    observed in the corpus. Rebuilding from the same corpus is
-    byte-identical.
+    observed in the corpus. Each kind's defaults are the widest graph's,
+    and every graph's must begin them (``agreed_defaults``). Rebuilding
+    from the same corpus is byte-identical.
     """
     # Distinct (kind, dim, value) triples first, so each is spelled once;
     # a graph's values are collected one column at a time.
     triples: set[tuple[str, int, int]] = set()
+    known = {"node": (), "edge": ()}
     for g in corpus:
         for kind, rows, defaults in (
             ("node", g.node_attrs, g.node_defaults),
             ("edge", g.edge_attrs, g.edge_defaults),
         ):
+            known[kind] = agreed_defaults(kind, known[kind], defaults, extend=True)
             for dim, default in enumerate(defaults):
                 values = set(map(operator.itemgetter(dim), rows))
                 values.discard(default)
@@ -261,4 +288,6 @@ def build_vocab(
         dataset_tag=dataset_tag,
         node_attr_style=node_attr_style,
         edge_attr_style=edge_attr_style,
+        node_defaults=known["node"],
+        edge_defaults=known["edge"],
     )

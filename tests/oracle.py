@@ -66,8 +66,9 @@ def isomorphic(g1: AttributedGraph, g2: AttributedGraph) -> bool:
         g1.num_nodes != g2.num_nodes
         or g1.num_edges != g2.num_edges
         or g1.directed != g2.directed
-        or g1.node_attr_width != g2.node_attr_width
-        or g1.edge_attr_width != g2.edge_attr_width
+        # A graph holds one default per attribute dimension, so these are the widths.
+        or len(g1.node_defaults) != len(g2.node_defaults)
+        or len(g1.edge_defaults) != len(g2.edge_defaults)
     ):
         return False
     sig1, sig2 = _signature(g1), _signature(g2)

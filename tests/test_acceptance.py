@@ -66,10 +66,7 @@ def test_criterion_01_roundtrip_reversibility():
             seed = derive_seed(1, i, layout)
             report = gs.roundtrip_report(g, layout, seed=seed)
             failures += not report["ok"]
-            decoded = detokenize(
-                serialize_graph(g, vocab, layout, seed=seed), vocab,
-                g.node_attr_width, g.edge_attr_width, g.node_defaults or None, g.edge_defaults or None,
-            )
+            decoded = detokenize(serialize_graph(g, vocab, layout, seed=seed), vocab)
             not_isomorphic += not isomorphic(decoded.graph, g)
     elapsed = time.time() - start
     assert failures == 0
@@ -157,7 +154,7 @@ def test_criterion_05_molecule_golden_fixture():
     cfg = ReindexConfig(num_indices=256)
     vocab = build_vocab([expected], doc["dataset_tag"], cfg)
     grid = prolonged_grid(doc["tokens"], vocab)
-    rec = detokenize(grid, vocab, node_attr_width=9, edge_attr_width=3)
+    rec = detokenize(grid, vocab)
     assert rec.graph.num_nodes == 4
     assert rec.graph.num_edges == 3
     # tokens '1' and '2' map to local nodes 0 and 1
@@ -176,7 +173,7 @@ def test_criterion_05_molecule_golden_fixture():
             visits.setdefault(t, []).append(pos)
     (revisited,) = [t for t, ps in visits.items() if len(ps) == 2]
     assert roles[visits[revisited][1] + 1] == ROLE_NODE_ATTR
-    rec2 = detokenize(regrid, vocab, node_attr_width=9, edge_attr_width=3)
+    rec2 = detokenize(regrid, vocab)
     assert isomorphic(rec2.graph, rec.graph)
     assert isomorphic(rec2.graph, expected)
     _report(5, "published sequence reconstructs exactly; re-tokenization round-trips isomorphically")

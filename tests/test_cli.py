@@ -1343,3 +1343,96 @@ def test_a_malformed_edge_or_attribute_row_is_refused_by_index(tmp_path, capsys,
         assert json.loads(capsys.readouterr().err) == {
             "error": "GraphFormatError", "message": f"line 2: {message}", "line": 2
         }
+
+
+# Two records whose widths or defaults the vocabulary lost before it
+# stored the defaults: node and edge dimensions that always hold their
+# default 0, and a non-zero node default.
+_TRAILING_DEFAULTS = {"num_nodes": 3, "edges": [[0, 1], [1, 2]],
+                      "node_attrs": [[5, 0], [1, 0], [7, 0]], "edge_attrs": [[0], [0]]}
+_DEFAULT_FIVE = {"num_nodes": 3, "edges": [[0, 1], [1, 2]], "node_attrs": [[5], [0], [7]],
+                 "attr_defaults": {"node": [5], "edge": []}}
+
+
+@pytest.mark.parametrize("record", [_TRAILING_DEFAULTS, _DEFAULT_FIVE], ids=["trailing-defaults", "default-five"])
+@pytest.mark.parametrize("layout", ["prolonged", "short", "long"])
+def test_widths_and_defaults_survive_the_cli_round_trip(tmp_path, capsys, record, layout):
+    # Before, the first came back with width-1 node rows and no edge
+    # attributes, the second with its 5s as 0 and node default [0]; verify,
+    # which decoded with the graph's own widths and defaults, printed ok.
+    path = tmp_path / "graphs.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    vocab = _vocab(tmp_path, path)
+    grids, back = tmp_path / "grids.jsonl", tmp_path / "back.jsonl"
+    assert main(["tokenize", "--graphs", str(path), "--vocab", str(vocab), "--layout", layout,
+                 "--output", str(grids)]) == 0
+    assert main(["detokenize", "--grids", str(grids), "--vocab", str(vocab), "--output", str(back)]) == 0
+    decoded = AttributedGraph.from_json(json.loads(back.read_text())["graph"])
+    g = AttributedGraph.from_json(record)
+    assert isomorphic(decoded, g)
+    assert (decoded.node_defaults, decoded.edge_defaults) == (g.node_defaults, g.edge_defaults)
+    assert main(["verify", "--graphs", str(path), "--layout", layout]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1/1 ok"
+
+
+_DISAGREEING = "line 2: node attr_defaults [5] do not begin the vocabulary's [0, 0]; " \
+               "graphs that share a vocabulary share their defaults"
+
+
+def test_vocab_refuses_a_corpus_whose_defaults_disagree_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "graphs.jsonl"
+    path.write_text(json.dumps(_TRAILING_DEFAULTS) + "\n" + json.dumps(_DEFAULT_FIVE) + "\n")
+    assert main(["vocab", "--graphs", str(path), "--output", str(tmp_path / "vocab.tsv")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "GraphFormatError", "message": _DISAGREEING, "line": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tokenize"], ["pretrain", "--task", "ntp"], ["taskfmt", "--task", "graph"],
+], ids=["tokenize", "pretrain", "taskfmt"])
+def test_a_graph_whose_defaults_the_vocabulary_does_not_hold_fails_with_its_line(tmp_path, capsys, argv):
+    # Its grid would decode under the vocabulary's defaults, as another graph.
+    first = tmp_path / "first.jsonl"
+    first.write_text(json.dumps(_TRAILING_DEFAULTS) + "\n")
+    vocab = _vocab(tmp_path, first)
+    path = tmp_path / "graphs.jsonl"
+    path.write_text(json.dumps(_TRAILING_DEFAULTS) + "\n" + json.dumps(_DEFAULT_FIVE) + "\n")
+    assert main([*argv, "--graphs", str(path), "--vocab", str(vocab), "--output", str(tmp_path / "out.jsonl")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "GraphFormatError", "message": _DISAGREEING, "line": 2}
+
+
+def _path_grid_doc(tmp_path, layout) -> dict:
+    path = tmp_path / "path.jsonl"
+    path.write_text(json.dumps({"num_nodes": 3, "edges": [[0, 1], [1, 2]]}) + "\n")
+    vocab = _vocab(tmp_path, path)
+    grids = tmp_path / "grids.jsonl"
+    assert main(["tokenize", "--graphs", str(path), "--vocab", str(vocab), "--layout", layout,
+                 "--output", str(grids)]) == 0
+    return json.loads(grids.read_text())
+
+
+@pytest.mark.parametrize("layout, edit, message", [
+    ("prolonged", lambda d: {**d, "tokens": 5}, "tokens must be a JSON array, not 5"),
+    ("prolonged", lambda d: {**d, "tokens": "", "roles": ""}, "tokens must be a JSON array, not ''"),
+    ("prolonged", lambda d: {**d, "tokens": {}, "roles": {}}, "tokens must be a JSON array, not {}"),
+    ("prolonged", lambda d: {**d, "roles": ""}, "roles must be a JSON array, not ''"),
+    ("prolonged", lambda d: {**d, "roles": {}}, "roles must be a JSON array, not {}"),
+    ("prolonged", lambda d: {**d, "roles": ["n", *d["roles"][1:]]},
+     "role row 0: expected an array of roles, not 'n'"),
+    ("short", lambda d: {**d, "roles": [d["roles"][0], "ab", *d["roles"][2:]]},
+     "role row 1: expected an array of roles, not 'ab'"),
+    ("short", lambda d: {**d, "tokens": [d["tokens"][0], 7, *d["tokens"][2:]]},
+     "token row 1: expected an array of token ids, not 7"),
+], ids=["tokens-5", "both-empty-strings", "both-objects", "roles-empty-string", "roles-object",
+        "role-row-n", "role-row-ab", "token-row-7"])
+def test_a_grid_record_of_another_json_kind_is_refused_by_its_key_or_row(tmp_path, capsys, layout, edit, message):
+    # Before, "tokens": 5 failed with "'int' object is not iterable", an
+    # empty string or object under both keys read as an empty grid, and a
+    # role row "n" or "ab" read as its characters.
+    doc = _path_grid_doc(tmp_path, layout)
+    grids = tmp_path / "bad.jsonl"
+    grids.write_text(json.dumps(doc) + "\n" + json.dumps(edit(doc)) + "\n")
+    assert main(["detokenize", "--grids", str(grids), "--vocab", str(tmp_path / "vocab.tsv"),
+                 "--output", str(tmp_path / "back.jsonl")]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "GraphFormatError", "message": f"line 2: {message}", "line": 2
+    }

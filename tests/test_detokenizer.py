@@ -15,9 +15,9 @@ from graphseq import (
     tokenize,
 )
 from graphseq.tokenizer import LAYOUTS, TokenGrid
-from graphseq.vocab import build_vocab
+from graphseq.vocab import Vocabulary, build_vocab
 
-from conftest import random_graph, vocab_for
+from conftest import random_connected_graph, random_graph, vocab_for
 from oracle import isomorphic, prolonged_grid
 
 
@@ -25,14 +25,7 @@ def _roundtrip(g, layout, seed=0, cfg=None):
     cfg = cfg or ReindexConfig()
     vocab = vocab_for(g, cfg=cfg)
     grid = serialize_graph(g, vocab, layout, cfg, seed)
-    return detokenize(
-        grid,
-        vocab,
-        node_attr_width=g.node_attr_width,
-        edge_attr_width=g.edge_attr_width,
-        node_defaults=g.node_defaults or None,
-        edge_defaults=g.edge_defaults or None,
-    )
+    return detokenize(grid, vocab)
 
 
 def test_triangle_roundtrip_is_clean(c3):
@@ -60,7 +53,7 @@ def test_molecule_fixture_sequence(molpcba_fixture):
     expected = AttributedGraph.from_json(molpcba_fixture["graph"])
     vocab = build_vocab([expected], molpcba_fixture["dataset_tag"], ReindexConfig())
     grid = prolonged_grid(molpcba_fixture["tokens"], vocab)
-    report = detokenize(grid, vocab, node_attr_width=9, edge_attr_width=3)
+    report = detokenize(grid, vocab)
     assert report.graph.num_nodes == 4
     assert report.graph.num_edges == 3
     # tokens '1' and '2' become local nodes 0 and 1
@@ -78,14 +71,8 @@ def test_layout_agnostic_reconstruction():
         vocab = vocab_for(g, cfg=cfg)
         mg = build_multigraph(g, i)
         path = extract_path(mg, i)
-        kwargs = dict(
-            node_attr_width=g.node_attr_width,
-            edge_attr_width=g.edge_attr_width,
-            node_defaults=g.node_defaults or None,
-            edge_defaults=g.edge_defaults or None,
-        )
         graphs = [
-            detokenize(tokenize(path, mg, vocab, layout, cfg, i), vocab, **kwargs).graph
+            detokenize(tokenize(path, mg, vocab, layout, cfg, i), vocab).graph
             for layout in ("short", "long", "prolonged")
         ]
         assert graphs[0] == graphs[1] == graphs[2]
@@ -110,8 +97,53 @@ def test_inline_style_roundtrip():
     cfg = ReindexConfig()
     vocab = build_vocab([g], "ppa", cfg, node_attr_style="inline")
     grid = serialize_graph(g, vocab, "prolonged", cfg, 5)
-    report = detokenize(grid, vocab, node_attr_width=2, node_defaults=(-1, -1))
+    report = detokenize(grid, vocab)
     assert isomorphic(report.graph, g)
+
+
+def _with_rows(rng, g, node_width, edge_width, node_defaults, edge_defaults):
+    """``g``'s structure with rows of the given widths under the first of
+    the defaults. Every dimension but the last of each kind draws its
+    default half the time; the last always holds it."""
+    def rows(count, width, defaults):
+        return [[rng.choice((d, rng.randint(-9, 9))) for d in defaults[:width - 1]] + list(defaults[width - 1:width])
+                for _ in range(count)] if width else ()
+    return AttributedGraph(
+        num_nodes=g.num_nodes, edges=g.edges, directed=g.directed,
+        node_attrs=rows(g.num_nodes, node_width, node_defaults),
+        edge_attrs=rows(g.num_edges, edge_width, edge_defaults),
+        node_defaults=node_defaults[:node_width], edge_defaults=edge_defaults[:edge_width],
+    )
+
+
+@pytest.mark.parametrize("node_style, edge_style", [("digits", "digits"), ("inline", "digits"), ("digits", "inline")])
+def test_a_corpus_vocabulary_decodes_each_full_width_graph_to_itself(node_style, edge_style):
+    # Before, the vocabulary stored no defaults: the decoder took each width
+    # from the highest dimension a semantic token names, so an always-default
+    # last dimension was lost, and it decoded every omitted value as 0.
+    rng = random.Random(733)
+    node_defaults, edge_defaults = (3, -1, 0), (2, 0)
+    corpus = []
+    for i in range(24):
+        g = random_connected_graph(rng, n_max=10, max_node_width=0, max_edge_width=0)
+        # Every fourth graph is narrower, or has no attributes of a kind.
+        widths = (rng.randint(0, 2), rng.randint(0, 1)) if i % 4 == 3 else (3, 2)
+        corpus.append(_with_rows(rng, g, *widths, node_defaults, edge_defaults))
+    cfg = ReindexConfig()
+    vocab = build_vocab(corpus, "corpus", cfg, node_attr_style=node_style, edge_attr_style=edge_style)
+    assert (vocab.node_defaults, vocab.edge_defaults) == (node_defaults, edge_defaults)
+    for i, g in enumerate(corpus):
+        # A narrower graph decodes with its rows padded by the defaults.
+        full = AttributedGraph(
+            num_nodes=g.num_nodes, edges=g.edges, directed=g.directed,
+            node_attrs=[row + node_defaults[len(row):] for row in g.node_attrs or [()] * g.num_nodes],
+            edge_attrs=[row + edge_defaults[len(row):] for row in g.edge_attrs or [()] * g.num_edges],
+            node_defaults=node_defaults, edge_defaults=edge_defaults,
+        )
+        for layout in LAYOUTS:
+            decoded = detokenize(serialize_graph(g, vocab, layout, cfg, i), vocab).graph
+            assert isomorphic(decoded, full), (i, layout)
+            assert (decoded.node_defaults, decoded.edge_defaults) == (node_defaults, edge_defaults)
 
 
 # --- malformed grids ------------------------------------------------------
@@ -175,13 +207,21 @@ def test_repeated_dimension_in_a_block_is_rejected():
         detokenize(grid, vocab)
 
 
-def test_an_attribute_dimension_past_the_given_width_is_rejected():
+def test_an_attribute_dimension_past_the_given_width_is_rejected(tmp_path):
+    # The decoder reads its width from the vocabulary's defaults, so a
+    # semantic token past them is refused where a vocabulary is made.
     g = AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[3, 4], [0, 0]])
     vocab = vocab_for(g)
     grid = _node_block_grid(vocab, ["test#node#1#1", "<4>"])
     assert detokenize(grid, vocab).graph.node_attrs == ((0, 4), (0, 0))
-    with pytest.raises(ValueError, match="^node attribute dimension 1 outside width 1$"):
-        detokenize(grid, vocab, node_attr_width=1)
+    tokens = [vocab.token(i) for i in range(len(vocab)) if vocab.class_of(i) == "semantic"]
+    with pytest.raises(ValueError, match="^semantic token 'test#node#1#1' is past the vocabulary's 1 node"):
+        Vocabulary(vocab.num_indices, tokens, "test", node_defaults=(0,))
+    path = tmp_path / "v.tsv"
+    vocab.save(path)
+    path.write_text(path.read_text().replace("node_defaults=0,0", "node_defaults=0", 1))
+    with pytest.raises(ValueError, match="^semantic token 'test#node#1#1' is past the vocabulary's 1 node"):
+        Vocabulary.load(path)
 
 
 @pytest.mark.parametrize("sign", ["", "-"])
@@ -322,10 +362,9 @@ def test_token_id_outside_the_vocabulary_is_rejected(bad_id):
 
 
 # SHA-256 of the decoded reports (graph, counts and warnings) of 150
-# random graphs in every layout, under all four attribute style pairs and,
-# for every other pair of draws, the widths and defaults roundtrip_report
-# passes. Any change to decoded node or edge order, attribute vectors,
-# defaults or counts changes it.
+# random graphs in every layout, under all four attribute style pairs.
+# Any change to decoded node or edge order, attribute vectors, defaults
+# or counts changes it.
 DECODED_REPORTS_DIGEST = "56d8f34dd336d44dcbc85f46a41a2c9307cf83bab71c4e15cc6fc56e5535b3ec"
 
 
@@ -338,16 +377,8 @@ def test_decoded_reports_are_pinned():
         g = random_graph(rng, n_max=16)
         cfg = ReindexConfig(seed=i)
         vocab = vocab_for(g, cfg=cfg, node_attr_style=styles[i % 2], edge_attr_style=styles[i // 2 % 2])
-        explicit = {}
-        if i // 4 % 2:
-            explicit = {
-                "node_attr_width": g.node_attr_width,
-                "edge_attr_width": g.edge_attr_width,
-                "node_defaults": g.node_defaults or None,
-                "edge_defaults": g.edge_defaults or None,
-            }
         for layout in LAYOUTS:
-            report = detokenize(serialize_graph(g, vocab, layout, cfg, i), vocab, **explicit)
+            report = detokenize(serialize_graph(g, vocab, layout, cfg, i), vocab)
             kinds.add((g.directed, report.deduplicated_edges > 0, report.dropped_jump_edges > 0))
             digest.update(json.dumps(report.to_json()).encode() + b"\n")
     assert {k[0] for k in kinds} == {False, True}

@@ -41,7 +41,7 @@ def test_load_json_path_graph(tmp_path):
     g = load_graph(path)
     assert g.num_nodes == 3
     assert g.edges == ((0, 1), (1, 2))
-    assert g.node_attr_width == 0 and g.edge_attr_width == 0
+    assert g.node_attrs == () and g.edge_attrs == ()
 
 
 def test_load_edge_tsv(tmp_path):
@@ -70,8 +70,8 @@ def test_load_molecule_fixture(molpcba_fixture):
     g = AttributedGraph.from_json(molpcba_fixture["graph"])
     assert g.num_nodes == 4
     assert g.num_edges == 3
-    assert g.node_attr_width == 9
-    assert g.edge_attr_width == 3
+    assert {len(row) for row in g.node_attrs} == {9}
+    assert {len(row) for row in g.edge_attrs} == {3}
     assert g.node_defaults == (0,) * 9
 
 

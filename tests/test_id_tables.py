@@ -163,10 +163,7 @@ def test_table_grids_and_decoding_match_the_spellings(g, node_style, edge_style,
             for block in blocks:
                 want = _parse_block_by_spelling(block, vocab, kind, style)
                 assert _parse_block(tuple(block), vocab, kind, style) == want
-        report = detokenize(
-            grid, vocab, g.node_attr_width, g.edge_attr_width,
-            g.node_defaults or None, g.edge_defaults or None,
-        )
+        report = detokenize(grid, vocab)
         # Directedness is read from direction tokens, which need an edge.
         assert isomorphic(report.graph, replace(g, directed=g.directed and bool(g.edges)))
 
@@ -205,4 +202,4 @@ def test_attribute_ids_are_memoised_per_value():
     assert vocab.attr_ids("node", 0, -17) is ids
     assert vocab.semantic[ids[0]] == ("node", 0, 1)
     assert [vocab.digit_chars[t] for t in ids[1:]] == ["-", "1", "7"]
-    assert vocab.attr_width("node") == 1 and vocab.attr_width("edge") == 0
+    assert vocab.node_defaults == (0,) and vocab.edge_defaults == ()

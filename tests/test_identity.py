@@ -231,7 +231,7 @@ def test_identity_attrs_replace_node_attrs():
     cb = build_codebook(parent, k=2, strategy="bfs-partition", max_cluster=4, dataset_tag="t")
     cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=2, max_seq_len=256, seed=0)
     sub = with_identity_attrs(sample(parent, (3,), cfg), cb)
-    assert sub.graph.node_attr_width == 2
+    assert {len(row) for row in sub.graph.node_attrs} == {2}
     assert sub.graph.node_defaults == (-1, -1)
     for local, gid in enumerate(sub.origin_ids):
         assert sub.graph.node_attrs[local] == cb.code(gid)
@@ -310,7 +310,7 @@ def test_identity_encoded_sample_roundtrips_with_unique_nodes():
     rcfg = ReindexConfig()
     vocab = build_vocab([sub.graph], "t", rcfg, node_attr_style="inline")
     grid = serialize_graph(sub.graph, vocab, "prolonged", rcfg, 2)
-    report = detokenize(grid, vocab, node_attr_width=2, node_defaults=(-1, -1))
+    report = detokenize(grid, vocab)
     assert isomorphic(report.graph, sub.graph)
     # every decoded node keeps its own identity block
     assert len(set(report.graph.node_attrs)) == len(sub.origin_ids)
@@ -325,11 +325,11 @@ def test_label_only_ablation_still_roundtrips_structure():
     sub = replace(sub, graph=replace(
         sub.graph, node_attrs=[(labels[gid],) for gid in sub.origin_ids], node_defaults=(-1,)
     ))
-    assert sub.graph.node_attr_width == 1
+    assert {len(row) for row in sub.graph.node_attrs} == {1}
     rcfg = ReindexConfig()
     vocab = build_vocab([sub.graph], "t", rcfg, node_attr_style="inline")
     grid = serialize_graph(sub.graph, vocab, "prolonged", rcfg, 3)
-    report = detokenize(grid, vocab, node_attr_width=1, node_defaults=(-1,))
+    report = detokenize(grid, vocab)
     # labels no longer identify nodes uniquely, but the structure (and the
     # coarse labels themselves) still come back isomorphic
     assert isomorphic(report.graph, sub.graph)

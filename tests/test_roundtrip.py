@@ -105,19 +105,16 @@ def _serialized(g, layout, seed):
     return grid, vocab, tuple(dict.fromkeys(path.nodes))
 
 
-def _decode(grid, vocab, g):
-    return detokenize(
-        grid, vocab, g.node_attr_width, g.edge_attr_width,
-        g.node_defaults or None, g.edge_defaults or None,
-    ).graph
+def _decode(grid, vocab):
+    return detokenize(grid, vocab).graph
 
 
 def test_swapped_node_tokens_fail_the_witness():
     g = _large_graph(60, 1, False, 5)
     for layout in LAYOUTS:
         grid, vocab, order = _serialized(g, layout, 3)
-        assert _matches_witness(_decode(grid, vocab, g), g, order)
-        swapped = _decode(_swap_repeated_node_tokens(grid), vocab, g)
+        assert _matches_witness(_decode(grid, vocab), g, order)
+        swapped = _decode(_swap_repeated_node_tokens(grid), vocab)
         assert not _matches_witness(swapped, g, order)
 
 
@@ -133,7 +130,7 @@ def test_witness_acceptance_implies_isomorphism():
             if candidate is None:
                 continue
             try:
-                decoded = _decode(candidate, vocab, g)
+                decoded = _decode(candidate, vocab)
             except ValueError:  # the swap made a self loop
                 continue
             if _matches_witness(decoded, g, order):
@@ -150,7 +147,7 @@ def test_witness_rejects_each_field_that_differs():
         node_attrs=[[1, 0], [2, 1], [0, 0], [3, 1]], edge_attrs=[[1], [2], [0], [1]],
     )
     grid, vocab, order = _serialized(g, "prolonged", 0)
-    decoded = _decode(grid, vocab, g)
+    decoded = _decode(grid, vocab)
     assert _matches_witness(decoded, g, order)
     rows = decoded.node_attrs
     s, d = decoded.edges[0]

@@ -299,8 +299,8 @@ def test_tokenize_is_deterministic(c3):
 
 def test_unknown_attribute_value_is_an_error():
     g = AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[3], [0]])
-    poor = AttributedGraph(num_nodes=2, edges=((0, 1),))
-    vocab = vocab_for(poor)  # lacks the semantic tokens for g
+    poor = AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[0], [0]])
+    vocab = vocab_for(poor)  # g's defaults, but not the semantic tokens for g
     mg, path = _walk(g)
     with pytest.raises(ValueError, match="not in vocabulary"):
         tokenize(path, mg, vocab, "prolonged", ReindexConfig(cyclic=False), 0)
@@ -402,6 +402,7 @@ def test_sequence_length_is_the_prolonged_row_count(g, seed, node_style, edge_st
 
 _P10 = AttributedGraph(num_nodes=10, edges=tuple((i, i + 1) for i in range(9)))
 _ATTRIBUTED = AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[3], [0]])
+_P10_ZEROS = AttributedGraph(num_nodes=10, edges=_P10.edges, node_attrs=[[0]] * 10)
 
 
 @pytest.mark.parametrize("g, vocab, cfg, message", [
@@ -410,8 +411,10 @@ _ATTRIBUTED = AttributedGraph(num_nodes=2, edges=((0, 1),), node_attrs=[[3], [0]
      "re-indexing over 256 indices exceeds the vocabulary's 64"),
     (AttributedGraph(num_nodes=0), vocab_for(_P10), ReindexConfig(),
      "cannot extract a path from an empty graph"),
-    (_ATTRIBUTED, vocab_for(_P10), ReindexConfig(), "token not in vocabulary: 'test#node#0#1'"),
-], ids=["index-space", "vocab-indices", "empty", "unknown-attr"])
+    (_ATTRIBUTED, vocab_for(_P10_ZEROS), ReindexConfig(), "token not in vocabulary: 'test#node#0#1'"),
+    (_ATTRIBUTED, vocab_for(_P10), ReindexConfig(),
+     "node attr_defaults [0] do not begin the vocabulary's []; graphs that share a vocabulary share their defaults"),
+], ids=["index-space", "vocab-indices", "empty", "unknown-attr", "other-defaults"])
 def test_sequence_length_raises_what_serialization_raises(g, vocab, cfg, message):
     raised = []
     for measure in (

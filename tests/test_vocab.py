@@ -145,8 +145,8 @@ def _vocab_corpus(rng: random.Random) -> list[AttributedGraph]:
         corpus.append(AttributedGraph(
             num_nodes=g.num_nodes, edges=g.edges, directed=g.directed,
             node_attrs=g.node_attrs, edge_attrs=g.edge_attrs,
-            node_defaults=[rng.randint(0, 5) for _ in range(g.node_attr_width)],
-            edge_defaults=[rng.randint(0, 5) for _ in range(g.edge_attr_width)],
+            node_defaults=[rng.randint(0, 5) for _ in range(len(g.node_defaults))],
+            edge_defaults=[rng.randint(0, 5) for _ in range(len(g.edge_defaults))],
         ))
     parent = random_connected_graph(rng, n_min=8, n_max=40)
     cb = build_codebook(parent, k=rng.randint(1, 3), strategy="bfs-partition",
@@ -157,19 +157,41 @@ def _vocab_corpus(rng: random.Random) -> list[AttributedGraph]:
     return corpus
 
 
+def _agreeing_groups(corpus: list[AttributedGraph]) -> list[list[AttributedGraph]]:
+    """The corpus split, in order, into groups whose graphs agree pairwise
+    on every dimension both have defaults for, as one vocabulary's must."""
+    groups: list[list[AttributedGraph]] = []
+    for g in corpus:
+        for group in groups:
+            if all(a[:len(b)] == b[:len(a)] for h in group for a, b in (
+                (h.node_defaults, g.node_defaults), (h.edge_defaults, g.edge_defaults)
+            )):
+                group.append(g)
+                break
+        else:
+            groups.append([g])
+    return groups
+
+
 @pytest.mark.parametrize("node_style", ["digits", "inline"])
 @pytest.mark.parametrize("edge_style", ["digits", "inline"])
 def test_build_vocab_matches_the_row_wise_spelling(tmp_path, node_style, edge_style):
     cfg = ReindexConfig(num_indices=16)
     for seed in range(30):
         corpus = _vocab_corpus(random.Random(seed))
-        vocab = build_vocab(corpus, "t", cfg, node_attr_style=node_style, edge_attr_style=edge_style)
-        expected = semantic_tokens(corpus, "t", node_style, edge_style)
-        assert {vocab.token(i) for i in range(len(vocab)) if vocab.class_of(i) == CLASS_SEMANTIC} == expected
-        got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
-        vocab.save(got)
-        Vocabulary(16, expected, "t", node_style, edge_style).save(want)
-        assert got.read_bytes() == want.read_bytes(), seed
+        groups = _agreeing_groups(corpus)
+        if len(groups) > 1:
+            with pytest.raises(ValueError, match="do not begin the vocabulary's"):
+                build_vocab(corpus, "t", cfg, node_attr_style=node_style, edge_attr_style=edge_style)
+        for group in groups:
+            vocab = build_vocab(group, "t", cfg, node_attr_style=node_style, edge_attr_style=edge_style)
+            expected = semantic_tokens(group, "t", node_style, edge_style)
+            assert {vocab.token(i) for i in range(len(vocab)) if vocab.class_of(i) == CLASS_SEMANTIC} == expected
+            defaults = [max((getattr(g, f"{kind}_defaults") for g in group), key=len) for kind in ("node", "edge")]
+            got, want = tmp_path / "got.tsv", tmp_path / "want.tsv"
+            vocab.save(got)
+            Vocabulary(16, expected, "t", node_style, edge_style, *defaults).save(want)
+            assert got.read_bytes() == want.read_bytes(), seed
 
 
 def test_unknown_token_lookup_is_an_error():
@@ -202,11 +224,15 @@ def _mixed_vocab(tmp_path):
 def test_vocab_file_records_its_encoding(tmp_path):
     _, path = _mixed_vocab(tmp_path)
     header = path.read_text().splitlines()[0]
-    assert header == "#graphseq-vocab\tdataset_tag=t\tnode_attr_style=inline\tedge_attr_style=digits"
+    assert header == (
+        "#graphseq-vocab\tdataset_tag=t\tnode_attr_style=inline\tedge_attr_style=digits"
+        "\tnode_defaults=0\tedge_defaults=0"
+    )
     loaded = Vocabulary.load(path)
     assert (loaded.dataset_tag, loaded.node_attr_style, loaded.edge_attr_style) == (
         "t", "inline", "digits"
     )
+    assert (loaded.node_defaults, loaded.edge_defaults) == ((0,), (0,))
     assert loaded.num_indices == 8
 
 
@@ -214,6 +240,36 @@ def test_vocab_load_rejects_a_headerless_file(tmp_path):
     _, path = _mixed_vocab(tmp_path)
     path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
     with pytest.raises(ValueError, match="^vocab line 1: "):
+        Vocabulary.load(path)
+
+
+def test_vocab_load_rejects_a_header_without_the_defaults(tmp_path):
+    # A file written before the vocabulary stored its defaults: reading it
+    # would decode every omitted value as some guess.
+    _, path = _mixed_vocab(tmp_path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = lines[0].replace("\tnode_defaults=0\tedge_defaults=0", "")
+    assert lines[0] == "#graphseq-vocab\tdataset_tag=t\tnode_attr_style=inline\tedge_attr_style=digits\n"
+    path.write_text("".join(lines))
+    with pytest.raises(GraphFormatError, match="^vocab line 1: expected a #graphseq-vocab header with .*"
+                                               "node_defaults, edge_defaults, as `graphseq vocab` writes$"):
+        Vocabulary.load(path)
+
+
+@pytest.mark.parametrize("field", ["node_defaults=x", "node_defaults=0,", "edge_defaults=1.5"])
+def test_vocab_load_refuses_defaults_that_are_not_integers(tmp_path, field):
+    _, path = _mixed_vocab(tmp_path)
+    key = field.partition("=")[0]
+    path.write_text(path.read_text().replace(f"{key}=0", field, 1))
+    with pytest.raises(GraphFormatError, match=f"^vocab line 1: {key} must be comma-separated integers, not ") as info:
+        Vocabulary.load(path)
+    assert info.value.line == 1
+
+
+def test_vocab_load_refuses_defaults_spelled_otherwise(tmp_path):
+    _, path = _mixed_vocab(tmp_path)
+    path.write_text(path.read_text().replace("node_defaults=0", "node_defaults=+0", 1))
+    with pytest.raises(GraphFormatError, match="^vocab line 1: expected "):
         Vocabulary.load(path)
 
 
