@@ -13,14 +13,12 @@ machine-readable JSON object on stderr; a malformed input record is
 reported with its file line under ``"line"``. Output is written item by
 item, so a failed run leaves the complete lines before the failing item;
 ``pretrain --pack-context`` writes only at the end, once every example is
-packed. The only environment knob is ``GRAPHSEQ_LOG`` (log verbosity).
+packed.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import random
 import sys
 
@@ -46,14 +44,6 @@ from .sampler import MODE_ROOTS, SamplerConfig, draw_roots, sample
 from .taskfmt import format_edge_task, format_graph_task, format_node_task
 from .tokenizer import LAYOUTS, ReindexConfig, TokenGrid, widest_blocks
 from .vocab import ATTR_STYLES, Vocabulary, build_vocab
-
-log = logging.getLogger("graphseq")
-
-
-def _setup_logging():
-    level = os.environ.get("GRAPHSEQ_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
 
 def _load_vocab(args) -> Vocabulary:
     """The vocabulary ``--vocab`` names; ``--num-indices``, when given, must
@@ -94,7 +84,6 @@ def cmd_ingest(args) -> int:
     g = load_graph(args.input, format=args.format, node_scale=args.node_scale, node_offset=args.node_offset,
                    edge_scale=args.edge_scale, edge_offset=args.edge_offset)
     write_jsonl(args.output, [g.to_json()])
-    log.info("ingested %s: %d nodes, %d edges", args.input, g.num_nodes, g.num_edges)
     return 0
 
 
@@ -109,7 +98,6 @@ def cmd_vocab(args) -> int:
     except ValueError as exc:
         raise GraphFormatError(str(exc), line=line[0]) from exc
     vocab.save(args.output)
-    log.info("vocabulary of %d tokens written to %s", len(vocab), args.output)
     return 0
 
 
@@ -186,7 +174,7 @@ def cmd_pretrain(args) -> int:
     def example(i, g):
         grid = serialize_graph(g, vocab, args.layout, cfg, derive_seed(args.seed, i), **widths)
         if args.task == "ntp":
-            ex = build_ntp(grid, vocab)
+            ex = build_ntp(grid)
         else:
             rng = random.Random(derive_seed(args.seed, "rate", i))
             rate = draw_mask_fraction(rng)
@@ -401,7 +389,6 @@ def _config_value(action: argparse.Action, given):
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -31,7 +31,7 @@ class ReconstructionReport:
     graph: AttributedGraph
     dropped_jump_edges: int
     deduplicated_edges: int
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[str, ...] = ()  # always empty: what the decoder cannot read exactly, it refuses
 
     def to_json(self) -> dict:
         return {
@@ -120,16 +120,15 @@ def _parse_block(ids: tuple[int, ...], vocab: Vocabulary, kind: str, style: str)
             if i == start:
                 raise ValueError("malformed attribute run: dimension marker without digits")
             text = "".join([digit_chars[t] for t in ids[start:i]])
-            try:
-                value = int(text)
-            except ValueError:
-                digits = text.removeprefix("-")
-                if digits.isdigit():  # well-formed, but past the integer-string limit
-                    raise ValueError(
-                        f"malformed attribute run: {len(digits)}-digit value exceeds Python's "
-                        f"{sys.get_int_max_str_digits()}-digit integer limit"
-                    ) from None
-                raise ValueError(f"malformed attribute run: non-integer value {text!r}") from None
+            digits = text.removeprefix("-")
+            if not digits.isdigit():
+                raise ValueError(f"malformed attribute run: non-integer value {text!r}")
+            # 0, or no such function before Python 3.10.7, means no limit.
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            if limit and len(digits) > limit:
+                raise ValueError(f"malformed attribute run: {len(digits)}-digit value exceeds Python's "
+                                 f"{limit}-digit integer limit")
+            value = int(text)
         out.append((dim, value))
     dims = [dim for dim, _ in out]
     if len(set(dims)) < len(dims):
@@ -145,77 +144,83 @@ def _attr_vector(pairs, defaults):
     return tuple(vec)
 
 
+def _refused_block(grid: TokenGrid, step: int, role: str, why: str) -> ValueError:
+    """The error refusing step ``step``'s ``role`` block, naming its first cell."""
+    node_cells = 0
+    for cell, cell_role in enumerate(chain.from_iterable(grid.roles)):
+        node_cells += cell_role == ROLE_NODE
+        if node_cells > step and cell_role == role:
+            break
+    return ValueError(f"cell {cell} (row {cell // grid.l}, column {cell % grid.l}): {why}")
+
+
 def detokenize(grid: TokenGrid, vocab: Vocabulary) -> ReconstructionReport:
     """Rebuild an attributed graph from a token grid.
 
     Attribute rows are as wide as the vocabulary's defaults, which fill
     every omitted dimension; a semantic token names a dimension within
-    them. Directedness is inferred from direction tokens, so a directed
-    graph with no base edges reconstructs as undirected. A graph without
-    decoded edges has no edge defaults.
+    them. A node or a base edge carries at most one attribute block and a
+    jump step none, as the tokenizer writes them; any other block raises
+    ``ValueError`` naming its first cell. Directedness is inferred from
+    direction tokens, so a directed graph with no base edges reconstructs
+    as undirected. A graph without decoded edges has no edge defaults.
     """
     nodes, node_blocks, types, edge_blocks = _collect_steps(grid, vocab)
     if not nodes:
         raise ValueError("grid contains no node tokens")
-    warnings: list[str] = []
 
     local: dict[int, int] = {}
     visits = [local.setdefault(tok, len(local)) for tok in nodes]
 
-    # Blocks repeat (one per distinct attribute row), so each is parsed once.
-    styles = {"node": vocab.node_attr_style, "edge": vocab.edge_attr_style}
-    parse = cache(lambda kind, ids: _parse_block(ids, vocab, kind, styles[kind]))
-
-    node_attr_pairs: dict[int, list] = {}
-    for v, block in zip(visits, node_blocks):
+    # Each node's block, then each decoded edge in order of first
+    # traversal with its block; ``()`` stands for no block.
+    node_block: list[tuple] = [()] * len(local)
+    for step, (v, block) in enumerate(zip(visits, node_blocks)):
+        if block and node_block[v]:
+            raise _refused_block(grid, step, ROLE_NODE_ATTR, f"second attribute block for node {v}")
         if block:
-            pairs = parse("node", tuple(block))
-            if node_attr_pairs.setdefault(v, pairs) != pairs:
-                warnings.append(f"conflicting attribute blocks for node {v}; keeping the first")
+            node_block[v] = tuple(block)
 
     # Only a directed grid holds direction tokens.
     directed = vocab.fwd_id in types or vocab.bwd_id in types
 
-    # Each decoded edge, in order of first traversal, with the attribute
-    # pairs of its first traversal that carries a block (None before one).
-    edges: dict[tuple[int, int], list | None] = {}
+    edges: dict[tuple[int, int], tuple] = {}
     dropped_jumps = 0
-    for a, b, edge_type, block in zip(visits, visits[1:], types, edge_blocks):
+    for step, (a, b, edge_type, block) in enumerate(zip(visits, visits[1:], types, edge_blocks)):
         if edge_type == vocab.jump_id:
             dropped_jumps += 1
             if block:
-                warnings.append("attribute tokens on a jump edge were discarded")
+                raise _refused_block(grid, step, ROLE_EDGE_ATTR, "attribute block on a jump step")
             continue
         if edge_type == vocab.bwd_id:
             a, b = b, a
         key = (a, b) if directed or a < b else (b, a)
-        if not block:
-            edges.setdefault(key, None)
-            continue
-        pairs = parse("edge", tuple(block))
-        kept = edges.get(key)
-        if kept is None:
-            edges[key] = pairs
-        elif kept != pairs:
-            warnings.append(f"conflicting attribute blocks for edge {key}; keeping the first")
+        if block and edges.get(key):
+            raise _refused_block(grid, step, ROLE_EDGE_ATTR, f"second attribute block for edge {key}")
+        if block or key not in edges:
+            edges[key] = tuple(block)
     if types[-1] is not None or edge_blocks[-1]:
         raise ValueError("malformed attribute run: edge tokens after the final node")
 
-    n_defaults, e_defaults = vocab.node_defaults, (vocab.edge_defaults if edges else ())
+    # Blocks repeat (one per distinct attribute row), so each is read once.
+    # Every block is read, also of a kind the vocabulary gives no width.
+    styles = {"node": vocab.node_attr_style, "edge": vocab.edge_attr_style}
+    defaults = {"node": vocab.node_defaults, "edge": vocab.edge_defaults}
+    attr_row = cache(lambda kind, ids: _attr_vector(_parse_block(ids, vocab, kind, styles[kind]), defaults[kind]))
+    node_attrs = tuple(attr_row("node", block) for block in node_block)
+    edge_attrs = tuple(attr_row("edge", block) for block in edges.values())
     graph = AttributedGraph(
         num_nodes=len(local),
         edges=tuple(edges),
         directed=directed,
-        node_attrs=tuple(_attr_vector(node_attr_pairs.get(v, ()), n_defaults) for v in range(len(local)))
-        if n_defaults else (),
-        edge_attrs=tuple(_attr_vector(pairs or (), e_defaults) for pairs in edges.values()) if e_defaults else (),
-        node_defaults=n_defaults,
-        edge_defaults=e_defaults,
+        node_attrs=node_attrs if vocab.node_defaults else (),
+        edge_attrs=edge_attrs if vocab.edge_defaults else (),
+        node_defaults=vocab.node_defaults,
+        edge_defaults=vocab.edge_defaults if edges else (),
     )
     return ReconstructionReport(
         graph=graph,
         dropped_jump_edges=dropped_jumps,
         # Every traversal past an edge's first collapses into it.
         deduplicated_edges=len(visits) - 1 - dropped_jumps - len(edges),
-        warnings=tuple(warnings),
     )

@@ -10,7 +10,7 @@ from .detokenizer import detokenize
 from .euler import EulerizedMultigraph, EulerPath, build_multigraph, extract_path
 from .graph import AttributedGraph, SubgraphSample
 from .sampler import SamplerConfig, sample
-from .tokenizer import ReindexConfig, TokenGrid, sequence_length, tokenize
+from .tokenizer import ReindexConfig, TokenGrid, check_index_space, sequence_length, tokenize
 from .vocab import Vocabulary, build_vocab
 
 
@@ -73,7 +73,7 @@ def serialize_graph(
 
     Sub-seeds for jump placement, walk extraction, the cyclic shift, and
     attribute placement are derived from ``seed``, so equal inputs give
-    byte-identical grids. Without ``cfg`` the vocabulary's index space is used.
+    byte-identical grids. ``cfg`` defaults to the vocabulary's index space, the only one taken.
     """
     cfg = cfg or ReindexConfig(num_indices=vocab.num_indices)
     return _serialize(g, vocab, layout, cfg, seed, edge_attr_width, node_attr_width)[0]
@@ -144,22 +144,22 @@ def fit_sample(
 
     Each attempt is measured by counting the prolonged tokens of its
     repaired multigraph, without walking it. An attempt over the budget,
-    or with more nodes than a valid index space holds, is rejected and
-    the draw retried with the fanout decremented (never truncated);
-    exhausting fanout 1 is an error. Without ``reindex_cfg`` the
-    vocabulary's index space is used. Only the accepted attempt is
+    or with more nodes than the vocabulary's index space holds, is
+    rejected and the draw retried with the fanout decremented (never
+    truncated); exhausting fanout 1 is an error. ``reindex_cfg`` must use
+    the vocabulary's index space, its default. Only the accepted attempt is
     walked; its multigraph and walk are kept for the next serialization,
     which reuses them when it serializes the same nodes and edges under
     ``seed``. ``adj``, when given, must be ``adjacency(g)``, the
     neighbour index the parent keeps; every attempt samples over it.
     """
     reindex_cfg = reindex_cfg or ReindexConfig(num_indices=vocab.num_indices)
+    check_index_space(reindex_cfg, vocab)
     for attempt, fanout in enumerate(range(cfg.neighbors, 0, -1)):
         attempt_cfg = replace(cfg, neighbors=fanout, seed=derive_seed(cfg.seed, "retry", attempt))
         sub = sample(g, roots, attempt_cfg, adj=adj)
-        n, space = sub.graph.num_nodes, reindex_cfg.num_indices
-        if n > space and space <= vocab.num_indices:
-            continue  # oversized; an invalid space is ``sequence_length``'s error
+        if sub.graph.num_nodes > vocab.num_indices:
+            continue
         mg = build_multigraph(sub.graph, derive_seed(seed, "jump"))
         length = sequence_length(mg, vocab, reindex_cfg)
         if length <= cfg.max_seq_len:

@@ -46,7 +46,7 @@ class PretrainExample:
         return doc
 
 
-def build_ntp(grid: TokenGrid, vocab: Vocabulary) -> PretrainExample:
+def build_ntp(grid: TokenGrid) -> PretrainExample:
     """Next-row prediction targets.
 
     Each row index t gets one target per non-padding token of row t+1;

@@ -45,10 +45,10 @@ ROLE_PAD = "pad"
 class ReindexConfig:
     """Node re-indexing parameters.
 
-    ``num_indices`` is the structural token count and must cover the node
-    count of any serialized (sub)graph. With ``cyclic`` set, a random
-    offset drawn under ``seed`` shifts every first-appearance index
-    modulo ``num_indices`` so all index tokens occur at equal rates.
+    ``num_indices`` is the vocabulary's structural token count and must
+    cover the node count of any serialized (sub)graph. With ``cyclic`` set,
+    a random offset drawn under ``seed`` shifts every first-appearance
+    index modulo ``num_indices`` so all index tokens occur at equal rates.
     """
 
     num_indices: int = 256
@@ -146,12 +146,10 @@ class TokenGrid:
                              row_tuples("roles", doc["roles"], "role row", "an array of roles"))
 
 
-def _check_vocab_indices(cfg: ReindexConfig, vocab: Vocabulary) -> None:
-    # A cyclic shift past the vocabulary's indices would fail for some seeds only.
-    if cfg.num_indices > vocab.num_indices:
-        raise ValueError(
-            f"re-indexing over {cfg.num_indices} indices exceeds the vocabulary's {vocab.num_indices}"
-        )
+def check_index_space(cfg: ReindexConfig, vocab: Vocabulary) -> None:
+    # A wider space shifts past the vocabulary's index tokens for some seeds only; a narrower one wraps early.
+    if cfg.num_indices != vocab.num_indices:
+        raise ValueError(f"re-indexing over {cfg.num_indices} indices, not the vocabulary's {vocab.num_indices}")
 
 
 def _check_node_count(num_nodes: int, cfg: ReindexConfig) -> None:
@@ -274,7 +272,7 @@ def sequence_length(mg: EulerizedMultigraph, vocab: Vocabulary, cfg: ReindexConf
     same messages.
     """
     check_walkable(mg)
-    _check_vocab_indices(cfg, vocab)
+    check_index_space(cfg, vocab)
     g = mg.base
     _check_node_count(g.num_nodes, cfg)
     m = mg.num_edges + len(mg.duplications)
@@ -369,7 +367,7 @@ def tokenize(
     """
     if layout not in LAYOUTS:
         raise ValueError(f"unknown layout {layout!r}")
-    _check_vocab_indices(cfg, vocab)
+    check_index_space(cfg, vocab)
     visits = _visits(path)
     # Structural index i is vocabulary id i, so an index is its node token.
     node_toks = list(map(_index_map(visits, cfg).__getitem__, path.nodes))

@@ -69,11 +69,16 @@ def parse_semantic(token: str) -> tuple[str, str, int, int]:
     return tag, kind, int(dim), int(value)
 
 
-def _semantic_entry(token: str) -> tuple[str, int, int]:
+def _semantic_entry(token: str, widths: dict[str, int]) -> tuple[str, int, int]:
+    """A semantic token's ``(kind, dim, value)``, its dimension within its kind's ``widths``."""
     try:
-        return parse_semantic(token)[1:]
+        kind, dim, value = parse_semantic(token)[1:]
     except ValueError:
         raise ValueError(f"semantic token {token!r} is not TAG#KIND#DIM#VALUE") from None
+    if not 0 <= dim < widths.get(kind, 0):
+        raise ValueError(f"semantic token {token!r} is past the vocabulary's "
+                         f"{widths.get(kind, 0)} {kind} attribute dimensions, one per default")
+    return kind, dim, value
 
 
 def agreed_defaults(kind: str, known: tuple, defaults: tuple, extend: bool = False) -> tuple[int, ...]:
@@ -139,18 +144,14 @@ class Vocabulary:
         self.pad_id, self.jump_id, self.eos_id = ids[PAD], ids[EDGE_JUMP], ids[EOS]
         self.mask_id, self.fwd_id, self.bwd_id = ids[MASK], ids[EDGE_FWD], ids[EDGE_BWD]
         # Id tables read by the tokenizer and detokenizer instead of spellings.
+        widths = {"node": len(self.node_defaults), "edge": len(self.edge_defaults)}
         self.semantic: tuple[tuple[str, int, int] | None, ...] = tuple(
-            _semantic_entry(t) if c == CLASS_SEMANTIC else None for t, c in tokens
+            _semantic_entry(t, widths) if c == CLASS_SEMANTIC else None for t, c in tokens
         )
         char_of = {tok: ch for ch, tok in _DIGIT_FOR_CHAR.items()}
         self.digit_chars: dict[int, str] = {
             i: char_of[t] for i, (t, c) in enumerate(tokens) if c == CLASS_DIGIT
         }
-        widths = {"node": len(self.node_defaults), "edge": len(self.edge_defaults)}
-        for token, entry in zip(self._id_to_token, self.semantic):
-            if entry is not None and not 0 <= entry[1] < widths.get(entry[0], 0):
-                raise ValueError(f"semantic token {token!r} is past the vocabulary's "
-                                 f"{widths.get(entry[0], 0)} {entry[0]} attribute dimensions, one per default")
         self._attr_ids: dict[tuple[str, int, int], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
@@ -238,11 +239,16 @@ class Vocabulary:
                 if wanted is not None and wanted != settings[key]:
                     raise ValueError(f"vocabulary {path} has {key} {settings[key]!r}, not {wanted!r}")
             rows = [raw.split("\t") for raw in lines[1:]]
-            vocab = cls(
-                sum(row[-1] == CLASS_STRUCTURAL for row in rows),
-                [row[0] for row in rows if row[-1] == CLASS_SEMANTIC],
-                **settings,
-            )
+            semantic = [(lineno, row[0]) for lineno, row in enumerate(rows, 2) if row[-1] == CLASS_SEMANTIC]
+            try:
+                vocab = cls(sum(row[-1] == CLASS_STRUCTURAL for row in rows), [t for _, t in semantic], **settings)
+            except ValueError:  # the constructor refuses a semantic token: name its line
+                for lineno, token in semantic:
+                    try:
+                        cls(0, [token], **settings)
+                    except ValueError as exc:
+                        raise GraphFormatError(str(exc), lineno) from None
+                raise
             for lineno, (got, want) in enumerate(zip_longest(lines, vocab._lines()), 1):
                 if got != want:
                     raise GraphFormatError(f"expected {want!r}, found {got!r}", lineno)

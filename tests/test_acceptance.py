@@ -224,7 +224,7 @@ def test_criterion_07_ntp_targets():
         vocab = vocab_for(g)
         layout = LAYOUTS[i % 3]
         grid = serialize_graph(g, vocab, layout, ReindexConfig(), derive_seed(13, i))
-        ex = gs.build_ntp(grid, vocab)
+        ex = gs.build_ntp(grid)
         expected = Counter()
         for t in range(1, grid.num_rows):
             for tok, role in zip(grid.tokens[t], grid.roles[t]):

@@ -1305,6 +1305,28 @@ def test_a_vocabulary_error_carries_its_line(tmp_path, corpus, capsys):
     assert err["message"].startswith("vocab line 1: expected a #graphseq-vocab header")
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("node_defaults=0,0", "node_defaults=0",
+     "semantic token 'data#node#1#1' is past the vocabulary's 1 node attribute dimensions, one per default"),
+    ("data#node#1#1", "data#node#x#1", "semantic token 'data#node#x#1' is not TAG#KIND#DIM#VALUE"),
+], ids=["past-the-width", "not-semantic"])
+def test_a_semantic_token_the_vocabulary_refuses_names_its_line(tmp_path, capsys, old, new, message):
+    # Before, {"error": "ValueError", "message": "semantic token ..."}, with no "line".
+    # A semantic token's line is its id plus 2: line 1 is the header.
+    graphs = tmp_path / "graphs.jsonl"
+    graphs.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]], "node_attrs": [[1, 2], [0, 0]]}) + "\n")
+    vocab = tmp_path / "vocab.tsv"
+    assert main(["vocab", "--graphs", str(graphs), "--output", str(vocab)]) == 0
+    assert Vocabulary.load(vocab).id("data#node#1#1") == 276
+    assert old in vocab.read_text()
+    vocab.write_text(vocab.read_text().replace(old, new, 1))
+    capsys.readouterr()
+    assert main(["tokenize", "--graphs", str(graphs), "--vocab", str(vocab),
+                 "--output", str(tmp_path / "grids.jsonl")]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "GraphFormatError", "message": f"vocab line 278: {message}", "line": 278}
+
+
 @pytest.mark.parametrize("doc, flag, message", [
     ({"num_nodes": 3, "edges": [[0, 1], 5]}, None, "edge 1: expected a [src, dst] pair, not 5"),
     ({"num_nodes": 3, "edges": [[0, 1], [1, 2, 0]]}, None, "edge 1: expected a [src, dst] pair, not [1, 2, 0]"),

@@ -220,7 +220,7 @@ def test_an_attribute_dimension_past_the_given_width_is_rejected(tmp_path):
     path = tmp_path / "v.tsv"
     vocab.save(path)
     path.write_text(path.read_text().replace("node_defaults=0,0", "node_defaults=0", 1))
-    with pytest.raises(ValueError, match="^semantic token 'test#node#1#1' is past the vocabulary's 1 node"):
+    with pytest.raises(ValueError, match="^vocab line 278: semantic token 'test#node#1#1' is past the vocabulary's 1 node"):
         Vocabulary.load(path)
 
 
@@ -235,6 +235,23 @@ def test_a_digit_run_past_the_integer_limit_is_named_by_its_length(sign):
     assert str(exc.value) == want
 
 
+@pytest.mark.parametrize("limit_known", [True, False])
+def test_a_long_digit_run_decodes_where_integers_have_no_limit(monkeypatch, limit_known):
+    # The limit reads 0 when it is lifted, and does not exist before Python 3.10.7.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer-string limit")
+    vocab, g = _tiny_vocab()
+    grid = _node_block_grid(vocab, ["test#node#0#1", *(f"<{ch}>" for ch in "7" * 5000)])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        if not limit_known:
+            monkeypatch.delattr(sys, "get_int_max_str_digits")
+        assert detokenize(grid, vocab).graph.node_attrs[0] == (int("7" * 5000),)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_leading_digit_in_prolonged_tokens_is_refused():
     vocab, g = _tiny_vocab()
     grid = prolonged_grid(["<5>", "0", "test#node#0#1", "<3>", "1"], vocab)
@@ -244,45 +261,165 @@ def test_leading_digit_in_prolonged_tokens_is_refused():
     assert detokenize(grid, vocab).graph.node_attrs == ((3,), (0,))
 
 
-# --- lenient branches: kept first block, counts and warnings --------------
+# --- blocks the encoder never writes: refused at their first cell --------
 
 
-def _lenient_vocab():
+def _attributed_path_vocab():
     g = AttributedGraph(
         num_nodes=3, edges=((0, 1), (1, 2)), node_attrs=[[3], [0], [0]], edge_attrs=[[2], [0]]
     )
     return vocab_for(g)
 
 
-def test_node_visits_with_different_blocks_keep_the_first():
-    vocab = _lenient_vocab()
-    tokens = ["0", "test#node#0#1", "<3>", "1", "0", "test#node#0#1", "<5>"]
-    report = detokenize(prolonged_grid(tokens, vocab), vocab)
-    assert report.graph.node_attrs == ((3,), (0,))
-    assert report.graph.edges == ((0, 1),)
-    assert (report.deduplicated_edges, report.dropped_jump_edges) == (1, 0)
-    assert report.warnings == ("conflicting attribute blocks for node 0; keeping the first",)
+def test_a_node_with_a_second_block_is_refused():
+    vocab = _attributed_path_vocab()
+    for second in ("<5>", "<3>"):  # a different or an equal block alike
+        tokens = ["0", "test#node#0#1", "<3>", "1", "0", "test#node#0#1", second]
+        with pytest.raises(ValueError) as info:
+            detokenize(prolonged_grid(tokens, vocab), vocab)
+        assert str(info.value) == "cell 5 (row 5, column 0): second attribute block for node 0"
 
 
-def test_edge_traversals_with_different_blocks_keep_the_first():
-    vocab = _lenient_vocab()
-    tokens = ["0", "test#edge#0#1", "<2>", "1", "test#edge#0#1", "<4>", "0"]
-    report = detokenize(prolonged_grid(tokens, vocab), vocab)
-    assert report.graph.edges == ((0, 1),)
-    assert report.graph.edge_attrs == ((2,),)
-    assert (report.deduplicated_edges, report.dropped_jump_edges) == (1, 0)
-    assert report.warnings == ("conflicting attribute blocks for edge (0, 1); keeping the first",)
+def test_an_edge_with_a_second_block_is_refused():
+    vocab = _attributed_path_vocab()
+    for second in ("<4>", "<2>"):
+        tokens = ["0", "test#edge#0#1", "<2>", "1", "test#edge#0#1", second, "0"]
+        with pytest.raises(ValueError) as info:
+            detokenize(prolonged_grid(tokens, vocab), vocab)
+        assert str(info.value) == "cell 4 (row 4, column 0): second attribute block for edge (0, 1)"
 
 
-def test_edge_block_on_a_jump_step_is_discarded():
-    vocab = _lenient_vocab()
+def test_a_block_on_a_jump_step_is_refused():
+    vocab = _attributed_path_vocab()
     tokens = ["0", "1", "[EDGE_JUMP]", "test#edge#0#1", "<2>", "2"]
-    report = detokenize(prolonged_grid(tokens, vocab), vocab)
-    assert report.graph.num_nodes == 3
-    assert report.graph.edges == ((0, 1),)
-    assert report.graph.edge_attrs == ((0,),)
-    assert (report.deduplicated_edges, report.dropped_jump_edges) == (0, 1)
-    assert report.warnings == ("attribute tokens on a jump edge were discarded",)
+    with pytest.raises(ValueError) as info:
+        detokenize(prolonged_grid(tokens, vocab), vocab)
+    assert str(info.value) == "cell 3 (row 3, column 0): attribute block on a jump step"
+
+
+def test_a_refused_block_is_named_by_its_row_and_column():
+    # Short rows are [node, edge-type, edge-attr cells.., node-attr cells..].
+    vocab = _attributed_path_vocab()
+    ids = vocab.id
+    pad, marker, three = vocab.pad_id, ids("test#node#0#1"), ids("<3>")
+    rows = [(ids("0"), pad, pad, pad, marker, three), (ids("1"), pad, pad, pad, pad, pad),
+            (ids("0"), pad, pad, pad, marker, three)]
+    roles = [("node", "pad", "pad", "pad", "node-attr", "node-attr"), ("node",) + ("pad",) * 5,
+             ("node", "pad", "pad", "pad", "node-attr", "node-attr")]
+    with pytest.raises(ValueError) as info:
+        detokenize(TokenGrid.from_rows("short", 6, rows, roles), vocab)
+    assert str(info.value) == "cell 16 (row 2, column 4): second attribute block for node 0"
+
+
+# --- seeded one-cell mutation fuzz -------------------------------------------
+
+_ROLES = ("node", "edge-type", "edge-attr", "node-attr", "pad")
+
+
+def _unwritten_blocks(grid, vocab):
+    """First cells of the blocks no encoder writes: a node's second block,
+    a base edge's second block and any block on a jump step, in walk order.
+    None when some cell's token does not fit its role or no cell is a node,
+    which the decoder refuses before it looks at blocks."""
+    steps = []  # per walk position: node token, edge-type token, first cell of each block
+    for cell, (tid, role) in enumerate(zip(grid.cells, (r for row in grid.roles for r in row))):
+        if type(tid) is not int or not 0 <= tid < len(vocab):
+            return None
+        if role == "node" and tid < vocab.num_indices:
+            steps.append({"node": tid, "type": None})
+        elif role == "pad" and tid == vocab.pad_id:
+            continue
+        elif not steps or role not in ("edge-type", "node-attr", "edge-attr"):
+            return None
+        elif role != "edge-type":
+            steps[-1].setdefault(role, cell)
+        elif tid in (vocab.jump_id, vocab.fwd_id, vocab.bwd_id):
+            steps[-1]["type"] = tid
+        else:
+            return None
+    if not steps:
+        return None
+    directed = any(step["type"] in (vocab.fwd_id, vocab.bwd_id) for step in steps)
+    refused, nodes, edges = set(), set(), set()
+    for step in steps:
+        if "node-attr" in step:
+            if step["node"] in nodes:
+                refused.add(step["node-attr"])
+            nodes.add(step["node"])
+    for step, following in zip(steps, steps[1:]):
+        if "edge-attr" not in step:
+            continue
+        ends = (step["node"], following["node"])[::-1 if step["type"] == vocab.bwd_id else 1]
+        key = ends if directed else frozenset(ends)
+        if step["type"] == vocab.jump_id or key in edges:
+            refused.add(step["edge-attr"])
+        edges.add(key)
+    return refused
+
+
+def _mutant(grid, vocab, rng, ids_of):
+    """``grid`` with one cell changed: its token within its class, any
+    token, any role, or a token with the role its class gives it."""
+    cells, roles = list(grid.cells), [r for row in grid.roles for r in row]
+    i = rng.randrange(len(cells))
+    kind = rng.randrange(4)
+    if kind == 0:
+        cls = vocab.class_of(cells[i])
+        if cls == "structural":  # most often a node the grid already holds
+            held = sorted({tid for tid, role in zip(cells, roles) if role == "node"})
+            cells[i] = rng.choice(held if rng.random() < 0.8 else ids_of[cls])
+        else:
+            cells[i] = rng.choice(ids_of[cls] if cls != "special" else
+                                  (vocab.pad_id, vocab.jump_id, vocab.fwd_id, vocab.bwd_id))
+    elif kind == 1:
+        cells[i] = rng.randrange(-1, len(vocab) + 1)
+    elif kind == 2:
+        roles[i] = rng.choice(_ROLES)
+    else:
+        cells[i] = tid = rng.randrange(len(vocab))
+        cls = vocab.class_of(tid)
+        roles[i] = {
+            "structural": "node",
+            "special": "pad" if tid == vocab.pad_id else "edge-type",
+            "semantic": f"{vocab.semantic[tid][0]}-attr" if cls == "semantic" else None,
+            "digit": rng.choice(("node-attr", "edge-attr")),
+        }[cls]
+    return TokenGrid(layout=grid.layout, l=grid.l, cells=tuple(cells), roles=tuple(zip(*[iter(roles)] * grid.l)))
+
+
+def test_one_cell_mutants_decode_or_refuse_the_blocks_no_encoder_writes():
+    rng = random.Random(34)
+    seen, refusals = set(), {}
+    for i in range(60):
+        g = random_graph(rng, max_node_width=2, max_edge_width=2)
+        styles = dict(node_attr_style=rng.choice(("digits", "inline")), edge_attr_style=rng.choice(("digits", "inline")))
+        vocab = vocab_for(g, **styles)
+        ids_of = {}
+        for tid in range(len(vocab)):
+            ids_of.setdefault(vocab.class_of(tid), []).append(tid)
+        for layout in LAYOUTS:
+            grid = serialize_graph(g, vocab, layout, seed=i)
+            report = detokenize(grid, vocab)
+            assert report.warnings == () and _unwritten_blocks(grid, vocab) == set()
+            seen.update({layout, *styles.values(), "directed" if g.directed else "undirected"})
+            seen.update({"jumps"} if report.dropped_jump_edges else ())
+            for _ in range(40):
+                mutant = _mutant(grid, vocab, rng, ids_of)
+                refused = _unwritten_blocks(mutant, vocab)
+                try:  # any other exception fails the test
+                    detokenize(mutant, vocab)
+                    named = None
+                except ValueError as exc:
+                    named, _, why = str(exc).partition(": ")
+                if refused:
+                    assert named in {f"cell {c} (row {c // grid.l}, column {c % grid.l})" for c in refused}
+                    kind = why.partition(" for ")[2].split(" ")[0] or "jump"  # node, edge or jump
+                    refusals[kind] = refusals.get(kind, 0) + 1
+                elif refused is not None:
+                    assert named is None or not named.startswith("cell ")
+    assert seen == {*LAYOUTS, "digits", "inline", "directed", "undirected", "jumps"}
+    assert set(refusals) == {"node", "edge", "jump"}
+    assert min(refusals.values()) >= 10, refusals
 
 
 def test_special_token_in_node_cell_rejected():

@@ -53,7 +53,7 @@ def test_ntp_shift_by_one():
     vocab = vocab_for(AttributedGraph(num_nodes=3, edges=((0, 1), (1, 2))))
     a, b, c = vocab.id("0"), vocab.id("1"), vocab.id("2")
     grid = _prolonged_example([a, b, c], vocab)
-    ex = build_ntp(grid, vocab)
+    ex = build_ntp(grid)
     assert ex.targets == ((0, b), (1, c))
     assert ex.task == "ntp"
 
@@ -61,12 +61,12 @@ def test_ntp_shift_by_one():
 def test_ntp_single_token_has_no_targets():
     vocab = vocab_for(AttributedGraph(num_nodes=1))
     grid = _prolonged_example([vocab.id("0")], vocab)
-    assert build_ntp(grid, vocab).targets == ()
+    assert build_ntp(grid).targets == ()
 
 
 def test_ntp_grid_targets_skip_padding():
     g, vocab, grid = _star_grid("short")
-    ex = build_ntp(grid, vocab)
+    ex = build_ntp(grid)
     by_row = {}
     for pos, tok in ex.targets:
         by_row.setdefault(pos, []).append(tok)
@@ -85,7 +85,7 @@ def test_ntp_target_completeness():
         vocab = vocab_for(g)
         layout = ("short", "long", "prolonged")[i % 3]
         grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
-        ex = build_ntp(grid, vocab)
+        ex = build_ntp(grid)
         got = Counter(ex.targets)
         expected = Counter()
         for t in range(1, grid.num_rows):
@@ -153,7 +153,7 @@ def test_example_files_give_the_grid_roles_back(layout, task):
         g = random_graph(rng, n_max=30)
         vocab = vocab_for(g, **({"node_attr_style": "inline"} if i % 2 else {}))
         grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
-        ex = build_smtp(grid, 0.5, i, vocab) if task == "smtp" else build_ntp(grid, vocab)
+        ex = build_smtp(grid, 0.5, i, vocab) if task == "smtp" else build_ntp(grid)
         doc = json.loads(json.dumps(ex.to_json()))
         flat = [tok for row in doc["inputs"] for tok in row]
         if task == "smtp":
@@ -271,7 +271,7 @@ def test_pack_refuses_mixed_layouts_or_widths(other):
     mixed = serialize_graph(narrow, vocab, other, ReindexConfig(), 0)
     assert (mixed.layout, mixed.l) != (grid.layout, grid.l)
     with pytest.raises(ValueError, match="^cannot pack mixed layouts or widths$"):
-        pack([build_ntp(grid, vocab), build_ntp(mixed, vocab)], 64, vocab)
+        pack([build_ntp(grid), build_ntp(mixed)], 64, vocab)
 
 
 def test_pack_empty_stream():
@@ -327,7 +327,7 @@ def test_to_json_writes_the_bytes_of_list_copies():
         g = random_connected_graph(rng, max_edge_width=0)
         vocab = vocab_for(g)
         grid = serialize_graph(g, vocab, "prolonged", ReindexConfig(), i)
-        ex = build_smtp(grid, 0.5, i, vocab) if i % 2 else build_ntp(grid, vocab)
+        ex = build_smtp(grid, 0.5, i, vocab) if i % 2 else build_ntp(grid)
         copied = {
             "task": ex.task,
             "inputs": [list(r) for r in ex.inputs.tokens],
@@ -372,7 +372,7 @@ def _seeded_packing_corpus():
         ),
     }
     ntp = [
-        build_ntp(serialize_graph(g, vocab, "short", ReindexConfig(), i, **widths), vocab)
+        build_ntp(serialize_graph(g, vocab, "short", ReindexConfig(), i, **widths))
         for i, g in enumerate(graphs)
     ]
     return vocab, ((smtp, 256), (ntp, 64))

@@ -379,6 +379,20 @@ def test_budget_fit_uses_the_vocabulary_index_space():
     assert grid.num_rows == length <= 4096
 
 
+def test_budget_fit_refuses_another_index_space():
+    # Every draw holds a leaf root, the hub and a leaf: more nodes than two
+    # indices hold. A wrong space is refused before any draw, not retried.
+    star = AttributedGraph(num_nodes=401, edges=tuple((0, i) for i in range(1, 401)))
+    vocab = build_vocab([star], "star", ReindexConfig(num_indices=2))
+    cfg = SamplerConfig(mode="node-ego", depth=2, neighbors=3, max_seq_len=4096, seed=0)
+    for num_indices in (1, 4):
+        with pytest.raises(ValueError) as info:
+            fit_sample(star, (5,), cfg, vocab, ReindexConfig(num_indices=num_indices))
+        assert str(info.value) == f"re-indexing over {num_indices} indices, not the vocabulary's 2"
+    with pytest.raises(ValueError, match="^sequence exceeds max_seq_len=4096 even at fanout 1$"):
+        fit_sample(star, (5,), cfg, vocab, ReindexConfig(num_indices=2))
+
+
 def test_budget_fit_retries_a_sample_that_overflows_the_index_space():
     # With 256 indices the fanout-300 draw of 302 nodes is oversized, not
     # an error: fanout 254 gives the leaf root, the hub and 254 more leaves.

@@ -84,13 +84,16 @@ def test_reindex_rejects_oversized_graphs():
 
 def test_config_with_more_indices_than_the_vocabulary_is_rejected():
     # Unchecked, a 256-index shift fits a 64-index vocabulary for some seeds
-    # only: seed 0 passes, seed 1 lands on token '103'.
+    # only: seed 0 passes, seed 1 lands on token '103'. A 16-index shift
+    # fits every seed, but wraps before the vocabulary's indices do.
     p5 = AttributedGraph(num_nodes=5, edges=tuple((i, i + 1) for i in range(4)))
     vocab = vocab_for(p5, cfg=ReindexConfig(num_indices=64))
-    for seed in range(8):
-        with pytest.raises(ValueError, match="256 indices exceeds the vocabulary's 64"):
-            serialize_graph(p5, vocab, "prolonged", ReindexConfig(), seed)
-    grid = serialize_graph(p5, vocab, "prolonged", ReindexConfig(num_indices=16), 1)
+    for num_indices in (256, 16):
+        for seed in range(8):
+            with pytest.raises(ValueError) as info:
+                serialize_graph(p5, vocab, "prolonged", ReindexConfig(num_indices=num_indices), seed)
+            assert str(info.value) == f"re-indexing over {num_indices} indices, not the vocabulary's 64"
+    grid = serialize_graph(p5, vocab, "prolonged", ReindexConfig(num_indices=64), 1)
     assert max(tok for row in grid.tokens for tok in row) < 64
 
 
@@ -132,9 +135,9 @@ def test_cyclic_first_index_spreads_over_residues(c3):
 
 
 def test_attribute_free_triangle_short_grid(c3):
-    vocab = vocab_for(c3)
-    mg, path = _walk(c3)
     cfg = ReindexConfig(num_indices=16, cyclic=False)
+    vocab = vocab_for(c3, cfg=cfg)
+    mg, path = _walk(c3)
     grid = tokenize(path, mg, vocab, "short", cfg, 0, edge_attr_width=1, node_attr_width=1)
     assert grid.num_rows == 4
     assert grid.l == 4
@@ -406,15 +409,18 @@ _P10_ZEROS = AttributedGraph(num_nodes=10, edges=_P10.edges, node_attrs=[[0]] * 
 
 
 @pytest.mark.parametrize("g, vocab, cfg, message", [
-    (_P10, vocab_for(_P10), ReindexConfig(num_indices=8), "10 nodes exceed the index space of 8"),
+    (_P10, vocab_for(_P10, cfg=ReindexConfig(num_indices=8)), ReindexConfig(num_indices=8),
+     "10 nodes exceed the index space of 8"),
     (_P10, vocab_for(_P10, cfg=ReindexConfig(num_indices=64)), ReindexConfig(),
-     "re-indexing over 256 indices exceeds the vocabulary's 64"),
+     "re-indexing over 256 indices, not the vocabulary's 64"),
+    (_P10, vocab_for(_P10, cfg=ReindexConfig(num_indices=64)), ReindexConfig(num_indices=16),
+     "re-indexing over 16 indices, not the vocabulary's 64"),
     (AttributedGraph(num_nodes=0), vocab_for(_P10), ReindexConfig(),
      "cannot extract a path from an empty graph"),
     (_ATTRIBUTED, vocab_for(_P10_ZEROS), ReindexConfig(), "token not in vocabulary: 'test#node#0#1'"),
     (_ATTRIBUTED, vocab_for(_P10), ReindexConfig(),
      "node attr_defaults [0] do not begin the vocabulary's []; graphs that share a vocabulary share their defaults"),
-], ids=["index-space", "vocab-indices", "empty", "unknown-attr", "other-defaults"])
+], ids=["index-space", "vocab-indices", "fewer-vocab-indices", "empty", "unknown-attr", "other-defaults"])
 def test_sequence_length_raises_what_serialization_raises(g, vocab, cfg, message):
     raised = []
     for measure in (
@@ -505,7 +511,7 @@ def test_grids_keep_flat_cells_and_cut_them_into_rows():
         vocab = vocab_for(g)
         for layout in LAYOUTS:
             grid = serialize_graph(g, vocab, layout, ReindexConfig(), i)
-            for got in (grid, build_smtp(grid, 0.5, i, vocab).inputs, build_ntp(grid, vocab).inputs):
+            for got in (grid, build_smtp(grid, 0.5, i, vocab).inputs, build_ntp(grid).inputs):
                 assert type(got.cells) is tuple and {type(c) for c in got.cells} == {int}
                 l = got.l
                 assert got.tokens == tuple(got.cells[r * l : (r + 1) * l] for r in range(got.num_rows))
@@ -611,7 +617,7 @@ def test_grids_and_examples_are_pinned():
         for layout in LAYOUTS:
             grid = serialize_graph(g, vocab, layout, ReindexConfig(), i, **widths)
             smtp = build_smtp(grid, max(rng.random(), 1e-6), i, vocab)
-            for doc in (grid.to_json(), smtp.to_json(), build_ntp(grid, vocab).to_json()):
+            for doc in (grid.to_json(), smtp.to_json(), build_ntp(grid).to_json()):
                 digest.update(json.dumps(doc).encode() + b"\n")
     assert kinds == {False, True}
     assert digest.hexdigest() == GRIDS_AND_EXAMPLES_DIGEST
