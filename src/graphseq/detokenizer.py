@@ -1,11 +1,11 @@
 """Grid-to-graph reconstruction.
 
-A grid is read back into the four lists, indexed by walk position, that
-the tokenizer writes every layout from; the graph is then read off them.
-Consecutive node tokens define edges; jump-marked instances are dropped
-and repeat traversals collapse to one edge. The cyclic index shift is not
-inverted: decoded node k is the k-th distinct index token of the grid, so
-reconstruction is up to relabeling, which is what the guarantee promises.
+A grid is read in one pass, cell by cell, by the role each cell claims.
+Each node cell closes the walk step before it: consecutive node tokens
+define edges, jump-marked instances are dropped and repeat traversals
+collapse to one edge. The cyclic index shift is not inverted: decoded
+node k is the k-th distinct index token of the grid, so reconstruction
+is up to relabeling, which is what the guarantee promises.
 """
 from __future__ import annotations
 
@@ -40,59 +40,6 @@ class ReconstructionReport:
             "deduplicated_edges": self.deduplicated_edges,
             "warnings": list(self.warnings),
         }
-
-
-def _collect_steps(grid: TokenGrid, vocab: Vocabulary):
-    """The lists ``tokenize`` wrote the grid from: per walk position, the
-    node token, the node attribute block, the edge-type id (None when
-    untyped) and the edge attribute block, a list of ids or ``()``.
-
-    Each cell joins the position of the node cell before it, by the role
-    it claims. A cell's token must be a vocabulary id that fits its role,
-    so a relabelled cell fails here instead of being read back as a
-    different graph (a negative id would otherwise index from the
-    vocabulary's end).
-    """
-    size = len(vocab)
-    num_indices = vocab.num_indices
-    pad = vocab.pad_id
-    edge_types = (vocab.jump_id, vocab.fwd_id, vocab.bwd_id)
-    nodes: list[int] = []
-    node_blocks: list = []
-    types: list = []
-    edge_blocks: list = []
-    cells = zip(grid.cells, chain.from_iterable(grid.roles))
-    for tid, role in cells:
-        if type(tid) is not int or not 0 <= tid < size:
-            raise ValueError(f"token id {tid!r} outside the vocabulary's {size} ids")
-        if role == ROLE_PAD:
-            if tid != pad:
-                raise ValueError(f"token {vocab.token(tid)!r} in a pad cell")
-        elif role == ROLE_NODE:
-            # Structural tokens are exactly the ids below num_indices.
-            if tid >= num_indices:
-                raise ValueError(
-                    f"edge-type token {vocab.token(tid)!r} in a node cell"
-                    if vocab.class_of(tid) == CLASS_SPECIAL
-                    else f"non-structural token {vocab.token(tid)!r} in a node cell"
-                )
-            nodes.append(tid)
-            node_blocks.append(())
-            types.append(None)
-            edge_blocks.append(())
-        elif not nodes:
-            raise ValueError("dangling attribute tokens before any node token")
-        elif role == ROLE_TYPE:
-            if tid not in edge_types:
-                raise ValueError(f"token {vocab.token(tid)!r} in an edge-type cell")
-            types[-1] = tid
-        elif role == ROLE_NODE_ATTR:
-            node_blocks[-1] = [*node_blocks[-1], tid]
-        elif role == ROLE_EDGE_ATTR:
-            edge_blocks[-1] = [*edge_blocks[-1], tid]
-        else:
-            raise ValueError(f"unknown cell role {role!r}")
-    return nodes, node_blocks, types, edge_blocks
 
 
 def _parse_block(ids: tuple[int, ...], vocab: Vocabulary, kind: str, style: str):
@@ -144,62 +91,104 @@ def _attr_vector(pairs, defaults):
     return tuple(vec)
 
 
-def _refused_block(grid: TokenGrid, step: int, role: str, why: str) -> ValueError:
-    """The error refusing step ``step``'s ``role`` block, naming its first cell."""
-    node_cells = 0
-    for cell, cell_role in enumerate(chain.from_iterable(grid.roles)):
-        node_cells += cell_role == ROLE_NODE
-        if node_cells > step and cell_role == role:
-            break
-    return ValueError(f"cell {cell} (row {cell // grid.l}, column {cell % grid.l}): {why}")
-
-
 def detokenize(grid: TokenGrid, vocab: Vocabulary) -> ReconstructionReport:
     """Rebuild an attributed graph from a token grid.
 
     Attribute rows are as wide as the vocabulary's defaults, which fill
     every omitted dimension; a semantic token names a dimension within
-    them. A node or a base edge carries at most one attribute block and a
-    jump step none, as the tokenizer writes them; any other block raises
-    ``ValueError`` naming its first cell. Directedness is inferred from
-    direction tokens, so a directed graph with no base edges reconstructs
-    as undirected. A graph without decoded edges has no edge defaults.
+    them. Only what the tokenizer writes decodes: each cell's token fits
+    its role, new node tokens appear at consecutive indices modulo
+    ``vocab.num_indices``, every step that is not a jump carries a
+    direction token or none does, a node or a base edge carries at most
+    one attribute block and a jump step none. Any other grid raises
+    ``ValueError`` naming the flat cell, row and column at fault (a
+    refused block by its first cell). Directedness is read from direction
+    tokens, so a directed graph with no base edges reconstructs as
+    undirected. A graph without decoded edges has no edge defaults.
     """
-    nodes, node_blocks, types, edge_blocks = _collect_steps(grid, vocab)
-    if not nodes:
+    l, size, num_indices = grid.l, len(vocab), vocab.num_indices
+    pad, jump, bwd = vocab.pad_id, vocab.jump_id, vocab.bwd_id
+    edge_types = (jump, vocab.fwd_id, bwd)
+
+    def refused(cell: int, why: str) -> ValueError:
+        return ValueError(f"cell {cell} (row {cell // l}, column {cell % l}): {why}")
+
+    local: dict[int, int] = {}  # node token -> decoded node, in order of first visit
+    node_blocks: list = []  # per decoded node, its block's ids or ()
+    # Each decoded edge in order of first traversal, with its block's ids or ().
+    edges: dict[tuple[int, int], list | tuple] = {}
+    directed = None  # fixed by the first step that is not a jump
+    visits = dropped_jumps = 0
+    # The open step: its node, edge-type id, node block, and edge block
+    # with its first cell; a block is None until its first cell is read.
+    prev = step_type = node_run = edge_run = edge_cell = None
+    for cell, (tid, role) in enumerate(zip(grid.cells, chain.from_iterable(grid.roles))):
+        # A negative id would otherwise index from the vocabulary's end.
+        if type(tid) is not int or not 0 <= tid < size:
+            raise refused(cell, f"token id {tid!r} outside the vocabulary's {size} ids")
+        if role == ROLE_PAD:
+            if tid != pad:
+                raise refused(cell, f"token {vocab.token(tid)!r} in a pad cell")
+        elif role == ROLE_NODE:
+            # Structural tokens are exactly the ids below num_indices.
+            if tid >= num_indices:
+                raise refused(cell, f"edge-type token {vocab.token(tid)!r} in a node cell"
+                              if vocab.class_of(tid) == CLASS_SPECIAL
+                              else f"non-structural token {vocab.token(tid)!r} in a node cell")
+            v = local.get(tid, len(local))
+            visits += 1
+            if step_type == jump:
+                dropped_jumps += 1
+                if edge_run is not None:
+                    raise refused(edge_cell, "attribute block on a jump step")
+            elif prev is not None:
+                # The tokenizer types every step but jumps of a directed graph, and none of another.
+                typed = step_type is not None
+                if directed is None:
+                    directed = typed
+                elif typed != directed:
+                    raise refused(cell, "untyped step after a directed step" if directed
+                                  else f"directed step {vocab.token(step_type)!r} after an untyped step")
+                a, b = (v, prev) if step_type == bwd else (prev, v)
+                key = (a, b) if directed or a < b else (b, a)
+                if edge_run is None:
+                    edges.setdefault(key, ())
+                elif edges.get(key):
+                    raise refused(edge_cell, f"second attribute block for edge {key}")
+                else:
+                    edges[key] = edge_run
+            if v == len(local):
+                # The tokenizer's cyclic shift gives node k the first node token plus k.
+                want = (next(iter(local), tid) + v) % num_indices
+                if tid != want:
+                    raise refused(cell, f"new node token {vocab.token(tid)!r} breaks first-appearance order, "
+                                        f"which gives {vocab.token(want)!r}")
+                local[tid] = v
+                node_blocks.append(())
+            prev, step_type, node_run, edge_run = v, None, None, None
+        elif prev is None:
+            raise refused(cell, "dangling attribute tokens before any node token")
+        elif role == ROLE_TYPE:
+            if tid not in edge_types:
+                raise refused(cell, f"token {vocab.token(tid)!r} in an edge-type cell")
+            step_type = tid
+        elif role == ROLE_NODE_ATTR:
+            if node_run is not None:
+                node_run.append(tid)
+            elif node_blocks[prev]:
+                raise refused(cell, f"second attribute block for node {prev}")
+            else:
+                node_run = node_blocks[prev] = [tid]
+        elif role == ROLE_EDGE_ATTR:
+            if edge_run is not None:
+                edge_run.append(tid)
+            else:
+                edge_run, edge_cell = [tid], cell
+        else:
+            raise refused(cell, f"unknown cell role {role!r}")
+    if prev is None:
         raise ValueError("grid contains no node tokens")
-
-    local: dict[int, int] = {}
-    visits = [local.setdefault(tok, len(local)) for tok in nodes]
-
-    # Each node's block, then each decoded edge in order of first
-    # traversal with its block; ``()`` stands for no block.
-    node_block: list[tuple] = [()] * len(local)
-    for step, (v, block) in enumerate(zip(visits, node_blocks)):
-        if block and node_block[v]:
-            raise _refused_block(grid, step, ROLE_NODE_ATTR, f"second attribute block for node {v}")
-        if block:
-            node_block[v] = tuple(block)
-
-    # Only a directed grid holds direction tokens.
-    directed = vocab.fwd_id in types or vocab.bwd_id in types
-
-    edges: dict[tuple[int, int], tuple] = {}
-    dropped_jumps = 0
-    for step, (a, b, edge_type, block) in enumerate(zip(visits, visits[1:], types, edge_blocks)):
-        if edge_type == vocab.jump_id:
-            dropped_jumps += 1
-            if block:
-                raise _refused_block(grid, step, ROLE_EDGE_ATTR, "attribute block on a jump step")
-            continue
-        if edge_type == vocab.bwd_id:
-            a, b = b, a
-        key = (a, b) if directed or a < b else (b, a)
-        if block and edges.get(key):
-            raise _refused_block(grid, step, ROLE_EDGE_ATTR, f"second attribute block for edge {key}")
-        if block or key not in edges:
-            edges[key] = tuple(block)
-    if types[-1] is not None or edge_blocks[-1]:
+    if step_type is not None or edge_run is not None:
         raise ValueError("malformed attribute run: edge tokens after the final node")
 
     # Blocks repeat (one per distinct attribute row), so each is read once.
@@ -207,12 +196,12 @@ def detokenize(grid: TokenGrid, vocab: Vocabulary) -> ReconstructionReport:
     styles = {"node": vocab.node_attr_style, "edge": vocab.edge_attr_style}
     defaults = {"node": vocab.node_defaults, "edge": vocab.edge_defaults}
     attr_row = cache(lambda kind, ids: _attr_vector(_parse_block(ids, vocab, kind, styles[kind]), defaults[kind]))
-    node_attrs = tuple(attr_row("node", block) for block in node_block)
-    edge_attrs = tuple(attr_row("edge", block) for block in edges.values())
+    node_attrs = tuple(attr_row("node", tuple(block)) for block in node_blocks)
+    edge_attrs = tuple(attr_row("edge", tuple(block)) for block in edges.values())
     graph = AttributedGraph(
         num_nodes=len(local),
         edges=tuple(edges),
-        directed=directed,
+        directed=bool(directed),
         node_attrs=node_attrs if vocab.node_defaults else (),
         edge_attrs=edge_attrs if vocab.edge_defaults else (),
         node_defaults=vocab.node_defaults,
@@ -222,5 +211,5 @@ def detokenize(grid: TokenGrid, vocab: Vocabulary) -> ReconstructionReport:
         graph=graph,
         dropped_jump_edges=dropped_jumps,
         # Every traversal past an edge's first collapses into it.
-        deduplicated_edges=len(visits) - 1 - dropped_jumps - len(edges),
+        deduplicated_edges=visits - 1 - dropped_jumps - len(edges),
     )

@@ -18,9 +18,9 @@ holding their default value are omitted.
   step carries the corresponding block.
 
 Grids record each cell's role (node / edge-type / edge-attr / node-attr /
-pad) next to its token, and the detokenizer reads a grid back into the
-same four lists by them. The token classes fix every role too, so
-example files leave roles out.
+pad) next to its token, and the detokenizer reads a grid back step by
+step by them. The token classes fix every role too, so example files
+leave roles out.
 """
 from __future__ import annotations
 

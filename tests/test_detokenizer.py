@@ -255,7 +255,7 @@ def test_a_long_digit_run_decodes_where_integers_have_no_limit(monkeypatch, limi
 def test_leading_digit_in_prolonged_tokens_is_refused():
     vocab, g = _tiny_vocab()
     grid = prolonged_grid(["<5>", "0", "test#node#0#1", "<3>", "1"], vocab)
-    with pytest.raises(ValueError, match="^dangling attribute tokens before any node token$"):
+    with pytest.raises(ValueError, match=r"^cell 0 \(row 0, column 0\): dangling attribute tokens before any node token$"):
         detokenize(grid, vocab)
     grid = prolonged_grid(["0", "test#node#0#1", "<3>", "1"], vocab)
     assert detokenize(grid, vocab).graph.node_attrs == ((3,), (0,))
@@ -311,22 +311,62 @@ def test_a_refused_block_is_named_by_its_row_and_column():
     assert str(info.value) == "cell 16 (row 2, column 4): second attribute block for node 0"
 
 
+# --- node order and direction the encoder never writes: refused at their node cell
+
+
+def _refusal(grid, vocab):
+    with pytest.raises(ValueError) as info:
+        detokenize(grid, vocab)
+    return str(info.value)
+
+
+def test_a_node_token_out_of_first_appearance_order_is_refused():
+    vocab, g = _tiny_vocab()
+    want = "new node token '2' breaks first-appearance order, which gives '1'"
+    assert _refusal(prolonged_grid(["0", "2", "0"], vocab), vocab) == f"cell 1 (row 1, column 0): {want}"
+    # A repeated visit is no first appearance, and the order wraps at the index count.
+    assert detokenize(prolonged_grid(["0", "1", "0"], vocab), vocab).graph.num_nodes == 2
+    assert detokenize(prolonged_grid(["255", "0", "255"], vocab), vocab).graph.num_nodes == 2
+    assert _refusal(prolonged_grid(["255", "1"], vocab), vocab).startswith("cell 1 (row 1, column 0): new node token '1'")
+    ids, pad = vocab.id, vocab.pad_id
+    grid = TokenGrid.from_rows("short", 2, [(ids("3"), pad), (ids("4"), pad), (ids("3"), pad), (ids("6"), pad)],
+                               [("node", "pad")] * 4)
+    assert _refusal(grid, vocab) == "cell 6 (row 3, column 0): new node token '6' breaks first-appearance order, which gives '5'"
+
+
+def test_a_step_typed_unlike_the_first_base_step_is_refused():
+    # The tokenizer types every step of a directed graph and only the jumps of another.
+    g = AttributedGraph(num_nodes=3, edges=((0, 1), (1, 2)), directed=True)
+    vocab = vocab_for(g)
+    grid = prolonged_grid(["0", "1", "[->]", "2"], vocab)
+    assert _refusal(grid, vocab) == "cell 3 (row 3, column 0): directed step '[->]' after an untyped step"
+    grid = prolonged_grid(["0", "[EDGE_JUMP]", "1", "[<-]", "2", "0"], vocab)
+    assert _refusal(grid, vocab) == "cell 5 (row 5, column 0): untyped step after a directed step"
+    # Jump steps are typed in either kind of graph.
+    for tokens, directed in ((["0", "[EDGE_JUMP]", "1", "[<-]", "2", "[->]", "0"], True),
+                             (["0", "[EDGE_JUMP]", "1", "2", "0"], False)):
+        assert detokenize(prolonged_grid(tokens, vocab), vocab).graph.directed == directed
+
+
 # --- seeded one-cell mutation fuzz -------------------------------------------
 
 _ROLES = ("node", "edge-type", "edge-attr", "node-attr", "pad")
 
 
-def _unwritten_blocks(grid, vocab):
-    """First cells of the blocks no encoder writes: a node's second block,
-    a base edge's second block and any block on a jump step, in walk order.
-    None when some cell's token does not fit its role or no cell is a node,
-    which the decoder refuses before it looks at blocks."""
-    steps = []  # per walk position: node token, edge-type token, first cell of each block
+def _refused_cells(grid, vocab):
+    """Cells of what no encoder writes: the first cell of a node's second
+    block, of a base edge's second block and of any block on a jump step;
+    the node cell of a new node token out of first-appearance order; and
+    the node cell closing a step that is typed unlike the first step that
+    is not a jump. The decoder refuses such a grid naming one of these
+    cells. None when some cell's token does not fit its role or no cell is
+    a node, which the decoder refuses by other checks."""
+    steps = []  # per walk position: node token and cell, edge-type token, first cell of each block
     for cell, (tid, role) in enumerate(zip(grid.cells, (r for row in grid.roles for r in row))):
         if type(tid) is not int or not 0 <= tid < len(vocab):
             return None
         if role == "node" and tid < vocab.num_indices:
-            steps.append({"node": tid, "type": None})
+            steps.append({"node": tid, "cell": cell, "type": None})
         elif role == "pad" and tid == vocab.pad_id:
             continue
         elif not steps or role not in ("edge-type", "node-attr", "edge-attr"):
@@ -339,14 +379,26 @@ def _unwritten_blocks(grid, vocab):
             return None
     if not steps:
         return None
-    directed = any(step["type"] in (vocab.fwd_id, vocab.bwd_id) for step in steps)
-    refused, nodes, edges = set(), set(), set()
+    refused, seen, with_block, edges = set(), set(), set(), set()
+    new_node = steps[0]["node"]
     for step in steps:
+        if step["node"] not in seen:
+            if step["node"] != new_node:
+                refused.add(step["cell"])
+            new_node = (step["node"] + 1) % vocab.num_indices
+            seen.add(step["node"])
         if "node-attr" in step:
-            if step["node"] in nodes:
+            if step["node"] in with_block:
                 refused.add(step["node-attr"])
-            nodes.add(step["node"])
+            with_block.add(step["node"])
+    directed = None
     for step, following in zip(steps, steps[1:]):
+        if step["type"] != vocab.jump_id:
+            typed = step["type"] is not None
+            if directed is None:
+                directed = typed
+            elif typed != directed:
+                refused.add(following["cell"])
         if "edge-attr" not in step:
             continue
         ends = (step["node"], following["node"])[::-1 if step["type"] == vocab.bwd_id else 1]
@@ -387,6 +439,11 @@ def _mutant(grid, vocab, rng, ids_of):
     return TokenGrid(layout=grid.layout, l=grid.l, cells=tuple(cells), roles=tuple(zip(*[iter(roles)] * grid.l)))
 
 
+# Each kind of refusal the oracle predicts, by a phrase of its message.
+_REFUSALS = {"node": "block for node", "edge": "block for edge", "jump": "on a jump step",
+             "order": "first-appearance order", "direction": "after a"}
+
+
 def test_one_cell_mutants_decode_or_refuse_the_blocks_no_encoder_writes():
     rng = random.Random(34)
     seen, refusals = set(), {}
@@ -400,12 +457,12 @@ def test_one_cell_mutants_decode_or_refuse_the_blocks_no_encoder_writes():
         for layout in LAYOUTS:
             grid = serialize_graph(g, vocab, layout, seed=i)
             report = detokenize(grid, vocab)
-            assert report.warnings == () and _unwritten_blocks(grid, vocab) == set()
+            assert report.warnings == () and _refused_cells(grid, vocab) == set()
             seen.update({layout, *styles.values(), "directed" if g.directed else "undirected"})
             seen.update({"jumps"} if report.dropped_jump_edges else ())
             for _ in range(40):
                 mutant = _mutant(grid, vocab, rng, ids_of)
-                refused = _unwritten_blocks(mutant, vocab)
+                refused = _refused_cells(mutant, vocab)
                 try:  # any other exception fails the test
                     detokenize(mutant, vocab)
                     named = None
@@ -413,12 +470,12 @@ def test_one_cell_mutants_decode_or_refuse_the_blocks_no_encoder_writes():
                     named, _, why = str(exc).partition(": ")
                 if refused:
                     assert named in {f"cell {c} (row {c // grid.l}, column {c % grid.l})" for c in refused}
-                    kind = why.partition(" for ")[2].split(" ")[0] or "jump"  # node, edge or jump
+                    [kind] = [kind for kind, text in _REFUSALS.items() if text in why]
                     refusals[kind] = refusals.get(kind, 0) + 1
                 elif refused is not None:
                     assert named is None or not named.startswith("cell ")
     assert seen == {*LAYOUTS, "digits", "inline", "directed", "undirected", "jumps"}
-    assert set(refusals) == {"node", "edge", "jump"}
+    assert set(refusals) == set(_REFUSALS)
     assert min(refusals.values()) >= 10, refusals
 
 

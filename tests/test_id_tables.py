@@ -22,9 +22,9 @@ from graphseq import (
     extract_path,
     serialize_graph,
 )
-from graphseq.detokenizer import _collect_steps, _parse_block
+from graphseq.detokenizer import _parse_block
 from graphseq.pipeline import derive_seed
-from graphseq.tokenizer import LAYOUTS, _index_map, _placements, _spelled, _visits
+from graphseq.tokenizer import LAYOUTS, _placements, _spelled, _visits
 from graphseq.vocab import (
     CLASS_DIGIT,
     CLASS_SEMANTIC,
@@ -134,35 +134,21 @@ def test_table_grids_and_decoding_match_the_spellings(g, node_style, edge_style,
     # A '#' in the tag checks that the tables split semantic tokens from the right.
     cfg = ReindexConfig(num_indices=16, cyclic=cyclic, seed=seed)
     vocab = build_vocab([g], "h#t", cfg, node_attr_style=node_style, edge_attr_style=edge_style)
-    # The tokenizer's lists, under the sub-seeds serialize_graph derives.
+    # The tokenizer's blocks, under the sub-seeds serialize_graph derives.
     mg = build_multigraph(g, derive_seed(seed, "jump"))
     path = extract_path(mg, derive_seed(seed, "path"))
-    visits = _visits(path)
-    index = _index_map(visits, replace(cfg, seed=derive_seed(seed, "shift", cfg.seed)))
-    node_blocks, types, edge_blocks = _placements(
-        path, mg, vocab, visits, derive_seed(seed, "attrs"), *_spelled(g, vocab)
+    node_blocks, _, edge_blocks = _placements(
+        path, mg, vocab, _visits(path), derive_seed(seed, "attrs"), *_spelled(g, vocab)
     )
-    # A row of defaults spells an empty block, which no cell records.
-    wrote = (
-        [index[v] for v in path.nodes],
-        [block or () for block in node_blocks],
-        types,
-        [block or () for block in edge_blocks],
-    )
+    # The blocks every layout is written from decode as their spellings do.
+    for kind, blocks, style in (("node", node_blocks, node_style), ("edge", edge_blocks, edge_style)):
+        for block in blocks:
+            want = _parse_block_by_spelling(block, vocab, kind, style)
+            assert _parse_block(tuple(block), vocab, kind, style) == want
     for layout in LAYOUTS:
         grid = serialize_graph(g, vocab, layout, cfg, seed)
         with _spelled_blocks(vocab):
             assert grid == serialize_graph(g, vocab, layout, cfg, seed)
-        # Decoding collects exactly the lists every layout was written from.
-        collected = _collect_steps(grid, vocab)
-        assert collected == wrote
-        for kind, blocks, style in (
-            ("node", collected[1], node_style),
-            ("edge", collected[3], edge_style),
-        ):
-            for block in blocks:
-                want = _parse_block_by_spelling(block, vocab, kind, style)
-                assert _parse_block(tuple(block), vocab, kind, style) == want
         report = detokenize(grid, vocab)
         # Directedness is read from direction tokens, which need an edge.
         assert isomorphic(report.graph, replace(g, directed=g.directed and bool(g.edges)))

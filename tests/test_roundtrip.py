@@ -2,7 +2,6 @@
 node k must be the k-th distinct node of the walk. That check has no size
 limit, and it is at least as strict as the isomorphism oracle."""
 import random
-from collections import Counter
 from dataclasses import replace
 
 from hypothesis import example, given, settings
@@ -79,22 +78,29 @@ def test_roundtrip_report_is_ok_above_the_oracle_limit(n, components, directed, 
 
 
 def _swap_repeated_node_tokens(grid: TokenGrid) -> TokenGrid | None:
-    """Swap the first node cell whose token repeats with a later repeated
-    cell holding another token, or None without one. Swapping the only
-    visits of two nodes would merely rename them."""
+    """Swap two node cells holding different tokens, the second in the
+    walk's later half, or None without such a pair. Each cell comes after
+    both tokens' first visits, so first appearances keep their order, and
+    no step of the swapped walk is a self loop. Swapping the only visits
+    of two nodes would merely rename them."""
     tokens = [list(row) for row in grid.tokens]
     cells = [(r, c) for r, row in enumerate(grid.roles) for c, role in enumerate(row) if role == ROLE_NODE]
-    visits = Counter(tokens[r][c] for r, c in cells)
-    repeated = [(r, c) for r, c in cells if visits[tokens[r][c]] > 1]
-    if not repeated:
-        return None
-    (r1, c1) = repeated[0]
-    later = [(r, c) for r, c in repeated[len(repeated) // 2:] if tokens[r][c] != tokens[r1][c1]]
-    if not later:
-        return None
-    (r2, c2) = later[0]
-    tokens[r1][c1], tokens[r2][c2] = tokens[r2][c2], tokens[r1][c1]
-    return TokenGrid.from_rows(grid.layout, grid.l, tokens, grid.roles)
+    nodes = [tokens[r][c] for r, c in cells]
+    first = {}
+    for k, tok in enumerate(nodes):
+        first.setdefault(tok, k)
+    for i in range(len(nodes)):
+        for j in range(max(i + 1, len(nodes) // 2), len(nodes)):
+            x, y = nodes[i], nodes[j]
+            if x == y or max(first[x], first[y]) >= i:
+                continue
+            swapped = [*nodes[:i], y, *nodes[i + 1:j], x, *nodes[j + 1:]]
+            if any(swapped[k] == swapped[k + 1] for k in (i - 1, i, j - 1, j) if 0 <= k < len(nodes) - 1):
+                continue
+            (r1, c1), (r2, c2) = cells[i], cells[j]
+            tokens[r1][c1], tokens[r2][c2] = y, x
+            return TokenGrid.from_rows(grid.layout, grid.l, tokens, grid.roles)
+    return None
 
 
 def _serialized(g, layout, seed):
@@ -131,7 +137,7 @@ def test_witness_acceptance_implies_isomorphism():
                 continue
             try:
                 decoded = _decode(candidate, vocab)
-            except ValueError:  # the swap made a self loop
+            except ValueError:  # the swap gave a node or an edge a second block
                 continue
             if _matches_witness(decoded, g, order):
                 accepted += 1
